@@ -23,8 +23,7 @@ from .witness import (GreedyResult, RobustnessResult, VisibilityTable,
                       monte_carlo_ci, per_mode_contribution, robustness_study,
                       table_from_dataset, table_from_state, witness_correlated,
                       witness_sum)
-from .oracle import (OracleConfig, brute_force_witness, f_total,
-                     random_correlated_mixture, random_rank_d_search,
-                     schmidt_rank)
+from .oracle import (brute_force_witness, f_total, random_correlated_mixture,
+                     random_rank_d_search, schmidt_rank)
 
 __version__ = "0.1.0"

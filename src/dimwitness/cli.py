@@ -25,9 +25,9 @@ from .states import (CorrelatedState, amplitudes_from_rates, correlated_pure,
                      spdc_profile)
 from .measurement import (read_counts_csv, read_counts_json, simulate_counts,
                           write_counts_csv, write_counts_json)
-from .witness import (VisibilityTable, bound, build_report, certified_dimension,
-                      greedy_subset, robustness_study, table_from_dataset,
-                      table_from_state, witness_sum)
+from .witness import (bound, build_report, certified_dimension, greedy_subset,
+                      robustness_study, table_from_dataset, table_from_state,
+                      witness_sum)
 from .oracle import brute_force_witness, schmidt_rank
 
 
@@ -187,12 +187,11 @@ def certify(input_path, fmt, mode_file, flux, resamples, seed, subset, output):
     ds = _load_dataset(input_path, fmt, mode_file, flux)
     table = table_from_dataset(ds)
     if subset:
-        idx = sorted(int(x) for x in subset.split(","))
-        sub_records = {}
-        for a, k in enumerate(idx):
-            for b in range(a + 1, len(idx)):
-                sub_records[(a, b)] = table.record(k, idx[b])
-        table = VisibilityTable(ds.mode_set.subset(idx), sub_records)
+        try:
+            idx = [int(x) for x in subset.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--subset takes mode indices: {exc}") from exc
+        table = table.subset(idx)
         ds = None  # resampling a sliced dataset is not supported
         if resamples >= 2:
             raise ConfigError("--subset cannot be combined with --resamples")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,9 @@ __all__ = [
     "f_value",
     "projector_set",
     "simulate_counts",
+    "basis_visibilities",
     "estimate_visibilities",
+    "estimate_records",
     "all_settings",
 ]
 
@@ -112,22 +115,29 @@ class CoincidenceDataset:
     expectation: bool = False
 
     def add(self, k: int, l: int, basis: str, outcome: str, count) -> None:
-        if count < 0:
-            raise IngestionError(f"negative count at ({k},{l},{basis},{outcome})")
-        self.counts[(k, l, basis, outcome)] = count
+        key = (k, l, basis, outcome)
+        if not math.isfinite(count) or count < 0:
+            raise IngestionError(f"count {count!r} at {key} must be finite and >= 0")
+        if key in self.counts:
+            raise IngestionError(f"duplicate count at {key}")
+        self.counts[key] = count
+
+    def count_array(self, pairs) -> np.ndarray:
+        """Counts of the (k, l) pairs as a (pairs, 3 bases, 4 outcomes) array."""
+        try:
+            flat = [self.counts[(k, l, b, oc)]
+                    for k, l in pairs for b in BASES for oc in OUTCOMES]
+        except KeyError as exc:
+            k, l, basis, oc = exc.args[0]
+            ma, mb = self.mode_set[k], self.mode_set[l]
+            raise IngestionError(
+                f"dataset is missing count for pair (n={ma.n},l={ma.l})/"
+                f"(n={mb.n},l={mb.l}), basis {basis}, outcome {oc}") from None
+        return np.array(flat, dtype=float).reshape(len(pairs), 3, 4)
 
     def basis_counts(self, k: int, l: int, basis: str) -> np.ndarray:
         """The four outcome counts (pp, pm, mp, mm) of one setting."""
-        out = np.empty(4)
-        for i, oc in enumerate(OUTCOMES):
-            key = (k, l, basis, oc)
-            if key not in self.counts:
-                ma, mb = self.mode_set[k], self.mode_set[l]
-                raise IngestionError(
-                    f"dataset is missing count for pair (n={ma.n},l={ma.l})/"
-                    f"(n={mb.n},l={mb.l}), basis {basis}, outcome {oc}")
-            out[i] = self.counts[key]
-        return out
+        return self.count_array([(k, l)])[0, BASES.index(basis)]
 
 
 def all_settings(D: int) -> list[SubspaceSetting]:
@@ -288,22 +298,38 @@ def _population(state, i: int, j: int) -> float:
     return float(state.rho[i * D + j, i * D + j].real)
 
 
-def estimate_visibilities(dataset: CoincidenceDataset, k: int, l: int) -> VisibilityRecord:
-    """Visibilities from counts, each basis normalized by its own four counts.
+def basis_visibilities(counts) -> np.ndarray:
+    """Visibilities |c_pp + c_mm - c_pm - c_mp| / total of counts (or
+    probabilities) shaped (..., 3 bases, 4 outcomes), one per basis.
+
+    A basis with no counts has visibility 0, and so has every basis of a
+    subspace whose z basis has no counts.
+    """
+    counts = np.asarray(counts)
+    tot = counts.sum(axis=-1)
+    num = np.abs(counts[..., 0] + counts[..., 3] - counts[..., 1] - counts[..., 2])
+    V = np.divide(num, tot, out=np.zeros(num.shape), where=tot > 0)
+    V[tot[..., BASES.index("z")] == 0] = 0.0
+    return V
+
+
+def estimate_records(dataset: CoincidenceDataset, pairs) -> list[VisibilityRecord]:
+    """Visibilities of each (k, l) pair from counts, each basis normalized by
+    its own four counts.
 
     The subspace weight is taken from the z-basis populations, scaled by the
     dataset flux.
     """
-    vals = {}
-    for b in BASES:
-        c = dataset.basis_counts(k, l, b)
-        tot = c.sum()
-        vals[b] = abs(c[0] + c[3] - c[1] - c[2]) / tot if tot > 0 else 0.0
-    z_tot = dataset.basis_counts(k, l, "z").sum()
-    weight = float(z_tot / dataset.flux) if dataset.flux > 0 else 0.0
-    if z_tot == 0:
-        return VisibilityRecord(0.0, 0.0, 0.0, 0.0)
-    return VisibilityRecord(vals["x"], vals["y"], vals["z"], weight)
+    counts = dataset.count_array(pairs)
+    V = basis_visibilities(counts)
+    z_tot = counts[:, BASES.index("z")].sum(axis=1)
+    weight = z_tot / dataset.flux if dataset.flux > 0 else np.zeros(len(z_tot))
+    return [VisibilityRecord(*v, w) for v, w in zip(V.tolist(), weight.tolist())]
+
+
+def estimate_visibilities(dataset: CoincidenceDataset, k: int, l: int) -> VisibilityRecord:
+    """:func:`estimate_records` of the single pair (k, l)."""
+    return estimate_records(dataset, [(k, l)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +425,6 @@ def read_counts_json(path) -> CoincidenceDataset:
             if k > l:
                 k, l, oc = l, k, swap[oc]
             ds.add(k, l, e["basis"], oc, e["count"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IngestionError(f"malformed dataset file {path}: {exc}") from exc
     return ds

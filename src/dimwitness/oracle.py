@@ -8,8 +8,6 @@ production paths and to put falsification pressure on the bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CapacityError, InvalidStateError
@@ -20,20 +18,12 @@ from .states import (CorrelatedState, DecompositionElement,
 from .modes import generic_mode_set
 
 __all__ = [
-    "OracleConfig",
     "brute_force_witness",
     "schmidt_rank",
     "random_correlated_mixture",
     "random_rank_d_search",
     "f_total",
 ]
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    d_cap: int = SMALL_D_CAP
-    tol: float = 1e-9
-    search_iters: int = 10_000
 
 
 def _full_rho(state, d_cap: int) -> tuple[np.ndarray, int]:
@@ -46,6 +36,16 @@ def _full_rho(state, d_cap: int) -> tuple[np.ndarray, int]:
     return state.rho, state.D
 
 
+def _blocks(state, d_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (kk, kl, lk, ll) blocks of every pair k < l, shape (pairs, 4, 4),
+    cut from the explicit full density matrix, and their traces N_kl."""
+    rho, D = _full_rho(state, d_cap)
+    k, l = np.triu_indices(D, 1)
+    idx = np.stack([k * D + k, k * D + l, l * D + k, l * D + l], axis=1)
+    blocks = rho[idx[:, :, None], idx[:, None, :]]
+    return blocks, np.trace(blocks, axis1=1, axis2=2).real
+
+
 def brute_force_witness(state, d_cap: int = SMALL_D_CAP) -> float:
     """Sum of g over all subspaces, from the explicit full density matrix.
 
@@ -53,46 +53,24 @@ def brute_force_witness(state, d_cap: int = SMALL_D_CAP) -> float:
     {|kk>, |kl>, |lk>, |ll>}, normalized, and the correlation operator
     traced against it.  Zero-weight subspaces contribute 0.
     """
-    rho, D = _full_rho(state, d_cap)
-    total = 0.0
-    for k in range(D):
-        for l in range(k + 1, D):
-            idx = [k * D + k, k * D + l, l * D + k, l * D + l]
-            block = rho[np.ix_(idx, idx)]
-            N = float(np.trace(block).real)
-            if N <= 0.0:
-                continue
-            total += float(np.trace(_G_OP @ (block / N)).real)
-    return total
+    blocks, N = _blocks(state, d_cap)
+    live = N > 0.0
+    return float(np.sum(np.einsum("ij,pji->p", _G_OP, blocks[live]).real / N[live]))
 
 
 def brute_force_sv_witness(state, d_cap: int = SMALL_D_CAP) -> float:
     """Sum of |<s_i x s_i>| visibilities over all subspaces (the measured W),
     same explicit projection path as :func:`brute_force_witness`."""
-    rho, D = _full_rho(state, d_cap)
-    total = 0.0
-    for k in range(D):
-        for l in range(k + 1, D):
-            idx = [k * D + k, k * D + l, l * D + k, l * D + l]
-            block = rho[np.ix_(idx, idx)]
-            N = float(np.trace(block).real)
-            if N <= 0.0:
-                continue
-            total += sum(abs(float(np.trace(op @ (block / N)).real))
-                         for op in _DOUBLE.values())
-    return total
+    blocks, N = _blocks(state, d_cap)
+    live = N > 0.0
+    t = np.einsum("oij,pji->po", np.stack(list(_DOUBLE.values())), blocks[live]).real
+    return float(np.sum(np.abs(t / N[live, None])))
 
 
 def f_total(state, d_cap: int = SMALL_D_CAP) -> float:
     """Sum of the un-normalized correlations f_kl over all pairs."""
-    rho, D = _full_rho(state, d_cap)
-    total = 0.0
-    for k in range(D):
-        for l in range(k + 1, D):
-            idx = [k * D + k, k * D + l, l * D + k, l * D + l]
-            block = rho[np.ix_(idx, idx)]
-            total += float(np.trace(_G_OP @ block).real)
-    return total
+    blocks, _ = _blocks(state, d_cap)
+    return float(np.einsum("ij,pji->", _G_OP, blocks).real)
 
 
 def schmidt_rank(M: np.ndarray, tol: float = 1e-10) -> int:

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .errors import ConfigError, IngestionError, IntegrityError
-from .measurement import (BASES, CoincidenceDataset, VisibilityRecord,
-                          _OUTCOME_VECS, estimate_visibilities, visibilities)
+from .measurement import (_EIGVECS, BASES, CoincidenceDataset, VisibilityRecord,
+                          basis_visibilities, estimate_records, visibilities)
 from .modes import ModeSet
 from .oracle import brute_force_witness
-from .states import CorrelatedState, GeneralTwoPhotonState, SMALL_D_CAP, perturb_state
+from .states import CorrelatedState, SMALL_D_CAP, perturb_state
 
 __all__ = [
     "VisibilityTable",
@@ -54,27 +55,75 @@ class VisibilityTable:
             raise IngestionError(f"visibility table is missing pair ({k}, {l})")
         return self.records[(k, l)]
 
+    def subset(self, indices) -> "VisibilityTable":
+        """Table of the modes `indices` alone, renumbered in sorted order."""
+        idx = _checked_subset(indices, self.mode_set.D)
+        records = {(a, b): self.record(idx[a], idx[b])
+                   for a, b in combinations(range(len(idx)), 2)}
+        return VisibilityTable(self.mode_set.subset(idx), records)
+
     def check_complete(self) -> None:
-        D = self.mode_set.D
-        missing = [(k, l) for k in range(D) for l in range(k + 1, D)
-                   if (k, l) not in self.records]
+        missing = [p for p in _pairs(self.mode_set.D) if p not in self.records]
         if missing:
             raise IngestionError(f"visibility table is missing pairs {missing[:10]}"
                                  + (" ..." if len(missing) > 10 else ""))
 
 
+def _pairs(D: int) -> list:
+    """Every mode pair (k, l), k < l, in row-major order."""
+    return [(k, l) for k in range(D) for l in range(k + 1, D)]
+
+
+def _checked_subset(indices, D: int) -> list:
+    """`indices` sorted; they must be distinct mode indices in [0, D)."""
+    idx = sorted(indices)
+    if len(set(idx)) != len(idx) or any(not 0 <= k < D for k in idx):
+        raise ConfigError(f"mode subset {idx} must hold distinct indices "
+                          f"in [0, {D})")
+    return idx
+
+
 def table_from_state(state) -> VisibilityTable:
-    D = state.mode_set.D
-    records = {(k, l): visibilities(state, k, l)
-               for k in range(D) for l in range(k + 1, D)}
+    records = {p: visibilities(state, *p) for p in _pairs(state.mode_set.D)}
     return VisibilityTable(state.mode_set, records)
 
 
 def table_from_dataset(dataset: CoincidenceDataset) -> VisibilityTable:
-    D = dataset.mode_set.D
-    records = {(k, l): estimate_visibilities(dataset, k, l)
-               for k in range(D) for l in range(k + 1, D)}
-    return VisibilityTable(dataset.mode_set, records)
+    pairs = _pairs(dataset.mode_set.D)
+    return VisibilityTable(dataset.mode_set,
+                           dict(zip(pairs, estimate_records(dataset, pairs))))
+
+
+def _sv_matrix(table: VisibilityTable, indices=None) -> np.ndarray:
+    """Symmetric matrix of the summed visibilities, zero diagonal, over all
+    modes or over the modes `indices` in sorted order."""
+    table.check_complete()
+    D = table.mode_set.D
+    S = np.zeros((D, D))
+    S[np.triu_indices(D, 1)] = [table.records[p].sv for p in _pairs(D)]
+    S += S.T
+    if indices is None:
+        return S
+    idx = _checked_subset(indices, D)
+    return S[np.ix_(idx, idx)]
+
+
+def _ordered_sum(values: np.ndarray):
+    """Left-to-right sum.  np.sum adds pairwise, which moves the last digit
+    of W and so the bytes of seeded reports."""
+    return np.cumsum(values)[-1] if values.size else 0.0
+
+
+def _pair_sum(S: np.ndarray):
+    """W of a summed-visibility matrix: its upper triangle in (k, l) order."""
+    return _ordered_sum(S[np.triu_indices(len(S), 1)])
+
+
+def _row_means(S: np.ndarray) -> np.ndarray:
+    """Mean of each row's off-diagonal entries."""
+    n = len(S)
+    return S[~np.eye(n, dtype=bool)].reshape(n, n - 1).mean(axis=1) if n > 1 \
+        else np.zeros(n)
 
 
 def witness_sum(table: VisibilityTable, indices=None) -> float:
@@ -82,16 +131,7 @@ def witness_sum(table: VisibilityTable, indices=None) -> float:
 
     Summation runs in fixed index order so results are reproducible.
     """
-    if indices is None:
-        table.check_complete()
-        idx = range(table.mode_set.D)
-    else:
-        idx = sorted(indices)
-    total = 0.0
-    for i, k in enumerate(idx):
-        for l in list(idx)[i + 1:]:
-            total += table.record(k, l).sv
-    return total
+    return _pair_sum(_sv_matrix(table, indices))
 
 
 def witness_correlated(coeffs: np.ndarray) -> float:
@@ -136,27 +176,6 @@ def f_bound(D: int, d: int) -> int:
     return 2 * d + D - 3
 
 
-def _counts_arrays(dataset: CoincidenceDataset):
-    D = dataset.mode_set.D
-    pairs = [(k, l) for k in range(D) for l in range(k + 1, D)]
-    counts = np.empty((len(pairs), len(BASES), 4))
-    for p, (k, l) in enumerate(pairs):
-        for b, basis in enumerate(BASES):
-            counts[p, b] = dataset.basis_counts(k, l, basis)
-    return pairs, counts
-
-
-def _witness_from_counts(counts: np.ndarray) -> float:
-    # counts: (n_pairs, 3 bases, 4 outcomes), basis order x, y, z
-    tot = counts.sum(axis=2)
-    num = np.abs(counts[..., 0] + counts[..., 3] - counts[..., 1] - counts[..., 2])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        V = np.where(tot > 0, num / np.where(tot > 0, tot, 1.0), 0.0)
-    z_dead = counts[:, BASES.index("z"), :].sum(axis=1) == 0
-    V[z_dead] = 0.0
-    return float(V.sum())
-
-
 def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
                    seed: int) -> tuple[float, float]:
     """Poisson parametric bootstrap of W.
@@ -168,24 +187,17 @@ def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
     """
     if n_resamples < 2:
         raise ConfigError("need at least 2 resamples")
-    _, counts = _counts_arrays(dataset)
+    counts = dataset.count_array(_pairs(dataset.mode_set.D))
     ws = np.empty(n_resamples)
     for i in range(n_resamples):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 2, i)))
-        ws[i] = _witness_from_counts(rng.poisson(counts))
+        ws[i] = basis_visibilities(rng.poisson(counts)).sum()
     return float(ws.mean()), float(ws.std(ddof=1))
 
 
 def per_mode_contribution(table: VisibilityTable, indices=None) -> np.ndarray:
     """Mean summed visibility of each mode against all other modes."""
-    idx = sorted(indices) if indices is not None else list(range(table.mode_set.D))
-    if indices is None:
-        table.check_complete()
-    out = np.zeros(len(idx))
-    for a, k in enumerate(idx):
-        vals = [table.record(min(k, l), max(k, l)).sv for l in idx if l != k]
-        out[a] = float(np.mean(vals)) if vals else 0.0
-    return out
+    return _row_means(_sv_matrix(table, indices))
 
 
 @dataclass(frozen=True)
@@ -205,18 +217,18 @@ def greedy_subset(table: VisibilityTable) -> GreedyResult:
     certified dimension evaluated at the reduced D'.  The best subset is the
     one with the highest certified d (larger subsets win ties).
     """
-    table.check_complete()
+    S = _sv_matrix(table)
     active = list(range(table.mode_set.D))
     trajectory, subsets = [], []
     while len(active) >= 2:
-        W = witness_sum(table, active)
+        sub = S[np.ix_(active, active)]
+        W = _pair_sum(sub)
         d = certified_dimension(W, len(active))
         trajectory.append((len(active), d, W))
         subsets.append(list(active))
         if len(active) == 2:
             break
-        contrib = per_mode_contribution(table, active)
-        active.pop(int(np.argmin(contrib)))
+        active.pop(int(np.argmin(_row_means(sub))))
     best_i = max(range(len(trajectory)),
                  key=lambda i: (trajectory[i][1], trajectory[i][0]))
     return GreedyResult(trajectory, subsets, subsets[best_i],
@@ -225,16 +237,14 @@ def greedy_subset(table: VisibilityTable) -> GreedyResult:
 
 def exhaustive_best_subset(table: VisibilityTable, max_D: int = 12):
     """Exact best subset by full enumeration; feasible only for small D."""
-    from itertools import combinations
-
-    table.check_complete()
     D = table.mode_set.D
     if D > max_D:
         raise ConfigError(f"exhaustive subset search capped at D={max_D}")
+    S = _sv_matrix(table)
     best, best_d = list(range(D)), 1
     for size in range(2, D + 1):
         for subset in combinations(range(D), size):
-            d = certified_dimension(witness_sum(table, subset), size)
+            d = certified_dimension(_pair_sum(S[np.ix_(subset, subset)]), size)
             if d > best_d or (d == best_d and size > len(best)):
                 best, best_d = list(subset), d
     return best, best_d
@@ -242,14 +252,6 @@ def exhaustive_best_subset(table: VisibilityTable, max_D: int = 12):
 
 # ---------------------------------------------------------------------------
 # Robustness: perturbed states and perturbed (non-orthogonal) projections.
-
-def _prob_with_vectors(state, va: np.ndarray, vb: np.ndarray) -> float:
-    if isinstance(state, CorrelatedState):
-        w = np.conj(va) * np.conj(vb)
-        return max(float((w.conj() @ state.coeffs @ w).real), 0.0)
-    vec = np.kron(va, vb)
-    return max(float((vec.conj() @ state.rho @ vec).real), 0.0)
-
 
 def _perturbed_frame(D: int, strength: float, leak_fraction: float,
                      rng: np.random.Generator) -> np.ndarray:
@@ -281,31 +283,25 @@ def witness_with_perturbed_projectors(state, strength: float,
     D = state.mode_set.D
     frames = [_perturbed_frame(D, strength, leak_fraction, rng)
               for _ in range(2)]
-    total = 0.0
-    for k in range(D):
-        for l in range(k + 1, D):
-            svs, z_tot = [], None
-            for basis in BASES:
-                vecs = {}
-                for photon in (0, 1):
-                    vk, vl = frames[photon][:, k], frames[photon][:, l]
-                    if basis == "z":
-                        plus, minus = vk, vl
-                    elif basis == "x":
-                        plus, minus = vk + vl, vk - vl
-                    else:
-                        plus, minus = vk + 1j * vl, vk - 1j * vl
-                    vecs[photon] = [plus / np.linalg.norm(plus),
-                                    minus / np.linalg.norm(minus)]
-                p = np.array([_prob_with_vectors(state, vecs[0][s], vecs[1][t])
-                              for s in (0, 1) for t in (0, 1)])
-                tot = p.sum()
-                svs.append(abs(p[0] + p[3] - p[1] - p[2]) / tot if tot > 0 else 0.0)
-                if basis == "z":
-                    z_tot = tot
-            if z_tot and z_tot > 0:
-                total += sum(svs)
-    return total
+    k, l = np.triu_indices(D, 1)
+    # amplitudes of the outcome vectors va (x) vb on the basis M is written in
+    if isinstance(state, CorrelatedState):
+        M, amplitudes = state.coeffs, np.multiply   # only |mm> sees the state
+    else:
+        M, amplitudes = state.rho, (lambda va, vb:
+                                    (va[:, None] * vb[None]).reshape(D * D, -1))
+    probs = np.empty((k.size, len(BASES), 4))
+    for b, basis in enumerate(BASES):
+        # (plus, minus) outcome vectors of every pair, columns normalized
+        vecs = []
+        for F in frames:
+            pm = [e[0] * F[:, k] + e[1] * F[:, l] for e in _EIGVECS[basis]]
+            vecs.append([v / np.linalg.norm(v, axis=0) for v in pm])
+        for o, (s, t) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            a = amplitudes(vecs[0][s], vecs[1][t])
+            probs[:, b, o] = np.einsum("ip,ij,jp->p", a.conj(), M, a).real
+    V = basis_visibilities(np.clip(probs, 0.0, None))
+    return _ordered_sum(V[:, 0] + V[:, 1] + V[:, 2])
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,15 @@ def test_certify_subset_with_resamples_is_config_error(runner, tmp_path):
                       "--output", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("subset", ["0,9", "1,1,2", "-1,2", "a,b", "1,,2"])
+def test_certify_bad_subset_is_config_error(runner, tmp_path, subset):
+    counts, modes = simulate_example(runner, tmp_path)
+    assert exit_code(["certify", "--input", str(counts),
+                      "--mode-file", str(modes), "--flux", "1e6",
+                      f"--subset={subset}",
+                      "--output", str(tmp_path / "x.json")]) == 2
+
+
 def test_certify_byte_identical_reports(runner, tmp_path):
     counts, modes = simulate_example(runner, tmp_path)
     outs = []

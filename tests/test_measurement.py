@@ -354,3 +354,48 @@ def test_deterministic_csv_bytes(tmp_path):
         ds = simulate_counts(example_state(), 1e5, seed=12)
         write_counts_csv(ds, path)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def _bad_count_rows(case, rows):
+    """Corrupt a list of count rows (dicts keyed like the CSV header)."""
+    first = dict(rows[0])
+    if case in ("nan", "inf"):
+        rows[0]["count"] = float(case)
+    elif case == "huge":  # beyond the float range
+        rows[0]["count"] = 10**400
+    elif case == "duplicate":
+        rows.append(first)
+    else:  # the same count again, written as the (b, a) pair
+        swap = {"pp": "pp", "pm": "mp", "mp": "pm", "mm": "mm"}
+        rows.append({**first, "na": first["nb"], "la": first["lb"],
+                     "nb": first["na"], "lb": first["la"],
+                     "outcome": swap[first["outcome"]]})
+    return rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", ["nan", "inf", "huge", "duplicate",
+                                  "swapped_duplicate"])
+def test_bad_count_rows_rejected(tmp_path, fmt, case):
+    import csv
+    import json
+    ds = simulate_counts(example_state(), 1e5, seed=4)
+    path = tmp_path / f"counts.{fmt}"
+    if fmt == "csv":
+        write_counts_csv(ds, path)
+        with open(path, newline="") as fh:
+            rows = _bad_count_rows(case, list(csv.DictReader(fh)))
+        with open(path, "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            w.writeheader()
+            w.writerows(rows)
+        read = lambda: read_counts_csv(path)
+    else:
+        write_counts_json(ds, path)
+        payload = json.loads(path.read_text())
+        _bad_count_rows(case, payload["counts"])
+        path.write_text(json.dumps(payload))
+        read = lambda: read_counts_json(path)
+    match = {"nan": "finite", "inf": "finite", "huge": "finite|malformed"}
+    with pytest.raises(IngestionError, match=match.get(case, "duplicate")):
+        read()

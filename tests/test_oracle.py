@@ -8,7 +8,7 @@ from dimwitness import (CapacityError, InvalidStateError, bound,
                         random_correlated_mixture, random_rank_d_search,
                         schmidt_rank, table_from_state, witness_correlated,
                         witness_sum)
-from dimwitness.measurement import f_value, subspace_density
+from dimwitness.measurement import _DOUBLE, _G_OP, f_value, subspace_density
 from dimwitness.oracle import brute_force_sv_witness
 
 
@@ -176,3 +176,44 @@ def test_oracle_capacity_cap():
     with pytest.raises(CapacityError):
         random_rank_d_search(9, 2, 1, np.random.default_rng(0))
     assert brute_force_witness(maximally_entangled(9), d_cap=9) > 0
+
+
+# --- reference loops ---------------------------------------------------------
+# Per-pair loop versions of the batched oracle sums.
+
+def _ref_blocks(state):
+    gen = state.embed() if hasattr(state, "embed") else state
+    D, rho = gen.D, gen.rho
+    for k in range(D):
+        for l in range(k + 1, D):
+            idx = [k * D + k, k * D + l, l * D + k, l * D + l]
+            block = rho[np.ix_(idx, idx)]
+            yield block, float(np.trace(block).real)
+
+
+def ref_brute_force_witness(state):
+    return sum(float(np.trace(_G_OP @ (B / N)).real)
+               for B, N in _ref_blocks(state) if N > 0.0)
+
+
+def ref_brute_force_sv_witness(state):
+    return sum(sum(abs(float(np.trace(op @ (B / N)).real)) for op in _DOUBLE.values())
+               for B, N in _ref_blocks(state) if N > 0.0)
+
+
+def ref_f_total(state):
+    return sum(float(np.trace(_G_OP @ B).real) for B, _ in _ref_blocks(state))
+
+
+def test_oracle_sums_equal_reference_loops():
+    rng = np.random.default_rng(103)
+    states = [correlated_pure([1.0, 0.0, 0.0, 0.5], generic_mode_set(4)),
+              correlated_pure([1.0, -1.0], generic_mode_set(2))]
+    for _ in range(20):
+        D = int(rng.integers(2, 7))
+        states.append(random_correlated_mixture(D, int(rng.integers(1, D + 1)), rng))
+        states.append(perturb_state(states[-1], 0.1, rng))
+    for st in states:
+        assert abs(brute_force_witness(st) - ref_brute_force_witness(st)) < 1e-12
+        assert abs(brute_force_sv_witness(st) - ref_brute_force_sv_witness(st)) < 1e-12
+        assert abs(f_total(st) - ref_f_total(st)) < 1e-12

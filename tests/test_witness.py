@@ -11,8 +11,13 @@ from dimwitness import (ConfigError, IngestionError, IntegrityError,
                         monte_carlo_ci, per_mode_contribution, robustness_study,
                         simulate_counts, spdc_profile, table_from_dataset,
                         table_from_state, witness_correlated, witness_sum)
-from dimwitness.measurement import VisibilityRecord
+from dimwitness.measurement import (BASES, OUTCOMES, VisibilityRecord,
+                                    estimate_visibilities)
 from dimwitness.modes import ModeIndex, ModeSet
+from dimwitness.oracle import brute_force_sv_witness
+from dimwitness.states import CorrelatedState, perturb_state
+from dimwitness.witness import (_perturbed_frame,
+                                witness_with_perturbed_projectors)
 
 EXAMPLE_AMPS = np.array([0.5, 0.07, 0.01, 0.01])
 EXAMPLE_MODES = ModeSet((ModeIndex(0, 0), ModeIndex(1, -1),
@@ -284,3 +289,169 @@ def test_report_resampling_requires_dataset_and_seed():
     ds = simulate_counts(example_state(), 1e5, seed=2)
     with pytest.raises(ConfigError):
         build_report(table_from_dataset(ds), dataset=ds, n_resamples=10)
+
+
+# --- reference loops ---------------------------------------------------------
+# Per-pair loop versions of the array paths above; the array paths must give
+# the same numbers.
+
+def ref_witness_sum(table, indices=None):
+    idx = list(range(table.mode_set.D)) if indices is None else sorted(indices)
+    total = 0.0
+    for i, k in enumerate(idx):
+        for l in idx[i + 1:]:
+            total += table.record(k, l).sv
+    return total
+
+
+def ref_per_mode(table, indices=None):
+    idx = list(range(table.mode_set.D)) if indices is None else sorted(indices)
+    out = np.zeros(len(idx))
+    for a, k in enumerate(idx):
+        vals = [table.record(min(k, l), max(k, l)).sv for l in idx if l != k]
+        out[a] = float(np.mean(vals)) if vals else 0.0
+    return out
+
+
+def ref_greedy(table):
+    active = list(range(table.mode_set.D))
+    trajectory, subsets = [], []
+    while len(active) >= 2:
+        W = ref_witness_sum(table, active)
+        trajectory.append((len(active), certified_dimension(W, len(active)), W))
+        subsets.append(list(active))
+        if len(active) == 2:
+            break
+        active.pop(int(np.argmin(ref_per_mode(table, active))))
+    best_i = max(range(len(trajectory)),
+                 key=lambda i: (trajectory[i][1], trajectory[i][0]))
+    return trajectory, subsets, subsets[best_i], trajectory[best_i][1]
+
+
+def ref_estimate(dataset, k, l):
+    vals = {}
+    for b in BASES:
+        c = np.array([dataset.counts[(k, l, b, oc)] for oc in OUTCOMES], dtype=float)
+        tot = c.sum()
+        vals[b] = abs(c[0] + c[3] - c[1] - c[2]) / tot if tot > 0 else 0.0
+    z_tot = np.array([dataset.counts[(k, l, "z", oc)] for oc in OUTCOMES],
+                     dtype=float).sum()
+    if z_tot == 0:
+        return VisibilityRecord(0.0, 0.0, 0.0, 0.0)
+    return VisibilityRecord(vals["x"], vals["y"], vals["z"],
+                            float(z_tot / dataset.flux))
+
+
+def ref_perturbed_projectors(state, strength, rng, leak_fraction=0.3):
+    D = state.mode_set.D
+    frames = [_perturbed_frame(D, strength, leak_fraction, rng) for _ in range(2)]
+
+    def prob(va, vb):
+        if isinstance(state, CorrelatedState):
+            w = np.conj(va) * np.conj(vb)
+            return max(float((w.conj() @ state.coeffs @ w).real), 0.0)
+        vec = np.kron(va, vb)
+        return max(float((vec.conj() @ state.rho @ vec).real), 0.0)
+
+    total = 0.0
+    for k in range(D):
+        for l in range(k + 1, D):
+            svs, z_tot = [], None
+            for basis in BASES:
+                vecs = {}
+                for photon in (0, 1):
+                    vk, vl = frames[photon][:, k], frames[photon][:, l]
+                    if basis == "z":
+                        plus, minus = vk, vl
+                    elif basis == "x":
+                        plus, minus = vk + vl, vk - vl
+                    else:
+                        plus, minus = vk + 1j * vl, vk - 1j * vl
+                    vecs[photon] = [plus / np.linalg.norm(plus),
+                                    minus / np.linalg.norm(minus)]
+                p = np.array([prob(vecs[0][s], vecs[1][t])
+                              for s in (0, 1) for t in (0, 1)])
+                tot = p.sum()
+                svs.append(abs(p[0] + p[3] - p[1] - p[2]) / tot if tot > 0 else 0.0)
+                if basis == "z":
+                    z_tot = tot
+            if z_tot and z_tot > 0:
+                total += sum(svs)
+    return total
+
+
+def random_table(D, rng):
+    records = {(k, l): VisibilityRecord(*rng.uniform(0.0, 1.0, 4))
+               for k in range(D) for l in range(k + 1, D)}
+    return VisibilityTable(generic_mode_set(D), records)
+
+
+def interior_profile_table():
+    modes = enumerate_modes(2, 3)
+    return table_from_state(correlated_pure(spdc_profile(modes, 0.15, 0.4), modes))
+
+
+@pytest.mark.parametrize("D", [3, 8, 30, "profile20"])
+def test_array_sums_equal_reference_loops(D):
+    rng = np.random.default_rng(31)
+    table = interior_profile_table() if D == "profile20" else random_table(D, rng)
+    D = table.mode_set.D
+    assert witness_sum(table) == ref_witness_sum(table)
+    assert np.array_equal(per_mode_contribution(table), ref_per_mode(table))
+    for _ in range(5):
+        sub = rng.choice(D, size=int(rng.integers(2, D + 1)), replace=False).tolist()
+        assert witness_sum(table, sub) == ref_witness_sum(table, sub)
+        assert np.array_equal(per_mode_contribution(table, sub),
+                              ref_per_mode(table, sub))
+    res = greedy_subset(table)
+    assert (res.trajectory, res.subsets, res.best_subset, res.best_d) == \
+        ref_greedy(table)
+
+
+@pytest.mark.parametrize("indices", [[0, 0, 1], [-1, 2], [1, 4]])
+def test_subset_indices_checked(indices):
+    table = table_from_state(example_state())
+    with pytest.raises(ConfigError):
+        witness_sum(table, indices)
+    with pytest.raises(ConfigError):
+        per_mode_contribution(table, indices)
+    with pytest.raises(ConfigError):
+        table.subset(indices)
+
+
+@pytest.mark.parametrize("expectation", [False, True])
+def test_table_from_dataset_equals_per_pair_estimates(expectation):
+    # modes 1 and 2 are empty, so pair (1, 2) has no z counts at all
+    st = correlated_pure([0.7, 0.0, 0.0, 0.5, 0.2], generic_mode_set(5))
+    ds = simulate_counts(st, 1e5, seed=None if expectation else 8,
+                         expectation=expectation)
+    for oc in OUTCOMES:  # a basis with no counts in a live subspace
+        ds.counts[(0, 3, "x", oc)] = 0
+    want = {(k, l): ref_estimate(ds, k, l) for k in range(5) for l in range(k + 1, 5)}
+    assert want[(1, 2)] == VisibilityRecord(0.0, 0.0, 0.0, 0.0)
+    assert want[(0, 3)].vx == 0.0 and want[(0, 3)].vz > 0
+    assert table_from_dataset(ds).records == want
+    assert all(estimate_visibilities(ds, k, l) == rec for (k, l), rec in want.items())
+
+
+@pytest.mark.parametrize("strength", [0.0, 0.1])
+def test_perturbed_projectors_equal_reference_loop(strength):
+    base = example_state()
+    for state in (base, perturb_state(base, 0.1, np.random.default_rng(3))):
+        got = witness_with_perturbed_projectors(state, strength,
+                                                np.random.default_rng(5))
+        want = ref_perturbed_projectors(state, strength, np.random.default_rng(5))
+        assert abs(got - want) < 1e-12
+        if strength == 0.0:
+            assert abs(got - brute_force_sv_witness(state)) < 1e-12
+
+
+def test_perturbed_projectors_correlated_matches_embedding():
+    # complex amplitudes: the correlated fast path must see the same state
+    # as its explicit embedding
+    st = correlated_pure([1.0, 1j, 0.5, 0.3 - 0.2j], generic_mode_set(4))
+    for strength in (0.0, 0.1):
+        a = witness_with_perturbed_projectors(st, strength, np.random.default_rng(1))
+        b = witness_with_perturbed_projectors(st.embed(), strength,
+                                              np.random.default_rng(1))
+        assert abs(a - b) < 1e-12
