@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 
 import click
@@ -23,8 +24,8 @@ from .modes import ModeSet, enumerate_modes, generic_mode_set
 from .states import (CorrelatedState, amplitudes_from_rates, correlated_pure,
                      load_state, max_witness_state, maximally_entangled,
                      spdc_profile)
-from .measurement import (read_counts_csv, read_counts_json, simulate_counts,
-                          write_counts_csv, write_counts_json)
+from .measurement import (_count_str, read_counts_csv, read_counts_json,
+                          simulate_counts, write_counts_csv, write_counts_json)
 from .witness import (bound, build_report, certified_dimension, greedy_subset,
                       robustness_study, table_from_dataset, table_from_state,
                       witness_sum)
@@ -70,7 +71,12 @@ def _read_rates(path) -> dict:
     try:
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
-                rates[(int(row["n"]), int(row["l"]))] = float(row["rate"])
+                mode, rate = (int(row["n"]), int(row["l"])), float(row["rate"])
+                if not math.isfinite(rate):
+                    raise ValueError(f"rate {rate!r} of mode {mode} is not finite")
+                if mode in rates:
+                    raise ValueError(f"mode {mode} appears twice")
+                rates[mode] = rate
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise IngestionError(f"cannot read rate table {path}: {exc}") from exc
     return rates
@@ -163,10 +169,14 @@ def simulate(l_max, n_max, mode_file, state_file, profile, amplitudes,
 
 
 def _load_dataset(path, fmt, mode_file, flux):
+    """The dataset and the notes its reading leaves for the report."""
     if fmt == "json" or (fmt is None and str(path).endswith(".json")):
-        return read_counts_json(path)
+        return read_counts_json(path), []
     modes = ModeSet.load(mode_file) if mode_file else None
-    return read_counts_csv(path, mode_set=modes, flux=flux)
+    ds = read_counts_csv(path, mode_set=modes, flux=flux)
+    if flux is not None:
+        return ds, []
+    return ds, [f"flux taken as total z-basis counts ({_count_str(ds.flux)})"]
 
 
 @cli.command()
@@ -184,7 +194,7 @@ def _load_dataset(path, fmt, mode_file, flux):
 @click.option("--output", type=click.Path(), required=True)
 def certify(input_path, fmt, mode_file, flux, resamples, seed, subset, output):
     """Estimate visibilities, compute W and certify the dimensionality."""
-    ds = _load_dataset(input_path, fmt, mode_file, flux)
+    ds, notes = _load_dataset(input_path, fmt, mode_file, flux)
     table = table_from_dataset(ds)
     if subset:
         try:
@@ -196,6 +206,7 @@ def certify(input_path, fmt, mode_file, flux, resamples, seed, subset, output):
         if resamples >= 2:
             raise ConfigError("--subset cannot be combined with --resamples")
     report = build_report(table, dataset=ds, n_resamples=resamples, seed=seed)
+    report.notes.extend(notes)
     report.save(output)
     click.echo(f"W = {report.W:.6g} (D = {report.D}), "
                f"certified d = {report.certified_d}")
@@ -211,7 +222,7 @@ def certify(input_path, fmt, mode_file, flux, resamples, seed, subset, output):
               default="json", show_default=True)
 def optimize(input_path, fmt, mode_file, flux, output, out_format):
     """Greedy mode-subset search maximizing the certified dimension."""
-    ds = _load_dataset(input_path, fmt, mode_file, flux)
+    ds, _ = _load_dataset(input_path, fmt, mode_file, flux)
     result = greedy_subset(table_from_dataset(ds))
     if out_format == "json":
         payload = {"trajectory": [[dp, d] for dp, d, _ in result.trajectory],
@@ -226,7 +237,7 @@ def optimize(input_path, fmt, mode_file, flux, output, out_format):
             w = csv.writer(fh)
             w.writerow(["subset_size", "certified_d", "W"])
             for dp, d, wv in result.trajectory:
-                w.writerow([dp, d, repr(wv)])
+                w.writerow([dp, d, repr(float(wv))])
     click.echo(f"best subset size {len(result.best_subset)}, "
                f"certified d = {result.best_d}")
 

@@ -15,7 +15,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -73,6 +76,13 @@ _OUTCOME_VECS = {
                  for s, t in OUTCOMES])
     for b in BASES
 }
+# the same as one (3 bases, 4 outcomes, 4) array
+_U = np.stack([_OUTCOME_VECS[b] for b in BASES])
+
+_BASIS_ID = {b: i for i, b in enumerate(BASES)}
+_OUTCOME_ID = {oc: i for i, oc in enumerate(OUTCOMES)}
+# outcome index of a count read from the (l, k) side: pm <-> mp
+_SWAP_OUTCOME = np.array([0, 2, 1, 3])
 
 
 @dataclass(frozen=True)
@@ -105,39 +115,112 @@ class VisibilityRecord:
         return self.vx + self.vy + self.vz
 
 
-@dataclass
+def pair_index(k, l, D: int):
+    """Position of the pair (k, l), k < l, in row-major pair order; works
+    elementwise on index arrays."""
+    return k * (2 * D - k - 1) // 2 + (l - k - 1)
+
+
+@dataclass(eq=False)
 class CoincidenceDataset:
-    """Counts keyed by (k, l, basis, outcome), flat indices with k < l."""
+    """Coincidence counts of a mode set.
+
+    ``tensor`` holds every count, shape (pairs, 3 bases, 4 outcomes), pairs
+    (k, l), k < l, in row-major order (:func:`pair_index`); NaN marks a count
+    that was not measured.  ``counts`` is a read-only view of the measured
+    entries keyed by (k, l, basis, outcome).
+    """
 
     mode_set: ModeSet
     flux: float
-    counts: dict = field(default_factory=dict)
     expectation: bool = False
+    tensor: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        D = self.mode_set.D
+        self.tensor = np.full((D * (D - 1) // 2, len(BASES), len(OUTCOMES)), np.nan)
+
+    @property
+    def counts(self) -> "CountView":
+        return CountView(self)
+
+    def _flat(self, k, l, basis, outcome) -> int:
+        """Flat tensor position of one count; KeyError if there is none."""
+        D = self.mode_set.D
+        if not (0 <= k < l < D and basis in _BASIS_ID and outcome in _OUTCOME_ID):
+            raise KeyError((k, l, basis, outcome))
+        return (pair_index(k, l, D) * 3 + _BASIS_ID[basis]) * 4 + _OUTCOME_ID[outcome]
+
+    def _cells(self, flat: np.ndarray):
+        """k, l, basis index and outcome index of each flat tensor position."""
+        pair, rest = np.divmod(flat, len(BASES) * len(OUTCOMES))
+        k, l = np.triu_indices(self.mode_set.D, 1)
+        return k[pair], l[pair], rest // len(OUTCOMES), rest % len(OUTCOMES)
+
+    def _keys(self, flat: np.ndarray):
+        """(k, l, basis, outcome) of each flat tensor position."""
+        k, l, b, o = self._cells(flat)
+        return zip(k.tolist(), l.tolist(), map(BASES.__getitem__, b.tolist()),
+                   map(OUTCOMES.__getitem__, o.tolist()))
 
     def add(self, k: int, l: int, basis: str, outcome: str, count) -> None:
         key = (k, l, basis, outcome)
         if not math.isfinite(count) or count < 0:
             raise IngestionError(f"count {count!r} at {key} must be finite and >= 0")
-        if key in self.counts:
+        try:
+            flat = self._flat(*key)
+        except KeyError:
+            raise IngestionError(
+                f"no count slot at {key}: need 0 <= k < l < {self.mode_set.D}, "
+                f"basis in {BASES}, outcome in {OUTCOMES}") from None
+        cells = self.tensor.reshape(-1)
+        if not np.isnan(cells[flat]):
             raise IngestionError(f"duplicate count at {key}")
-        self.counts[key] = count
+        cells[flat] = count
 
     def count_array(self, pairs) -> np.ndarray:
         """Counts of the (k, l) pairs as a (pairs, 3 bases, 4 outcomes) array."""
-        try:
-            flat = [self.counts[(k, l, b, oc)]
-                    for k, l in pairs for b in BASES for oc in OUTCOMES]
-        except KeyError as exc:
-            k, l, basis, oc = exc.args[0]
-            ma, mb = self.mode_set[k], self.mode_set[l]
+        D = self.mode_set.D
+        kl = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        k, l = kl[:, 0], kl[:, 1]
+        valid = (0 <= k) & (k < l) & (l < D)
+        out = np.full((len(kl), len(BASES), len(OUTCOMES)), np.nan)
+        out[valid] = self.tensor[pair_index(k[valid], l[valid], D)]
+        missing = np.argwhere(np.isnan(out))
+        if missing.size:
+            p, b, o = missing[0]
+            ma, mb = self.mode_set[k[p]], self.mode_set[l[p]]
             raise IngestionError(
                 f"dataset is missing count for pair (n={ma.n},l={ma.l})/"
-                f"(n={mb.n},l={mb.l}), basis {basis}, outcome {oc}") from None
-        return np.array(flat, dtype=float).reshape(len(pairs), 3, 4)
+                f"(n={mb.n},l={mb.l}), basis {BASES[b]}, outcome {OUTCOMES[o]}")
+        return out
 
     def basis_counts(self, k: int, l: int, basis: str) -> np.ndarray:
         """The four outcome counts (pp, pm, mp, mm) of one setting."""
         return self.count_array([(k, l)])[0, BASES.index(basis)]
+
+
+class CountView(Mapping):
+    """Read-only mapping (k, l, basis, outcome) -> count over the measured
+    entries of a dataset's tensor, in tensor order."""
+
+    def __init__(self, dataset: CoincidenceDataset):
+        self._ds = dataset
+
+    def __getitem__(self, key):
+        try:
+            value = self._ds.tensor.reshape(-1)[self._ds._flat(*key)]
+        except TypeError:
+            raise KeyError(key) from None
+        if np.isnan(value):
+            raise KeyError(key)
+        return float(value)
+
+    def __iter__(self):
+        return self._ds._keys(np.flatnonzero(~np.isnan(self._ds.tensor)))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(~np.isnan(self._ds.tensor)))
 
 
 def all_settings(D: int) -> list[SubspaceSetting]:
@@ -160,22 +243,24 @@ def subspace_pauli(dim: int, k: int, l: int, axis: str) -> np.ndarray:
     return op
 
 
-def _block(state, k: int, l: int) -> np.ndarray:
-    """Unnormalized 4x4 restriction of the state to (kk, kl, lk, ll)."""
-    B = np.zeros((4, 4), dtype=complex)
+def _blocks(state, k, l) -> np.ndarray:
+    """Unnormalized 4x4 restrictions of the state to (kk, kl, lk, ll), one per
+    pair (k[i], l[i]) of the index arrays k, l: shape (pairs, 4, 4)."""
     if isinstance(state, CorrelatedState):
         c = state.coeffs
-        B[0, 0] = c[k, k]
-        B[0, 3] = c[k, l]
-        B[3, 0] = c[l, k]
-        B[3, 3] = c[l, l]
-    elif isinstance(state, GeneralTwoPhotonState):
+        B = np.zeros((len(k), 4, 4), dtype=complex)
+        B[:, 0, 0], B[:, 0, 3], B[:, 3, 0], B[:, 3, 3] = c[k, k], c[k, l], c[l, k], c[l, l]
+        return B
+    if isinstance(state, GeneralTwoPhotonState):
         D = state.D
-        idx = [k * D + k, k * D + l, l * D + k, l * D + l]
-        B[:] = state.rho[np.ix_(idx, idx)]
-    else:
-        raise ConfigError(f"unsupported state type {type(state).__name__}")
-    return B
+        idx = np.stack([k * D + k, k * D + l, l * D + k, l * D + l], axis=-1)
+        return state.rho[idx[:, :, None], idx[:, None, :]]
+    raise ConfigError(f"unsupported state type {type(state).__name__}")
+
+
+def _block(state, k: int, l: int) -> np.ndarray:
+    """Unnormalized 4x4 restriction of the state to (kk, kl, lk, ll)."""
+    return _blocks(state, np.array([k]), np.array([l]))[0]
 
 
 def subspace_density(state, k: int, l: int):
@@ -239,11 +324,6 @@ def outcome_probabilities(state, k: int, l: int, basis: str) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def _setting_rng(seed: int, *key) -> np.random.Generator:
-    # deterministic substream regardless of evaluation order
-    return np.random.default_rng(np.random.SeedSequence((seed,) + key))
-
-
 def simulate_counts(state, flux: float, seed: int | None = None,
                     settings=None, expectation: bool = False,
                     share_populations: bool = False) -> CoincidenceDataset:
@@ -255,47 +335,57 @@ def simulate_counts(state, flux: float, seed: int | None = None,
     stored instead (no sampling, no seed needed).  ``share_populations``
     draws each z-basis population count once per ordered mode pair and
     reuses it across subspaces.
+
+    Seeding: one stream from ``SeedSequence((seed, 1))`` draws the whole
+    canonical count tensor (and one from ``SeedSequence((seed, 0))`` the
+    D x D population counts), so a setting's count does not depend on which
+    other ``settings`` were requested.
     """
-    if flux <= 0:
-        raise ConfigError("flux must be positive")
+    if not flux > 0 or not math.isfinite(flux):
+        raise ConfigError(f"flux must be positive and finite, got {flux!r}")
     if not expectation and seed is None:
         raise ConfigError("a seed is required unless expectation mode is set")
     D = state.mode_set.D
-    if settings is None:
-        settings = all_settings(D)
+    k, l = np.triu_indices(D, 1)
+    p = np.einsum("boj,pjk,bok->pbo", _U.conj(), _blocks(state, k, l), _U).real
+    counts = flux * np.clip(p, 0.0, None)
+    if not expectation:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+        counts = rng.poisson(counts).astype(float)
+        if share_populations:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+            pop = rng.poisson(flux * _populations(state)).astype(float)
+            counts[:, _BASIS_ID["z"]] = np.stack(
+                [pop[k, k], pop[k, l], pop[l, k], pop[l, l]], axis=-1)
     ds = CoincidenceDataset(state.mode_set, float(flux), expectation=expectation)
-
-    shared = {}
-    if share_populations and not expectation:
-        needed = {s for s in settings if s.basis == "z"}
-        pairs = sorted({(i, j) for s in needed
-                        for i in (s.k, s.l) for j in (s.k, s.l)})
-        for i, j in pairs:
-            p = _population(state, i, j)
-            rng = _setting_rng(seed, 0, i, j)
-            shared[(i, j)] = int(rng.poisson(flux * p))
-
-    for s in sorted(settings, key=lambda s: (s.k, s.l, BASES.index(s.basis))):
-        p = outcome_probabilities(state, s.k, s.l, s.basis)
-        if expectation:
-            counts = flux * p
-        elif s.basis == "z" and share_populations:
-            order = [(s.k, s.k), (s.k, s.l), (s.l, s.k), (s.l, s.l)]
-            counts = [shared[ij] for ij in order]
-        else:
-            rng = _setting_rng(seed, 1, s.k, s.l, BASES.index(s.basis))
-            counts = rng.poisson(flux * p)
-        for oc, cnt in zip(OUTCOMES, counts):
-            ds.add(s.k, s.l, s.basis, oc, float(cnt) if expectation else int(cnt))
+    if settings is None:
+        ds.tensor[:] = counts
+    else:
+        pair, basis = _setting_index(settings, D)
+        ds.tensor[pair, basis] = counts[pair, basis]
     return ds
 
 
-def _population(state, i: int, j: int) -> float:
-    """<ij|rho|ij> on the full state."""
+def _setting_index(settings, D: int):
+    """Pair positions and basis indices of the settings."""
+    keys = list(map(attrgetter("k", "l", "basis"), settings))
+    if not keys:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    k, l, basis = zip(*keys)
+    k, l = np.array(k), np.array(l)
+    if not ((0 <= k) & (k < l) & (l < D)).all():
+        raise ConfigError(f"settings need mode pairs 0 <= k < l < {D}")
+    return (pair_index(k, l, D),
+            np.fromiter(map(_BASIS_ID.__getitem__, basis), np.intp, len(basis)))
+
+
+def _populations(state) -> np.ndarray:
+    """D x D matrix of <ij|rho|ij> on the full state."""
     if isinstance(state, CorrelatedState):
-        return float(state.coeffs[i, i].real) if i == j else 0.0
-    D = state.D
-    return float(state.rho[i * D + j, i * D + j].real)
+        pop = np.diag(state.coeffs.diagonal().real)
+    else:
+        pop = state.rho.diagonal().real.reshape(state.D, state.D)
+    return np.clip(pop, 0.0, None)
 
 
 def basis_visibilities(counts) -> np.ndarray:
@@ -339,92 +429,171 @@ def estimate_visibilities(dataset: CoincidenceDataset, k: int, l: int) -> Visibi
 
 CSV_HEADER = ["na", "la", "nb", "lb", "basis", "outcome", "count"]
 
+# rows parsed per chunk by the readers
+_CHUNK_ROWS = 1024
+
 
 def _count_str(c) -> str:
     return str(int(c)) if float(c).is_integer() else repr(float(c))
 
 
-def _sorted_keys(dataset: CoincidenceDataset):
-    return sorted(dataset.counts, key=lambda t: (t[0], t[1], BASES.index(t[2]),
-                                                 OUTCOMES.index(t[3])))
+def _count_values(values: np.ndarray, as_int: np.ndarray) -> list:
+    """The values as Python numbers: int where `as_int`, float elsewhere."""
+    out = np.array(values.tolist(), dtype=object)
+    out[as_int] = list(map(int, values[as_int].tolist()))
+    return out.tolist()
+
+
+def _columns(dataset: CoincidenceDataset):
+    """Columns (na, la, nb, lb, basis, outcome) and the counts of every
+    measured entry, in (k, l, basis, outcome) order."""
+    cells = dataset.tensor.reshape(-1)
+    flat = np.flatnonzero(~np.isnan(cells))
+    k, l, b, o = dataset._cells(flat)
+    n = np.array([m.n for m in dataset.mode_set.modes], dtype=np.int64)
+    lq = np.array([m.l for m in dataset.mode_set.modes], dtype=np.int64)
+    return ((n[k].tolist(), lq[k].tolist(), n[l].tolist(), lq[l].tolist(),
+             np.array(BASES)[b].tolist(), np.array(OUTCOMES)[o].tolist()),
+            cells[flat])
 
 
 def write_counts_csv(dataset: CoincidenceDataset, path) -> None:
+    cols, values = _columns(dataset)
+    # _count_str of every value: whole numbers as ints
+    strs = list(map(str, _count_values(values, values == np.floor(values))))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_HEADER)
-        for k, l, basis, oc in _sorted_keys(dataset):
-            ma, mb = dataset.mode_set[k], dataset.mode_set[l]
-            w.writerow([ma.n, ma.l, mb.n, mb.l, basis, oc,
-                        _count_str(dataset.counts[(k, l, basis, oc)])])
+        w.writerows(zip(*cols, strs))
+
+
+class _Rows:
+    """Count rows gathered chunk by chunk into arrays: both modes of each row
+    as ids into ``modes``, basis and outcome indices, counts."""
+
+    def __init__(self):
+        self.ids = {}       # raw (n, l) cells -> mode id
+        self.modes = {}     # ModeIndex -> mode id
+        self.parts = []
+
+    def add(self, rows: list, counts) -> None:
+        """Add a chunk of 7-field rows; `counts` parses the count column."""
+        if set(map(len, rows)) != {len(CSV_HEADER)}:
+            bad = next(r for r in rows if len(r) != len(CSV_HEADER))
+            raise IngestionError(f"malformed row {bad}: expected "
+                                 f"{len(CSV_HEADER)} fields")
+        na, la, nb, lb, basis, outcome, count = (
+            list(map(itemgetter(i), rows)) for i in range(len(CSV_HEADER)))
+        a, b = list(zip(na, la)), list(zip(nb, lb))
+        for cell in set(a).union(b).difference(self.ids):
+            try:
+                mode = ModeIndex(int(cell[0]), int(cell[1]))
+            except ConfigError as exc:
+                raise IngestionError(f"bad mode {cell}: {exc}") from exc
+            self.ids[cell] = self.modes.setdefault(mode, len(self.modes))
+        n = len(rows)
+        bi = np.fromiter(map(_BASIS_ID.get, basis, repeat(-1)), np.intp, n)
+        oi = np.fromiter(map(_OUTCOME_ID.get, outcome, repeat(-1)), np.intp, n)
+        if (bi < 0).any() or (oi < 0).any():
+            i = int(np.argmax((bi < 0) | (oi < 0)))
+            raise IngestionError(f"unknown basis/outcome {basis[i]!r}/{outcome[i]!r}")
+        self.parts.append((np.fromiter(map(self.ids.__getitem__, a), np.intp, n),
+                           np.fromiter(map(self.ids.__getitem__, b), np.intp, n),
+                           bi, oi, counts(count)))
+
+    def dataset(self, mode_set: ModeSet | None, flux: float | None,
+                expectation: bool = False) -> CoincidenceDataset:
+        """The dataset of all rows.  Without `mode_set` it is every mode seen,
+        sorted by (n, l); without `flux` it is the total z-basis count."""
+        empty = [np.zeros(0, dtype=np.intp)] * 4 + [np.zeros(0)]
+        ia, ib, bi, oi, counts = (np.concatenate(c) for c in zip(empty, *self.parts))
+        modes = list(self.modes)
+        if mode_set is None:
+            mode_set = ModeSet(tuple(sorted(modes, key=lambda m: (m.n, m.l))))
+        index = {m: i for i, m in enumerate(mode_set.modes)}
+        remap = np.array([index.get(m, -1) for m in modes], dtype=np.intp)
+        k, l = remap[ia], remap[ib]
+        if (k < 0).any() or (l < 0).any():
+            i = int(np.argmax((k < 0) | (l < 0)))
+            raise IngestionError(f"mode {modes[ia[i] if k[i] < 0 else ib[i]]!r} "
+                                 f"not in the declared mode set")
+        if (k == l).any():
+            raise IngestionError(f"row pairs mode {modes[ia[np.argmax(k == l)]]!r} "
+                                 f"with itself")
+        # a (b, a) row holds the (a, b) count with the photons swapped
+        swap = k > l
+        k, l = np.where(swap, l, k), np.where(swap, k, l)
+        oi = np.where(swap, _SWAP_OUTCOME[oi], oi)
+        if flux is None:  # left to right in row order; np.sum adds pairwise
+            z = counts[bi == _BASIS_ID["z"]]
+            flux = float(np.cumsum(z)[-1]) if z.size else 0.0
+        ds = CoincidenceDataset(mode_set, flux, expectation=expectation)
+        flat = (pair_index(k, l, mode_set.D) * 3 + bi) * 4 + oi
+        bad = ~(np.isfinite(counts) & (counts >= 0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            key = next(ds._keys(flat[i:i + 1]))
+            raise IngestionError(f"count {float(counts[i])!r} at {key} must be "
+                                 f"finite and >= 0")
+        cells, repeats = np.unique(flat, return_counts=True)
+        if (repeats > 1).any():
+            key = next(ds._keys(cells[repeats > 1][:1]))
+            raise IngestionError(f"duplicate count at {key}")
+        ds.tensor.reshape(-1)[flat] = counts
+        return ds
+
+
+def _parse_counts(cells) -> np.ndarray:
+    return np.fromiter(map(float, cells), float, len(cells))
 
 
 def read_counts_csv(path, mode_set: ModeSet | None = None,
                     flux: float | None = None) -> CoincidenceDataset:
-    rows = []
+    rows = _Rows()
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER:
-            raise IngestionError(
-                f"bad CSV header {reader.fieldnames}, expected {CSV_HEADER}")
-        for row in reader:
-            try:
-                rows.append((ModeIndex(int(row["na"]), int(row["la"])),
-                             ModeIndex(int(row["nb"]), int(row["lb"])),
-                             row["basis"], row["outcome"], float(row["count"])))
-            except (KeyError, ValueError) as exc:
-                raise IngestionError(f"malformed CSV row {row}: {exc}") from exc
-    if mode_set is None:
-        seen = sorted({m for r in rows for m in (r[0], r[1])},
-                      key=lambda m: (m.n, m.l))
-        mode_set = ModeSet(tuple(seen))
-    index = {m: i for i, m in enumerate(mode_set.modes)}
-    total_z = sum(r[4] for r in rows if r[2] == "z")
-    ds = CoincidenceDataset(mode_set, flux if flux is not None else total_z)
-    swap = {"pp": "pp", "pm": "mp", "mp": "pm", "mm": "mm"}
-    for ma, mb, basis, oc, cnt in rows:
-        if basis not in BASES or oc not in OUTCOMES:
-            raise IngestionError(f"unknown basis/outcome {basis!r}/{oc!r}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            raise IngestionError(f"bad CSV header {header}, expected {CSV_HEADER}")
+        lines = filter(None, reader)  # skip blank lines
         try:
-            k, l = index[ma], index[mb]
-        except KeyError as exc:
-            raise IngestionError(f"mode {exc} not in the declared mode set") from exc
-        if k > l:
-            k, l, oc = l, k, swap[oc]
-        ds.add(k, l, basis, oc, cnt)
-    return ds
+            while chunk := list(islice(lines, _CHUNK_ROWS)):
+                rows.add(chunk, _parse_counts)
+        except ValueError as exc:
+            raise IngestionError(f"malformed CSV row in {path}: {exc}") from exc
+    return rows.dataset(mode_set, flux)
 
 
 def write_counts_json(dataset: CoincidenceDataset, path) -> None:
-    entries = []
-    for k, l, basis, oc in _sorted_keys(dataset):
-        ma, mb = dataset.mode_set[k], dataset.mode_set[l]
-        entries.append({"na": ma.n, "la": ma.l, "nb": mb.n, "lb": mb.l,
-                        "basis": basis, "outcome": oc,
-                        "count": dataset.counts[(k, l, basis, oc)]})
+    cols, values = _columns(dataset)
+    # sampled counts are written as ints, expectation values as floats
+    counts = _count_values(values, (values == np.floor(values))
+                           & (not dataset.expectation))
+    entries = list(map(dict, map(zip, repeat(CSV_HEADER), zip(*cols, counts))))
     payload = {"modes": dataset.mode_set.to_json(), "flux": dataset.flux,
                "expectation": dataset.expectation, "counts": entries}
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")
+
+
+def _number_counts(cells) -> np.ndarray:
+    if not set(map(type, cells)) <= {int, float}:
+        raise TypeError("counts must be numbers")
+    return _parse_counts(cells)
 
 
 def read_counts_json(path) -> CoincidenceDataset:
     with open(path) as fh:
         payload = json.load(fh)
+    rows = _Rows()
     try:
         mode_set = ModeSet.from_json(payload["modes"])
-        ds = CoincidenceDataset(mode_set, float(payload["flux"]),
-                                expectation=bool(payload.get("expectation", False)))
-        index = {(m.n, m.l): i for i, m in enumerate(mode_set.modes)}
-        swap = {"pp": "pp", "pm": "mp", "mp": "pm", "mm": "mm"}
-        for e in payload["counts"]:
-            k = index[(int(e["na"]), int(e["la"]))]
-            l = index[(int(e["nb"]), int(e["lb"]))]
-            oc = e["outcome"]
-            if k > l:
-                k, l, oc = l, k, swap[oc]
-            ds.add(k, l, e["basis"], oc, e["count"])
+        flux = float(payload["flux"])
+        expectation = bool(payload.get("expectation", False))
+        entries = map(itemgetter(*CSV_HEADER), payload["counts"])
+        while chunk := list(islice(entries, _CHUNK_ROWS)):
+            rows.add(chunk, _number_counts)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IngestionError(f"malformed dataset file {path}: {exc}") from exc
-    return ds
+    return rows.dataset(mode_set, flux, expectation)

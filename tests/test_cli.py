@@ -257,3 +257,63 @@ def test_config_file_defaults(runner, tmp_path):
 
 def test_unknown_option_exits_2():
     assert exit_code(["certify", "--no-such-flag"]) == 2
+
+
+def test_optimize_csv_w_matches_json(runner, tmp_path):
+    counts, modes = simulate_example(runner, tmp_path)
+    paths = {fmt: tmp_path / f"opt.{fmt}" for fmt in ("json", "csv")}
+    for fmt, out in paths.items():
+        res = run(runner, ["optimize", "--input", str(counts),
+                           "--mode-file", str(modes), "--flux", "1e6",
+                           "--output", str(out), "--out-format", fmt])
+        assert res.exit_code == 0, res.output
+    rows = paths["csv"].read_text().splitlines()[1:]
+    assert [float(r.split(",")[2]) for r in rows] == \
+        json.loads(paths["json"].read_text())["witness"]
+
+
+RATE_ROWS = ["0,0,25", "1,-1,0.49", "2,-2,0.01", "3,-3,0.01"]
+
+
+def write_rates(tmp_path, rows):
+    modes = tmp_path / "modes.json"
+    EXAMPLE_MODES.save(modes)
+    rates = tmp_path / "rates.csv"
+    rates.write_text("n,l,rate\n" + "".join(f"{r}\n" for r in rows))
+    return ["simulate", "--mode-file", str(modes), "--rate-file", str(rates),
+            "--seed", "1", "--output", str(tmp_path / "x.csv")]
+
+
+def test_rate_file_accepted(tmp_path):
+    assert exit_code(write_rates(tmp_path, RATE_ROWS)) == 0
+
+
+@pytest.mark.parametrize("rows", [
+    ["0,0,25", "1,-1,nan", "2,-2,0.01", "3,-3,0.01"],
+    ["0,0,25", "1,-1,inf", "2,-2,0.01", "3,-3,0.01"],
+    RATE_ROWS + ["0,0,4"],                      # a mode listed twice
+], ids=["nan", "inf", "duplicate"])
+def test_bad_rate_file_is_ingestion_error(tmp_path, rows):
+    assert exit_code(write_rates(tmp_path, rows)) == 3
+
+
+@pytest.mark.parametrize("flux", ["nan", "inf", "0", "-1"])
+def test_simulate_bad_flux_is_config_error(tmp_path, flux):
+    assert exit_code(["simulate", "--amplitudes", EXAMPLE_AMPS,
+                      "--flux", flux, "--seed", "1",
+                      "--output", str(tmp_path / "x.csv")]) == 2
+
+
+def test_certify_notes_flux_fallback(runner, tmp_path):
+    counts, modes = simulate_example(runner, tmp_path)
+    z_total = sum(int(r.split(",")[6]) for r in counts.read_text().splitlines()[1:]
+                  if r.split(",")[4] == "z")
+    notes = {}
+    for name, extra in (("bare", []), ("flux", ["--flux", "1e6"])):
+        out = tmp_path / f"{name}.json"
+        res = run(runner, ["certify", "--input", str(counts),
+                           "--mode-file", str(modes), *extra, "--output", str(out)])
+        assert res.exit_code == 0, res.output
+        notes[name] = json.loads(out.read_text())["notes"]
+    assert notes == {"bare": [f"flux taken as total z-basis counts ({z_total})"],
+                     "flux": []}

@@ -1,14 +1,21 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
+from dimwitness import measurement
 from dimwitness import (ConfigError, IngestionError, correlated_pure,
                         estimate_visibilities, f_value, g_value,
                         generic_mode_set, maximally_entangled, projector_set,
                         read_counts_csv, read_counts_json, simulate_counts,
                         subspace_density, subspace_pauli, visibilities,
                         write_counts_csv, write_counts_json)
-from dimwitness.measurement import BASES, OUTCOMES, outcome_probabilities
+from dimwitness.measurement import (_OUTCOME_VECS, BASES, CSV_HEADER, OUTCOMES,
+                                    CoincidenceDataset, SubspaceSetting,
+                                    _count_str, outcome_probabilities)
 from dimwitness.modes import ModeIndex, ModeSet
+from dimwitness.states import CorrelatedState, perturb_state
 
 EXAMPLE_AMPS = np.array([0.5, 0.07, 0.01, 0.01])
 EXAMPLE_MODES = ModeSet((ModeIndex(0, 0), ModeIndex(1, -1),
@@ -264,7 +271,6 @@ def test_estimate_round_trip_expectation():
 
 
 def test_equal_counts_give_zero_visibility():
-    from dimwitness.measurement import CoincidenceDataset
     ds = CoincidenceDataset(generic_mode_set(2), flux=400.0)
     for b in BASES:
         for oc in OUTCOMES:
@@ -274,8 +280,11 @@ def test_equal_counts_give_zero_visibility():
 
 
 def test_missing_count_named_in_error():
-    ds = simulate_counts(bell(), 1e4, seed=1)
-    del ds.counts[(0, 1, "y", "mp")]
+    full = simulate_counts(bell(), 1e4, seed=1)
+    ds = CoincidenceDataset(full.mode_set, full.flux)
+    for key, count in full.counts.items():
+        if key != (0, 1, "y", "mp"):
+            ds.add(*key, count)
     with pytest.raises(IngestionError, match="basis y, outcome mp"):
         estimate_visibilities(ds, 0, 1)
 
@@ -365,6 +374,8 @@ def _bad_count_rows(case, rows):
         rows[0]["count"] = 10**400
     elif case == "duplicate":
         rows.append(first)
+    elif case == "negative_mode":
+        rows[0]["na"] = -1
     else:  # the same count again, written as the (b, a) pair
         swap = {"pp": "pp", "pm": "mp", "mp": "pm", "mm": "mm"}
         rows.append({**first, "na": first["nb"], "la": first["lb"],
@@ -375,10 +386,8 @@ def _bad_count_rows(case, rows):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("case", ["nan", "inf", "huge", "duplicate",
-                                  "swapped_duplicate"])
+                                  "swapped_duplicate", "negative_mode"])
 def test_bad_count_rows_rejected(tmp_path, fmt, case):
-    import csv
-    import json
     ds = simulate_counts(example_state(), 1e5, seed=4)
     path = tmp_path / f"counts.{fmt}"
     if fmt == "csv":
@@ -396,6 +405,186 @@ def test_bad_count_rows_rejected(tmp_path, fmt, case):
         _bad_count_rows(case, payload["counts"])
         path.write_text(json.dumps(payload))
         read = lambda: read_counts_json(path)
-    match = {"nan": "finite", "inf": "finite", "huge": "finite|malformed"}
+    match = {"nan": "finite", "inf": "finite", "huge": "finite|malformed",
+             "negative_mode": "mode"}
     with pytest.raises(IngestionError, match=match.get(case, "duplicate")):
         read()
+
+
+# --- the count tensor against the previous per-setting code -------------------
+
+def ref_block(state, k, l):
+    """The previous per-pair block cut."""
+    B = np.zeros((4, 4), dtype=complex)
+    if isinstance(state, CorrelatedState):
+        c = state.coeffs
+        B[0, 0], B[0, 3], B[3, 0], B[3, 3] = c[k, k], c[k, l], c[l, k], c[l, l]
+    else:
+        D = state.D
+        idx = [k * D + k, k * D + l, l * D + k, l * D + l]
+        B[:] = state.rho[np.ix_(idx, idx)]
+    return B
+
+
+def ref_expectation_tensor(state, flux):
+    """The previous per-setting loop of simulate_counts, expectation mode."""
+    D = state.mode_set.D
+    out = []
+    for k in range(D):
+        for l in range(k + 1, D):
+            B = ref_block(state, k, l)
+            for b in BASES:
+                U = _OUTCOME_VECS[b]
+                p = np.einsum("ij,jk,ik->i", U.conj(), B, U).real
+                out.append(flux * np.clip(p, 0.0, None))
+    return np.array(out).reshape(-1, 3, 4)
+
+
+def ref_write_csv(dataset, path):
+    """The previous row-by-row CSV writer."""
+    import csv
+    keys = sorted(dataset.counts, key=lambda t: (t[0], t[1], BASES.index(t[2]),
+                                                 OUTCOMES.index(t[3])))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(CSV_HEADER)
+        for k, l, basis, oc in keys:
+            ma, mb = dataset.mode_set[k], dataset.mode_set[l]
+            w.writerow([ma.n, ma.l, mb.n, mb.l, basis, oc,
+                        _count_str(dataset.counts[(k, l, basis, oc)])])
+
+
+def random_states():
+    rng = np.random.default_rng(23)
+    v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    complex_state = correlated_pure(v, generic_mode_set(6))
+    return [example_state(), complex_state,
+            perturb_state(example_state(), 0.1, np.random.default_rng(3)),
+            perturb_state(complex_state, 0.2, np.random.default_rng(4))]
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_expectation_tensor_equals_reference_loop(i):
+    st = random_states()[i]
+    ds = simulate_counts(st, 1e6, expectation=True)
+    assert np.array_equal(ds.tensor, ref_expectation_tensor(st, 1e6))
+
+
+@pytest.mark.parametrize("share", [False, True])
+def test_settings_subset_takes_full_draw_entries(share):
+    st = random_states()[2]
+    full = simulate_counts(st, 1e5, seed=3, share_populations=share)
+    subset = [SubspaceSetting(2, 3, "y"), SubspaceSetting(0, 2, "x"),
+              SubspaceSetting(1, 3, "z")]
+    part = simulate_counts(st, 1e5, seed=3, settings=subset,
+                           share_populations=share)
+    assert sorted({k[:3] for k in part.counts}) == [(0, 2, "x"), (1, 3, "z"),
+                                                    (2, 3, "y")]
+    assert len(part.counts) == 12
+    assert all(full.counts[key] == c for key, c in part.counts.items())
+
+
+def test_share_populations_agree_across_subspaces():
+    st = random_states()[3]   # a general state: cross populations are nonzero
+    D = st.mode_set.D
+    ds = simulate_counts(st, 1e5, seed=5, share_populations=True)
+    seen = {}
+    for k in range(D):
+        for l in range(k + 1, D):
+            z = ds.basis_counts(k, l, "z")
+            for ij, c in zip([(k, k), (k, l), (l, k), (l, l)], z):
+                seen.setdefault(ij, set()).add(c)
+    assert all(len(v) == 1 for v in seen.values())
+    assert any(c > 0 for (i, j), v in seen.items() if i != j for c in v)
+
+
+def test_count_view_is_read_only_view():
+    ds = simulate_counts(example_state(), 1e5, seed=4)
+    assert len(ds.counts) == 72
+    assert ds.counts[(1, 2, "y", "pm")] == ds.tensor[3, 1, 1]
+    ds.tensor[3, 1, 1] = np.nan
+    assert len(ds.counts) == 71 and (1, 2, "y", "pm") not in ds.counts
+    for bad in [(2, 1, "y", "pm"), (1, 2, "w", "pm"), (1, 9, "x", "pp"), "x"]:
+        assert bad not in ds.counts
+    with pytest.raises(TypeError):
+        ds.counts[(0, 1, "x", "pp")] = 1
+
+
+@pytest.mark.parametrize("expectation", [False, True])
+def test_writers_match_previous_bytes(tmp_path, expectation):
+    st = random_states()[2]
+    ds = simulate_counts(st, 1e5, seed=None if expectation else 8,
+                         expectation=expectation)
+    write_counts_csv(ds, tmp_path / "new.csv")
+    ref_write_csv(ds, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    write_counts_json(ds, tmp_path / "c.json")
+    counts = [e["count"] for e in json.loads((tmp_path / "c.json").read_text())["counts"]]
+    assert all(type(c) is (float if expectation else int) for c in counts)
+    assert read_counts_json(tmp_path / "c.json").counts == ds.counts
+
+
+def _rewrite_rows(path, change):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows[:1] + change(rows[1:]))
+
+
+@pytest.mark.parametrize("change", ["shuffled", "swapped"])
+def test_reordered_csv_reads_same_tensor(tmp_path, change):
+    st = random_states()[3]
+    ds = simulate_counts(st, 1e5, seed=2)
+    path = tmp_path / "counts.csv"
+    write_counts_csv(ds, path)
+    swap = {"pp": "pp", "pm": "mp", "mp": "pm", "mm": "mm"}
+    if change == "shuffled":
+        _rewrite_rows(path, lambda rows: [rows[i] for i in
+                                          np.random.default_rng(1).permutation(len(rows))])
+    else:  # every row written from the (b, a) side
+        _rewrite_rows(path, lambda rows: [[nb, lb, na, la, b, swap[oc], c]
+                                          for na, la, nb, lb, b, oc, c in rows])
+    back = read_counts_csv(path, mode_set=st.mode_set, flux=1e5)
+    assert np.array_equal(back.tensor, ds.tensor)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", ["nan", "duplicate"])
+def test_bad_row_past_first_chunk_rejected(tmp_path, fmt, case):
+    st = correlated_pure(np.linspace(1.0, 2.0, 16), generic_mode_set(16))
+    ds = simulate_counts(st, 1e5, seed=4)
+    assert len(ds.counts) > measurement._CHUNK_ROWS
+    path = tmp_path / f"counts.{fmt}"
+    last = {"na": 0, "la": 14, "nb": 0, "lb": 15, "basis": "z", "outcome": "mm"}
+    if fmt == "csv":
+        write_counts_csv(ds, path)
+        text = path.read_text()
+        if case == "nan":
+            text = text[:text.rindex("\n", 0, -1) + 1] + "0,14,0,15,z,mm,nan\r\n"
+        else:
+            text += "0,14,0,15,z,mm,5\r\n"
+        path.write_text(text)
+        read = lambda: read_counts_csv(path)
+    else:
+        write_counts_json(ds, path)
+        payload = json.loads(path.read_text())
+        if case == "nan":
+            payload["counts"][-1]["count"] = float("nan")
+        else:
+            payload["counts"].append({**last, "count": 5})
+        path.write_text(json.dumps(payload))
+        read = lambda: read_counts_json(path)
+    with pytest.raises(IngestionError, match="finite" if case == "nan" else "duplicate"):
+        read()
+
+
+@pytest.mark.parametrize("row, match", [
+    ("0,0,0,1,x,pp", "malformed"),            # a field short
+    ("0,0,0,1,x,pp,5,7", "malformed"),        # a field too many
+    ("0,0,0,0,x,pp,5", "with itself"),        # a pair of one mode
+])
+def test_malformed_csv_rows_rejected(tmp_path, row, match):
+    path = tmp_path / "counts.csv"
+    path.write_text(f"{','.join(CSV_HEADER)}\n0,0,0,1,x,mm,5\n{row}\n")
+    with pytest.raises(IngestionError, match=match):
+        read_counts_csv(path)

@@ -12,7 +12,7 @@ from dimwitness import (ConfigError, IngestionError, IntegrityError,
                         simulate_counts, spdc_profile, table_from_dataset,
                         table_from_state, witness_correlated, witness_sum)
 from dimwitness.measurement import (BASES, OUTCOMES, VisibilityRecord,
-                                    estimate_visibilities)
+                                    estimate_visibilities, pair_index)
 from dimwitness.modes import ModeIndex, ModeSet
 from dimwitness.oracle import brute_force_sv_witness
 from dimwitness.states import CorrelatedState, perturb_state
@@ -425,8 +425,8 @@ def test_table_from_dataset_equals_per_pair_estimates(expectation):
     st = correlated_pure([0.7, 0.0, 0.0, 0.5, 0.2], generic_mode_set(5))
     ds = simulate_counts(st, 1e5, seed=None if expectation else 8,
                          expectation=expectation)
-    for oc in OUTCOMES:  # a basis with no counts in a live subspace
-        ds.counts[(0, 3, "x", oc)] = 0
+    # a basis with no counts in a live subspace
+    ds.tensor[pair_index(0, 3, 5), BASES.index("x")] = 0
     want = {(k, l): ref_estimate(ds, k, l) for k in range(5) for l in range(k + 1, 5)}
     assert want[(1, 2)] == VisibilityRecord(0.0, 0.0, 0.0, 0.0)
     assert want[(0, 3)].vx == 0.0 and want[(0, 3)].vz > 0
