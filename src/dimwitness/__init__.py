@@ -11,11 +11,9 @@ from .states import (CorrelatedState, DecompositionElement,
                      correlated_pure, load_state, max_witness_elements,
                      max_witness_state, maximally_entangled, perturb_state,
                      save_state, spdc_profile, state_from_elements)
-from .measurement import (CoincidenceDataset, SubspaceSetting,
-                          VisibilityRecord, all_settings, estimate_visibilities,
-                          f_value, g_value, projector_set, read_counts_csv,
-                          read_counts_json, simulate_counts, subspace_density,
-                          subspace_pauli, visibilities, write_counts_csv,
+from .measurement import (CoincidenceDataset, f_value, g_value, projector_set,
+                          read_counts_csv, read_counts_json, simulate_counts,
+                          subspace_density, subspace_pauli, write_counts_csv,
                           write_counts_json)
 from .witness import (GreedyResult, RobustnessResult, VisibilityTable,
                       WitnessReport, bound, build_report, certified_dimension,

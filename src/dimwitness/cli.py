@@ -17,6 +17,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .errors import ConfigError, DimWitnessError, IngestionError
@@ -171,6 +172,13 @@ def simulate(l_max, n_max, mode_file, state_file, profile, amplitudes,
 def _load_dataset(path, fmt, mode_file, flux):
     """The dataset and the notes its reading leaves for the report."""
     if fmt == "json" or (fmt is None and str(path).endswith(".json")):
+        # a config file's defaults may name them; only flags are refused
+        ctx = click.get_current_context()
+        given = [f"--{name.replace('_', '-')}" for name in ("mode_file", "flux")
+                 if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE]
+        if given:
+            raise ConfigError(f"{' and '.join(given)} cannot be used with a JSON "
+                              f"dataset: the file carries its own mode set and flux")
         return read_counts_json(path), []
     modes = ModeSet.load(mode_file) if mode_file else None
     ds = read_counts_csv(path, mode_set=modes, flux=flux)
@@ -321,16 +329,17 @@ def report(input_path, per_mode_csv, trajectory_csv):
     try:
         with open(input_path) as fh:
             payload = json.load(fh)
-        per_mode = payload["per_mode"]
+        per_mode = [repr(float(v)) for v in payload["per_mode"]]
         trajectory = payload.get("subset_trajectory")
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+        if trajectory is not None:
+            trajectory = [(dp, d) for dp, d in trajectory]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise IngestionError(f"cannot read report {input_path}: {exc}") from exc
     if per_mode_csv:
         with open(per_mode_csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["mode_index", "mean_summed_visibility"])
-            for k, v in enumerate(per_mode):
-                w.writerow([k, repr(float(v))])
+            w.writerows(enumerate(per_mode))
     if trajectory_csv:
         if trajectory is None:
             raise IngestionError("report holds no subset trajectory")

@@ -18,7 +18,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,20 +29,15 @@ from .states import CorrelatedState, GeneralTwoPhotonState
 __all__ = [
     "BASES",
     "OUTCOMES",
-    "SubspaceSetting",
-    "VisibilityRecord",
     "CoincidenceDataset",
     "subspace_pauli",
     "subspace_density",
-    "visibilities",
     "g_value",
     "f_value",
     "projector_set",
+    "outcome_probabilities",
     "simulate_counts",
     "basis_visibilities",
-    "estimate_visibilities",
-    "estimate_records",
-    "all_settings",
 ]
 
 BASES = ("x", "y", "z")
@@ -83,36 +78,6 @@ _BASIS_ID = {b: i for i, b in enumerate(BASES)}
 _OUTCOME_ID = {oc: i for i, oc in enumerate(OUTCOMES)}
 # outcome index of a count read from the (l, k) side: pm <-> mp
 _SWAP_OUTCOME = np.array([0, 2, 1, 3])
-
-
-@dataclass(frozen=True)
-class SubspaceSetting:
-    """One measurement setting: a mode pair (flat indices, k < l) and a basis."""
-
-    k: int
-    l: int
-    basis: str
-
-    def __post_init__(self):
-        if self.k == self.l:
-            raise ConfigError("subspace requires two distinct modes")
-        if self.basis not in BASES:
-            raise ConfigError(f"unknown basis {self.basis!r}")
-
-
-@dataclass(frozen=True)
-class VisibilityRecord:
-    """Visibilities of one subspace plus its population weight."""
-
-    vx: float
-    vy: float
-    vz: float
-    weight: float
-
-    @property
-    def sv(self) -> float:
-        """Sum of the three visibilities."""
-        return self.vx + self.vy + self.vz
 
 
 def pair_index(k, l, D: int):
@@ -223,12 +188,6 @@ class CountView(Mapping):
         return int(np.count_nonzero(~np.isnan(self._ds.tensor)))
 
 
-def all_settings(D: int) -> list[SubspaceSetting]:
-    """Every (pair, basis) combination: 3 * D(D-1)/2 settings."""
-    return [SubspaceSetting(k, l, b)
-            for k in range(D) for l in range(k + 1, D) for b in BASES]
-
-
 def subspace_pauli(dim: int, k: int, l: int, axis: str) -> np.ndarray:
     """The two-level operator sigma_axis^{kl} embedded in the dim-level space."""
     if k == l:
@@ -276,15 +235,6 @@ def subspace_density(state, k: int, l: int):
     return B / N, N
 
 
-def visibilities(state, k: int, l: int) -> VisibilityRecord:
-    """Exact V_i = |<s_i x s_i>| on the normalized subspace (k, l)."""
-    rho4, N = subspace_density(state, k, l)
-    if N == 0.0:
-        return VisibilityRecord(0.0, 0.0, 0.0, 0.0)
-    vals = [abs(float(np.trace(_DOUBLE[b] @ rho4).real)) for b in BASES]
-    return VisibilityRecord(vals[0], vals[1], vals[2], N)
-
-
 def g_value(state, k: int, l: int) -> float:
     """Normalized subspace correlation Tr((szsz - sysy + sxsx) rho_kl)."""
     rho4, N = subspace_density(state, k, l)
@@ -316,16 +266,16 @@ def projector_set(dim: int, k: int, l: int, basis: str):
             for s, t in OUTCOMES]
 
 
-def outcome_probabilities(state, k: int, l: int, basis: str) -> np.ndarray:
-    """Coincidence probabilities of the four outcomes on the full state."""
-    B = _block(state, k, l)
-    U = _OUTCOME_VECS[basis]
-    p = np.einsum("ij,jk,ik->i", U.conj(), B, U).real
+def outcome_probabilities(state) -> np.ndarray:
+    """Coincidence probabilities on the full state of every pair, basis and
+    outcome: shape (pairs, 3 bases, 4 outcomes), pairs in row-major order."""
+    k, l = np.triu_indices(state.mode_set.D, 1)
+    p = np.einsum("boj,pjk,bok->pbo", _U.conj(), _blocks(state, k, l), _U).real
     return np.clip(p, 0.0, None)
 
 
 def simulate_counts(state, flux: float, seed: int | None = None,
-                    settings=None, expectation: bool = False,
+                    expectation: bool = False,
                     share_populations: bool = False) -> CoincidenceDataset:
     """Forward model of the coincidence experiment.
 
@@ -337,46 +287,26 @@ def simulate_counts(state, flux: float, seed: int | None = None,
     reuses it across subspaces.
 
     Seeding: one stream from ``SeedSequence((seed, 1))`` draws the whole
-    canonical count tensor (and one from ``SeedSequence((seed, 0))`` the
-    D x D population counts), so a setting's count does not depend on which
-    other ``settings`` were requested.
+    canonical count tensor, and one from ``SeedSequence((seed, 0))`` the
+    D x D population counts.
     """
     if not flux > 0 or not math.isfinite(flux):
         raise ConfigError(f"flux must be positive and finite, got {flux!r}")
     if not expectation and seed is None:
         raise ConfigError("a seed is required unless expectation mode is set")
-    D = state.mode_set.D
-    k, l = np.triu_indices(D, 1)
-    p = np.einsum("boj,pjk,bok->pbo", _U.conj(), _blocks(state, k, l), _U).real
-    counts = flux * np.clip(p, 0.0, None)
+    counts = flux * outcome_probabilities(state)
     if not expectation:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
         counts = rng.poisson(counts).astype(float)
         if share_populations:
             rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
             pop = rng.poisson(flux * _populations(state)).astype(float)
+            k, l = np.triu_indices(state.mode_set.D, 1)
             counts[:, _BASIS_ID["z"]] = np.stack(
                 [pop[k, k], pop[k, l], pop[l, k], pop[l, l]], axis=-1)
     ds = CoincidenceDataset(state.mode_set, float(flux), expectation=expectation)
-    if settings is None:
-        ds.tensor[:] = counts
-    else:
-        pair, basis = _setting_index(settings, D)
-        ds.tensor[pair, basis] = counts[pair, basis]
+    ds.tensor[:] = counts
     return ds
-
-
-def _setting_index(settings, D: int):
-    """Pair positions and basis indices of the settings."""
-    keys = list(map(attrgetter("k", "l", "basis"), settings))
-    if not keys:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    k, l, basis = zip(*keys)
-    k, l = np.array(k), np.array(l)
-    if not ((0 <= k) & (k < l) & (l < D)).all():
-        raise ConfigError(f"settings need mode pairs 0 <= k < l < {D}")
-    return (pair_index(k, l, D),
-            np.fromiter(map(_BASIS_ID.__getitem__, basis), np.intp, len(basis)))
 
 
 def _populations(state) -> np.ndarray:
@@ -401,25 +331,6 @@ def basis_visibilities(counts) -> np.ndarray:
     V = np.divide(num, tot, out=np.zeros(num.shape), where=tot > 0)
     V[tot[..., BASES.index("z")] == 0] = 0.0
     return V
-
-
-def estimate_records(dataset: CoincidenceDataset, pairs) -> list[VisibilityRecord]:
-    """Visibilities of each (k, l) pair from counts, each basis normalized by
-    its own four counts.
-
-    The subspace weight is taken from the z-basis populations, scaled by the
-    dataset flux.
-    """
-    counts = dataset.count_array(pairs)
-    V = basis_visibilities(counts)
-    z_tot = counts[:, BASES.index("z")].sum(axis=1)
-    weight = z_tot / dataset.flux if dataset.flux > 0 else np.zeros(len(z_tot))
-    return [VisibilityRecord(*v, w) for v, w in zip(V.tolist(), weight.tolist())]
-
-
-def estimate_visibilities(dataset: CoincidenceDataset, k: int, l: int) -> VisibilityRecord:
-    """:func:`estimate_records` of the single pair (k, l)."""
-    return estimate_records(dataset, [(k, l)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigError, IngestionError, IntegrityError
-from .measurement import (_EIGVECS, BASES, CoincidenceDataset, VisibilityRecord,
-                          basis_visibilities, estimate_records, visibilities)
+from .measurement import (_EIGVECS, BASES, CoincidenceDataset, basis_visibilities,
+                          outcome_probabilities, pair_index)
 from .modes import ModeSet
 from .oracle import brute_force_witness
 from .states import CorrelatedState, SMALL_D_CAP, perturb_state
@@ -43,35 +43,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VisibilityTable:
-    """Visibility records for every pair (k, l), k < l, of a mode set."""
+    """Visibilities of every pair (k, l), k < l, of a mode set.
+
+    ``V`` has shape (pairs, 3): columns (V_x, V_y, V_z), rows in the
+    row-major pair order of :func:`measurement.pair_index`.  A NaN row marks
+    a missing pair.
+    """
 
     mode_set: ModeSet
-    records: dict
-
-    def record(self, k: int, l: int) -> VisibilityRecord:
-        if (k, l) not in self.records:
-            raise IngestionError(f"visibility table is missing pair ({k}, {l})")
-        return self.records[(k, l)]
+    V: np.ndarray
 
     def subset(self, indices) -> "VisibilityTable":
         """Table of the modes `indices` alone, renumbered in sorted order."""
-        idx = _checked_subset(indices, self.mode_set.D)
-        records = {(a, b): self.record(idx[a], idx[b])
-                   for a, b in combinations(range(len(idx)), 2)}
-        return VisibilityTable(self.mode_set.subset(idx), records)
+        D = self.mode_set.D
+        idx = _checked_subset(indices, D)
+        self.check_complete()
+        a, b = np.triu_indices(len(idx), 1)
+        k = np.array(idx, dtype=np.intp)
+        return VisibilityTable(self.mode_set.subset(idx),
+                               self.V[pair_index(k[a], k[b], D)])
 
     def check_complete(self) -> None:
-        missing = [p for p in _pairs(self.mode_set.D) if p not in self.records]
-        if missing:
+        D = self.mode_set.D
+        if np.shape(self.V) != (D * (D - 1) // 2, len(BASES)):
+            raise IngestionError(f"visibility table has shape {np.shape(self.V)}, "
+                                 f"expected ({D * (D - 1) // 2}, {len(BASES)})")
+        nan = np.isnan(self.V).any(axis=1)
+        if nan.any():
+            k, l = np.triu_indices(D, 1)
+            missing = list(zip(k[nan].tolist(), l[nan].tolist()))
             raise IngestionError(f"visibility table is missing pairs {missing[:10]}"
                                  + (" ..." if len(missing) > 10 else ""))
-
-
-def _pairs(D: int) -> list:
-    """Every mode pair (k, l), k < l, in row-major order."""
-    return [(k, l) for k in range(D) for l in range(k + 1, D)]
 
 
 def _checked_subset(indices, D: int) -> list:
@@ -84,14 +88,14 @@ def _checked_subset(indices, D: int) -> list:
 
 
 def table_from_state(state) -> VisibilityTable:
-    records = {p: visibilities(state, *p) for p in _pairs(state.mode_set.D)}
-    return VisibilityTable(state.mode_set, records)
+    return VisibilityTable(state.mode_set,
+                           basis_visibilities(outcome_probabilities(state)))
 
 
 def table_from_dataset(dataset: CoincidenceDataset) -> VisibilityTable:
-    pairs = _pairs(dataset.mode_set.D)
-    return VisibilityTable(dataset.mode_set,
-                           dict(zip(pairs, estimate_records(dataset, pairs))))
+    pairs = np.transpose(np.triu_indices(dataset.mode_set.D, 1))
+    counts = dataset.count_array(pairs)
+    return VisibilityTable(dataset.mode_set, basis_visibilities(counts))
 
 
 def _sv_matrix(table: VisibilityTable, indices=None) -> np.ndarray:
@@ -99,8 +103,9 @@ def _sv_matrix(table: VisibilityTable, indices=None) -> np.ndarray:
     modes or over the modes `indices` in sorted order."""
     table.check_complete()
     D = table.mode_set.D
+    V = table.V
     S = np.zeros((D, D))
-    S[np.triu_indices(D, 1)] = [table.records[p].sv for p in _pairs(D)]
+    S[np.triu_indices(D, 1)] = V[:, 0] + V[:, 1] + V[:, 2]
     S += S.T
     if indices is None:
         return S
@@ -187,7 +192,7 @@ def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
     """
     if n_resamples < 2:
         raise ConfigError("need at least 2 resamples")
-    counts = dataset.count_array(_pairs(dataset.mode_set.D))
+    counts = dataset.count_array(np.transpose(np.triu_indices(dataset.mode_set.D, 1)))
     ws = np.empty(n_resamples)
     for i in range(n_resamples):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 2, i)))

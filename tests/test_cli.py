@@ -244,6 +244,40 @@ def test_report_bad_input_is_ingestion_error(tmp_path):
                       "--per-mode-csv", str(tmp_path / "pm.csv")]) == 3
 
 
+@pytest.mark.parametrize("report", [
+    [],                                                    # not an object
+    {"per_mode": [1.0, "x"], "subset_trajectory": None},   # non-numeric value
+    {"per_mode": [1.0], "subset_trajectory": [[4, 2], [1]]},  # short row
+], ids=["list", "per_mode", "trajectory"])
+def test_malformed_report_is_ingestion_error(tmp_path, report):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    pm, tj = tmp_path / "pm.csv", tmp_path / "tj.csv"
+    assert exit_code(["report", "--input", str(bad), "--per-mode-csv", str(pm),
+                      "--trajectory-csv", str(tj)]) == 3
+    assert not pm.exists() and not tj.exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "optimize"])
+@pytest.mark.parametrize("flag", ["--flux", "--mode-file"])
+def test_json_dataset_rejects_csv_flags(runner, tmp_path, command, flag):
+    counts, modes = simulate_example(runner, tmp_path, "counts.json",
+                                     extra=["--format", "json"])
+    value = {"--flux": "5", "--mode-file": str(modes)}[flag]
+    argv = [command, "--input", str(counts), "--output", str(tmp_path / "out.json")]
+    assert exit_code(argv) == 0
+    assert exit_code([*argv, flag, value]) == 2
+
+
+def test_json_dataset_ignores_config_flux(runner, tmp_path):
+    counts, _ = simulate_example(runner, tmp_path, "counts.json",
+                                 extra=["--format", "json"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"flux": 5.0}))
+    assert exit_code(["--config", str(cfg), "certify", "--input", str(counts),
+                      "--output", str(tmp_path / "out.json")]) == 0
+
+
 def test_config_file_defaults(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"amplitudes": EXAMPLE_AMPS, "flux": 1e5,

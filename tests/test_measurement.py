@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from dimwitness import measurement
-from dimwitness import (ConfigError, IngestionError, correlated_pure,
-                        estimate_visibilities, f_value, g_value,
-                        generic_mode_set, maximally_entangled, projector_set,
-                        read_counts_csv, read_counts_json, simulate_counts,
-                        subspace_density, subspace_pauli, visibilities,
-                        write_counts_csv, write_counts_json)
-from dimwitness.measurement import (_OUTCOME_VECS, BASES, CSV_HEADER, OUTCOMES,
-                                    CoincidenceDataset, SubspaceSetting,
-                                    _count_str, outcome_probabilities)
+from dimwitness import (ConfigError, IngestionError, correlated_pure, f_value,
+                        g_value, generic_mode_set, maximally_entangled,
+                        projector_set, read_counts_csv, read_counts_json,
+                        simulate_counts, subspace_density, subspace_pauli,
+                        table_from_dataset, table_from_state, write_counts_csv,
+                        write_counts_json)
+from dimwitness.measurement import (_DOUBLE, _OUTCOME_VECS, BASES, CSV_HEADER,
+                                    OUTCOMES, CoincidenceDataset, _count_str,
+                                    outcome_probabilities, pair_index)
 from dimwitness.modes import ModeIndex, ModeSet
 from dimwitness.states import CorrelatedState, perturb_state
 
@@ -28,6 +28,22 @@ def example_state():
 
 def bell():
     return correlated_pure([1, 1], generic_mode_set(2))
+
+
+def state_V(state, k, l):
+    """(V_x, V_y, V_z) of the pair (k, l) from table_from_state."""
+    return table_from_state(state).V[pair_index(k, l, state.mode_set.D)]
+
+
+def dataset_V(dataset, k, l):
+    """(V_x, V_y, V_z) of the pair (k, l) from table_from_dataset."""
+    return table_from_dataset(dataset).V[pair_index(k, l, dataset.mode_set.D)]
+
+
+def probabilities(state, k, l, basis):
+    """The four outcome probabilities of one setting."""
+    return outcome_probabilities(state)[pair_index(k, l, state.mode_set.D),
+                                        BASES.index(basis)]
 
 
 # --- subspace Pauli operators -----------------------------------------------
@@ -97,18 +113,16 @@ def test_zero_weight_subspace_convention():
     assert N == 0.0
     assert np.allclose(rho4, 0.0)
     assert g_value(st, 1, 2) == 0.0
-    assert visibilities(st, 1, 2).sv == 0.0
+    assert state_V(st, 1, 2).sum() == 0.0
 
 
 def test_bell_visibilities():
-    rec = visibilities(bell(), 0, 1)
-    assert np.allclose([rec.vx, rec.vy, rec.vz], [1.0, 1.0, 1.0])
+    assert np.allclose(state_V(bell(), 0, 1), [1.0, 1.0, 1.0])
 
 
 def test_product_state_visibilities():
     st = correlated_pure([1, 0], generic_mode_set(2))
-    rec = visibilities(st, 0, 1)
-    assert np.allclose([rec.vx, rec.vy, rec.vz], [0.0, 0.0, 1.0])
+    assert np.allclose(state_V(st, 0, 1), [0.0, 0.0, 1.0])
 
 
 def test_four_mode_example_sv_values():
@@ -117,7 +131,7 @@ def test_four_mode_example_sv_values():
     want = {(0, 1): 1.55, (0, 2): 1.08, (0, 3): 1.08,
             (1, 2): 1.56, (1, 3): 1.56, (2, 3): 3.0}
     for (k, l), sv in want.items():
-        assert abs(visibilities(st, k, l).sv - sv) < 0.005
+        assert abs(state_V(st, k, l).sum() - sv) < 0.005
 
 
 def test_g_bell():
@@ -141,7 +155,7 @@ def test_g_equals_visibility_sum_for_nonnegative_amplitudes():
         lam = np.abs(rng.standard_normal(5)) + 1e-6
         st = correlated_pure(lam, generic_mode_set(5))
         for (k, l) in [(0, 1), (2, 4), (1, 3)]:
-            assert np.isclose(g_value(st, k, l), visibilities(st, k, l).sv)
+            assert np.isclose(g_value(st, k, l), state_V(st, k, l).sum())
 
 
 def test_f_bell():
@@ -187,19 +201,19 @@ def test_denominator_monotonicity():
 
 def test_projector_z_outcomes():
     st = correlated_pure([1, 0, 0], generic_mode_set(3))
-    p = outcome_probabilities(st, 0, 1, "z")
+    p = probabilities(st, 0, 1, "z")
     assert np.allclose(p, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_projector_x_bell():
-    p = outcome_probabilities(bell(), 0, 1, "x")
+    p = probabilities(bell(), 0, 1, "x")
     assert np.allclose(p, [0.5, 0.0, 0.0, 0.5])
 
 
 def test_projector_y_correlated_closed_form():
     lam = np.array([0.8, 0.6])
     st = correlated_pure(lam, generic_mode_set(2))
-    p = outcome_probabilities(st, 0, 1, "y")
+    p = probabilities(st, 0, 1, "y")
     want_pp = (lam[0]**2 + lam[1]**2 - 2 * lam[0] * lam[1]) / 4
     assert np.isclose(p[0], want_pp)
 
@@ -215,7 +229,7 @@ def test_projector_set_shapes():
 def test_projector_probabilities_sum_to_subspace_weight():
     st = example_state()
     for basis in BASES:
-        p = outcome_probabilities(st, 1, 2, basis)
+        p = probabilities(st, 1, 2, basis)
         _, N = subspace_density(st, 1, 2)
         assert np.isclose(p.sum(), N)
 
@@ -225,7 +239,7 @@ def test_projector_probabilities_sum_to_subspace_weight():
 def test_expectation_mode_counts_are_exact():
     st = bell()
     ds = simulate_counts(st, 1e4, expectation=True)
-    p = outcome_probabilities(st, 0, 1, "x")
+    p = probabilities(st, 0, 1, "x")
     got = ds.basis_counts(0, 1, "x")
     assert np.allclose(got, 1e4 * p)
 
@@ -246,9 +260,9 @@ def test_simulation_deterministic():
 
 def test_bell_x_visibility_within_poisson_error():
     ds = simulate_counts(bell(), 1e6, seed=9)
-    rec = estimate_visibilities(ds, 0, 1)
+    vx = dataset_V(ds, 0, 1)[0]
     # V_x = 1 with ~1/sqrt(flux) statistical scatter
-    assert abs(rec.vx - 1.0) < 3.0 / np.sqrt(1e6)
+    assert abs(vx - 1.0) < 3.0 / np.sqrt(1e6)
 
 
 def test_share_populations_mode():
@@ -262,12 +276,14 @@ def test_estimate_round_trip_expectation():
     st = example_state()
     ds = simulate_counts(st, 1e6, expectation=True)
     for (k, l) in [(0, 1), (1, 3), (2, 3)]:
-        exact = visibilities(st, k, l)
-        est = estimate_visibilities(ds, k, l)
-        assert abs(est.vx - exact.vx) < 1e-9
-        assert abs(est.vy - exact.vy) < 1e-9
-        assert abs(est.vz - exact.vz) < 1e-9
-        assert abs(est.weight - exact.weight) < 1e-9
+        exact = ref_visibilities(st, k, l)
+        est = dataset_V(ds, k, l)
+        assert abs(est[0] - exact[0]) < 1e-9
+        assert abs(est[1] - exact[1]) < 1e-9
+        assert abs(est[2] - exact[2]) < 1e-9
+        # the z counts of the pair hold its subspace weight
+        _, N = subspace_density(st, k, l)
+        assert abs(ds.basis_counts(k, l, "z").sum() / ds.flux - N) < 1e-9
 
 
 def test_equal_counts_give_zero_visibility():
@@ -275,8 +291,8 @@ def test_equal_counts_give_zero_visibility():
     for b in BASES:
         for oc in OUTCOMES:
             ds.add(0, 1, b, oc, 100)
-    rec = estimate_visibilities(ds, 0, 1)
-    assert rec.vx == rec.vy == rec.vz == 0.0
+    vx, vy, vz = dataset_V(ds, 0, 1)
+    assert vx == vy == vz == 0.0
 
 
 def test_missing_count_named_in_error():
@@ -286,7 +302,7 @@ def test_missing_count_named_in_error():
         if key != (0, 1, "y", "mp"):
             ds.add(*key, count)
     with pytest.raises(IngestionError, match="basis y, outcome mp"):
-        estimate_visibilities(ds, 0, 1)
+        table_from_dataset(ds)
 
 
 def test_poisson_error_scaling():
@@ -297,9 +313,9 @@ def test_poisson_error_scaling():
         for seed in range(8):
             ds = simulate_counts(st, flux, seed=seed)
             for (k, l) in [(0, 1), (1, 2)]:
-                exact = visibilities(st, k, l)
-                est = estimate_visibilities(ds, k, l)
-                errs.append(est.vx - exact.vx)
+                exact = ref_visibilities(st, k, l)
+                est = dataset_V(ds, k, l)
+                errs.append(est[0] - exact[0])
         rms[flux] = np.sqrt(np.mean(np.square(errs)))
     ratio = rms[1e4] / rms[1e6]
     assert 5.0 < ratio < 20.0  # ~10 for a x100 flux increase
@@ -313,9 +329,8 @@ def test_visibility_range_invariant():
         ds = simulate_counts(st, 1e4, seed=seed)
         for k in range(4):
             for l in range(k + 1, 4):
-                for rec in (visibilities(st, k, l),
-                            estimate_visibilities(ds, k, l)):
-                    for val in (rec.vx, rec.vy, rec.vz):
+                for vals in (state_V(st, k, l), dataset_V(ds, k, l)):
+                    for val in vals:
                         assert -1e-9 <= val <= 1.0 + 1e-9
 
 
@@ -440,6 +455,15 @@ def ref_expectation_tensor(state, flux):
     return np.array(out).reshape(-1, 3, 4)
 
 
+def ref_visibilities(state, k, l):
+    """The previous per-pair visibilities |Tr(s_i s_i rho_4)| of the normalized
+    subspace density matrix, as (V_x, V_y, V_z)."""
+    rho4, N = subspace_density(state, k, l)
+    if N == 0.0:
+        return np.zeros(3)
+    return np.array([abs(float(np.trace(_DOUBLE[b] @ rho4).real)) for b in BASES])
+
+
 def ref_write_csv(dataset, path):
     """The previous row-by-row CSV writer."""
     import csv
@@ -470,18 +494,19 @@ def test_expectation_tensor_equals_reference_loop(i):
     assert np.array_equal(ds.tensor, ref_expectation_tensor(st, 1e6))
 
 
-@pytest.mark.parametrize("share", [False, True])
-def test_settings_subset_takes_full_draw_entries(share):
-    st = random_states()[2]
-    full = simulate_counts(st, 1e5, seed=3, share_populations=share)
-    subset = [SubspaceSetting(2, 3, "y"), SubspaceSetting(0, 2, "x"),
-              SubspaceSetting(1, 3, "z")]
-    part = simulate_counts(st, 1e5, seed=3, settings=subset,
-                           share_populations=share)
-    assert sorted({k[:3] for k in part.counts}) == [(0, 2, "x"), (1, 3, "z"),
-                                                    (2, 3, "y")]
-    assert len(part.counts) == 12
-    assert all(full.counts[key] == c for key, c in part.counts.items())
+@pytest.mark.parametrize("i", range(7))
+def test_table_from_state_equals_per_pair_formula(i):
+    states = random_states()
+    # embedded correlated states, and one with empty subspaces
+    states += [states[0].embed(), states[1].embed(),
+               correlated_pure([1, 0, 0.5, 0], generic_mode_set(4))]
+    st = states[i]
+    D = st.mode_set.D
+    want = np.array([ref_visibilities(st, k, l)
+                     for k in range(D) for l in range(k + 1, D)])
+    got = table_from_state(st).V
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_share_populations_agree_across_subspaces():

@@ -11,8 +11,7 @@ from dimwitness import (ConfigError, IngestionError, IntegrityError,
                         monte_carlo_ci, per_mode_contribution, robustness_study,
                         simulate_counts, spdc_profile, table_from_dataset,
                         table_from_state, witness_correlated, witness_sum)
-from dimwitness.measurement import (BASES, OUTCOMES, VisibilityRecord,
-                                    estimate_visibilities, pair_index)
+from dimwitness.measurement import BASES, OUTCOMES, pair_index
 from dimwitness.modes import ModeIndex, ModeSet
 from dimwitness.oracle import brute_force_sv_witness
 from dimwitness.states import CorrelatedState, perturb_state
@@ -129,9 +128,9 @@ def test_saturating_state_hits_bound():
 
 def test_incomplete_table_rejected():
     table = table_from_state(example_state())
-    broken = VisibilityTable(table.mode_set,
-                             {k: v for k, v in table.records.items()
-                              if k != (1, 3)})
+    V = table.V.copy()
+    V[pair_index(1, 3, 4)] = np.nan
+    broken = VisibilityTable(table.mode_set, V)
     with pytest.raises(IngestionError, match=r"\(1, 3\)"):
         witness_sum(broken)
 
@@ -275,9 +274,7 @@ def test_report_from_counts(tmp_path):
 def test_report_integrity_check():
     # a corrupted table claiming visibilities above 1 must be refused
     D = 3
-    records = {(k, l): VisibilityRecord(vx=2.0, vy=2.0, vz=2.0, weight=1.0)
-               for k in range(D) for l in range(k + 1, D)}
-    table = VisibilityTable(generic_mode_set(D), records)
+    table = VisibilityTable(generic_mode_set(D), np.full((D * (D - 1) // 2, 3), 2.0))
     with pytest.raises(IntegrityError):
         build_report(table, with_subsets=False)
 
@@ -295,12 +292,18 @@ def test_report_resampling_requires_dataset_and_seed():
 # Per-pair loop versions of the array paths above; the array paths must give
 # the same numbers.
 
+def ref_sv(table, k, l):
+    """Summed visibility of the pair (k, l), k < l, added left to right."""
+    vx, vy, vz = table.V[pair_index(k, l, table.mode_set.D)].tolist()
+    return vx + vy + vz
+
+
 def ref_witness_sum(table, indices=None):
     idx = list(range(table.mode_set.D)) if indices is None else sorted(indices)
     total = 0.0
     for i, k in enumerate(idx):
         for l in idx[i + 1:]:
-            total += table.record(k, l).sv
+            total += ref_sv(table, k, l)
     return total
 
 
@@ -308,7 +311,7 @@ def ref_per_mode(table, indices=None):
     idx = list(range(table.mode_set.D)) if indices is None else sorted(indices)
     out = np.zeros(len(idx))
     for a, k in enumerate(idx):
-        vals = [table.record(min(k, l), max(k, l)).sv for l in idx if l != k]
+        vals = [ref_sv(table, min(k, l), max(k, l)) for l in idx if l != k]
         out[a] = float(np.mean(vals)) if vals else 0.0
     return out
 
@@ -337,9 +340,8 @@ def ref_estimate(dataset, k, l):
     z_tot = np.array([dataset.counts[(k, l, "z", oc)] for oc in OUTCOMES],
                      dtype=float).sum()
     if z_tot == 0:
-        return VisibilityRecord(0.0, 0.0, 0.0, 0.0)
-    return VisibilityRecord(vals["x"], vals["y"], vals["z"],
-                            float(z_tot / dataset.flux))
+        return [0.0, 0.0, 0.0]
+    return [vals["x"], vals["y"], vals["z"]]
 
 
 def ref_perturbed_projectors(state, strength, rng, leak_fraction=0.3):
@@ -381,9 +383,8 @@ def ref_perturbed_projectors(state, strength, rng, leak_fraction=0.3):
 
 
 def random_table(D, rng):
-    records = {(k, l): VisibilityRecord(*rng.uniform(0.0, 1.0, 4))
-               for k in range(D) for l in range(k + 1, D)}
-    return VisibilityTable(generic_mode_set(D), records)
+    return VisibilityTable(generic_mode_set(D),
+                           rng.uniform(0.0, 1.0, (D * (D - 1) // 2, 3)))
 
 
 def interior_profile_table():
@@ -408,6 +409,18 @@ def test_array_sums_equal_reference_loops(D):
         ref_greedy(table)
 
 
+@pytest.mark.parametrize("sub", [[5, 1, 6, 2], [0, 7], list(range(8))])
+def test_subset_selects_rows(sub):
+    table = random_table(8, np.random.default_rng(41))
+    part = table.subset(sub)
+    idx = sorted(sub)
+    assert part.mode_set == table.mode_set.subset(idx)
+    assert np.array_equal(part.V, [table.V[pair_index(k, l, 8)]
+                                   for i, k in enumerate(idx) for l in idx[i + 1:]])
+    assert witness_sum(part) == ref_witness_sum(table, sub)
+    assert np.array_equal(per_mode_contribution(part), ref_per_mode(table, sub))
+
+
 @pytest.mark.parametrize("indices", [[0, 0, 1], [-1, 2], [1, 4]])
 def test_subset_indices_checked(indices):
     table = table_from_state(example_state())
@@ -427,11 +440,10 @@ def test_table_from_dataset_equals_per_pair_estimates(expectation):
                          expectation=expectation)
     # a basis with no counts in a live subspace
     ds.tensor[pair_index(0, 3, 5), BASES.index("x")] = 0
-    want = {(k, l): ref_estimate(ds, k, l) for k in range(5) for l in range(k + 1, 5)}
-    assert want[(1, 2)] == VisibilityRecord(0.0, 0.0, 0.0, 0.0)
-    assert want[(0, 3)].vx == 0.0 and want[(0, 3)].vz > 0
-    assert table_from_dataset(ds).records == want
-    assert all(estimate_visibilities(ds, k, l) == rec for (k, l), rec in want.items())
+    want = np.array([ref_estimate(ds, k, l) for k in range(5) for l in range(k + 1, 5)])
+    assert want[pair_index(1, 2, 5)].tolist() == [0.0, 0.0, 0.0]
+    assert want[pair_index(0, 3, 5), 0] == 0.0 and want[pair_index(0, 3, 5), 2] > 0
+    assert np.array_equal(table_from_dataset(ds).V, want)
 
 
 @pytest.mark.parametrize("strength", [0.0, 0.1])
