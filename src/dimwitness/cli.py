@@ -43,6 +43,10 @@ def _load_config(ctx, param, value):
         raise ConfigError(f"cannot read config file {value}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
+    known = {p.name for cmd in cli.commands.values() for p in cmd.params}
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise ConfigError(f"config file has keys no subcommand takes: {unknown}")
     # flags beat config values; config beats defaults
     ctx.default_map = {cmd: cfg for cmd in cli.commands}
     return value

@@ -50,29 +50,19 @@ _PAULI2 = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# eigenvectors (+, -) of each 2x2 operator; y uses |+y> = (|k> + i|l>)/sqrt(2)
-_EIGVECS = {
-    "z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
-    "x": (np.array([1, 1], dtype=complex) / np.sqrt(2),
-          np.array([1, -1], dtype=complex) / np.sqrt(2)),
-    "y": (np.array([1, 1j], dtype=complex) / np.sqrt(2),
-          np.array([1, -1j], dtype=complex) / np.sqrt(2)),
-}
+# eigenvectors (+, -) of each 2x2 operator, shape (3 bases, 2 signs, 2);
+# y uses |+y> = (|k> + i|l>)/sqrt(2)
+_EIGVECS = np.array([[[1, 1], [1, -1]], [[1, 1j], [1, -1j]], [[1, 0], [0, 1]]])
+_EIGVECS /= np.linalg.norm(_EIGVECS, axis=-1, keepdims=True)
 
 # double-Pauli 4x4 operators on the (kk, kl, lk, ll) block, one per basis
 _DOUBLE = {b: np.kron(_PAULI2[b], _PAULI2[b]) for b in BASES}
 _G_OP = _DOUBLE["z"] - _DOUBLE["y"] + _DOUBLE["x"]
 
-# outcome vectors u = v_s (x) v_t on the (kk, kl, lk, ll) block, per basis,
-# ordered pp, pm, mp, mm
-_OUTCOME_VECS = {
-    b: np.array([np.kron(_EIGVECS[b][0 if s == "p" else 1],
-                         _EIGVECS[b][0 if t == "p" else 1])
-                 for s, t in OUTCOMES])
-    for b in BASES
-}
-# the same as one (3 bases, 4 outcomes, 4) array
-_U = np.stack([_OUTCOME_VECS[b] for b in BASES])
+# outcome vectors u = v_s (x) v_t on the (kk, kl, lk, ll) block, shape
+# (3 bases, 4 outcomes pp, pm, mp, mm, 4)
+_U = np.einsum("bsi,btj->bstij", _EIGVECS, _EIGVECS).reshape(len(BASES), 4, 4)
+_OUTCOME_VECS = dict(zip(BASES, _U))
 
 _BASIS_ID = {b: i for i, b in enumerate(BASES)}
 _OUTCOME_ID = {oc: i for i, oc in enumerate(OUTCOMES)}
@@ -255,7 +245,7 @@ def projector_set(dim: int, k: int, l: int, basis: str):
         raise ConfigError("projector_set expects k < l")
     if basis not in BASES:
         raise ConfigError(f"unknown basis {basis!r}")
-    plus, minus = _EIGVECS[basis]
+    plus, minus = _EIGVECS[_BASIS_ID[basis]]
     kets = []
     for two in (plus, minus):
         v = np.zeros(dim, dtype=complex)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, InvalidStateError
-from .measurement import _DOUBLE, _G_OP
+from .errors import InvalidStateError
+from .measurement import _DOUBLE, _G_OP, _blocks as _cut_blocks
 from .states import (CorrelatedState, DecompositionElement,
-                     GeneralTwoPhotonState, SMALL_D_CAP, max_witness_elements,
+                     GeneralTwoPhotonState, _check_cap, max_witness_elements,
                      state_from_elements)
 from .modes import generic_mode_set
 
@@ -26,50 +26,47 @@ __all__ = [
 ]
 
 
-def _full_rho(state, d_cap: int) -> tuple[np.ndarray, int]:
+def _embedded(state) -> GeneralTwoPhotonState:
+    """The state as an explicit full density matrix."""
     if isinstance(state, CorrelatedState):
-        state = state.embed(cap=d_cap)
-    elif not isinstance(state, GeneralTwoPhotonState):
+        return state.embed()
+    if not isinstance(state, GeneralTwoPhotonState):
         raise InvalidStateError(f"unsupported state type {type(state).__name__}")
-    if state.D > d_cap:
-        raise CapacityError(f"D={state.D} exceeds the oracle cap {d_cap}")
-    return state.rho, state.D
+    return state
 
 
-def _blocks(state, d_cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _blocks(state) -> tuple[np.ndarray, np.ndarray]:
     """The (kk, kl, lk, ll) blocks of every pair k < l, shape (pairs, 4, 4),
     cut from the explicit full density matrix, and their traces N_kl."""
-    rho, D = _full_rho(state, d_cap)
-    k, l = np.triu_indices(D, 1)
-    idx = np.stack([k * D + k, k * D + l, l * D + k, l * D + l], axis=1)
-    blocks = rho[idx[:, :, None], idx[:, None, :]]
+    state = _embedded(state)
+    blocks = _cut_blocks(state, *np.triu_indices(state.D, 1))
     return blocks, np.trace(blocks, axis1=1, axis2=2).real
 
 
-def brute_force_witness(state, d_cap: int = SMALL_D_CAP) -> float:
+def brute_force_witness(state) -> float:
     """Sum of g over all subspaces, from the explicit full density matrix.
 
     For each pair (k, l) the state is projected onto the span of
     {|kk>, |kl>, |lk>, |ll>}, normalized, and the correlation operator
     traced against it.  Zero-weight subspaces contribute 0.
     """
-    blocks, N = _blocks(state, d_cap)
+    blocks, N = _blocks(state)
     live = N > 0.0
     return float(np.sum(np.einsum("ij,pji->p", _G_OP, blocks[live]).real / N[live]))
 
 
-def brute_force_sv_witness(state, d_cap: int = SMALL_D_CAP) -> float:
+def brute_force_sv_witness(state) -> float:
     """Sum of |<s_i x s_i>| visibilities over all subspaces (the measured W),
     same explicit projection path as :func:`brute_force_witness`."""
-    blocks, N = _blocks(state, d_cap)
+    blocks, N = _blocks(state)
     live = N > 0.0
     t = np.einsum("oij,pji->po", np.stack(list(_DOUBLE.values())), blocks[live]).real
     return float(np.sum(np.abs(t / N[live, None])))
 
 
-def f_total(state, d_cap: int = SMALL_D_CAP) -> float:
+def f_total(state) -> float:
     """Sum of the un-normalized correlations f_kl over all pairs."""
-    blocks, _ = _blocks(state, d_cap)
+    blocks, _ = _blocks(state)
     return float(np.einsum("ij,pji->", _G_OP, blocks).real)
 
 
@@ -83,11 +80,11 @@ def schmidt_rank(M: np.ndarray, tol: float = 1e-10) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
-def random_correlated_mixture(D: int, d: int, rng: np.random.Generator,
-                              max_elements: int = 4) -> CorrelatedState:
-    """Random mixture of rank <= d correlated pure states with non-negative
-    real amplitudes (random supports, Dirichlet weights)."""
-    n_el = int(rng.integers(1, max_elements + 1))
+def random_correlated_mixture(D: int, d: int,
+                              rng: np.random.Generator) -> CorrelatedState:
+    """Random mixture of 1 to 4 rank <= d correlated pure states with
+    non-negative real amplitudes (random supports, Dirichlet weights)."""
+    n_el = int(rng.integers(1, 5))
     weights = rng.dirichlet(np.ones(n_el))
     elements = []
     for w in weights:
@@ -100,20 +97,18 @@ def random_correlated_mixture(D: int, d: int, rng: np.random.Generator,
 
 
 def random_rank_d_search(D: int, d: int, iters: int, rng: np.random.Generator,
-                         d_cap: int = SMALL_D_CAP,
                          seed_saturating: bool = False) -> float:
     """Max brute-force witness over random rank <= d correlated mixtures.
 
     With ``seed_saturating`` the known bound-saturating mixture is added to
     the pool, so the returned maximum also probes tightness.
     """
-    if D > d_cap:
-        raise CapacityError(f"D={D} exceeds the oracle cap {d_cap}")
+    _check_cap(D)
     best = -np.inf
     if seed_saturating:
         sat = state_from_elements(max_witness_elements(D, d), generic_mode_set(D))
-        best = brute_force_witness(sat, d_cap=d_cap)
+        best = brute_force_witness(sat)
     for _ in range(iters):
         state = random_correlated_mixture(D, d, rng)
-        best = max(best, brute_force_witness(state, d_cap=d_cap))
+        best = max(best, brute_force_witness(state))
     return float(best)

@@ -7,22 +7,22 @@ Two representations are used:
   labels the photon pair (|LG_{n,l}>_A, |LG_{n,-l}>_B); the OAM
   anti-correlation is absorbed into this pairing.
 * ``GeneralTwoPhotonState`` stores the full D^2 x D^2 density matrix and is
-  only allowed for small D (default cap 8), where brute-force work is
-  feasible.
+  only allowed for small D (the fixed cap ``SMALL_D_CAP`` = 8), where
+  brute-force work is feasible.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ConfigError, IngestionError, InvalidStateError
-from .modes import ModeIndex, ModeSet, generic_mode_set
+from .modes import ModeSet, generic_mode_set
 
 __all__ = [
     "SMALL_D_CAP",
@@ -45,15 +45,20 @@ _EIG_TOL = 1e-9
 _TRACE_TOL = 1e-9
 
 
-def _check_density(mat: np.ndarray, *, max_trace: float, name: str) -> None:
+def _check_cap(D: int) -> None:
+    if D > SMALL_D_CAP:
+        raise CapacityError(f"D={D} exceeds the small-D cap {SMALL_D_CAP}")
+
+
+def _check_density(mat: np.ndarray, name: str) -> None:
     if not np.allclose(mat, mat.conj().T, atol=1e-12):
         raise InvalidStateError(f"{name}: matrix is not Hermitian")
     eigs = np.linalg.eigvalsh(mat)
     if eigs.min() < -_EIG_TOL:
         raise InvalidStateError(f"{name}: negative eigenvalue {eigs.min():.3e}")
     tr = float(np.trace(mat).real)
-    if not (0.0 < tr <= max_trace + _TRACE_TOL):
-        raise InvalidStateError(f"{name}: trace {tr} outside (0, {max_trace}]")
+    if not (0.0 < tr <= 1.0 + _TRACE_TOL):
+        raise InvalidStateError(f"{name}: trace {tr} outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -75,18 +80,17 @@ class CorrelatedState:
         return self.mode_set.D
 
     def validate(self) -> None:
-        _check_density(self.coeffs, max_trace=1.0, name="CorrelatedState")
+        _check_density(self.coeffs, "CorrelatedState")
 
-    def embed(self, cap: int = SMALL_D_CAP) -> "GeneralTwoPhotonState":
+    def embed(self) -> "GeneralTwoPhotonState":
         """Exact embedding into the full D^2 x D^2 representation."""
         D = self.D
-        if D > cap:
-            raise CapacityError(f"D={D} exceeds the small-D cap {cap}")
+        _check_cap(D)
         rho = np.zeros((D * D, D * D), dtype=complex)
         diag = np.arange(D) * D + np.arange(D)
         rho[np.ix_(diag, diag)] = self.coeffs
         tr = np.trace(rho).real
-        return GeneralTwoPhotonState(rho / tr, self.mode_set, cap=cap)
+        return GeneralTwoPhotonState(rho / tr, self.mode_set)
 
     def restricted(self, indices: Sequence[int]) -> "CorrelatedState":
         """State restricted (and renormalized) to a subset of flat indices."""
@@ -104,14 +108,12 @@ class GeneralTwoPhotonState:
 
     rho: np.ndarray
     mode_set: ModeSet
-    cap: int = SMALL_D_CAP
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=complex)
         object.__setattr__(self, "rho", rho)
         D = self.D
-        if D > self.cap:
-            raise CapacityError(f"D={D} exceeds the small-D cap {self.cap}")
+        _check_cap(D)
         if rho.shape != (D * D, D * D):
             raise InvalidStateError(
                 f"density matrix shape {rho.shape} does not match D^2={D * D}")
@@ -121,7 +123,7 @@ class GeneralTwoPhotonState:
         return self.mode_set.D
 
     def validate(self) -> None:
-        _check_density(self.rho, max_trace=1.0, name="GeneralTwoPhotonState")
+        _check_density(self.rho, "GeneralTwoPhotonState")
         tr = float(np.trace(self.rho).real)
         if abs(tr - 1.0) > 1e-7:
             raise InvalidStateError(f"GeneralTwoPhotonState: trace {tr} != 1")
@@ -168,21 +170,17 @@ def maximally_entangled(D_or_modes) -> CorrelatedState:
 
 def max_witness_state(D_or_modes, d: int) -> CorrelatedState:
     """Uniform mixture of the rank-d maximally entangled states over all
-    C(D, d) index subsets; saturates the rank-d witness bound."""
+    C(D, d) index subsets; saturates the rank-d witness bound.
+
+    Closed form of that sum (:func:`max_witness_elements` spells it out):
+    1/D on the diagonal, (d-1)/(D(D-1)) off it.
+    """
     mode_set = D_or_modes if isinstance(D_or_modes, ModeSet) else generic_mode_set(D_or_modes)
     D = mode_set.D
     if not 1 <= d <= D:
         raise ConfigError(f"need 1 <= d <= D, got d={d}, D={D}")
-    n_subsets = math.comb(D, d)
-    c = np.zeros((D, D), dtype=complex)
-    if n_subsets <= 100_000:
-        for alpha in combinations(range(D), d):
-            idx = np.asarray(alpha)
-            c[np.ix_(idx, idx)] += 1.0 / (d * n_subsets)
-    else:
-        # closed form of the same sum, needed only at large D
-        c[:] = (d - 1) / (D * (D - 1))
-        np.fill_diagonal(c, 1.0 / D)
+    c = np.full((D, D), (d - 1) / (D * max(D - 1, 1)), dtype=complex)  # D = 1: d = 1
+    np.fill_diagonal(c, 1.0 / D)
     return CorrelatedState(c, mode_set)
 
 
@@ -243,8 +241,7 @@ def amplitudes_from_rates(mode_set: ModeSet, rates: dict) -> np.ndarray:
 
 
 def perturb_state(state: CorrelatedState, strength: float,
-                  rng: np.random.Generator,
-                  cap: int = SMALL_D_CAP) -> GeneralTwoPhotonState:
+                  rng: np.random.Generator) -> GeneralTwoPhotonState:
     """Break the perfect mode correlation by random admixture.
 
     Adds a random Hermitian perturbation of magnitude O(strength) supported
@@ -254,7 +251,7 @@ def perturb_state(state: CorrelatedState, strength: float,
     """
     if strength < 0:
         raise ConfigError("perturbation strength must be >= 0")
-    base = state.embed(cap=cap)
+    base = state.embed()
     if strength == 0.0:
         return base
     D = state.D
@@ -271,7 +268,7 @@ def perturb_state(state: CorrelatedState, strength: float,
     w = np.clip(w, 0.0, None)
     rho = (V * w) @ V.conj().T
     rho /= np.trace(rho).real
-    return GeneralTwoPhotonState(rho, state.mode_set, cap=cap)
+    return GeneralTwoPhotonState(rho, state.mode_set)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +299,7 @@ def save_state(state, path) -> None:
         fh.write("\n")
 
 
-def load_state(path, cap: int = SMALL_D_CAP):
+def load_state(path):
     with open(path) as fh:
         payload = json.load(fh)
     try:
@@ -314,7 +311,7 @@ def load_state(path, cap: int = SMALL_D_CAP):
     if tag == "correlated":
         state = CorrelatedState(mat, mode_set)
     elif tag == "general":
-        state = GeneralTwoPhotonState(mat, mode_set, cap=cap)
+        state = GeneralTwoPhotonState(mat, mode_set)
     else:
         raise IngestionError(f"unknown state representation {tag!r}")
     state.validate()

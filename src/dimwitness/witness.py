@@ -20,8 +20,8 @@ from .errors import ConfigError, IngestionError, IntegrityError
 from .measurement import (_EIGVECS, BASES, CoincidenceDataset, basis_visibilities,
                           outcome_probabilities, pair_index)
 from .modes import ModeSet
-from .oracle import brute_force_witness
-from .states import CorrelatedState, SMALL_D_CAP, perturb_state
+from .oracle import _embedded, brute_force_witness
+from .states import CorrelatedState, GeneralTwoPhotonState, perturb_state
 
 __all__ = [
     "VisibilityTable",
@@ -258,54 +258,51 @@ def exhaustive_best_subset(table: VisibilityTable, max_D: int = 12):
 # ---------------------------------------------------------------------------
 # Robustness: perturbed states and perturbed (non-orthogonal) projections.
 
-def _perturbed_frame(D: int, strength: float, leak_fraction: float,
+# crosstalk of a perturbed frame, relative to its phase error
+_LEAK_FRACTION = 0.3
+
+
+def _perturbed_frame(D: int, strength: float,
                      rng: np.random.Generator) -> np.ndarray:
     """One imperfect mode-projection frame per photon.
 
     Column m is the vector actually projected on when mode m is addressed:
     a per-mode phase miscalibration of magnitude `strength` plus crosstalk
-    into all other modes at `leak_fraction * strength`.  The columns are no
+    into all other modes at `_LEAK_FRACTION * strength`.  The columns are no
     longer orthogonal, modelling non-orthogonal projections; the errors are
     systematic, i.e. fixed for the whole measurement run.
     """
     theta = strength * rng.standard_normal(D)
     F = np.diag(np.exp(1j * theta)).astype(complex)
-    if strength > 0.0 and leak_fraction > 0.0:
+    if strength > 0.0:
         G = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         G /= np.linalg.norm(G, axis=0)
-        F = F + leak_fraction * strength * G
+        F = F + _LEAK_FRACTION * strength * G
     return F / np.linalg.norm(F, axis=0)
 
 
 def witness_with_perturbed_projectors(state, strength: float,
-                                      rng: np.random.Generator,
-                                      leak_fraction: float = 0.3) -> float:
+                                      rng: np.random.Generator) -> float:
     """W as measured with imperfect (non-orthogonal) projection frames.
 
-    Each photon gets one perturbed frame for the whole run; all subspace
-    superpositions are built from the perturbed mode vectors.
+    Each photon gets one perturbed frame F for the whole run.  Addressing
+    the subspace vector u projects on F u / |F u|, so the outcome
+    probabilities are the ideal ones of the seen state
+    (F_A x F_B)^+ rho (F_A x F_B), each divided by |F_A u_s|^2 |F_B u_t|^2.
     """
-    D = state.mode_set.D
-    frames = [_perturbed_frame(D, strength, leak_fraction, rng)
-              for _ in range(2)]
-    k, l = np.triu_indices(D, 1)
-    # amplitudes of the outcome vectors va (x) vb on the basis M is written in
-    if isinstance(state, CorrelatedState):
-        M, amplitudes = state.coeffs, np.multiply   # only |mm> sees the state
-    else:
-        M, amplitudes = state.rho, (lambda va, vb:
-                                    (va[:, None] * vb[None]).reshape(D * D, -1))
-    probs = np.empty((k.size, len(BASES), 4))
-    for b, basis in enumerate(BASES):
-        # (plus, minus) outcome vectors of every pair, columns normalized
-        vecs = []
-        for F in frames:
-            pm = [e[0] * F[:, k] + e[1] * F[:, l] for e in _EIGVECS[basis]]
-            vecs.append([v / np.linalg.norm(v, axis=0) for v in pm])
-        for o, (s, t) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            a = amplitudes(vecs[0][s], vecs[1][t])
-            probs[:, b, o] = np.einsum("ip,ij,jp->p", a.conj(), M, a).real
-    V = basis_visibilities(np.clip(probs, 0.0, None))
+    state = _embedded(state)
+    D = state.D
+    frames = np.stack([_perturbed_frame(D, strength, rng) for _ in range(2)])
+    K = np.kron(frames[0], frames[1])
+    seen = GeneralTwoPhotonState(K.conj().T @ state.rho @ K, state.mode_set)
+    # |F u|^2 = u^+ (F^+ F) u on the (k, l) block of each frame's Gram matrix
+    kl = np.transpose(np.triu_indices(D, 1))
+    gram = frames.conj().swapaxes(1, 2) @ frames
+    norms = np.einsum("bsi,fpij,bsj->fpbs", _EIGVECS.conj(),
+                      gram[:, kl[:, :, None], kl[:, None, :]], _EIGVECS).real
+    probs = outcome_probabilities(seen) / (
+        norms[0][..., :, None] * norms[1][..., None, :]).reshape(-1, len(BASES), 4)
+    V = basis_visibilities(probs)
     return _ordered_sum(V[:, 0] + V[:, 1] + V[:, 2])
 
 
@@ -318,8 +315,7 @@ class RobustnessResult:
 
 
 def robustness_study(state: CorrelatedState, kind: str, n_trials: int,
-                     strength_max: float, seed: int,
-                     cap: int = SMALL_D_CAP) -> RobustnessResult:
+                     strength_max: float, seed: int) -> RobustnessResult:
     """Monte-Carlo perturbation sweep of the witness.
 
     kind: "state" (non-perfect correlations), "projector" (non-orthogonal
@@ -330,18 +326,19 @@ def robustness_study(state: CorrelatedState, kind: str, n_trials: int,
         raise ConfigError(f"unknown robustness kind {kind!r}")
     if n_trials < 1:
         raise ConfigError("need at least one trial")
-    baseline = brute_force_witness(state, d_cap=cap)
+    if not (np.isfinite(strength_max) and strength_max >= 0):
+        raise ConfigError(f"strength_max must be finite and >= 0, got {strength_max!r}")
+    baseline = brute_force_witness(state)
     strengths = np.linspace(0.0, strength_max, n_trials)
     trials = []
     for i, s in enumerate(strengths):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 3, i)))
         if kind == "state":
-            W = brute_force_witness(perturb_state(state, float(s), rng, cap=cap),
-                                    d_cap=cap)
+            W = brute_force_witness(perturb_state(state, float(s), rng))
         elif kind == "projector":
             W = witness_with_perturbed_projectors(state, float(s), rng)
         else:
-            pert = perturb_state(state, float(s), rng, cap=cap)
+            pert = perturb_state(state, float(s), rng)
             W = witness_with_perturbed_projectors(pert, float(s), rng)
         trials.append((float(s), float(W)))
     frac = float(np.mean([w <= baseline + 1e-9 for _, w in trials]))
@@ -390,8 +387,11 @@ def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = No
     """Full certification report from a visibility table.
 
     A W above the global cap 3 D(D-1)/2 is physically impossible and raises
-    an integrity error rather than producing a report.
+    an integrity error rather than producing a report.  `n_resamples` is 0
+    (no confidence interval) or at least 2.
     """
+    if n_resamples != 0 and n_resamples < 2:
+        raise ConfigError(f"need 0 or at least 2 resamples, got {n_resamples}")
     D = table.mode_set.D
     W = witness_sum(table)
     cap = 1.5 * D * (D - 1)
@@ -404,7 +404,7 @@ def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = No
         bounds=[(d, bound(D, d)) for d in range(1, D + 1)],
         per_mode=list(per_mode_contribution(table)),
     )
-    if n_resamples >= 2:
+    if n_resamples:
         if dataset is None:
             raise ConfigError("confidence intervals require the counts dataset")
         if seed is None:

@@ -101,7 +101,7 @@ def test_acceptance_unnormalized_correlation_bound():
             amps = np.zeros(D)
             amps[:d] = 1.0
             st = correlated_pure(amps, generic_mode_set(D))
-            ok = ok and abs(f_total(st, d_cap=8) - (2 * d + D - 3)) <= 1e-9
+            ok = ok and abs(f_total(st) - (2 * d + D - 3)) <= 1e-9
     # random rank-d pure correlated states stay below the same bound
     rng = np.random.default_rng(31)
     for _ in range(500):

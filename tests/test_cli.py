@@ -125,6 +125,17 @@ def test_certify_subset_with_resamples_is_config_error(runner, tmp_path):
                       "--output", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("resamples", ["1", "-4"])
+def test_certify_bad_resamples_is_config_error(runner, tmp_path, resamples):
+    counts, modes = simulate_example(runner, tmp_path)
+    out = tmp_path / "x.json"
+    assert exit_code(["certify", "--input", str(counts),
+                      "--mode-file", str(modes), "--flux", "1e6",
+                      f"--resamples={resamples}", "--seed", "1",
+                      "--output", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subset", ["0,9", "1,1,2", "-1,2", "a,b", "1,,2"])
 def test_certify_bad_subset_is_config_error(runner, tmp_path, subset):
     counts, modes = simulate_example(runner, tmp_path)
@@ -215,6 +226,16 @@ def test_robustness_capacity_error(tmp_path):
                       "--output", str(tmp_path / "x.json")]) == 4
 
 
+@pytest.mark.parametrize("kind", ["state", "projector", "both"])
+@pytest.mark.parametrize("strength_max", ["nan", "inf", "-0.5"])
+def test_robustness_bad_strength_max_is_config_error(tmp_path, kind, strength_max):
+    out = tmp_path / "x.json"
+    assert exit_code(["robustness", "--amplitudes", EXAMPLE_AMPS, "--kind", kind,
+                      "--trials", "3", f"--strength-max={strength_max}",
+                      "--seed", "0", "--output", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_verify_command(runner):
     res = run(runner, ["verify", "--d-max", "4"])
     assert res.exit_code == 0, res.output
@@ -287,6 +308,17 @@ def test_config_file_defaults(runner, tmp_path):
                        "--output", str(out)])
     assert res.exit_code == 0, res.output
     assert out.exists()
+
+
+def test_config_file_rejects_unknown_keys(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sed": 7, "resample": 5}))
+    assert exit_code(["--config", str(cfg), "simulate", "--amplitudes",
+                      EXAMPLE_AMPS, "--dry-run"]) == 2
+    # keys of other subcommands apply where they exist and are accepted
+    cfg.write_text(json.dumps({"resamples": 5, "kind": "state", "seed": 7}))
+    assert exit_code(["--config", str(cfg), "simulate", "--amplitudes",
+                      EXAMPLE_AMPS, "--dry-run"]) == 0
 
 
 def test_unknown_option_exits_2():

@@ -1,15 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
-from dimwitness import (CapacityError, InvalidStateError, bound,
-                        brute_force_witness, correlated_pure, f_bound, f_total,
-                        generic_mode_set, max_witness_state,
-                        maximally_entangled, perturb_state,
+from dimwitness import (CapacityError, GeneralTwoPhotonState, InvalidStateError,
+                        bound, brute_force_witness, correlated_pure, f_bound,
+                        f_total, generic_mode_set, load_state,
+                        max_witness_state, maximally_entangled, perturb_state,
                         random_correlated_mixture, random_rank_d_search,
-                        schmidt_rank, table_from_state, witness_correlated,
-                        witness_sum)
+                        robustness_study, schmidt_rank, table_from_state,
+                        witness_correlated, witness_sum)
+from dimwitness.cli import main
 from dimwitness.measurement import _DOUBLE, _G_OP, f_value, subspace_density
 from dimwitness.oracle import brute_force_sv_witness
+from dimwitness.witness import witness_with_perturbed_projectors
 
 
 # --- equivalence of the production and brute-force paths ---------------------
@@ -175,7 +179,48 @@ def test_oracle_capacity_cap():
         brute_force_witness(maximally_entangled(9))
     with pytest.raises(CapacityError):
         random_rank_d_search(9, 2, 1, np.random.default_rng(0))
-    assert brute_force_witness(maximally_entangled(9), d_cap=9) > 0
+
+
+def _load_general_9(tmp_path):
+    """load_state of a 9-mode state file in the general (full matrix) form."""
+    path = tmp_path / "general9.json"
+    path.write_text(json.dumps({
+        "modes": generic_mode_set(9).to_json(), "representation": "general",
+        "matrix": [[[v, 0.0] for v in row] for row in (np.eye(81) / 81).tolist()]}))
+    return load_state(path)
+
+
+_RNG = np.random.default_rng
+_ME9 = maximally_entangled(9)
+
+CAPACITY_ENTRY_POINTS = {
+    "embed": lambda tmp: _ME9.embed(),
+    "GeneralTwoPhotonState": lambda tmp: GeneralTwoPhotonState(
+        np.eye(81) / 81, generic_mode_set(9)),
+    "load_state": _load_general_9,
+    "perturb_state": lambda tmp: perturb_state(_ME9, 0.1, _RNG(0)),
+    "brute_force_witness": lambda tmp: brute_force_witness(_ME9),
+    "brute_force_sv_witness": lambda tmp: brute_force_sv_witness(_ME9),
+    "f_total": lambda tmp: f_total(_ME9),
+    "random_rank_d_search": lambda tmp: random_rank_d_search(9, 2, 1, _RNG(0)),
+    "robustness_study": lambda tmp: robustness_study(_ME9, "projector", 2, 0.1, 0),
+    "witness_with_perturbed_projectors":
+        lambda tmp: witness_with_perturbed_projectors(_ME9, 0.1, _RNG(0)),
+}
+
+
+@pytest.mark.parametrize("entry", [*CAPACITY_ENTRY_POINTS, "cli robustness"])
+def test_small_d_cap_at_every_entry_point(entry, tmp_path):
+    # the fixed cap is 8: D = 9 is refused before any D^4 array is built
+    if entry == "cli robustness":
+        with pytest.raises(SystemExit) as exc:
+            main(["robustness", "--amplitudes", ",".join(["1"] * 9),
+                  "--kind", "both", "--trials", "2", "--seed", "0",
+                  "--output", str(tmp_path / "x.json")])
+        assert exc.value.code == 4
+        return
+    with pytest.raises(CapacityError, match="D=9 exceeds the small-D cap 8"):
+        CAPACITY_ENTRY_POINTS[entry](tmp_path)
 
 
 # --- reference loops ---------------------------------------------------------

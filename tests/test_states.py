@@ -84,9 +84,12 @@ def test_max_witness_elements_have_schmidt_rank_d():
         assert np.isclose(sum(e.weight for e in elements), 1.0)
 
 
-def test_state_from_elements_matches_closed_form():
-    st = state_from_elements(max_witness_elements(5, 2), generic_mode_set(5))
-    assert np.allclose(st.coeffs, max_witness_state(5, 2).coeffs, atol=1e-12)
+@pytest.mark.parametrize("D, d", [(D, d) for D in range(1, 7)
+                                  for d in range(1, D + 1)])
+def test_state_from_elements_matches_closed_form(D, d):
+    st = state_from_elements(max_witness_elements(D, d), generic_mode_set(D))
+    assert np.allclose(st.coeffs, max_witness_state(D, d).coeffs,
+                       rtol=0.0, atol=1e-12)
 
 
 def test_spdc_profile_limits():

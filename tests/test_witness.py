@@ -279,6 +279,14 @@ def test_report_integrity_check():
         build_report(table, with_subsets=False)
 
 
+@pytest.mark.parametrize("n_resamples", [1, -4])
+def test_report_rejects_bad_resample_count(n_resamples):
+    ds = simulate_counts(example_state(), 1e6, seed=11)
+    with pytest.raises(ConfigError, match="resamples"):
+        build_report(table_from_dataset(ds), dataset=ds,
+                     n_resamples=n_resamples, seed=11)
+
+
 def test_report_resampling_requires_dataset_and_seed():
     table = table_from_state(example_state())
     with pytest.raises(ConfigError):
@@ -344,13 +352,13 @@ def ref_estimate(dataset, k, l):
     return [vals["x"], vals["y"], vals["z"]]
 
 
-def ref_perturbed_projectors(state, strength, rng, leak_fraction=0.3):
+def ref_perturbed_projectors(state, strength, rng):
     D = state.mode_set.D
-    frames = [_perturbed_frame(D, strength, leak_fraction, rng) for _ in range(2)]
+    frames = [_perturbed_frame(D, strength, rng) for _ in range(2)]
 
     def prob(va, vb):
         if isinstance(state, CorrelatedState):
-            w = np.conj(va) * np.conj(vb)
+            w = va * vb     # <mm|va (x) vb>
             return max(float((w.conj() @ state.coeffs @ w).real), 0.0)
         vec = np.kron(va, vb)
         return max(float((vec.conj() @ state.rho @ vec).real), 0.0)
@@ -446,10 +454,21 @@ def test_table_from_dataset_equals_per_pair_estimates(expectation):
     assert np.array_equal(table_from_dataset(ds).V, want)
 
 
-@pytest.mark.parametrize("strength", [0.0, 0.1])
+def perturbed_projector_inputs():
+    """The example state, random complex correlated states at D = 2..8, and
+    a perturbed version of each."""
+    rng = np.random.default_rng(3)
+    states = [example_state()]
+    for D in range(2, 9):
+        states.append(correlated_pure(rng.standard_normal(D)
+                                      + 1j * rng.standard_normal(D),
+                                      generic_mode_set(D)))
+    return states + [perturb_state(st, 0.1, rng) for st in states]
+
+
+@pytest.mark.parametrize("strength", [0.0, 0.1, 0.2])
 def test_perturbed_projectors_equal_reference_loop(strength):
-    base = example_state()
-    for state in (base, perturb_state(base, 0.1, np.random.default_rng(3))):
+    for state in perturbed_projector_inputs():
         got = witness_with_perturbed_projectors(state, strength,
                                                 np.random.default_rng(5))
         want = ref_perturbed_projectors(state, strength, np.random.default_rng(5))
