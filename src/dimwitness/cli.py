@@ -92,7 +92,11 @@ def _state_source(state_file, profile, amplitudes, rate_file, lambda_l,
     if state_file:
         return load_state(state_file)
     if amplitudes:
-        amps = np.array([float(x) for x in amplitudes.split(",")])
+        try:
+            amps = np.array([float(x) for x in amplitudes.split(",")])
+        except ValueError as exc:
+            raise ConfigError(f"--amplitudes takes comma-separated numbers: "
+                              f"{exc}") from exc
         modes = _mode_set(l_max, n_max, mode_file, fallback_D=amps.size)
         return correlated_pure(amps, modes)
     modes = _mode_set(l_max, n_max, mode_file)
@@ -199,7 +203,8 @@ def _load_dataset(path, fmt, mode_file, flux):
 @click.option("--flux", type=float, default=None,
               help="Dataset scale when certifying a bare CSV.")
 @click.option("--resamples", type=int, default=0, show_default=True,
-              help="Monte-Carlo resamples for the confidence interval.")
+              help="Monte-Carlo resamples for sigma: pairs far from V = 0 get "
+                   "a closed form, only the others are resampled (0: no sigma).")
 @click.option("--seed", type=int, default=None)
 @click.option("--subset", default=None,
               help="Comma-separated flat indices; certify this subset only.")

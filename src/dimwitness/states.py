@@ -155,6 +155,8 @@ def correlated_pure(amplitudes, mode_set: ModeSet) -> CorrelatedState:
     if a.size != mode_set.D:
         raise InvalidStateError(
             f"amplitude vector length {a.size} does not match D={mode_set.D}")
+    if not np.isfinite(a).all():
+        raise InvalidStateError(f"amplitudes must be finite, got {amplitudes!r}")
     norm2 = float(np.sum(np.abs(a) ** 2))
     if norm2 == 0.0:
         raise InvalidStateError("amplitude vector is identically zero")
@@ -216,8 +218,9 @@ def spdc_profile(mode_set: ModeSet, lambda_l: float = 1.0,
     """Smooth two-parameter amplitude profile a_{n,l} ~ exp(-|l|/(2 lambda_l)
     - n/(2 lambda_n)), normalized.  Infinite decay constants give the uniform
     (maximally entangled) profile."""
-    if lambda_l <= 0 or lambda_n <= 0:
-        raise ConfigError("profile decay constants must be positive")
+    if not (lambda_l > 0 and lambda_n > 0):
+        raise ConfigError(f"profile decay constants must be positive, got "
+                          f"{lambda_l!r} and {lambda_n!r}")
     a = np.array([math.exp(-abs(m.l) / (2.0 * lambda_l) - m.n / (2.0 * lambda_n))
                   for m in mode_set.modes])
     return a / np.linalg.norm(a)

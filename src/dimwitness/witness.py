@@ -92,10 +92,13 @@ def table_from_state(state) -> VisibilityTable:
                            basis_visibilities(outcome_probabilities(state)))
 
 
+def _all_counts(dataset: CoincidenceDataset) -> np.ndarray:
+    """Counts of every pair, shape (pairs, 3, 4); raises on a missing one."""
+    return dataset.count_array(np.transpose(np.triu_indices(dataset.mode_set.D, 1)))
+
+
 def table_from_dataset(dataset: CoincidenceDataset) -> VisibilityTable:
-    pairs = np.transpose(np.triu_indices(dataset.mode_set.D, 1))
-    counts = dataset.count_array(pairs)
-    return VisibilityTable(dataset.mode_set, basis_visibilities(counts))
+    return VisibilityTable(dataset.mode_set, basis_visibilities(_all_counts(dataset)))
 
 
 def _sv_matrix(table: VisibilityTable, indices=None) -> np.ndarray:
@@ -181,23 +184,58 @@ def f_bound(D: int, d: int) -> int:
     return 2 * d + D - 3
 
 
+# A basis is smooth when its visibility sits this many Poisson standard
+# deviations away from the kink of |A - B| at A = B.
+_SMOOTH_SIGMAS = 5.0
+
+
+def _closed_form(counts: np.ndarray):
+    """Which pairs need no resampling, and the delta-method variance of
+    each pair's summed visibility.
+
+    Per basis, with A = pp + mm, B = pm + mp and N = A + B, the visibility
+    |A - B| / N of Poisson counts has variance 4 A B / N^3 wherever
+    |A - B| >= _SMOOTH_SIGMAS sqrt(N).  A pair with an empty z basis has
+    visibility 0 in every resample, so it needs no resampling either.
+    """
+    A = counts[..., 0] + counts[..., 3]
+    B = counts[..., 1] + counts[..., 2]
+    N = A + B
+    z_live = N[:, BASES.index("z")] > 0
+    smooth = np.abs(A - B) >= _SMOOTH_SIGMAS * np.sqrt(N)
+    closed = ~z_live | smooth.all(axis=1)
+    var = np.divide(4.0 * A * B, N ** 3, out=np.zeros(N.shape), where=N > 0)
+    return closed, np.where(z_live, var.sum(axis=1), 0.0)
+
+
 def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
                    seed: int) -> tuple[float, float]:
-    """Poisson parametric bootstrap of W.
+    """Poisson parametric bootstrap of W; returns (mean, standard deviation).
 
-    Every count is resampled as Poisson(observed count), W recomputed per
-    resample; returns (mean, standard deviation).  Per-resample substreams
-    are derived from (seed, index), so the result does not depend on
-    execution order.
+    W is a sum of independent per-pair terms, so its variance is the sum of
+    theirs.  Pairs whose visibilities are all far from 0 (see
+    :func:`_closed_form`) add their observed visibilities to the mean and
+    their delta-method variance to the variance.  Only the other pairs are
+    resampled, every count as Poisson(observed count); per-resample
+    substreams are derived from (seed, index), so the result does not depend
+    on execution order, and with no closed-form pair it is the plain
+    bootstrap of W.
     """
     if n_resamples < 2:
         raise ConfigError("need at least 2 resamples")
-    counts = dataset.count_array(np.transpose(np.triu_indices(dataset.mode_set.D, 1)))
-    ws = np.empty(n_resamples)
-    for i in range(n_resamples):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 2, i)))
-        ws[i] = basis_visibilities(rng.poisson(counts)).sum()
-    return float(ws.mean()), float(ws.std(ddof=1))
+    counts = _all_counts(dataset)
+    closed, var = _closed_form(counts)
+    mean = basis_visibilities(counts[closed]).sum()
+    variance = var[closed].sum()
+    rough = counts[~closed]
+    if len(rough):
+        ws = np.empty(n_resamples)
+        for i in range(n_resamples):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, 2, i)))
+            ws[i] = basis_visibilities(rng.poisson(rough)).sum()
+        mean += ws.mean()
+        variance += ws.var(ddof=1)
+    return float(mean), float(np.sqrt(variance))
 
 
 def per_mode_contribution(table: VisibilityTable, indices=None) -> np.ndarray:
@@ -412,6 +450,10 @@ def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = No
         _, sigma = monte_carlo_ci(dataset, n_resamples, seed)
         report.sigma = sigma
         report.n_resamples = n_resamples
+        closed = int(_closed_form(_all_counts(dataset))[0].sum())
+        pairs = D * (D - 1) // 2
+        report.notes.append(f"sigma: closed form on {closed} of {pairs} pairs, "
+                            f"{n_resamples} resamples on {pairs - closed}")
     if with_subsets:
         report.subset_trajectory = greedy_subset(table).trajectory
     return report

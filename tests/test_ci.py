@@ -1,3 +1,4 @@
+import json
 import re
 from pathlib import Path
 
@@ -15,3 +16,20 @@ def test_workflow_runs_the_roadmap_tier1_command():
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert runs[-2:] == [tier1, "python -m pytest -q perfbench"]
+
+
+def test_bench_files_name_only_declared_workloads_and_metrics():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"] for m in declared["end_to_end"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        runs = json.loads(path.read_text())["workloads"]
+        assert runs and set(runs) <= workloads, path.name
+        for workload, by_metric in runs.items():
+            assert by_metric and set(by_metric) <= metrics, (path.name, workload)
+            for metric, sides in by_metric.items():
+                assert set(sides) == {"parent", "change"}, (path.name, workload, metric)
+                assert len(sides["parent"]) == len(sides["change"]) > 0, \
+                    (path.name, workload, metric)

@@ -363,6 +363,21 @@ def test_bad_rate_file_is_ingestion_error(tmp_path, rows):
     assert exit_code(write_rates(tmp_path, rows)) == 3
 
 
+@pytest.mark.parametrize("command", ["simulate", "robustness"])
+@pytest.mark.parametrize("state", [
+    ["--amplitudes", "0.5,x"],
+    ["--amplitudes", "0.5,,0.1"],
+    ["--amplitudes", "nan,0.1"],
+    ["--amplitudes", "inf,1"],
+    ["--profile", "exponential", "--l-max", "1", "--lambda-l", "nan"],
+    ["--profile", "exponential", "--l-max", "1", "--lambda-n", "nan"],
+], ids=["letter", "empty", "nan", "inf", "lambda-l-nan", "lambda-n-nan"])
+def test_bad_state_input_is_config_error(tmp_path, command, state):
+    trials = ["--trials", "2"] if command == "robustness" else []
+    assert exit_code([command, *state, *trials, "--seed", "1",
+                      "--output", str(tmp_path / "x.out")]) == 2
+
+
 @pytest.mark.parametrize("flux", ["nan", "inf", "0", "-1"])
 def test_simulate_bad_flux_is_config_error(tmp_path, flux):
     assert exit_code(["simulate", "--amplitudes", EXAMPLE_AMPS,

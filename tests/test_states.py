@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dimwitness import (CapacityError, CorrelatedState, InvalidStateError,
-                        IngestionError, amplitudes_from_rates, correlated_pure,
+from dimwitness import (CapacityError, ConfigError, CorrelatedState,
+                        IngestionError, InvalidStateError,
+                        amplitudes_from_rates, correlated_pure,
                         generic_mode_set, load_state, max_witness_elements,
                         max_witness_state, maximally_entangled, perturb_state,
                         save_state, schmidt_rank, spdc_profile,
@@ -41,6 +42,13 @@ def test_four_mode_example_normalization():
 def test_zero_vector_rejected():
     with pytest.raises(InvalidStateError):
         correlated_pure([0, 0, 0], generic_mode_set(3))
+
+
+@pytest.mark.parametrize("amps", [[np.nan, 0.1, 0.2], [np.inf, 1, 1]],
+                         ids=["nan", "inf"])
+def test_non_finite_amplitudes_rejected(amps):
+    with pytest.raises(InvalidStateError):
+        correlated_pure(amps, generic_mode_set(3))
 
 
 def test_scale_invariance():
@@ -96,6 +104,9 @@ def test_spdc_profile_limits():
     ms = EXAMPLE_MODES
     flat = spdc_profile(ms, 1e12, 1e12)
     assert np.allclose(flat, np.full(4, 0.5), atol=1e-9)
+    assert np.array_equal(spdc_profile(ms, np.inf, np.inf), np.full(4, 0.5))
+    with pytest.raises(ConfigError):
+        spdc_profile(ms, np.nan, 1.0)
     peaked = spdc_profile(ms, 1e-2, 1e-2)
     assert peaked[0] > 0.999  # all weight on (0, 0)
 

@@ -11,7 +11,8 @@ from dimwitness import (ConfigError, IngestionError, IntegrityError,
                         monte_carlo_ci, per_mode_contribution, robustness_study,
                         simulate_counts, spdc_profile, table_from_dataset,
                         table_from_state, witness_correlated, witness_sum)
-from dimwitness.measurement import BASES, OUTCOMES, pair_index
+from dimwitness.measurement import (BASES, OUTCOMES, basis_visibilities,
+                                    pair_index)
 from dimwitness.modes import ModeIndex, ModeSet
 from dimwitness.oracle import brute_force_sv_witness
 from dimwitness.states import CorrelatedState, perturb_state
@@ -137,13 +138,90 @@ def test_incomplete_table_rejected():
 
 # --- confidence intervals ----------------------------------------------------
 
+def ref_bootstrap(ds, n_resamples, seed):
+    """The plain Poisson bootstrap of W: every count of every pair resampled
+    in every resample."""
+    counts = ds.count_array(np.transpose(np.triu_indices(ds.mode_set.D, 1)))
+    ws = np.empty(n_resamples)
+    for i in range(n_resamples):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 2, i)))
+        ws[i] = basis_visibilities(rng.poisson(counts)).sum()
+    return float(ws.mean()), float(ws.std(ddof=1))
+
+
+def scan_like_dataset():
+    amps = np.random.default_rng(0).uniform(0.1, 1.0, 8)
+    return simulate_counts(correlated_pure(amps, generic_mode_set(8)), 1e5, seed=1)
+
+
+def all_rough_dataset():
+    """Every pair has fewer than 25 counts per basis, so no visibility is
+    5 Poisson sigmas away from 0; every z basis has counts."""
+    ds = simulate_counts(maximally_entangled(5), 1e6, seed=0)
+    ds.tensor[:] = np.random.default_rng(3).poisson(2.0, ds.tensor.shape)
+    ds.tensor[:, BASES.index("z"), 0] += 1
+    return ds
+
+
 def test_monte_carlo_deterministic():
     ds = simulate_counts(example_state(), 1e6, seed=5)
     a = monte_carlo_ci(ds, 40, seed=7)
     b = monte_carlo_ci(ds, 40, seed=7)
     assert a == b
-    c = monte_carlo_ci(ds, 40, seed=8)
-    assert a != c
+    # every pair of this dataset is smooth, so sigma is the closed form
+    assert monte_carlo_ci(ds, 40, seed=8)[1] == a[1]
+    mixed = simulate_counts(example_state(), 1e3, seed=5)
+    assert monte_carlo_ci(mixed, 40, seed=7) != monte_carlo_ci(mixed, 40, seed=8)
+
+
+def test_monte_carlo_all_rough_is_the_plain_bootstrap():
+    ds = all_rough_dataset()
+    report = build_report(table_from_dataset(ds), dataset=ds, n_resamples=50,
+                          seed=4, with_subsets=False)
+    assert report.notes == ["sigma: closed form on 0 of 10 pairs, "
+                            "50 resamples on 10"]
+    assert monte_carlo_ci(ds, 50, seed=4) == ref_bootstrap(ds, 50, seed=4)
+
+
+@pytest.mark.parametrize("make_dataset", [
+    lambda: simulate_counts(example_state(), 1e6, seed=5),
+    lambda: simulate_counts(example_state(), 1e3, seed=5),
+    scan_like_dataset,
+], ids=["all-smooth", "mixed", "scan-D8"])
+def test_monte_carlo_sigma_matches_long_bootstrap(make_dataset):
+    ds = make_dataset()
+    _, sigma = monte_carlo_ci(ds, 2000, seed=1)
+    _, ref_sigma = ref_bootstrap(ds, 4000, seed=2)
+    assert abs(sigma / ref_sigma - 1) < 0.05
+
+
+def forbid_generators(monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+
+
+def test_monte_carlo_empty_z_pair_contributes_nothing(monkeypatch):
+    ds = simulate_counts(example_state(), 1e6, seed=5)
+    p, z = pair_index(1, 3, 4), BASES.index("z")
+    ds.tensor[p, z] = 0.0
+    ds.tensor[p, BASES.index("x")] = 50.0  # V_x = 0 would need resampling
+    forbid_generators(monkeypatch)  # the other pairs are smooth
+    # conftest makes the RuntimeWarning of an unguarded 0 / 0 an error
+    only_z_empty = monte_carlo_ci(ds, 20, seed=7)
+    ds.tensor[p] = 0.0
+    assert monte_carlo_ci(ds, 20, seed=7) == only_z_empty
+    ds.tensor[p] = np.nan
+    rest = ds.count_array(np.delete(np.transpose(np.triu_indices(4, 1)), p, axis=0))
+    assert only_z_empty[0] == basis_visibilities(rest).sum()
+
+
+def test_monte_carlo_all_smooth_builds_no_generator(monkeypatch):
+    ds = simulate_counts(example_state(), 1e6, seed=5)
+    forbid_generators(monkeypatch)
+    _, sigma = monte_carlo_ci(ds, 200, seed=1)
+    assert sigma > 0
 
 
 def test_monte_carlo_mean_near_observed():
@@ -269,6 +347,8 @@ def test_report_from_counts(tmp_path):
     assert set(payload) == {"W", "D", "sigma", "n_resamples", "certified_d",
                             "bounds", "per_mode", "subset_trajectory", "notes"}
     assert payload["subset_trajectory"][0] == [4, 2]
+    assert payload["notes"] == ["sigma: closed form on 6 of 6 pairs, "
+                                "30 resamples on 0"]
 
 
 def test_report_integrity_check():
