@@ -146,7 +146,7 @@ def _add(options):
               help="Expected total pair detections per setting scale.")
 @click.option("--expectation", is_flag=True,
               help="Store exact expected counts instead of Poisson samples.")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--share-populations", is_flag=True,
               help="Reuse z-basis population counts across subspaces.")
 @click.option("--dry-run", is_flag=True,
@@ -205,7 +205,7 @@ def _load_dataset(path, fmt, mode_file, flux):
 @click.option("--resamples", type=int, default=0, show_default=True,
               help="Monte-Carlo resamples for sigma: pairs far from V = 0 get "
                    "a closed form, only the others are resampled (0: no sigma).")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--subset", default=None,
               help="Comma-separated flat indices; certify this subset only.")
 @click.option("--output", type=click.Path(), required=True)
@@ -266,7 +266,7 @@ def optimize(input_path, fmt, mode_file, flux, output, out_format):
               default="both", show_default=True)
 @click.option("--trials", type=int, default=1000, show_default=True)
 @click.option("--strength-max", type=float, default=0.2, show_default=True)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--output", type=click.Path(), required=True)
 def robustness(l_max, n_max, mode_file, state_file, profile, amplitudes,
                rate_file, lambda_l, lambda_n, kind, trials, strength_max,
@@ -291,7 +291,7 @@ def robustness(l_max, n_max, mode_file, state_file, profile, amplitudes,
 @cli.command()
 @click.option("--d-max", type=int, default=5, show_default=True,
               help="Largest dimension for the brute-force cross-checks.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def verify(d_max, seed):
     """Cross-check the fast paths against the brute-force oracle."""
     failures = 0

@@ -15,9 +15,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -264,6 +265,11 @@ def outcome_probabilities(state) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+def _check_flux(flux) -> None:
+    if not flux > 0 or not math.isfinite(flux):
+        raise ConfigError(f"flux must be positive and finite, got {flux!r}")
+
+
 def simulate_counts(state, flux: float, seed: int | None = None,
                     expectation: bool = False,
                     share_populations: bool = False) -> CoincidenceDataset:
@@ -280,8 +286,7 @@ def simulate_counts(state, flux: float, seed: int | None = None,
     canonical count tensor, and one from ``SeedSequence((seed, 0))`` the
     D x D population counts.
     """
-    if not flux > 0 or not math.isfinite(flux):
-        raise ConfigError(f"flux must be positive and finite, got {flux!r}")
+    _check_flux(flux)
     if not expectation and seed is None:
         raise ConfigError("a seed is required unless expectation mode is set")
     counts = flux * outcome_probabilities(state)
@@ -330,8 +335,14 @@ def basis_visibilities(counts) -> np.ndarray:
 
 CSV_HEADER = ["na", "la", "nb", "lb", "basis", "outcome", "count"]
 
-# rows parsed per chunk by the readers
-_CHUNK_ROWS = 1024
+# One count row as both readers parse it.  Tokens are kept as bytes (str
+# fields cost four times the memory); three bytes hold every valid token plus
+# one, so an over-long token stays invalid when it is cut to the field width.
+_ROW = np.dtype([(name, np.int64) for name in CSV_HEADER[:4]]
+                + [("basis", "S3"), ("outcome", "S3"), ("count", np.float64)])
+
+# JSON value types accepted per column; bool is not int here
+_JSON_TYPES = dict(zip(CSV_HEADER, [{int}] * 4 + [{str}] * 2 + [{int, float}]))
 
 
 def _count_str(c) -> str:
@@ -345,128 +356,123 @@ def _count_values(values: np.ndarray, as_int: np.ndarray) -> list:
     return out.tolist()
 
 
-def _columns(dataset: CoincidenceDataset):
-    """Columns (na, la, nb, lb, basis, outcome) and the counts of every
-    measured entry, in (k, l, basis, outcome) order."""
+def _measured(dataset: CoincidenceDataset):
+    """Mode numbers (na, la, nb, lb) of every pair, shape (pairs, 4), and the
+    pair, setting (basis * 4 + outcome) and value of every measured cell, in
+    (k, l, basis, outcome) order."""
+    nl = np.array([(m.n, m.l) for m in dataset.mode_set.modes],
+                  dtype=np.int64).reshape(-1, 2)
+    k, l = np.triu_indices(dataset.mode_set.D, 1)
     cells = dataset.tensor.reshape(-1)
     flat = np.flatnonzero(~np.isnan(cells))
-    k, l, b, o = dataset._cells(flat)
-    n = np.array([m.n for m in dataset.mode_set.modes], dtype=np.int64)
-    lq = np.array([m.l for m in dataset.mode_set.modes], dtype=np.int64)
-    return ((n[k].tolist(), lq[k].tolist(), n[l].tolist(), lq[l].tolist(),
-             np.array(BASES)[b].tolist(), np.array(OUTCOMES)[o].tolist()),
-            cells[flat])
+    pair, setting = np.divmod(flat, len(BASES) * len(OUTCOMES))
+    return np.hstack([nl[k], nl[l]]), pair, setting, cells[flat]
 
 
 def write_counts_csv(dataset: CoincidenceDataset, path) -> None:
-    cols, values = _columns(dataset)
+    pair_modes, pair, setting, values = _measured(dataset)
+    pairs = [f"{na},{la},{nb},{lb}," for na, la, nb, lb in pair_modes.tolist()]
+    settings = [f"{b},{o}," for b in BASES for o in OUTCOMES]
     # _count_str of every value: whole numbers as ints
-    strs = list(map(str, _count_values(values, values == np.floor(values))))
+    counts = map(str, _count_values(values, values == np.floor(values)))
+    rows = map("".join, zip(map(pairs.__getitem__, pair.tolist()),
+                            map(settings.__getitem__, setting.tolist()), counts))
+    # the bytes csv.writer gives: no field needs quoting
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        w.writerows(zip(*cols, strs))
+        fh.write("\r\n".join([",".join(CSV_HEADER), *rows, ""]))
 
 
-class _Rows:
-    """Count rows gathered chunk by chunk into arrays: both modes of each row
-    as ids into ``modes``, basis and outcome indices, counts."""
-
-    def __init__(self):
-        self.ids = {}       # raw (n, l) cells -> mode id
-        self.modes = {}     # ModeIndex -> mode id
-        self.parts = []
-
-    def add(self, rows: list, counts) -> None:
-        """Add a chunk of 7-field rows; `counts` parses the count column."""
-        if set(map(len, rows)) != {len(CSV_HEADER)}:
-            bad = next(r for r in rows if len(r) != len(CSV_HEADER))
-            raise IngestionError(f"malformed row {bad}: expected "
-                                 f"{len(CSV_HEADER)} fields")
-        na, la, nb, lb, basis, outcome, count = (
-            list(map(itemgetter(i), rows)) for i in range(len(CSV_HEADER)))
-        a, b = list(zip(na, la)), list(zip(nb, lb))
-        for cell in set(a).union(b).difference(self.ids):
-            try:
-                mode = ModeIndex(int(cell[0]), int(cell[1]))
-            except ConfigError as exc:
-                raise IngestionError(f"bad mode {cell}: {exc}") from exc
-            self.ids[cell] = self.modes.setdefault(mode, len(self.modes))
-        n = len(rows)
-        bi = np.fromiter(map(_BASIS_ID.get, basis, repeat(-1)), np.intp, n)
-        oi = np.fromiter(map(_OUTCOME_ID.get, outcome, repeat(-1)), np.intp, n)
-        if (bi < 0).any() or (oi < 0).any():
-            i = int(np.argmax((bi < 0) | (oi < 0)))
-            raise IngestionError(f"unknown basis/outcome {basis[i]!r}/{outcome[i]!r}")
-        self.parts.append((np.fromiter(map(self.ids.__getitem__, a), np.intp, n),
-                           np.fromiter(map(self.ids.__getitem__, b), np.intp, n),
-                           bi, oi, counts(count)))
-
-    def dataset(self, mode_set: ModeSet | None, flux: float | None,
-                expectation: bool = False) -> CoincidenceDataset:
-        """The dataset of all rows.  Without `mode_set` it is every mode seen,
-        sorted by (n, l); without `flux` it is the total z-basis count."""
-        empty = [np.zeros(0, dtype=np.intp)] * 4 + [np.zeros(0)]
-        ia, ib, bi, oi, counts = (np.concatenate(c) for c in zip(empty, *self.parts))
-        modes = list(self.modes)
-        if mode_set is None:
-            mode_set = ModeSet(tuple(sorted(modes, key=lambda m: (m.n, m.l))))
-        index = {m: i for i, m in enumerate(mode_set.modes)}
-        remap = np.array([index.get(m, -1) for m in modes], dtype=np.intp)
-        k, l = remap[ia], remap[ib]
-        if (k < 0).any() or (l < 0).any():
-            i = int(np.argmax((k < 0) | (l < 0)))
-            raise IngestionError(f"mode {modes[ia[i] if k[i] < 0 else ib[i]]!r} "
-                                 f"not in the declared mode set")
-        if (k == l).any():
-            raise IngestionError(f"row pairs mode {modes[ia[np.argmax(k == l)]]!r} "
-                                 f"with itself")
-        # a (b, a) row holds the (a, b) count with the photons swapped
-        swap = k > l
-        k, l = np.where(swap, l, k), np.where(swap, k, l)
-        oi = np.where(swap, _SWAP_OUTCOME[oi], oi)
-        if flux is None:  # left to right in row order; np.sum adds pairwise
-            z = counts[bi == _BASIS_ID["z"]]
-            flux = float(np.cumsum(z)[-1]) if z.size else 0.0
-        ds = CoincidenceDataset(mode_set, flux, expectation=expectation)
-        flat = (pair_index(k, l, mode_set.D) * 3 + bi) * 4 + oi
-        bad = ~(np.isfinite(counts) & (counts >= 0))
-        if bad.any():
-            i = int(np.argmax(bad))
-            key = next(ds._keys(flat[i:i + 1]))
-            raise IngestionError(f"count {float(counts[i])!r} at {key} must be "
-                                 f"finite and >= 0")
-        cells, repeats = np.unique(flat, return_counts=True)
-        if (repeats > 1).any():
-            key = next(ds._keys(cells[repeats > 1][:1]))
-            raise IngestionError(f"duplicate count at {key}")
-        ds.tensor.reshape(-1)[flat] = counts
-        return ds
-
-
-def _parse_counts(cells) -> np.ndarray:
-    return np.fromiter(map(float, cells), float, len(cells))
+def _dataset(columns, mode_set: ModeSet | None, flux: float | None,
+             expectation: bool = False) -> CoincidenceDataset:
+    """The dataset of count rows given as the seven CSV_HEADER columns, typed
+    as the fields of `_ROW`.  Without `mode_set` it is every mode seen,
+    sorted by (n, l); without `flux` it is the total z-basis count."""
+    na, la, nb, lb, basis, outcome, counts = columns
+    rows = len(counts)
+    # one code per (n, l) cell of either column, from the ranks of the mode
+    # numbers; codes sort in (n, l) order
+    numbers, rank = np.unique(np.concatenate([na, nb, la, lb]), return_inverse=True)
+    codes, ids = np.unique(rank[:2 * rows] * len(numbers) + rank[2 * rows:],
+                           return_inverse=True)
+    n, lq = numbers[codes // len(numbers)], numbers[codes % len(numbers)]
+    try:
+        modes = list(map(ModeIndex, n.tolist(), lq.tolist()))
+    except ConfigError as exc:
+        raise IngestionError(f"bad mode: {exc}") from exc
+    ia, ib = ids[:rows], ids[rows:]
+    tokens, which = np.unique(np.concatenate([basis, outcome]), return_inverse=True)
+    tokens = [t.decode("latin-1") for t in tokens.tolist()]
+    bi = np.array([_BASIS_ID.get(t, -1) for t in tokens], dtype=np.intp)[which[:rows]]
+    oi = np.array([_OUTCOME_ID.get(t, -1) for t in tokens], dtype=np.intp)[which[rows:]]
+    if (bi < 0).any() or (oi < 0).any():
+        i = int(np.argmax((bi < 0) | (oi < 0)))
+        raise IngestionError(f"unknown basis/outcome {basis[i].decode('latin-1')!r}/"
+                             f"{outcome[i].decode('latin-1')!r}")
+    if mode_set is None:
+        mode_set = ModeSet(tuple(modes))
+    index = {m: i for i, m in enumerate(mode_set.modes)}
+    remap = np.array([index.get(m, -1) for m in modes], dtype=np.intp)
+    k, l = remap[ia], remap[ib]
+    if (k < 0).any() or (l < 0).any():
+        i = int(np.argmax((k < 0) | (l < 0)))
+        raise IngestionError(f"mode {modes[ia[i] if k[i] < 0 else ib[i]]!r} "
+                             f"not in the declared mode set")
+    if (k == l).any():
+        raise IngestionError(f"row pairs mode {modes[ia[np.argmax(k == l)]]!r} "
+                             f"with itself")
+    # a (b, a) row holds the (a, b) count with the photons swapped
+    swap = k > l
+    k, l = np.where(swap, l, k), np.where(swap, k, l)
+    oi = np.where(swap, _SWAP_OUTCOME[oi], oi)
+    if flux is None:  # left to right in row order; np.sum adds pairwise
+        z = counts[bi == _BASIS_ID["z"]]
+        flux = float(np.cumsum(z)[-1]) if z.size else 0.0
+    ds = CoincidenceDataset(mode_set, flux, expectation=expectation)
+    flat = (pair_index(k, l, mode_set.D) * 3 + bi) * 4 + oi
+    bad = ~(np.isfinite(counts) & (counts >= 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        key = next(ds._keys(flat[i:i + 1]))
+        raise IngestionError(f"count {float(counts[i])!r} at {key} must be "
+                             f"finite and >= 0")
+    cells = ds.tensor.reshape(-1)
+    cells[flat] = counts
+    # every count is a number, so a repeated cell leaves fewer filled cells
+    if np.count_nonzero(~np.isnan(cells)) < len(flat):
+        repeated, times = np.unique(flat, return_counts=True)
+        key = next(ds._keys(repeated[times > 1][:1]))
+        raise IngestionError(f"duplicate count at {key}")
+    return ds
 
 
 def read_counts_csv(path, mode_set: ModeSet | None = None,
                     flux: float | None = None) -> CoincidenceDataset:
-    rows = _Rows()
+    if flux is not None:
+        _check_flux(flux)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader([fh.readline()]))
         if header != CSV_HEADER:
             raise IngestionError(f"bad CSV header {header}, expected {CSV_HEADER}")
-        lines = filter(None, reader)  # skip blank lines
-        try:
-            while chunk := list(islice(lines, _CHUNK_ROWS)):
-                rows.add(chunk, _parse_counts)
-        except ValueError as exc:
-            raise IngestionError(f"malformed CSV row in {path}: {exc}") from exc
-    return rows.dataset(mode_set, flux)
+        with warnings.catch_warnings():
+            # numpy releases with loadtxt's int-via-float fallback cut a mode
+            # field such as 2.5 to 2 with only a DeprecationWarning; as an
+            # error loadtxt refuses it.  A body of blank lines is no rows.
+            warnings.filterwarnings("error", category=DeprecationWarning)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            try:
+                rows = np.loadtxt(fh, dtype=_ROW, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=1)
+            except ValueError as exc:
+                raise IngestionError(f"malformed CSV row in {path}: {exc}") from exc
+    return _dataset([rows[name] for name in CSV_HEADER], mode_set, flux)
 
 
 def write_counts_json(dataset: CoincidenceDataset, path) -> None:
-    cols, values = _columns(dataset)
+    pair_modes, pair, setting, values = _measured(dataset)
+    basis, outcome = np.divmod(setting, len(OUTCOMES))
+    cols = (*pair_modes[pair].T.tolist(), np.array(BASES)[basis].tolist(),
+            np.array(OUTCOMES)[outcome].tolist())
     # sampled counts are written as ints, expectation values as floats
     counts = _count_values(values, (values == np.floor(values))
                            & (not dataset.expectation))
@@ -478,23 +484,28 @@ def write_counts_json(dataset: CoincidenceDataset, path) -> None:
         fh.write("\n")
 
 
-def _number_counts(cells) -> np.ndarray:
-    if not set(map(type, cells)) <= {int, float}:
-        raise TypeError("counts must be numbers")
-    return _parse_counts(cells)
+def _json_column(name: str, cells: tuple) -> np.ndarray:
+    """One column of JSON count rows as an array of its `_ROW` field type; a
+    value of another JSON type (a bool, float or string as a mode number) is
+    refused."""
+    types = _JSON_TYPES[name]
+    if not set(map(type, cells)) <= types:
+        bad = next(c for c in cells if type(c) not in types)
+        raise TypeError(f"{name} {bad!r} is not of type "
+                        f"{' or '.join(sorted(t.__name__ for t in types))}")
+    return np.array(cells, dtype=_ROW[name])
 
 
 def read_counts_json(path) -> CoincidenceDataset:
     with open(path) as fh:
         payload = json.load(fh)
-    rows = _Rows()
     try:
         mode_set = ModeSet.from_json(payload["modes"])
         flux = float(payload["flux"])
         expectation = bool(payload.get("expectation", False))
-        entries = map(itemgetter(*CSV_HEADER), payload["counts"])
-        while chunk := list(islice(entries, _CHUNK_ROWS)):
-            rows.add(chunk, _number_counts)
+        rows = list(map(itemgetter(*CSV_HEADER), payload["counts"]))
+        cells = list(zip(*rows)) or [()] * len(CSV_HEADER)
+        columns = list(map(_json_column, CSV_HEADER, cells))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IngestionError(f"malformed dataset file {path}: {exc}") from exc
-    return rows.dataset(mode_set, flux, expectation)
+    return _dataset(columns, mode_set, flux, expectation)

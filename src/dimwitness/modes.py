@@ -9,11 +9,11 @@ its position in the list.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import ConfigError, InvalidModeSetError
 
@@ -75,7 +75,8 @@ class ModeSet:
 
     @classmethod
     def from_json(cls, data: Iterable[dict]) -> "ModeSet":
-        return cls(tuple(ModeIndex(int(d["n"]), int(d["l"])) for d in data))
+        return cls(tuple(ModeIndex(_mode_number(d["n"]), _mode_number(d["l"]))
+                         for d in data))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -87,6 +88,13 @@ class ModeSet:
     def load(cls, path) -> "ModeSet":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+def _mode_number(value) -> int:
+    """A mode number read from JSON: an integer that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"mode number {value!r} is not an integer")
+    return value
 
 
 def generic_mode_set(D: int) -> ModeSet:
@@ -113,7 +121,18 @@ def enumerate_modes(l_max: int = 0, n_max: int = 0,
 
 def _norm_const(n: int, l: int) -> float:
     # sqrt(2 n! / (pi (n+|l|)!)) via log-gamma to stay finite at large n, l
-    return np.sqrt(2.0 / np.pi) * np.exp(0.5 * (gammaln(n + 1) - gammaln(n + abs(l) + 1)))
+    return math.sqrt(2.0 / math.pi) * math.exp(
+        0.5 * (math.lgamma(n + 1) - math.lgamma(n + abs(l) + 1)))
+
+
+def _genlaguerre(n: int, alpha: float, x):
+    """Generalized Laguerre polynomial L_n^alpha(x) by the three-term
+    recurrence (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1}."""
+    x = np.asarray(x, dtype=float)
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
 
 
 def lg_field(mode: ModeIndex, r, phi, w0: float = 1.0):
@@ -135,7 +154,7 @@ def lg_field(mode: ModeIndex, r, phi, w0: float = 1.0):
     radial = (_norm_const(n, l) / w0
               * (r * np.sqrt(2.0) / w0) ** abs(l)
               * np.exp(-(r / w0) ** 2)
-              * eval_genlaguerre(n, abs(l), x))
+              * _genlaguerre(n, abs(l), x))
     return radial * np.exp(1j * l * phi)
 
 

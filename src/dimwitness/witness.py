@@ -260,6 +260,8 @@ def greedy_subset(table: VisibilityTable) -> GreedyResult:
     certified dimension evaluated at the reduced D'.  The best subset is the
     one with the highest certified d (larger subsets win ties).
     """
+    if table.mode_set.D < 2:
+        raise ConfigError(f"greedy subset search needs D >= 2, got D={table.mode_set.D}")
     S = _sv_matrix(table)
     active = list(range(table.mode_set.D))
     trajectory, subsets = [], []

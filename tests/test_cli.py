@@ -398,3 +398,50 @@ def test_certify_notes_flux_fallback(runner, tmp_path):
         notes[name] = json.loads(out.read_text())["notes"]
     assert notes == {"bare": [f"flux taken as total z-basis counts ({z_total})"],
                      "flux": []}
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "robustness", "verify"])
+def test_negative_seed_is_usage_error(runner, tmp_path, command):
+    counts, _ = simulate_example(runner, tmp_path)
+    out = tmp_path / "out.json"
+    args = {"simulate": ["--amplitudes", EXAMPLE_AMPS, "--output", str(out)],
+            "certify": ["--input", str(counts), "--resamples", "20", "--output", str(out)],
+            "robustness": ["--amplitudes", EXAMPLE_AMPS, "--trials", "2",
+                           "--output", str(out)],
+            "verify": []}[command]
+    assert exit_code([command, *args, "--seed", "-1"]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "optimize"])
+@pytest.mark.parametrize("name, text", [
+    ("empty.csv", "na,la,nb,lb,basis,outcome,count\r\n"),
+    ("one.json", json.dumps({"modes": [{"n": 0, "l": 0}], "flux": 1.0, "counts": []})),
+], ids=["header_only_csv", "one_mode_json"])
+def test_too_few_modes_is_config_error(tmp_path, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert exit_code([command, "--input", str(path),
+                      "--output", str(tmp_path / "out.json")]) == 2
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "optimize"])
+@pytest.mark.parametrize("flux", ["nan", "-3", "0"])
+def test_csv_bad_flux_is_config_error(runner, tmp_path, command, flux):
+    counts, modes = simulate_example(runner, tmp_path)
+    assert exit_code([command, "--input", str(counts), "--mode-file", str(modes),
+                      "--flux", flux, "--output", str(tmp_path / "out.json")]) == 2
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("value", [1.9, "1", True])
+def test_json_counts_with_non_integer_mode_is_ingestion_error(runner, tmp_path, value):
+    counts, _ = simulate_example(runner, tmp_path, name="counts.json",
+                                 extra=["--format", "json"])
+    payload = json.loads(counts.read_text())
+    assert payload["counts"][0]["nb"] == 1  # int(value) is the same mode
+    payload["counts"][0]["nb"] = value
+    counts.write_text(json.dumps(payload))
+    assert exit_code(["certify", "--input", str(counts),
+                      "--output", str(tmp_path / "out.json")]) == 3

@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dimwitness
 from dimwitness import (ConfigError, InvalidModeSetError, ModeIndex, ModeSet,
                         enumerate_modes, lg_field, mode_overlap)
-from dimwitness.modes import check_orthonormality
+from dimwitness.modes import _genlaguerre, check_orthonormality
 
 
 def test_single_gauss_mode():
@@ -108,3 +115,31 @@ def test_under_resolved_quadrature_reported():
     with pytest.raises(ConfigError):
         check_orthonormality(ModeSet((ModeIndex(8, 8),)), tol=1e-6,
                              r_nodes=4, phi_nodes=8, r_cut=1.0)
+
+
+@pytest.mark.parametrize("value", [1.9, 1.0, "1", True])
+def test_mode_file_numbers_must_be_integers(tmp_path, value):
+    with pytest.raises(ValueError, match="not an integer"):
+        ModeSet.from_json([{"n": 0, "l": 0}, {"n": value, "l": 0}])
+    path = tmp_path / "modes.json"
+    path.write_text(json.dumps([{"n": 0, "l": value}]))
+    with pytest.raises(ValueError):
+        ModeSet.load(path)
+
+
+def test_genlaguerre_matches_scipy():
+    from scipy.special import eval_genlaguerre
+    x = np.linspace(0.0, 80.0, 801)
+    for n in range(21):
+        for alpha in range(21):
+            np.testing.assert_allclose(_genlaguerre(n, alpha, x),
+                                       eval_genlaguerre(n, alpha, x), rtol=1e-9, atol=0)
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(dimwitness.__file__).resolve().parents[1]
+    code = ("import sys, dimwitness.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "[]"

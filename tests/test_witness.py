@@ -277,6 +277,12 @@ def test_greedy_on_maximally_entangled_keeps_everything():
         assert d == size
 
 
+@pytest.mark.parametrize("D", [0, 1])
+def test_greedy_needs_two_modes(D):
+    with pytest.raises(ConfigError, match="D >= 2"):
+        greedy_subset(VisibilityTable(generic_mode_set(D), np.zeros((0, 3))))
+
+
 def test_greedy_interior_maximum():
     # 20 modes with a steep spectral profile: the best subset is strictly
     # between the full set and the smallest one
