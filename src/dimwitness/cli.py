@@ -61,9 +61,16 @@ def cli():
     """Simulate, ingest and certify high-dimensional two-photon entanglement."""
 
 
+def _load_mode_file(path) -> ModeSet:
+    try:
+        return ModeSet.load(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IngestionError(f"malformed mode file {path}: {exc}") from exc
+
+
 def _mode_set(l_max, n_max, mode_file, fallback_D=None) -> ModeSet:
     if mode_file:
-        return ModeSet.load(mode_file)
+        return _load_mode_file(mode_file)
     if l_max is not None or n_max is not None:
         return enumerate_modes(l_max or 0, n_max or 0)
     if fallback_D is not None:
@@ -188,7 +195,7 @@ def _load_dataset(path, fmt, mode_file, flux):
             raise ConfigError(f"{' and '.join(given)} cannot be used with a JSON "
                               f"dataset: the file carries its own mode set and flux")
         return read_counts_json(path), []
-    modes = ModeSet.load(mode_file) if mode_file else None
+    modes = _load_mode_file(mode_file) if mode_file else None
     ds = read_counts_csv(path, mode_set=modes, flux=flux)
     if flux is not None:
         return ds, []

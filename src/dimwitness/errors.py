@@ -4,6 +4,16 @@ Each class carries the process exit code used by the CLI, so library code
 raises the same errors the command line reports.
 """
 
+__all__ = [
+    "DimWitnessError",
+    "ConfigError",
+    "InvalidModeSetError",
+    "InvalidStateError",
+    "IngestionError",
+    "CapacityError",
+    "IntegrityError",
+]
+
 
 class DimWitnessError(Exception):
     """Base class for all package errors."""

@@ -3,7 +3,7 @@
 For every mode pair (k, l) the three mutually unbiased bases are the x, y, z
 eigenbases of the two-level operators
 
-    sx = |k><l| + |l><k|,   sy = i|k><l| - i|l><k|,   sz = |k><k| - |l><l|.
+    sx = |k><l| + |l><k|,   sy = -i|k><l| + i|l><k|,   sz = |k><k| - |l><l|.
 
 Visibilities are V_i = |<s_i x s_i>| on the normalized 4-dimensional block
 spanned by |kk>, |kl>, |lk>, |ll>; coincidence counts are Poisson samples of
@@ -31,39 +31,26 @@ __all__ = [
     "BASES",
     "OUTCOMES",
     "CoincidenceDataset",
-    "subspace_pauli",
-    "subspace_density",
-    "g_value",
-    "f_value",
-    "projector_set",
     "outcome_probabilities",
     "simulate_counts",
     "basis_visibilities",
+    "read_counts_csv",
+    "read_counts_json",
+    "write_counts_csv",
+    "write_counts_json",
 ]
 
 BASES = ("x", "y", "z")
 OUTCOMES = ("pp", "pm", "mp", "mm")
 
-# 2x2 operators in the {|k>, |l>} sub-basis
-_PAULI2 = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, 1j], [-1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-# eigenvectors (+, -) of each 2x2 operator, shape (3 bases, 2 signs, 2);
-# y uses |+y> = (|k> + i|l>)/sqrt(2)
+# eigenvectors (+, -) of sx, sy, sz in the {|k>, |l>} sub-basis, shape
+# (3 bases, 2 signs, 2); y uses |+y> = (|k> + i|l>)/sqrt(2)
 _EIGVECS = np.array([[[1, 1], [1, -1]], [[1, 1j], [1, -1j]], [[1, 0], [0, 1]]])
 _EIGVECS /= np.linalg.norm(_EIGVECS, axis=-1, keepdims=True)
-
-# double-Pauli 4x4 operators on the (kk, kl, lk, ll) block, one per basis
-_DOUBLE = {b: np.kron(_PAULI2[b], _PAULI2[b]) for b in BASES}
-_G_OP = _DOUBLE["z"] - _DOUBLE["y"] + _DOUBLE["x"]
 
 # outcome vectors u = v_s (x) v_t on the (kk, kl, lk, ll) block, shape
 # (3 bases, 4 outcomes pp, pm, mp, mm, 4)
 _U = np.einsum("bsi,btj->bstij", _EIGVECS, _EIGVECS).reshape(len(BASES), 4, 4)
-_OUTCOME_VECS = dict(zip(BASES, _U))
 
 _BASIS_ID = {b: i for i, b in enumerate(BASES)}
 _OUTCOME_ID = {oc: i for i, oc in enumerate(OUTCOMES)}
@@ -119,41 +106,16 @@ class CoincidenceDataset:
         return zip(k.tolist(), l.tolist(), map(BASES.__getitem__, b.tolist()),
                    map(OUTCOMES.__getitem__, o.tolist()))
 
-    def add(self, k: int, l: int, basis: str, outcome: str, count) -> None:
-        key = (k, l, basis, outcome)
-        if not math.isfinite(count) or count < 0:
-            raise IngestionError(f"count {count!r} at {key} must be finite and >= 0")
-        try:
-            flat = self._flat(*key)
-        except KeyError:
-            raise IngestionError(
-                f"no count slot at {key}: need 0 <= k < l < {self.mode_set.D}, "
-                f"basis in {BASES}, outcome in {OUTCOMES}") from None
-        cells = self.tensor.reshape(-1)
-        if not np.isnan(cells[flat]):
-            raise IngestionError(f"duplicate count at {key}")
-        cells[flat] = count
-
-    def count_array(self, pairs) -> np.ndarray:
-        """Counts of the (k, l) pairs as a (pairs, 3 bases, 4 outcomes) array."""
-        D = self.mode_set.D
-        kl = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-        k, l = kl[:, 0], kl[:, 1]
-        valid = (0 <= k) & (k < l) & (l < D)
-        out = np.full((len(kl), len(BASES), len(OUTCOMES)), np.nan)
-        out[valid] = self.tensor[pair_index(k[valid], l[valid], D)]
-        missing = np.argwhere(np.isnan(out))
+    def count_array(self) -> np.ndarray:
+        """The count tensor itself; raises if a count is missing."""
+        missing = np.flatnonzero(np.isnan(self.tensor))
         if missing.size:
-            p, b, o = missing[0]
-            ma, mb = self.mode_set[k[p]], self.mode_set[l[p]]
+            k, l, basis, outcome = next(self._keys(missing[:1]))
+            ma, mb = self.mode_set[k], self.mode_set[l]
             raise IngestionError(
                 f"dataset is missing count for pair (n={ma.n},l={ma.l})/"
-                f"(n={mb.n},l={mb.l}), basis {BASES[b]}, outcome {OUTCOMES[o]}")
-        return out
-
-    def basis_counts(self, k: int, l: int, basis: str) -> np.ndarray:
-        """The four outcome counts (pp, pm, mp, mm) of one setting."""
-        return self.count_array([(k, l)])[0, BASES.index(basis)]
+                f"(n={mb.n},l={mb.l}), basis {basis}, outcome {outcome}")
+        return self.tensor
 
 
 class CountView(Mapping):
@@ -179,20 +141,6 @@ class CountView(Mapping):
         return int(np.count_nonzero(~np.isnan(self._ds.tensor)))
 
 
-def subspace_pauli(dim: int, k: int, l: int, axis: str) -> np.ndarray:
-    """The two-level operator sigma_axis^{kl} embedded in the dim-level space."""
-    if k == l:
-        raise ConfigError("subspace Pauli needs k != l")
-    if axis not in BASES:
-        raise ConfigError(f"unknown axis {axis!r}")
-    op = np.zeros((dim, dim), dtype=complex)
-    two = _PAULI2[axis]
-    for a, i in ((0, k), (1, l)):
-        for b, j in ((0, k), (1, l)):
-            op[i, j] = two[a, b]
-    return op
-
-
 def _blocks(state, k, l) -> np.ndarray:
     """Unnormalized 4x4 restrictions of the state to (kk, kl, lk, ll), one per
     pair (k[i], l[i]) of the index arrays k, l: shape (pairs, 4, 4)."""
@@ -206,55 +154,6 @@ def _blocks(state, k, l) -> np.ndarray:
         idx = np.stack([k * D + k, k * D + l, l * D + k, l * D + l], axis=-1)
         return state.rho[idx[:, :, None], idx[:, None, :]]
     raise ConfigError(f"unsupported state type {type(state).__name__}")
-
-
-def _block(state, k: int, l: int) -> np.ndarray:
-    """Unnormalized 4x4 restriction of the state to (kk, kl, lk, ll)."""
-    return _blocks(state, np.array([k]), np.array([l]))[0]
-
-
-def subspace_density(state, k: int, l: int):
-    """Normalized subspace density matrix and its weight N_kl.
-
-    Returns the 4x4 zero matrix with N_kl = 0 when the subspace carries no
-    population.
-    """
-    B = _block(state, k, l)
-    N = float(np.trace(B).real)
-    if N <= 0.0:
-        return np.zeros((4, 4), dtype=complex), 0.0
-    return B / N, N
-
-
-def g_value(state, k: int, l: int) -> float:
-    """Normalized subspace correlation Tr((szsz - sysy + sxsx) rho_kl)."""
-    rho4, N = subspace_density(state, k, l)
-    if N == 0.0:
-        return 0.0
-    return float(np.trace(_G_OP @ rho4).real)
-
-
-def f_value(state, k: int, l: int) -> float:
-    """Same correlation functional on the unnormalized full state."""
-    return float(np.trace(_G_OP @ _block(state, k, l)).real)
-
-
-def projector_set(dim: int, k: int, l: int, basis: str):
-    """The four coincidence projectors (P_s, P_t), s,t in {+,-}, as pairs of
-    dim x dim single-photon projectors, ordered pp, pm, mp, mm."""
-    if not k < l:
-        raise ConfigError("projector_set expects k < l")
-    if basis not in BASES:
-        raise ConfigError(f"unknown basis {basis!r}")
-    plus, minus = _EIGVECS[_BASIS_ID[basis]]
-    kets = []
-    for two in (plus, minus):
-        v = np.zeros(dim, dtype=complex)
-        v[k], v[l] = two[0], two[1]
-        kets.append(v)
-    projs = [np.outer(v, v.conj()) for v in kets]
-    return [(projs[0 if s == "p" else 1], projs[0 if t == "p" else 1])
-            for s, t in OUTCOMES]
 
 
 def outcome_probabilities(state) -> np.ndarray:
@@ -497,9 +396,9 @@ def _json_column(name: str, cells: tuple) -> np.ndarray:
 
 
 def read_counts_json(path) -> CoincidenceDataset:
-    with open(path) as fh:
-        payload = json.load(fh)
     try:
+        with open(path) as fh:
+            payload = json.load(fh)
         mode_set = ModeSet.from_json(payload["modes"])
         flux = float(payload["flux"])
         expectation = bool(payload.get("expectation", False))
@@ -508,4 +407,8 @@ def read_counts_json(path) -> CoincidenceDataset:
         columns = list(map(_json_column, CSV_HEADER, cells))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IngestionError(f"malformed dataset file {path}: {exc}") from exc
+    try:
+        _check_flux(flux)
+    except ConfigError as exc:  # the bad value is in the file
+        raise IngestionError(f"bad dataset file {path}: {exc}") from exc
     return _dataset(columns, mode_set, flux, expectation)

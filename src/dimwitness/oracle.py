@@ -11,10 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidStateError
-from .measurement import _DOUBLE, _G_OP, _blocks as _cut_blocks
+from .measurement import BASES, _blocks as _cut_blocks
 from .states import (CorrelatedState, DecompositionElement,
-                     GeneralTwoPhotonState, _check_cap, max_witness_elements,
-                     state_from_elements)
+                     GeneralTwoPhotonState, _check_cap, state_from_elements)
 from .modes import generic_mode_set
 
 __all__ = [
@@ -24,6 +23,19 @@ __all__ = [
     "random_rank_d_search",
     "f_total",
 ]
+
+# sx, sy, sz in the {|k>, |l>} sub-basis; the outcome vectors
+# measurement._EIGVECS are their +1 and -1 eigenvectors
+_PAULI2 = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+# double-Pauli 4x4 operators on the (kk, kl, lk, ll) block, one per basis,
+# and the correlation operator szsz - sysy + sxsx
+_DOUBLE = {b: np.kron(_PAULI2[b], _PAULI2[b]) for b in BASES}
+_G_OP = _DOUBLE["z"] - _DOUBLE["y"] + _DOUBLE["x"]
 
 
 def _embedded(state) -> GeneralTwoPhotonState:
@@ -96,18 +108,11 @@ def random_correlated_mixture(D: int, d: int,
     return state_from_elements(elements, generic_mode_set(D))
 
 
-def random_rank_d_search(D: int, d: int, iters: int, rng: np.random.Generator,
-                         seed_saturating: bool = False) -> float:
-    """Max brute-force witness over random rank <= d correlated mixtures.
-
-    With ``seed_saturating`` the known bound-saturating mixture is added to
-    the pool, so the returned maximum also probes tightness.
-    """
+def random_rank_d_search(D: int, d: int, iters: int,
+                         rng: np.random.Generator) -> float:
+    """Max brute-force witness over random rank <= d correlated mixtures."""
     _check_cap(D)
     best = -np.inf
-    if seed_saturating:
-        sat = state_from_elements(max_witness_elements(D, d), generic_mode_set(D))
-        best = brute_force_witness(sat)
     for _ in range(iters):
         state = random_correlated_mixture(D, d, rng)
         best = max(best, brute_force_witness(state))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -32,11 +31,12 @@ __all__ = [
     "correlated_pure",
     "maximally_entangled",
     "max_witness_state",
-    "max_witness_elements",
     "state_from_elements",
     "spdc_profile",
     "amplitudes_from_rates",
     "perturb_state",
+    "save_state",
+    "load_state",
 ]
 
 SMALL_D_CAP = 8
@@ -91,15 +91,6 @@ class CorrelatedState:
         rho[np.ix_(diag, diag)] = self.coeffs
         tr = np.trace(rho).real
         return GeneralTwoPhotonState(rho / tr, self.mode_set)
-
-    def restricted(self, indices: Sequence[int]) -> "CorrelatedState":
-        """State restricted (and renormalized) to a subset of flat indices."""
-        idx = list(indices)
-        c = self.coeffs[np.ix_(idx, idx)]
-        tr = np.trace(c).real
-        if tr <= 0:
-            raise InvalidStateError("restriction has zero population")
-        return CorrelatedState(c / tr, self.mode_set.subset(idx))
 
 
 @dataclass(frozen=True)
@@ -174,8 +165,7 @@ def max_witness_state(D_or_modes, d: int) -> CorrelatedState:
     """Uniform mixture of the rank-d maximally entangled states over all
     C(D, d) index subsets; saturates the rank-d witness bound.
 
-    Closed form of that sum (:func:`max_witness_elements` spells it out):
-    1/D on the diagonal, (d-1)/(D(D-1)) off it.
+    Closed form of that sum: 1/D on the diagonal, (d-1)/(D(D-1)) off it.
     """
     mode_set = D_or_modes if isinstance(D_or_modes, ModeSet) else generic_mode_set(D_or_modes)
     D = mode_set.D
@@ -184,16 +174,6 @@ def max_witness_state(D_or_modes, d: int) -> CorrelatedState:
     c = np.full((D, D), (d - 1) / (D * max(D - 1, 1)), dtype=complex)  # D = 1: d = 1
     np.fill_diagonal(c, 1.0 / D)
     return CorrelatedState(c, mode_set)
-
-
-def max_witness_elements(D: int, d: int) -> list[DecompositionElement]:
-    """The explicit convex decomposition behind :func:`max_witness_state`."""
-    if not 1 <= d <= D:
-        raise ConfigError(f"need 1 <= d <= D, got d={d}, D={D}")
-    n_subsets = math.comb(D, d)
-    amps = np.full(d, 1.0 / np.sqrt(d))
-    return [DecompositionElement(alpha, 1.0 / n_subsets, amps)
-            for alpha in combinations(range(D), d)]
 
 
 def state_from_elements(elements: Sequence[DecompositionElement],
@@ -303,9 +283,9 @@ def save_state(state, path) -> None:
 
 
 def load_state(path):
-    with open(path) as fh:
-        payload = json.load(fh)
     try:
+        with open(path) as fh:
+            payload = json.load(fh)
         mode_set = ModeSet.from_json(payload["modes"])
         tag = payload["representation"]
         mat = _matrix_from_json(payload["matrix"])

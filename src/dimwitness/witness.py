@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -36,10 +35,10 @@ __all__ = [
     "monte_carlo_ci",
     "per_mode_contribution",
     "greedy_subset",
-    "exhaustive_best_subset",
     "robustness_study",
     "GreedyResult",
     "RobustnessResult",
+    "build_report",
 ]
 
 
@@ -92,13 +91,8 @@ def table_from_state(state) -> VisibilityTable:
                            basis_visibilities(outcome_probabilities(state)))
 
 
-def _all_counts(dataset: CoincidenceDataset) -> np.ndarray:
-    """Counts of every pair, shape (pairs, 3, 4); raises on a missing one."""
-    return dataset.count_array(np.transpose(np.triu_indices(dataset.mode_set.D, 1)))
-
-
 def table_from_dataset(dataset: CoincidenceDataset) -> VisibilityTable:
-    return VisibilityTable(dataset.mode_set, basis_visibilities(_all_counts(dataset)))
+    return VisibilityTable(dataset.mode_set, basis_visibilities(dataset.count_array()))
 
 
 def _sv_matrix(table: VisibilityTable, indices=None) -> np.ndarray:
@@ -223,7 +217,7 @@ def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
     """
     if n_resamples < 2:
         raise ConfigError("need at least 2 resamples")
-    counts = _all_counts(dataset)
+    counts = dataset.count_array()
     closed, var = _closed_form(counts)
     mean = basis_visibilities(counts[closed]).sum()
     variance = var[closed].sum()
@@ -278,21 +272,6 @@ def greedy_subset(table: VisibilityTable) -> GreedyResult:
                  key=lambda i: (trajectory[i][1], trajectory[i][0]))
     return GreedyResult(trajectory, subsets, subsets[best_i],
                         trajectory[best_i][1])
-
-
-def exhaustive_best_subset(table: VisibilityTable, max_D: int = 12):
-    """Exact best subset by full enumeration; feasible only for small D."""
-    D = table.mode_set.D
-    if D > max_D:
-        raise ConfigError(f"exhaustive subset search capped at D={max_D}")
-    S = _sv_matrix(table)
-    best, best_d = list(range(D)), 1
-    for size in range(2, D + 1):
-        for subset in combinations(range(D), size):
-            d = certified_dimension(_pair_sum(S[np.ix_(subset, subset)]), size)
-            if d > best_d or (d == best_d and size > len(best)):
-                best, best_d = list(subset), d
-    return best, best_d
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +431,7 @@ def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = No
         _, sigma = monte_carlo_ci(dataset, n_resamples, seed)
         report.sigma = sigma
         report.n_resamples = n_resamples
-        closed = int(_closed_form(_all_counts(dataset))[0].sum())
+        closed = int(_closed_form(dataset.count_array())[0].sum())
         pairs = D * (D - 1) // 2
         report.notes.append(f"sigma: closed form on {closed} of {pairs} pairs, "
                             f"{n_resamples} resamples on {pairs - closed}")

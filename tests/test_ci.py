@@ -18,6 +18,16 @@ def test_workflow_runs_the_roadmap_tier1_command():
     assert runs[-2:] == [tier1, "python -m pytest -q perfbench"]
 
 
+def test_workflow_installs_the_pyproject_test_extra():
+    # the dependency list lives in pyproject.toml only
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())
+    install = next(step["run"] for step in workflow["jobs"]["tests"]["steps"]
+                   if step.get("name") == "Install dependencies")
+    assert install == 'python -m pip install -e ".[test]"'
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r"^\[project\.optional-dependencies\]\ntest = \[", pyproject, re.M)
+
+
 def test_bench_files_name_only_declared_workloads_and_metrics():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = {w["name"] for w in declared["workloads"]}

@@ -7,6 +7,7 @@ from dimwitness.cli import cli, main
 from dimwitness.errors import (CapacityError, ConfigError, IngestionError,
                                IntegrityError)
 from dimwitness.modes import ModeIndex, ModeSet
+from dimwitness.states import correlated_pure, save_state
 
 EXAMPLE_MODES = ModeSet((ModeIndex(0, 0), ModeIndex(1, -1),
                          ModeIndex(2, -2), ModeIndex(3, -3)))
@@ -445,3 +446,65 @@ def test_json_counts_with_non_integer_mode_is_ingestion_error(runner, tmp_path, 
     counts.write_text(json.dumps(payload))
     assert exit_code(["certify", "--input", str(counts),
                       "--output", str(tmp_path / "out.json")]) == 3
+
+
+@pytest.mark.parametrize("command", ["certify", "optimize"])
+@pytest.mark.parametrize("flux", ["NaN", "-3.0", "0"])
+def test_json_bad_file_flux_is_ingestion_error(runner, tmp_path, command, flux):
+    counts, _ = simulate_example(runner, tmp_path, name="counts.json",
+                                 extra=["--format", "json"])
+    payload = json.loads(counts.read_text())
+    counts.write_text(json.dumps(payload).replace(f'"flux": {payload["flux"]}',
+                                                  f'"flux": {flux}'))
+    assert json.loads(counts.read_text())["flux"] != payload["flux"]
+    assert exit_code([command, "--input", str(counts),
+                      "--output", str(tmp_path / "out.json")]) == 3
+    assert not (tmp_path / "out.json").exists()
+
+
+def _json_input(runner, tmp_path, kind):
+    """A valid JSON input file of one kind and a command line that reads it."""
+    modes = tmp_path / "modes.json"
+    EXAMPLE_MODES.save(modes)
+    out = str(tmp_path / "out.json")
+    if kind == "state-file":
+        path = tmp_path / "state.json"
+        save_state(correlated_pure([0.5, 0.07, 0.01, 0.01], EXAMPLE_MODES), path)
+        argv = ["simulate", "--state-file", str(path), "--seed", "1", "--output", out]
+    elif kind == "count-file":
+        path, _ = simulate_example(runner, tmp_path, name="counts.json",
+                                   extra=["--format", "json"])
+        argv = ["certify", "--input", str(path), "--output", out]
+    elif kind == "mode-file-simulate":
+        path = modes
+        argv = ["simulate", "--mode-file", str(path), "--amplitudes", EXAMPLE_AMPS,
+                "--seed", "1", "--output", out]
+    else:  # mode-file-certify
+        counts, path = simulate_example(runner, tmp_path)
+        argv = ["certify", "--input", str(counts), "--mode-file", str(path),
+                "--output", out]
+    return path, argv
+
+
+@pytest.mark.parametrize("case, code", [("truncated", 3), ("missing-key", 3),
+                                        ("non-integer", 3), ("duplicate-mode", 2)])
+@pytest.mark.parametrize("kind", ["mode-file-simulate", "mode-file-certify",
+                                  "count-file", "state-file"])
+def test_malformed_json_input_exit_code(runner, tmp_path, kind, case, code):
+    path, argv = _json_input(runner, tmp_path, kind)
+    assert exit_code(argv) == 0
+    payload = json.loads(path.read_text())
+    modes = payload if kind.startswith("mode-file") else payload["modes"]
+    if case == "truncated":
+        path.write_text(path.read_text()[:40])
+    else:
+        if case == "missing-key":
+            del modes[1]["l"]
+        elif case == "non-integer":
+            modes[1]["n"] = 1.9
+        else:
+            modes[1] = modes[0]
+        path.write_text(json.dumps(payload))
+    (tmp_path / "out.json").unlink(missing_ok=True)
+    assert exit_code(argv) == code
+    assert not (tmp_path / "out.json").exists()

@@ -8,17 +8,18 @@ import numpy as np
 import pytest
 
 from dimwitness import measurement
-from dimwitness import (ConfigError, IngestionError, correlated_pure, f_value,
-                        g_value, generic_mode_set, maximally_entangled,
-                        projector_set, read_counts_csv, read_counts_json,
-                        simulate_counts, subspace_density, subspace_pauli,
+from dimwitness import (ConfigError, IngestionError, brute_force_witness,
+                        correlated_pure, f_total, generic_mode_set,
+                        read_counts_csv, read_counts_json, simulate_counts,
                         table_from_dataset, table_from_state, write_counts_csv,
                         write_counts_json)
-from dimwitness.measurement import (_DOUBLE, _OUTCOME_VECS, BASES, CSV_HEADER,
-                                    OUTCOMES, CoincidenceDataset, _count_str,
+from dimwitness.measurement import (_EIGVECS, _U, BASES, CSV_HEADER, OUTCOMES,
+                                    CoincidenceDataset, _count_str,
                                     outcome_probabilities, pair_index)
 from dimwitness.modes import ModeIndex, ModeSet
-from dimwitness.states import CorrelatedState, perturb_state
+from dimwitness.oracle import _DOUBLE, _PAULI2
+from dimwitness.states import (CorrelatedState, GeneralTwoPhotonState,
+                               perturb_state)
 
 EXAMPLE_AMPS = np.array([0.5, 0.07, 0.01, 0.01])
 EXAMPLE_MODES = ModeSet((ModeIndex(0, 0), ModeIndex(1, -1),
@@ -49,73 +50,58 @@ def probabilities(state, k, l, basis):
                                         BASES.index(basis)]
 
 
+def weight(state, k, l):
+    """Subspace weight N_kl: the summed z-basis outcome probabilities."""
+    return probabilities(state, k, l, "z").sum()
+
+
+def pair_state(state, k, l):
+    """The (k, l) subspace block as an (unnormalized) two-mode state:
+    |kk>, |kl>, |lk>, |ll> become |00>, |01>, |10>, |11>.  The oracle's g of
+    its one pair is the subspace g of the pair, and its f_total is f_kl."""
+    return GeneralTwoPhotonState(ref_block(state, k, l), generic_mode_set(2))
+
+
 # --- subspace Pauli operators -----------------------------------------------
-
-def test_pauli_z_action():
-    sz = subspace_pauli(4, 1, 3, "z")
-    ek, el = np.eye(4)[1], np.eye(4)[3]
-    assert np.allclose(sz @ ek, ek)
-    assert np.allclose(sz @ el, -el)
-
-
-def test_pauli_x_flips():
-    sx = subspace_pauli(4, 0, 2, "x")
-    ek, el = np.eye(4)[0], np.eye(4)[2]
-    assert np.allclose(sx @ ek, el)
-
-
-def test_pauli_x_eigenvectors():
-    sx = subspace_pauli(3, 0, 1, "x")
-    plus = (np.eye(3)[0] + np.eye(3)[1]) / np.sqrt(2)
-    minus = (np.eye(3)[0] - np.eye(3)[1]) / np.sqrt(2)
-    assert np.allclose(sx @ plus, plus)
-    assert np.allclose(sx @ minus, -minus)
-
 
 @pytest.mark.parametrize("axis", BASES)
 def test_pauli_algebra(axis):
-    op = subspace_pauli(5, 1, 4, axis)
+    # the two-level operators of the oracle and the outcome vectors of measurement
+    # follow one convention: (+, -) of each basis are its +1 and -1 eigenvectors
+    op = _PAULI2[axis]
     assert np.allclose(op, op.conj().T)
     assert np.isclose(np.trace(op), 0.0)
-    sq = op @ op
-    span = np.zeros((5, 5))
-    span[1, 1] = span[4, 4] = 1.0
-    assert np.allclose(sq, span)
+    assert np.allclose(op @ op, np.eye(2))
+    plus, minus = _EIGVECS[BASES.index(axis)]
+    assert np.allclose(op @ plus, plus)
+    assert np.allclose(op @ minus, -minus)
+    assert np.isclose(np.vdot(plus, minus), 0.0)
 
 
-def test_pauli_same_index_rejected():
-    with pytest.raises(ConfigError):
-        subspace_pauli(4, 2, 2, "x")
-
-
-# --- subspace density and functionals ---------------------------------------
+# --- subspace weights and functionals ---------------------------------------
 
 def test_subspace_density_full_support():
     st = bell()
-    rho4, N = subspace_density(st, 0, 1)
-    assert np.isclose(N, 1.0)
-    assert np.isclose(np.trace(rho4).real, 1.0)
+    assert np.isclose(weight(st, 0, 1), 1.0)
+    assert np.isclose(np.trace(ref_block(st, 0, 1)).real, 1.0)
 
 
 def test_subspace_weight_is_population_sum():
     st = example_state()
     lam2 = EXAMPLE_AMPS**2 / np.sum(EXAMPLE_AMPS**2)
     for (k, l) in [(0, 1), (0, 3), (2, 3)]:
-        _, N = subspace_density(st, k, l)
-        assert np.isclose(N, lam2[k] + lam2[l])
+        assert np.isclose(weight(st, k, l), lam2[k] + lam2[l])
 
 
 def test_four_mode_pair01_weight():
-    _, N = subspace_density(example_state(), 0, 1)
-    assert np.isclose(N, (0.25 + 0.0049) / 0.2551)
+    assert np.isclose(weight(example_state(), 0, 1), (0.25 + 0.0049) / 0.2551)
 
 
 def test_zero_weight_subspace_convention():
     st = correlated_pure([1, 0, 0], generic_mode_set(3))
-    rho4, N = subspace_density(st, 1, 2)
-    assert N == 0.0
-    assert np.allclose(rho4, 0.0)
-    assert g_value(st, 1, 2) == 0.0
+    assert np.allclose(outcome_probabilities(st)[pair_index(1, 2, 3)], 0.0)
+    assert np.allclose(ref_block(st, 1, 2), 0.0)
+    assert brute_force_witness(pair_state(st, 1, 2)) == 0.0
     assert state_V(st, 1, 2).sum() == 0.0
 
 
@@ -138,7 +124,7 @@ def test_four_mode_example_sv_values():
 
 
 def test_g_bell():
-    assert np.isclose(g_value(bell(), 0, 1), 3.0)
+    assert np.isclose(brute_force_witness(pair_state(bell(), 0, 1)), 3.0)
 
 
 def test_g_closed_form_for_pure_states():
@@ -149,7 +135,7 @@ def test_g_closed_form_for_pure_states():
         lam = lam / np.linalg.norm(lam)
         for (k, l) in [(0, 1), (1, 3)]:
             want = 4 * lam[k] * lam[l] / (lam[k]**2 + lam[l]**2) + 1
-            assert np.isclose(g_value(st, k, l), want)
+            assert np.isclose(brute_force_witness(pair_state(st, k, l)), want)
 
 
 def test_g_equals_visibility_sum_for_nonnegative_amplitudes():
@@ -158,11 +144,12 @@ def test_g_equals_visibility_sum_for_nonnegative_amplitudes():
         lam = np.abs(rng.standard_normal(5)) + 1e-6
         st = correlated_pure(lam, generic_mode_set(5))
         for (k, l) in [(0, 1), (2, 4), (1, 3)]:
-            assert np.isclose(g_value(st, k, l), state_V(st, k, l).sum())
+            assert np.isclose(brute_force_witness(pair_state(st, k, l)),
+                              state_V(st, k, l).sum())
 
 
 def test_f_bell():
-    assert np.isclose(f_value(bell(), 0, 1), 3.0)
+    assert np.isclose(f_total(pair_state(bell(), 0, 1)), 3.0)
 
 
 def test_f_embedded_bell_in_larger_space():
@@ -171,7 +158,7 @@ def test_f_embedded_bell_in_larger_space():
             amps = np.zeros(D)
             amps[:d] = 1.0
             st = correlated_pure(amps, generic_mode_set(D))
-            assert np.isclose(f_value(st, 0, 1), 6.0 / d)
+            assert np.isclose(f_total(pair_state(st, 0, 1)), 6.0 / d)
 
 
 def test_g_f_consistency():
@@ -180,24 +167,23 @@ def test_g_f_consistency():
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         st = correlated_pure(v, generic_mode_set(4))
         for (k, l) in [(0, 1), (1, 2), (2, 3)]:
-            _, N = subspace_density(st, k, l)
+            pair, N = pair_state(st, k, l), weight(st, k, l)
             if N > 0:
-                assert abs(g_value(st, k, l) - f_value(st, k, l) / N) < 1e-9
+                assert abs(brute_force_witness(pair) - f_total(pair) / N) < 1e-9
 
 
 def test_denominator_monotonicity():
     # moving population into the cross terms never increases g
-    from dimwitness.states import GeneralTwoPhotonState
     st = example_state()
     base = st.embed()
-    g0 = g_value(base, 0, 1)
+    g0 = brute_force_witness(pair_state(base, 0, 1))
     rho = base.rho.copy()
     cross = 0 * 4 + 1  # |01> population
     eps = 0.01
     rho = (1 - eps) * rho
     rho[cross, cross] += eps
     bumped = GeneralTwoPhotonState(rho, st.mode_set)
-    assert g_value(bumped, 0, 1) < g0
+    assert brute_force_witness(pair_state(bumped, 0, 1)) < g0
 
 
 # --- projectors and probabilities -------------------------------------------
@@ -221,20 +207,11 @@ def test_projector_y_correlated_closed_form():
     assert np.isclose(p[0], want_pp)
 
 
-def test_projector_set_shapes():
-    projs = projector_set(5, 1, 3, "x")
-    assert len(projs) == 4
-    for Pa, Pb in projs:
-        assert Pa.shape == (5, 5) and Pb.shape == (5, 5)
-        assert np.allclose(Pa @ Pa, Pa)
-
-
 def test_projector_probabilities_sum_to_subspace_weight():
     st = example_state()
     for basis in BASES:
         p = probabilities(st, 1, 2, basis)
-        _, N = subspace_density(st, 1, 2)
-        assert np.isclose(p.sum(), N)
+        assert np.isclose(p.sum(), np.trace(ref_block(st, 1, 2)).real)
 
 
 # --- count simulation and estimation ----------------------------------------
@@ -243,7 +220,7 @@ def test_expectation_mode_counts_are_exact():
     st = bell()
     ds = simulate_counts(st, 1e4, expectation=True)
     p = probabilities(st, 0, 1, "x")
-    got = ds.basis_counts(0, 1, "x")
+    got = ds.tensor[pair_index(0, 1, 2), BASES.index("x")]
     assert np.allclose(got, 1e4 * p)
 
 
@@ -285,25 +262,21 @@ def test_estimate_round_trip_expectation():
         assert abs(est[1] - exact[1]) < 1e-9
         assert abs(est[2] - exact[2]) < 1e-9
         # the z counts of the pair hold its subspace weight
-        _, N = subspace_density(st, k, l)
-        assert abs(ds.basis_counts(k, l, "z").sum() / ds.flux - N) < 1e-9
+        N = np.trace(ref_block(st, k, l)).real
+        z = ds.tensor[pair_index(k, l, 4), BASES.index("z")]
+        assert abs(z.sum() / ds.flux - N) < 1e-9
 
 
 def test_equal_counts_give_zero_visibility():
     ds = CoincidenceDataset(generic_mode_set(2), flux=400.0)
-    for b in BASES:
-        for oc in OUTCOMES:
-            ds.add(0, 1, b, oc, 100)
+    ds.tensor[pair_index(0, 1, 2)] = 100
     vx, vy, vz = dataset_V(ds, 0, 1)
     assert vx == vy == vz == 0.0
 
 
 def test_missing_count_named_in_error():
-    full = simulate_counts(bell(), 1e4, seed=1)
-    ds = CoincidenceDataset(full.mode_set, full.flux)
-    for key, count in full.counts.items():
-        if key != (0, 1, "y", "mp"):
-            ds.add(*key, count)
+    ds = simulate_counts(bell(), 1e4, seed=1)
+    ds.tensor[pair_index(0, 1, 2), BASES.index("y"), OUTCOMES.index("mp")] = np.nan
     with pytest.raises(IngestionError, match="basis y, outcome mp"):
         table_from_dataset(ds)
 
@@ -451,8 +424,7 @@ def ref_expectation_tensor(state, flux):
     for k in range(D):
         for l in range(k + 1, D):
             B = ref_block(state, k, l)
-            for b in BASES:
-                U = _OUTCOME_VECS[b]
+            for U in _U:
                 p = np.einsum("ij,jk,ik->i", U.conj(), B, U).real
                 out.append(flux * np.clip(p, 0.0, None))
     return np.array(out).reshape(-1, 3, 4)
@@ -461,10 +433,11 @@ def ref_expectation_tensor(state, flux):
 def ref_visibilities(state, k, l):
     """The previous per-pair visibilities |Tr(s_i s_i rho_4)| of the normalized
     subspace density matrix, as (V_x, V_y, V_z)."""
-    rho4, N = subspace_density(state, k, l)
-    if N == 0.0:
+    B = ref_block(state, k, l)
+    N = float(np.trace(B).real)
+    if N <= 0.0:
         return np.zeros(3)
-    return np.array([abs(float(np.trace(_DOUBLE[b] @ rho4).real)) for b in BASES])
+    return np.array([abs(float(np.trace(_DOUBLE[b] @ (B / N)).real)) for b in BASES])
 
 
 def ref_write_csv(dataset, path):
@@ -519,7 +492,7 @@ def test_share_populations_agree_across_subspaces():
     seen = {}
     for k in range(D):
         for l in range(k + 1, D):
-            z = ds.basis_counts(k, l, "z")
+            z = ds.tensor[pair_index(k, l, D), BASES.index("z")]
             for ij, c in zip([(k, k), (k, l), (l, k), (l, l)], z):
                 seen.setdefault(ij, set()).add(c)
     assert all(len(v) == 1 for v in seen.values())
@@ -844,4 +817,23 @@ def test_json_reader_refuses_wrong_value_types(tmp_path, column, value):
     payload["counts"][5][column] = value
     path.write_text(json.dumps(payload))
     with pytest.raises(IngestionError):
+        read_counts_json(path)
+
+
+@pytest.mark.parametrize("flux", [float("nan"), float("inf"), 0.0, -3.0])
+def test_json_reader_refuses_bad_file_flux(tmp_path, flux):
+    path = tmp_path / "counts.json"
+    write_counts_json(simulate_counts(example_state(), 1e5, seed=4), path)
+    payload = json.loads(path.read_text())
+    payload["flux"] = flux
+    path.write_text(json.dumps(payload))
+    with pytest.raises(IngestionError, match="flux must be positive and finite"):
+        read_counts_json(path)
+
+
+def test_truncated_json_count_file_is_ingestion_error(tmp_path):
+    path = tmp_path / "counts.json"
+    write_counts_json(simulate_counts(example_state(), 1e5, seed=4), path)
+    path.write_text(path.read_text()[:100])
+    with pytest.raises(IngestionError, match="malformed dataset file"):
         read_counts_json(path)

@@ -11,8 +11,7 @@ from dimwitness import (CapacityError, GeneralTwoPhotonState, InvalidStateError,
                         robustness_study, schmidt_rank, table_from_state,
                         witness_correlated, witness_sum)
 from dimwitness.cli import main
-from dimwitness.measurement import _DOUBLE, _G_OP, f_value, subspace_density
-from dimwitness.oracle import brute_force_sv_witness
+from dimwitness.oracle import _DOUBLE, _G_OP, brute_force_sv_witness
 from dimwitness.witness import witness_with_perturbed_projectors
 
 
@@ -69,13 +68,6 @@ def test_random_search_never_beats_bound():
         assert best <= bound(D, d) + 1e-9
 
 
-def test_seeded_search_reaches_bound():
-    rng = np.random.default_rng(56)
-    best = random_rank_d_search(4, 2, 100, rng, seed_saturating=True)
-    assert bound(4, 2) - 1e-9 <= best <= bound(4, 2) + 1e-9
-    assert bound(4, 2) == 10
-
-
 def test_rank1_search_capped_at_product_bound():
     rng = np.random.default_rng(57)
     best = random_rank_d_search(3, 1, 300, rng)
@@ -108,18 +100,18 @@ def test_f_total_random_rank_d_never_exceeds_bound():
 
 
 def test_f_is_g_times_weight():
+    # each (kk, kl, lk, ll) block as a two-mode state has f_total = f_kl and
+    # brute-force witness g_kl
     rng = np.random.default_rng(78)
     for _ in range(30):
         st = random_correlated_mixture(4, 4, rng)
         tot = 0.0
-        for k in range(4):
-            for l in range(k + 1, 4):
-                f = f_value(st, k, l)
-                _, N = subspace_density(st, k, l)
-                tot += f
-                if N > 0:
-                    from dimwitness import g_value
-                    assert abs(f - g_value(st, k, l) * N) < 1e-9
+        for B, N in _ref_blocks(st):
+            pair = GeneralTwoPhotonState(B, generic_mode_set(2))
+            f = f_total(pair)
+            tot += f
+            if N > 0:
+                assert abs(f - brute_force_witness(pair) * N) < 1e-9
         assert abs(tot - f_total(st)) < 1e-9
 
 

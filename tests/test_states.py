@@ -1,10 +1,13 @@
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from dimwitness import (CapacityError, ConfigError, CorrelatedState,
-                        IngestionError, InvalidStateError,
-                        amplitudes_from_rates, correlated_pure,
-                        generic_mode_set, load_state, max_witness_elements,
+                        DecompositionElement, IngestionError,
+                        InvalidStateError, amplitudes_from_rates,
+                        correlated_pure, generic_mode_set, load_state,
                         max_witness_state, maximally_entangled, perturb_state,
                         save_state, schmidt_rank, spdc_profile,
                         state_from_elements)
@@ -78,6 +81,15 @@ def test_max_witness_state_d3_d2_structure():
     assert np.allclose(np.diag(st.coeffs).real, 1 / 3)
     off = st.coeffs[0, 1]
     assert np.isclose(off.real, 1 / 6)
+
+
+def max_witness_elements(D, d):
+    """The explicit convex decomposition that max_witness_state sums in
+    closed form: the rank-d maximally entangled states on all C(D, d) index
+    subsets, with equal weights."""
+    amps = np.full(d, 1.0 / np.sqrt(d))
+    return [DecompositionElement(alpha, 1.0 / math.comb(D, d), amps)
+            for alpha in combinations(range(D), d)]
 
 
 def test_max_witness_elements_have_schmidt_rank_d():
@@ -157,3 +169,11 @@ def test_state_file_roundtrip(tmp_path):
     save_state(gen, gpath)
     loaded = load_state(gpath)
     assert np.allclose(loaded.rho, gen.rho)
+
+
+@pytest.mark.parametrize("text", ['{"modes": [{"n": 0, "l": 0}', "", "[1, 2"])
+def test_truncated_state_file_is_ingestion_error(tmp_path, text):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    with pytest.raises(IngestionError, match="malformed state file"):
+        load_state(path)

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from dimwitness import (ConfigError, IngestionError, IntegrityError,
                         VisibilityTable, bound, build_report,
                         certified_dimension, correlated_pure, enumerate_modes,
-                        exhaustive_best_subset, f_bound, generic_mode_set,
+                        f_bound, generic_mode_set,
                         greedy_subset, max_witness_state, maximally_entangled,
                         monte_carlo_ci, per_mode_contribution, robustness_study,
                         simulate_counts, spdc_profile, table_from_dataset,
@@ -141,7 +142,7 @@ def test_incomplete_table_rejected():
 def ref_bootstrap(ds, n_resamples, seed):
     """The plain Poisson bootstrap of W: every count of every pair resampled
     in every resample."""
-    counts = ds.count_array(np.transpose(np.triu_indices(ds.mode_set.D, 1)))
+    counts = ds.tensor
     ws = np.empty(n_resamples)
     for i in range(n_resamples):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 2, i)))
@@ -213,7 +214,7 @@ def test_monte_carlo_empty_z_pair_contributes_nothing(monkeypatch):
     ds.tensor[p] = 0.0
     assert monte_carlo_ci(ds, 20, seed=7) == only_z_empty
     ds.tensor[p] = np.nan
-    rest = ds.count_array(np.delete(np.transpose(np.triu_indices(4, 1)), p, axis=0))
+    rest = np.delete(ds.tensor, p, axis=0)
     assert only_z_empty[0] == basis_visibilities(rest).sum()
 
 
@@ -295,15 +296,23 @@ def test_greedy_interior_maximum():
     assert 2 < len(res.best_subset) < 20
 
 
+def exhaustive_best_subset(table):
+    """Exact best subset by full enumeration: the highest certified d,
+    larger subsets winning ties."""
+    D = table.mode_set.D
+    best, best_d = list(range(D)), 1
+    for size in range(2, D + 1):
+        for subset in combinations(range(D), size):
+            d = certified_dimension(witness_sum(table, subset), size)
+            if d > best_d or (d == best_d and size > len(best)):
+                best, best_d = list(subset), d
+    return best, best_d
+
+
 def test_exhaustive_agrees_with_greedy_on_example():
     table = table_from_state(example_state())
     subset, d = exhaustive_best_subset(table)
     assert d == greedy_subset(table).best_d == 3
-
-
-def test_exhaustive_cap():
-    with pytest.raises(ConfigError):
-        exhaustive_best_subset(table_from_state(maximally_entangled(6)), max_D=5)
 
 
 # --- robustness --------------------------------------------------------------
