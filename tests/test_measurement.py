@@ -63,6 +63,27 @@ def pair_state(state, k, l):
 
 
 # --- subspace Pauli operators -----------------------------------------------
+# the two-level operators act on the {|k>, |l>} sub-basis: |k> = (1, 0), |l> = (0, 1)
+
+def test_pauli_z_action():
+    ek, el = np.eye(2)
+    assert np.allclose(_PAULI2["z"] @ ek, ek)
+    assert np.allclose(_PAULI2["z"] @ el, -el)
+
+
+def test_pauli_x_flips():
+    ek, el = np.eye(2)
+    assert np.allclose(_PAULI2["x"] @ ek, el)
+    assert np.allclose(_PAULI2["x"] @ el, ek)
+
+
+def test_pauli_x_eigenvectors():
+    plus = np.array([1, 1]) / np.sqrt(2)
+    minus = np.array([1, -1]) / np.sqrt(2)
+    assert np.allclose(_EIGVECS[BASES.index("x")], [plus, minus])
+    assert np.allclose(_PAULI2["x"] @ plus, plus)
+    assert np.allclose(_PAULI2["x"] @ minus, -minus)
+
 
 @pytest.mark.parametrize("axis", BASES)
 def test_pauli_algebra(axis):
