@@ -150,10 +150,16 @@ def _blocks(state, k, l) -> np.ndarray:
         B[:, 0, 0], B[:, 0, 3], B[:, 3, 0], B[:, 3, 3] = c[k, k], c[k, l], c[l, k], c[l, l]
         return B
     if isinstance(state, GeneralTwoPhotonState):
-        D = state.D
-        idx = np.stack([k * D + k, k * D + l, l * D + k, l * D + l], axis=-1)
-        return state.rho[idx[:, :, None], idx[:, None, :]]
+        return _cut_blocks(state.rho, k, l)
     raise ConfigError(f"unsupported state type {type(state).__name__}")
+
+
+def _cut_blocks(rho: np.ndarray, k, l) -> np.ndarray:
+    """The (kk, kl, lk, ll) blocks of D^2 x D^2 density matrices stacked on
+    any leading axes, one per pair (k[i], l[i]): shape (..., pairs, 4, 4)."""
+    D = math.isqrt(rho.shape[-1])
+    idx = np.stack([k * D + k, k * D + l, l * D + k, l * D + l], axis=-1)
+    return rho[..., idx[:, :, None], idx[:, None, :]]
 
 
 def outcome_probabilities(state) -> np.ndarray:
@@ -285,7 +291,8 @@ def _dataset(columns, mode_set: ModeSet | None, flux: float | None,
              expectation: bool = False) -> CoincidenceDataset:
     """The dataset of count rows given as the seven CSV_HEADER columns, typed
     as the fields of `_ROW`.  Without `mode_set` it is every mode seen,
-    sorted by (n, l); without `flux` it is the total z-basis count."""
+    sorted by (n, l); without `flux` it is the total z-basis count, which
+    must be positive unless there are no rows."""
     na, la, nb, lb, basis, outcome, counts = columns
     rows = len(counts)
     # one code per (n, l) cell of either column, from the ranks of the mode
@@ -334,6 +341,9 @@ def _dataset(columns, mode_set: ModeSet | None, flux: float | None,
         key = next(ds._keys(flat[i:i + 1]))
         raise IngestionError(f"count {float(counts[i])!r} at {key} must be "
                              f"finite and >= 0")
+    if rows and not flux > 0:  # a given flux is positive
+        raise IngestionError("the z-basis counts sum to 0, so no flux can be "
+                             "derived from them; give the flux")
     cells = ds.tensor.reshape(-1)
     cells[flat] = counts
     # every count is a number, so a repeated cell leaves fewer filled cells

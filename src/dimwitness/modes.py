@@ -67,7 +67,10 @@ class ModeSet:
 
     @classmethod
     def from_json(cls, data: Iterable[dict]) -> "ModeSet":
-        return cls(tuple(ModeIndex(_mode_number(d["n"]), _mode_number(d["l"]))
+        """The mode set of a JSON list of {n, l} entries; a malformed entry
+        raises KeyError, TypeError or ValueError, which readers report as
+        bad input, and a repeated mode InvalidModeSetError."""
+        return cls(tuple(ModeIndex(_radial_number(d["n"]), _mode_number(d["l"]))
                          for d in data))
 
     def save(self, path) -> None:
@@ -87,6 +90,14 @@ def _mode_number(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"mode number {value!r} is not an integer")
     return value
+
+
+def _radial_number(value) -> int:
+    """A radial mode number read from JSON: a mode number >= 0."""
+    n = _mode_number(value)
+    if n < 0:
+        raise ValueError(f"radial quantum number must be >= 0, got n={n}")
+    return n
 
 
 def generic_mode_set(D: int) -> ModeSet:

@@ -3,17 +3,20 @@
 Everything here works from the explicit full D^2 x D^2 density matrix and
 the literal definitions (project to each subspace, normalize, take the
 operator trace), with no closed-form shortcuts.  It exists to check the
-production paths and to put falsification pressure on the bounds.
+production paths and to put falsification pressure on the bounds.  The
+searches work on stacks of states: one (n, D, D) coefficient array, embedded
+chunk by chunk into (m, D^2, D^2) density matrices.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidStateError
-from .measurement import BASES, _blocks as _cut_blocks
-from .states import (CorrelatedState, DecompositionElement,
-                     GeneralTwoPhotonState, _check_cap, state_from_elements)
+from .measurement import BASES, _cut_blocks
+from .states import CorrelatedState, GeneralTwoPhotonState, _check_cap, _embed
 from .modes import generic_mode_set
 
 __all__ = [
@@ -32,10 +35,18 @@ _PAULI2 = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# double-Pauli 4x4 operators on the (kk, kl, lk, ll) block, one per basis,
-# and the correlation operator szsz - sysy + sxsx
-_DOUBLE = {b: np.kron(_PAULI2[b], _PAULI2[b]) for b in BASES}
-_G_OP = _DOUBLE["z"] - _DOUBLE["y"] + _DOUBLE["x"]
+# double-Pauli 4x4 operators on the (kk, kl, lk, ll) block, one per basis in
+# BASES order, and the signs that combine them into the correlation operator
+# szsz - sysy + sxsx
+_DOUBLE = np.stack([np.kron(_PAULI2[b], _PAULI2[b]) for b in BASES])
+_G_SIGNS = np.array([1.0, -1.0, 1.0])
+
+# size of the (m, D^2, D^2) complex density-matrix chunks that
+# random_rank_d_search embeds one at a time
+_CHUNK_BYTES = 1 << 20
+
+# a random mixture has 1 to _MAX_ELEMENTS pure components
+_MAX_ELEMENTS = 4
 
 
 def _embedded(state) -> GeneralTwoPhotonState:
@@ -47,12 +58,27 @@ def _embedded(state) -> GeneralTwoPhotonState:
     return state
 
 
-def _blocks(state) -> tuple[np.ndarray, np.ndarray]:
-    """The (kk, kl, lk, ll) blocks of every pair k < l, shape (pairs, 4, 4),
-    cut from the explicit full density matrix, and their traces N_kl."""
-    state = _embedded(state)
-    blocks = _cut_blocks(state, *np.triu_indices(state.D, 1))
-    return blocks, np.trace(blocks, axis1=1, axis2=2).real
+def _traces(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack of explicit full density matrices (m, D^2, D^2): the
+    (kk, kl, lk, ll) block of every pair k < l traced against each
+    double-Pauli operator, shape (m, pairs, 3 bases), and the blocks' own
+    traces N_kl, shape (m, pairs)."""
+    blocks = _cut_blocks(rho, *np.triu_indices(math.isqrt(rho.shape[-1]), 1))
+    t = np.einsum("bij,mpji->mpb", _DOUBLE, blocks).real
+    return t, np.trace(blocks, axis1=-2, axis2=-1).real
+
+
+def _correlations(rho: np.ndarray) -> np.ndarray:
+    """<s_b x s_b> of every pair's block normalized to unit trace, shape
+    (m, pairs, 3 bases); 0 on pairs of zero weight."""
+    t, N = _traces(rho)
+    N = N[..., None]
+    return np.divide(t, N, out=np.zeros_like(t), where=N > 0.0)
+
+
+def _one(state) -> np.ndarray:
+    """A single state as a stack of one density matrix."""
+    return _embedded(state).rho[None]
 
 
 def brute_force_witness(state) -> float:
@@ -62,24 +88,24 @@ def brute_force_witness(state) -> float:
     {|kk>, |kl>, |lk>, |ll>}, normalized, and the correlation operator
     traced against it.  Zero-weight subspaces contribute 0.
     """
-    blocks, N = _blocks(state)
-    live = N > 0.0
-    return float(np.sum(np.einsum("ij,pji->p", _G_OP, blocks[live]).real / N[live]))
+    return float(np.sum(_correlations(_one(state)) @ _G_SIGNS))
+
+
+def _sv_witness(rho: np.ndarray) -> np.ndarray:
+    """Summed |<s_b x s_b>| visibilities of each state in a stack, shape (m,)."""
+    return np.abs(_correlations(rho)).sum(axis=(1, 2))
 
 
 def brute_force_sv_witness(state) -> float:
     """Sum of |<s_i x s_i>| visibilities over all subspaces (the measured W),
     same explicit projection path as :func:`brute_force_witness`."""
-    blocks, N = _blocks(state)
-    live = N > 0.0
-    t = np.einsum("oij,pji->po", np.stack(list(_DOUBLE.values())), blocks[live]).real
-    return float(np.sum(np.abs(t / N[live, None])))
+    return float(_sv_witness(_one(state))[0])
 
 
 def f_total(state) -> float:
     """Sum of the un-normalized correlations f_kl over all pairs."""
-    blocks, _ = _blocks(state)
-    return float(np.einsum("ij,pji->", _G_OP, blocks).real)
+    t, _ = _traces(_one(state))
+    return float(np.sum(t @ _G_SIGNS))
 
 
 def schmidt_rank(M: np.ndarray, tol: float = 1e-10) -> int:
@@ -92,28 +118,55 @@ def schmidt_rank(M: np.ndarray, tol: float = 1e-10) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
+def _random_mixtures(D: int, d: int, n: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Coefficient matrices c, shape (n, D, D), of n random mixtures of 1 to 4
+    rank <= d correlated pure states with non-negative real amplitudes
+    (random supports, Dirichlet weights), drawn one state after another."""
+    weights = np.zeros((n, _MAX_ELEMENTS))
+    amps = np.zeros((n, _MAX_ELEMENTS, D))
+    present = np.zeros((n, _MAX_ELEMENTS), dtype=bool)
+    for i in range(n):
+        n_el = int(rng.integers(1, _MAX_ELEMENTS + 1))
+        weights[i, :n_el] = rng.dirichlet(np.ones(n_el))
+        present[i, :n_el] = True
+        for e in range(n_el):
+            r = int(rng.integers(1, d + 1))
+            support = rng.choice(D, size=r, replace=False)
+            support.sort()
+            a = np.abs(rng.standard_normal(r)) + 1e-12
+            amps[i, e, support] = a / math.sqrt(a.dot(a))  # = np.linalg.norm(a)
+    total = weights.sum(axis=1)
+    off = np.abs(total - 1.0) > 1e-9
+    if off.any():
+        raise InvalidStateError(f"element weights sum to {total[off][0]}, expected 1")
+    if np.any(np.abs(np.sum(amps**2, axis=-1) - 1.0)[present] > 1e-9):
+        raise InvalidStateError("element amplitudes are not normalized")
+    # c = sum_alpha p_alpha lambda lambda^T, element by element: the terms
+    # and their order of addition are those of state_from_elements
+    c = np.zeros((n, D, D), dtype=complex)
+    for e in range(_MAX_ELEMENTS):
+        v = amps[:, e]
+        c += weights[:, e, None, None] * (v[:, :, None] * v[:, None, :])
+    return c
+
+
 def random_correlated_mixture(D: int, d: int,
                               rng: np.random.Generator) -> CorrelatedState:
     """Random mixture of 1 to 4 rank <= d correlated pure states with
     non-negative real amplitudes (random supports, Dirichlet weights)."""
-    n_el = int(rng.integers(1, 5))
-    weights = rng.dirichlet(np.ones(n_el))
-    elements = []
-    for w in weights:
-        r = int(rng.integers(1, d + 1))
-        support = tuple(sorted(rng.choice(D, size=r, replace=False).tolist()))
-        amps = np.abs(rng.standard_normal(r)) + 1e-12
-        amps /= np.linalg.norm(amps)
-        elements.append(DecompositionElement(support, float(w), amps))
-    return state_from_elements(elements, generic_mode_set(D))
+    return CorrelatedState(_random_mixtures(D, d, 1, rng)[0], generic_mode_set(D))
 
 
 def random_rank_d_search(D: int, d: int, iters: int,
                          rng: np.random.Generator) -> float:
-    """Max brute-force witness over random rank <= d correlated mixtures."""
+    """Max brute-force summed-visibility W over `iters` random rank <= d
+    correlated mixtures (the states of as many random_correlated_mixture
+    calls), scored chunk by chunk from their explicit density matrices."""
     _check_cap(D)
+    coeffs = _random_mixtures(D, d, iters, rng)
+    m = max(1, _CHUNK_BYTES // (16 * D**4))
     best = -np.inf
-    for _ in range(iters):
-        state = random_correlated_mixture(D, d, rng)
-        best = max(best, brute_force_witness(state))
-    return float(best)
+    for i in range(0, iters, m):
+        best = max(best, float(_sv_witness(_embed(coeffs[i:i + m])).max()))
+    return best

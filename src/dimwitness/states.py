@@ -84,13 +84,19 @@ class CorrelatedState:
 
     def embed(self) -> "GeneralTwoPhotonState":
         """Exact embedding into the full D^2 x D^2 representation."""
-        D = self.D
-        _check_cap(D)
-        rho = np.zeros((D * D, D * D), dtype=complex)
-        diag = np.arange(D) * D + np.arange(D)
-        rho[np.ix_(diag, diag)] = self.coeffs
-        tr = np.trace(rho).real
-        return GeneralTwoPhotonState(rho / tr, self.mode_set)
+        return GeneralTwoPhotonState(_embed(self.coeffs), self.mode_set)
+
+
+def _embed(coeffs: np.ndarray) -> np.ndarray:
+    """Unit-trace D^2 x D^2 density matrices of coefficient matrices c_kl
+    stacked on any leading axes: c_kl at row kk, column ll."""
+    D = coeffs.shape[-1]
+    _check_cap(D)
+    rho = np.zeros(coeffs.shape[:-2] + (D * D, D * D), dtype=complex)
+    diag = np.arange(D) * (D + 1)
+    rho[..., diag[:, None], diag] = coeffs
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return rho
 
 
 @dataclass(frozen=True)

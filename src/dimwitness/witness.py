@@ -19,7 +19,7 @@ from .errors import ConfigError, IngestionError, IntegrityError
 from .measurement import (_EIGVECS, BASES, CoincidenceDataset, basis_visibilities,
                           outcome_probabilities, pair_index)
 from .modes import ModeSet
-from .oracle import _embedded, brute_force_witness
+from .oracle import _embedded, brute_force_sv_witness
 from .states import CorrelatedState, GeneralTwoPhotonState, perturb_state
 
 __all__ = [
@@ -136,20 +136,23 @@ def witness_sum(table: VisibilityTable, indices=None) -> float:
     return _pair_sum(_sv_matrix(table, indices))
 
 
-def witness_correlated(coeffs: np.ndarray) -> float:
-    """Vectorized W for the perfectly correlated class.
+def witness_correlated(coeffs: np.ndarray):
+    """Vectorized W for the perfectly correlated class: a float for one
+    D x D coefficient matrix, an array of W for a stack (..., D, D).
 
     On c_kl the subspace visibilities reduce to V_z = 1 and
     V_x = V_y = 2|Re c_kl| / (c_kk + c_ll); this closed form is checked
-    against the brute-force path in the test suite.
+    against the brute-force path in the test suite.  Pairs of zero weight
+    add 0.
     """
-    pop = np.asarray(coeffs).real.diagonal()
-    N = pop[:, None] + pop[None, :]
-    num = np.abs(np.asarray(coeffs).real)
-    iu = np.triu_indices(pop.size, k=1)
-    n, v = N[iu], num[iu]
+    c = np.asarray(coeffs).real
+    pop = c.diagonal(axis1=-2, axis2=-1)
+    k, l = np.triu_indices(pop.shape[-1], k=1)
+    n, v = pop[..., k] + pop[..., l], np.abs(c[..., k, l])
     live = n > 0
-    return float(np.sum(1.0 + 4.0 * v[live] / n[live]))
+    terms = np.divide(4.0 * v, n, out=np.zeros_like(n), where=live) + live
+    W = np.sum(terms, axis=-1)
+    return float(W) if W.ndim == 0 else W
 
 
 def bound(D: int, d: int) -> int:
@@ -338,8 +341,10 @@ def robustness_study(state: CorrelatedState, kind: str, n_trials: int,
     """Monte-Carlo perturbation sweep of the witness.
 
     kind: "state" (non-perfect correlations), "projector" (non-orthogonal
-    projections) or "both".  Strengths ramp linearly from 0 to strength_max;
-    W is recomputed via the brute-force path for each trial.
+    projections) or "both".  Strengths ramp linearly from 0 to strength_max.
+    Every kind and the baseline score the summed visibilities, the W that
+    gets certified: the baseline and "state" trials through the brute-force
+    path, "projector" and "both" trials through the perturbed frames.
     """
     if kind not in ("state", "projector", "both"):
         raise ConfigError(f"unknown robustness kind {kind!r}")
@@ -347,13 +352,13 @@ def robustness_study(state: CorrelatedState, kind: str, n_trials: int,
         raise ConfigError("need at least one trial")
     if not (np.isfinite(strength_max) and strength_max >= 0):
         raise ConfigError(f"strength_max must be finite and >= 0, got {strength_max!r}")
-    baseline = brute_force_witness(state)
+    baseline = brute_force_sv_witness(state)
     strengths = np.linspace(0.0, strength_max, n_trials)
     trials = []
     for i, s in enumerate(strengths):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 3, i)))
         if kind == "state":
-            W = brute_force_witness(perturb_state(state, float(s), rng))
+            W = brute_force_sv_witness(perturb_state(state, float(s), rng))
         elif kind == "projector":
             W = witness_with_perturbed_projectors(state, float(s), rng)
         else:

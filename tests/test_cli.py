@@ -1,13 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from dimwitness.cli import cli, main
 from dimwitness.errors import (CapacityError, ConfigError, IngestionError,
                                IntegrityError)
-from dimwitness.modes import ModeIndex, ModeSet
-from dimwitness.states import correlated_pure, save_state
+from dimwitness.modes import ModeIndex, ModeSet, generic_mode_set
+from dimwitness.oracle import brute_force_sv_witness, brute_force_witness
+from dimwitness.states import correlated_pure, perturb_state, save_state
 
 EXAMPLE_MODES = ModeSet((ModeIndex(0, 0), ModeIndex(1, -1),
                          ModeIndex(2, -2), ModeIndex(3, -3)))
@@ -401,6 +403,39 @@ def test_certify_notes_flux_fallback(runner, tmp_path):
                      "flux": []}
 
 
+@pytest.mark.parametrize("command", ["certify", "optimize"])
+def test_csv_with_zero_z_counts_and_no_flux_is_ingestion_error(runner, tmp_path,
+                                                               command):
+    counts, modes = simulate_example(runner, tmp_path)
+    lines = counts.read_text().splitlines()
+    rows = [r.split(",") for r in lines[1:]]
+    counts.write_text("\r\n".join([lines[0], *(",".join(r[:6] + ["0"]) if r[4] == "z"
+                                                else ",".join(r) for r in rows), ""]))
+    out = tmp_path / "out.json"
+    argv = [command, "--input", str(counts), "--mode-file", str(modes),
+            "--output", str(out)]
+    assert exit_code(argv) == 3
+    assert not out.exists()
+    # a given flux is used as it is
+    assert exit_code([*argv, "--flux", "1e6"]) == 0
+
+
+def test_robustness_state_trials_score_summed_visibilities(runner, tmp_path):
+    # on a signed state the summed visibilities and the signed sum of g differ
+    state = correlated_pure([1.0, -1.0, 0.5], generic_mode_set(3))
+    assert brute_force_sv_witness(state) - brute_force_witness(state) > 1.0
+    out = tmp_path / "rob.json"
+    res = run(runner, ["robustness", "--amplitudes", "1,-1,0.5", "--kind", "state",
+                       "--trials", "12", "--strength-max", "0.3", "--seed", "6",
+                       "--output", str(out)])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(out.read_text())
+    assert payload["baseline"] == brute_force_sv_witness(state)
+    for i, (s, W) in enumerate(payload["trials"]):
+        rng = np.random.default_rng(np.random.SeedSequence((6, 3, i)))
+        assert W == brute_force_sv_witness(perturb_state(state, s, rng))
+
+
 @pytest.mark.parametrize("command", ["simulate", "certify", "robustness", "verify"])
 def test_negative_seed_is_usage_error(runner, tmp_path, command):
     counts, _ = simulate_example(runner, tmp_path)
@@ -487,7 +522,8 @@ def _json_input(runner, tmp_path, kind):
 
 
 @pytest.mark.parametrize("case, code", [("truncated", 3), ("missing-key", 3),
-                                        ("non-integer", 3), ("duplicate-mode", 2)])
+                                        ("non-integer", 3), ("negative-n", 3),
+                                        ("duplicate-mode", 2)])
 @pytest.mark.parametrize("kind", ["mode-file-simulate", "mode-file-certify",
                                   "count-file", "state-file"])
 def test_malformed_json_input_exit_code(runner, tmp_path, kind, case, code):
@@ -502,6 +538,8 @@ def test_malformed_json_input_exit_code(runner, tmp_path, kind, case, code):
             del modes[1]["l"]
         elif case == "non-integer":
             modes[1]["n"] = 1.9
+        elif case == "negative-n":
+            modes[1]["n"] = -1
         else:
             modes[1] = modes[0]
         path.write_text(json.dumps(payload))

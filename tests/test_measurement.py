@@ -458,7 +458,7 @@ def ref_visibilities(state, k, l):
     N = float(np.trace(B).real)
     if N <= 0.0:
         return np.zeros(3)
-    return np.array([abs(float(np.trace(_DOUBLE[b] @ (B / N)).real)) for b in BASES])
+    return np.array([abs(float(np.trace(op @ (B / N)).real)) for op in _DOUBLE])
 
 
 def ref_write_csv(dataset, path):
@@ -790,6 +790,16 @@ def test_header_only_csv_reads_empty_without_warning(tmp_path, body):
     ref = ref_read_csv(path)
     assert ds.mode_set == ref.mode_set == ModeSet(())
     assert ds.tensor.shape == (0, 3, 4) and ds.flux == ref.flux == 0.0
+
+
+@pytest.mark.parametrize("body", [["0,0,0,1,z,pp,0", "0,0,0,1,x,pp,5"],
+                                  ["0,0,0,1,x,pp,5"]])
+def test_csv_without_z_counts_derives_no_flux(tmp_path, body):
+    path = tmp_path / "counts.csv"
+    path.write_text(_csv_text([row.split(",") for row in body]))
+    with pytest.raises(IngestionError, match="z-basis counts sum to 0"):
+        read_counts_csv(path)
+    assert read_counts_csv(path, flux=1e5).flux == 1e5
 
 
 @pytest.mark.parametrize("field", ["2.5", "2.0", "2e0"])

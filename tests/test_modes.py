@@ -65,6 +65,12 @@ def test_mode_file_numbers_must_be_integers(tmp_path, value):
         ModeSet.load(path)
 
 
+def test_mode_file_radial_numbers_must_not_be_negative():
+    # a ValueError, which every reader reports as bad input
+    with pytest.raises(ValueError, match="radial quantum number must be >= 0"):
+        ModeSet.from_json([{"n": 0, "l": 0}, {"n": -1, "l": 0}])
+
+
 def test_cli_import_loads_no_scipy():
     src = Path(dimwitness.__file__).resolve().parents[1]
     code = ("import sys, dimwitness.cli; "

@@ -3,16 +3,22 @@ import json
 import numpy as np
 import pytest
 
-from dimwitness import (CapacityError, GeneralTwoPhotonState, InvalidStateError,
-                        bound, brute_force_witness, correlated_pure, f_bound,
-                        f_total, generic_mode_set, load_state,
-                        max_witness_state, maximally_entangled, perturb_state,
+from dimwitness import (CapacityError, DecompositionElement,
+                        GeneralTwoPhotonState, InvalidStateError, bound,
+                        brute_force_witness, correlated_pure, f_bound, f_total,
+                        generic_mode_set, load_state, max_witness_state,
+                        maximally_entangled, perturb_state,
                         random_correlated_mixture, random_rank_d_search,
-                        robustness_study, schmidt_rank, table_from_state,
-                        witness_correlated, witness_sum)
+                        robustness_study, schmidt_rank, state_from_elements,
+                        table_from_state, witness_correlated, witness_sum)
+from dimwitness import oracle
 from dimwitness.cli import main
-from dimwitness.oracle import _DOUBLE, _G_OP, brute_force_sv_witness
+from dimwitness.oracle import _DOUBLE, brute_force_sv_witness
+from dimwitness.states import _embed
 from dimwitness.witness import witness_with_perturbed_projectors
+
+# szsz - sysy + sxsx; _DOUBLE holds the x, y, z operators in that order
+_G_OP = _DOUBLE[2] - _DOUBLE[1] + _DOUBLE[0]
 
 
 # --- equivalence of the production and brute-force paths ---------------------
@@ -234,7 +240,7 @@ def ref_brute_force_witness(state):
 
 
 def ref_brute_force_sv_witness(state):
-    return sum(sum(abs(float(np.trace(op @ (B / N)).real)) for op in _DOUBLE.values())
+    return sum(sum(abs(float(np.trace(op @ (B / N)).real)) for op in _DOUBLE)
                for B, N in _ref_blocks(state) if N > 0.0)
 
 
@@ -254,3 +260,92 @@ def test_oracle_sums_equal_reference_loops():
         assert abs(brute_force_witness(st) - ref_brute_force_witness(st)) < 1e-12
         assert abs(brute_force_sv_witness(st) - ref_brute_force_sv_witness(st)) < 1e-12
         assert abs(f_total(st) - ref_f_total(st)) < 1e-12
+
+
+def ref_random_correlated_mixture(D, d, rng):
+    """One random mixture, drawn and assembled element by element."""
+    n_el = int(rng.integers(1, 5))
+    weights = rng.dirichlet(np.ones(n_el))
+    elements = []
+    for w in weights:
+        r = int(rng.integers(1, d + 1))
+        support = tuple(sorted(rng.choice(D, size=r, replace=False).tolist()))
+        amps = np.abs(rng.standard_normal(r)) + 1e-12
+        amps /= np.linalg.norm(amps)
+        elements.append(DecompositionElement(support, float(w), amps))
+    return state_from_elements(elements, generic_mode_set(D))
+
+
+def ref_random_rank_d_search(D, d, iters, rng):
+    return max(ref_brute_force_sv_witness(ref_random_correlated_mixture(D, d, rng))
+               for _ in range(iters))
+
+
+def _zero_population_pairs(coeffs):
+    pop = coeffs.real.diagonal(axis1=-2, axis2=-1)
+    k, l = np.triu_indices(pop.shape[-1], 1)
+    return int(np.count_nonzero(pop[..., k] + pop[..., l] == 0.0))
+
+
+def test_mixture_stack_equals_reference_generator():
+    for D in range(2, 7):
+        for d in range(1, D + 1):
+            stack = oracle._random_mixtures(D, d, 200, np.random.default_rng([D, d]))
+            rng = np.random.default_rng([D, d])
+            assert stack.shape == (200, D, D)
+            for c in stack:
+                assert np.array_equal(c, ref_random_correlated_mixture(D, d, rng).coeffs)
+
+
+def test_random_mixture_equals_reference_generator():
+    a, b = np.random.default_rng(21), np.random.default_rng(21)
+    for _ in range(100):
+        assert np.array_equal(random_correlated_mixture(5, 2, a).coeffs,
+                              ref_random_correlated_mixture(5, 2, b).coeffs)
+
+
+def test_stacked_sums_equal_reference_loops():
+    # rank-1 and rank-2 mixtures at D = 6 leave many pairs with no population
+    for D, d in ((2, 1), (4, 2), (6, 1), (6, 2), (6, 6)):
+        coeffs = oracle._random_mixtures(D, d, 60, np.random.default_rng([5, D, d]))
+        if d < D / 2:
+            assert _zero_population_pairs(coeffs) > 0
+        rho = _embed(coeffs)
+        t, N = oracle._traces(rho)
+        g = np.sum(oracle._correlations(rho) @ oracle._G_SIGNS, axis=1)
+        sv = oracle._sv_witness(rho)
+        f = np.sum(t @ oracle._G_SIGNS, axis=1)
+        for i, c in enumerate(coeffs):
+            st = GeneralTwoPhotonState(_embed(c), generic_mode_set(D))
+            for got, ref in ((g[i], ref_brute_force_witness(st)),
+                             (sv[i], ref_brute_force_sv_witness(st)),
+                             (f[i], ref_f_total(st)),
+                             (brute_force_witness(st), ref_brute_force_witness(st)),
+                             (brute_force_sv_witness(st), ref_brute_force_sv_witness(st)),
+                             (f_total(st), ref_f_total(st))):
+                assert abs(got - ref) < 1e-12
+
+
+@pytest.mark.parametrize("D, chunk_bytes", [(6, None), (3, 4 * 16 * 3**4)])
+def test_search_equals_reference_loop_across_chunks(D, chunk_bytes, monkeypatch):
+    # iters of 1, exactly one chunk and one chunk + 1, at the module's chunk
+    # size and at a chunk of 4 states
+    if chunk_bytes is not None:
+        monkeypatch.setattr(oracle, "_CHUNK_BYTES", chunk_bytes)
+    chunk = oracle._CHUNK_BYTES // (16 * D**4)
+    assert chunk > 1
+    for d in (1, 2, D):
+        for iters in (1, chunk, chunk + 1):
+            got = random_rank_d_search(D, d, iters, np.random.default_rng([D, d, iters]))
+            want = ref_random_rank_d_search(D, d, iters,
+                                            np.random.default_rng([D, d, iters]))
+            assert abs(got - want) < 1e-12
+            assert got <= bound(D, d) + 1e-6
+
+
+def test_search_leaves_the_generator_where_the_reference_does():
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    random_rank_d_search(4, 2, 30, a)
+    for _ in range(30):
+        ref_random_correlated_mixture(4, 2, b)
+    assert a.integers(1 << 62) == b.integers(1 << 62)
