@@ -166,7 +166,13 @@ def outcome_probabilities(state) -> np.ndarray:
     """Coincidence probabilities on the full state of every pair, basis and
     outcome: shape (pairs, 3 bases, 4 outcomes), pairs in row-major order."""
     k, l = np.triu_indices(state.mode_set.D, 1)
-    p = np.einsum("boj,pjk,bok->pbo", _U.conj(), _blocks(state, k, l), _U).real
+    return _block_probabilities(_blocks(state, k, l))
+
+
+def _block_probabilities(blocks: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of (kk, kl, lk, ll) blocks stacked on any
+    leading axes (..., pairs, 4, 4): shape (..., pairs, 3 bases, 4 outcomes)."""
+    p = np.einsum("boj,...pjk,bok->...pbo", _U.conj(), blocks, _U).real
     return np.clip(p, 0.0, None)
 
 

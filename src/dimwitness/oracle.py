@@ -64,8 +64,11 @@ def _traces(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     double-Pauli operator, shape (m, pairs, 3 bases), and the blocks' own
     traces N_kl, shape (m, pairs)."""
     blocks = _cut_blocks(rho, *np.triu_indices(math.isqrt(rho.shape[-1]), 1))
-    t = np.einsum("bij,mpji->mpb", _DOUBLE, blocks).real
-    return t, np.trace(blocks, axis1=-2, axis2=-1).real
+    # both in C order: numpy reduces in memory order, and a state's sums must
+    # not depend on the size of the stack it is scored in
+    t = np.einsum("bij,mpji->mpb", _DOUBLE, blocks, order="C").real
+    diag = np.ascontiguousarray(blocks.diagonal(axis1=-2, axis2=-1))
+    return t, diag.sum(axis=-1).real
 
 
 def _correlations(rho: np.ndarray) -> np.ndarray:

@@ -229,6 +229,45 @@ def amplitudes_from_rates(mode_set: ModeSet, rates: dict) -> np.ndarray:
     return a / np.linalg.norm(a)
 
 
+def _check_strength(strength) -> float:
+    """A perturbation strength as a float; it must be finite and >= 0."""
+    s = float(strength)
+    if not (math.isfinite(s) and s >= 0):
+        raise ConfigError(f"perturbation strength must be finite and >= 0, "
+                          f"got {strength!r}")
+    return s
+
+
+def _draw_perturbation(D: int, rng: np.random.Generator) -> np.ndarray:
+    """The random numbers of one perturbed state: a complex Gaussian matrix
+    on the cross-correlated part, real part drawn first."""
+    m = D * D - D
+    return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+
+
+def _perturb(rho: np.ndarray, strength: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Stacked core of :func:`perturb_state`: perturb the density matrix
+    rho (D^2, D^2), or a stack of n, on its cross-correlated part
+    (|ij>, i != j) by strength (n,) times the normalized Hermitian part of
+    each draw G (n, m, m), then clip negative eigenvalues and renormalize
+    the trace.
+    """
+    D = math.isqrt(rho.shape[-1])
+    cross = np.flatnonzero(~np.eye(D, dtype=bool))
+    H = (G + G.conj().swapaxes(-1, -2)) / 2.0
+    # one 2-D norm per matrix: a norm over axes (-2, -1) adds in another
+    # order and moves the last digit of W
+    H /= np.array([np.linalg.norm(h) for h in H])[:, None, None]
+    rho = np.broadcast_to(rho, (len(G),) + rho.shape[-2:]).copy()
+    rho[:, cross[:, None], cross] += strength[:, None, None] * H
+    # PSD repair: clip negative eigenvalues, renormalize the trace
+    w, V = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2.0)
+    w = np.clip(w, 0.0, None)
+    rho = (V * w[:, None, :]) @ V.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    return rho
+
+
 def perturb_state(state: CorrelatedState, strength: float,
                   rng: np.random.Generator) -> GeneralTwoPhotonState:
     """Break the perfect mode correlation by random admixture.
@@ -238,26 +277,13 @@ def perturb_state(state: CorrelatedState, strength: float,
     then projects back to the nearest PSD unit-trace matrix by eigenvalue
     clipping.  strength = 0 returns the exact embedding.
     """
-    if strength < 0:
-        raise ConfigError("perturbation strength must be >= 0")
+    s = _check_strength(strength)
     base = state.embed()
-    if strength == 0.0:
+    if s == 0.0:
         return base
-    D = state.D
-    dim = D * D
-    cross = np.asarray([i * D + j for i in range(D) for j in range(D) if i != j])
-    m = cross.size
-    G = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    H = (G + G.conj().T) / 2.0
-    H /= np.linalg.norm(H)
-    rho = base.rho.copy()
-    rho[np.ix_(cross, cross)] += strength * H
-    # PSD repair: clip negative eigenvalues, renormalize the trace
-    w, V = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    w = np.clip(w, 0.0, None)
-    rho = (V * w) @ V.conj().T
-    rho /= np.trace(rho).real
-    return GeneralTwoPhotonState(rho, state.mode_set)
+    G = _draw_perturbation(state.D, rng)
+    return GeneralTwoPhotonState(_perturb(base.rho, np.array([s]), G[None])[0],
+                                 state.mode_set)
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,19 @@ so measuring above bound(D, d) certifies (d+1)-dimensional entanglement.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, IngestionError, IntegrityError
-from .measurement import (_EIGVECS, BASES, CoincidenceDataset, basis_visibilities,
-                          outcome_probabilities, pair_index)
+from .measurement import (_EIGVECS, BASES, CoincidenceDataset, _block_probabilities,
+                          _cut_blocks, basis_visibilities, outcome_probabilities,
+                          pair_index)
 from .modes import ModeSet
-from .oracle import _embedded, brute_force_sv_witness
-from .states import CorrelatedState, GeneralTwoPhotonState, perturb_state
+from .oracle import _embedded, _sv_witness, brute_force_sv_witness
+from .states import (CorrelatedState, _check_strength, _draw_perturbation,
+                     _perturb)
 
 __all__ = [
     "VisibilityTable",
@@ -111,9 +114,11 @@ def _sv_matrix(table: VisibilityTable, indices=None) -> np.ndarray:
 
 
 def _ordered_sum(values: np.ndarray):
-    """Left-to-right sum.  np.sum adds pairwise, which moves the last digit
-    of W and so the bytes of seeded reports."""
-    return np.cumsum(values)[-1] if values.size else 0.0
+    """Left-to-right sum over the last axis.  np.sum adds pairwise, which
+    moves the last digit of W and so the bytes of seeded reports."""
+    total = (np.cumsum(values, axis=-1)[..., -1] if values.shape[-1]
+             else np.zeros(values.shape[:-1]))
+    return total[()]  # a scalar for 1-D values
 
 
 def _pair_sum(S: np.ndarray):
@@ -283,10 +288,28 @@ def greedy_subset(table: VisibilityTable) -> GreedyResult:
 # crosstalk of a perturbed frame, relative to its phase error
 _LEAK_FRACTION = 0.3
 
+# size of the (m, D^2, D^2) complex density-matrix chunks in which
+# robustness_study scores its trials (16 trials at D = 4).  On a 1000-trial
+# D = 4 sweep (one BLAS thread), 1 MiB chunks are no faster and add 9 MB of
+# peak memory; 16 KiB chunks take 1.6 times as long.
+_CHUNK_BYTES = 1 << 16
 
-def _perturbed_frame(D: int, strength: float,
-                     rng: np.random.Generator) -> np.ndarray:
-    """One imperfect mode-projection frame per photon.
+
+def _frame_draws(D: int, strength: float, rng: np.random.Generator):
+    """The random numbers of one photon's perturbed frame: D phase normals,
+    then a complex Gaussian crosstalk matrix when strength > 0 (zeros
+    otherwise)."""
+    normals = rng.standard_normal(D)
+    G = np.zeros((D, D), dtype=complex)
+    if strength > 0.0:
+        G = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    return normals, G
+
+
+def _frames(strength: np.ndarray, normals: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Imperfect mode-projection frames from their draws, stacked: strength
+    (n,), normals (n, photons, D) and G (n, photons, D, D) give frames
+    (n, photons, D, D).
 
     Column m is the vector actually projected on when mode m is addressed:
     a per-mode phase miscalibration of magnitude `strength` plus crosstalk
@@ -294,38 +317,57 @@ def _perturbed_frame(D: int, strength: float,
     longer orthogonal, modelling non-orthogonal projections; the errors are
     systematic, i.e. fixed for the whole measurement run.
     """
-    theta = strength * rng.standard_normal(D)
-    F = np.diag(np.exp(1j * theta)).astype(complex)
-    if strength > 0.0:
-        G = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-        G /= np.linalg.norm(G, axis=0)
-        F = F + _LEAK_FRACTION * strength * G
-    return F / np.linalg.norm(F, axis=0)
+    theta = strength[:, None, None] * normals
+    F = np.zeros(G.shape, dtype=complex)
+    F[..., np.arange(G.shape[-1]), np.arange(G.shape[-1])] = np.exp(1j * theta)
+    live = strength > 0.0
+    G = G[live] / np.linalg.norm(G[live], axis=-2, keepdims=True)
+    F[live] = F[live] + (_LEAK_FRACTION * strength[live])[:, None, None, None] * G
+    return F / np.linalg.norm(F, axis=-2, keepdims=True)
+
+
+def _perturbed_frame(D: int, strength: float,
+                     rng: np.random.Generator) -> np.ndarray:
+    """One photon's perturbed frame (see :func:`_frames`)."""
+    normals, G = _frame_draws(D, strength, rng)
+    return _frames(np.array([strength]), normals[None, None], G[None, None])[0, 0]
+
+
+def _seen_witness(rho: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Summed visibilities of the states rho (n or 1, D^2, D^2) measured
+    through the frame pairs (n, 2, D, D), shape (n,).
+
+    Addressing the subspace vector u projects on F u / |F u|, so the outcome
+    probabilities are the ideal ones of the seen state
+    (F_A x F_B)^+ rho (F_A x F_B), each divided by |F_A u_s|^2 |F_B u_t|^2.
+    """
+    n, _, D, _ = frames.shape
+    K = (frames[:, 0, :, None, :, None] * frames[:, 1, None, :, None, :]
+         ).reshape(n, D * D, D * D)                 # kron(F_A, F_B)
+    seen = K.conj().swapaxes(-1, -2) @ rho @ K
+    # |F u|^2 = u^+ (F^+ F) u on the (k, l) block of each frame's Gram matrix
+    kl = np.transpose(np.triu_indices(D, 1))
+    gram = frames.conj().swapaxes(-1, -2) @ frames
+    norms = np.einsum("bsi,nfpij,bsj->nfpbs", _EIGVECS.conj(),
+                      gram[:, :, kl[:, :, None], kl[:, None, :]], _EIGVECS).real
+    probs = _block_probabilities(_cut_blocks(seen, *kl.T)) / (
+        norms[:, 0, ..., :, None] * norms[:, 1, ..., None, :]
+    ).reshape(n, len(kl), len(BASES), 4)
+    V = basis_visibilities(probs)
+    return _ordered_sum(V[..., 0] + V[..., 1] + V[..., 2])
 
 
 def witness_with_perturbed_projectors(state, strength: float,
                                       rng: np.random.Generator) -> float:
     """W as measured with imperfect (non-orthogonal) projection frames.
 
-    Each photon gets one perturbed frame F for the whole run.  Addressing
-    the subspace vector u projects on F u / |F u|, so the outcome
-    probabilities are the ideal ones of the seen state
-    (F_A x F_B)^+ rho (F_A x F_B), each divided by |F_A u_s|^2 |F_B u_t|^2.
+    Each photon gets one perturbed frame F for the whole run (see
+    :func:`_frames`); the state is scored by :func:`_seen_witness`.
     """
+    s = _check_strength(strength)
     state = _embedded(state)
-    D = state.D
-    frames = np.stack([_perturbed_frame(D, strength, rng) for _ in range(2)])
-    K = np.kron(frames[0], frames[1])
-    seen = GeneralTwoPhotonState(K.conj().T @ state.rho @ K, state.mode_set)
-    # |F u|^2 = u^+ (F^+ F) u on the (k, l) block of each frame's Gram matrix
-    kl = np.transpose(np.triu_indices(D, 1))
-    gram = frames.conj().swapaxes(1, 2) @ frames
-    norms = np.einsum("bsi,fpij,bsj->fpbs", _EIGVECS.conj(),
-                      gram[:, kl[:, :, None], kl[:, None, :]], _EIGVECS).real
-    probs = outcome_probabilities(seen) / (
-        norms[0][..., :, None] * norms[1][..., None, :]).reshape(-1, len(BASES), 4)
-    V = basis_visibilities(probs)
-    return _ordered_sum(V[:, 0] + V[:, 1] + V[:, 2])
+    frames = np.stack([_perturbed_frame(state.D, s, rng) for _ in range(2)])
+    return float(_seen_witness(state.rho[None], frames[None])[0])
 
 
 @dataclass(frozen=True)
@@ -334,6 +376,38 @@ class RobustnessResult:
     baseline: float
     trials: list              # (strength, W)
     fraction_non_increasing: float
+
+
+def _score_trials(kind: str, base: np.ndarray, strength: np.ndarray,
+                  seed: int, first: int) -> np.ndarray:
+    """W of the trials first, first + 1, ... of a sweep at the given
+    strengths, scored as one stack.
+
+    Trial i draws from its own stream SeedSequence((seed, 3, i)) what
+    perturb_state and then witness_with_perturbed_projectors draw, in their
+    order: the state perturbation when strength > 0 (kinds "state" and
+    "both"), then each photon's frame (kinds "projector" and "both").
+    """
+    n, D = len(strength), math.isqrt(base.shape[-1])
+    perturbs, measures = kind != "projector", kind != "state"
+    G = np.empty((n, D * D - D, D * D - D), dtype=complex)
+    normals = np.empty((n, 2, D))
+    crosstalk = np.empty((n, 2, D, D), dtype=complex)
+    for j, s in enumerate(strength):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 3, first + j)))
+        if perturbs and s > 0.0:
+            G[j] = _draw_perturbation(D, rng)
+        if measures:
+            for photon in range(2):
+                normals[j, photon], crosstalk[j, photon] = _frame_draws(D, s, rng)
+    rho = base[None]
+    if perturbs:
+        live = strength > 0.0
+        rho = np.repeat(rho, n, axis=0)
+        rho[live] = _perturb(base, strength[live], G[live])
+    if not measures:
+        return _sv_witness(rho)
+    return _seen_witness(rho, _frames(strength, normals, crosstalk))
 
 
 def robustness_study(state: CorrelatedState, kind: str, n_trials: int,
@@ -345,26 +419,25 @@ def robustness_study(state: CorrelatedState, kind: str, n_trials: int,
     Every kind and the baseline score the summed visibilities, the W that
     gets certified: the baseline and "state" trials through the brute-force
     path, "projector" and "both" trials through the perturbed frames.
+
+    Each trial draws its random numbers from its own stream, as
+    :func:`perturb_state` and :func:`witness_with_perturbed_projectors`
+    would; the trials are scored in stacks of `_CHUNK_BYTES` of density
+    matrices, each trial's W equal to what those two functions give.
     """
     if kind not in ("state", "projector", "both"):
         raise ConfigError(f"unknown robustness kind {kind!r}")
-    if n_trials < 1:
-        raise ConfigError("need at least one trial")
-    if not (np.isfinite(strength_max) and strength_max >= 0):
-        raise ConfigError(f"strength_max must be finite and >= 0, got {strength_max!r}")
+    if isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer)) \
+            or n_trials < 1:
+        raise ConfigError(f"need a whole number of trials >= 1, got {n_trials!r}")
+    _check_strength(strength_max)
     baseline = brute_force_sv_witness(state)
+    base = _embedded(state).rho
     strengths = np.linspace(0.0, strength_max, n_trials)
-    trials = []
-    for i, s in enumerate(strengths):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 3, i)))
-        if kind == "state":
-            W = brute_force_sv_witness(perturb_state(state, float(s), rng))
-        elif kind == "projector":
-            W = witness_with_perturbed_projectors(state, float(s), rng)
-        else:
-            pert = perturb_state(state, float(s), rng)
-            W = witness_with_perturbed_projectors(pert, float(s), rng)
-        trials.append((float(s), float(W)))
+    m = max(1, _CHUNK_BYTES // base.nbytes)
+    W = np.concatenate([_score_trials(kind, base, strengths[i:i + m], seed, i)
+                        for i in range(0, n_trials, m)])
+    trials = [(float(s), float(w)) for s, w in zip(strengths, W)]
     frac = float(np.mean([w <= baseline + 1e-9 for _, w in trials]))
     return RobustnessResult(kind, baseline, trials, frac)
 

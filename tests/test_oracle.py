@@ -262,6 +262,16 @@ def test_oracle_sums_equal_reference_loops():
         assert abs(f_total(st) - ref_f_total(st)) < 1e-12
 
 
+def test_stacked_scores_equal_one_state_scores():
+    # a state's W does not depend on the size of the stack it is scored in
+    rng = np.random.default_rng(104)
+    for D in (2, 4, 6):
+        states = [perturb_state(random_correlated_mixture(D, 2, rng), 0.1, rng)
+                  for _ in range(20)]
+        stack = oracle._sv_witness(np.stack([st.rho for st in states]))
+        assert np.array_equal(stack, [brute_force_sv_witness(st) for st in states])
+
+
 def ref_random_correlated_mixture(D, d, rng):
     """One random mixture, drawn and assembled element by element."""
     n_el = int(rng.integers(1, 5))

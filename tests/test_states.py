@@ -149,6 +149,13 @@ def test_perturbed_state_is_valid(strength):
     assert np.isclose(np.trace(gen.rho).real, 1.0)
 
 
+@pytest.mark.parametrize("strength", [-0.2, np.nan, np.inf])
+def test_perturb_refuses_a_bad_strength(strength):
+    # a non-finite strength used to end in a LinAlgError from eigh
+    with pytest.raises(ConfigError, match="strength must be finite and >= 0"):
+        perturb_state(example_state(), strength, np.random.default_rng(0))
+
+
 def test_perturb_capacity_cap():
     big = maximally_entangled(9)
     with pytest.raises(CapacityError):

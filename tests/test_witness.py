@@ -12,12 +12,12 @@ from dimwitness import (ConfigError, IngestionError, IntegrityError,
                         monte_carlo_ci, per_mode_contribution, robustness_study,
                         simulate_counts, spdc_profile, table_from_dataset,
                         table_from_state, witness_correlated, witness_sum)
-from dimwitness.measurement import (BASES, OUTCOMES, basis_visibilities,
-                                    pair_index)
+from dimwitness.measurement import (_EIGVECS, BASES, OUTCOMES, basis_visibilities,
+                                    outcome_probabilities, pair_index)
 from dimwitness.modes import ModeIndex, ModeSet
 from dimwitness.oracle import brute_force_sv_witness
-from dimwitness.states import CorrelatedState, perturb_state
-from dimwitness.witness import (_perturbed_frame,
+from dimwitness.states import CorrelatedState, GeneralTwoPhotonState, perturb_state
+from dimwitness.witness import (_CHUNK_BYTES, _LEAK_FRACTION, _perturbed_frame,
                                 witness_with_perturbed_projectors)
 
 EXAMPLE_AMPS = np.array([0.5, 0.07, 0.01, 0.01])
@@ -331,6 +331,12 @@ def test_robustness_projector_kind():
     assert res.fraction_non_increasing >= 0.9
 
 
+def test_robustness_projector_kind_takes_an_embedded_state():
+    a = robustness_study(example_state(), "projector", 20, 0.2, seed=4)
+    b = robustness_study(example_state().embed(), "projector", 20, 0.2, seed=4)
+    assert a == b
+
+
 def test_robustness_deterministic():
     a = robustness_study(example_state(), "both", 20, 0.2, seed=4)
     b = robustness_study(example_state(), "both", 20, 0.2, seed=4)
@@ -342,6 +348,33 @@ def test_robustness_input_checks():
         robustness_study(example_state(), "detector", 10, 0.1, seed=0)
     with pytest.raises(ConfigError):
         robustness_study(example_state(), "state", 0, 0.1, seed=0)
+
+
+@pytest.mark.parametrize("n_trials", [2.5, 3.0, "3", True, None])
+def test_robustness_refuses_a_non_integer_trial_count(n_trials):
+    with pytest.raises(ConfigError, match="whole number of trials"):
+        robustness_study(example_state(), "both", n_trials, 0.1, seed=0)
+
+
+def test_robustness_takes_a_numpy_integer_trial_count():
+    res = robustness_study(example_state(), "both", np.int64(3), 0.1, seed=0)
+    assert len(res.trials) == 3
+
+
+@pytest.mark.parametrize("kind", ["state", "projector", "both"])
+@pytest.mark.parametrize("strength_max", [-0.5, np.nan, np.inf])
+def test_robustness_refuses_a_bad_strength_max(kind, strength_max):
+    with pytest.raises(ConfigError, match="strength must be finite and >= 0"):
+        robustness_study(example_state(), kind, 3, strength_max, seed=0)
+
+
+@pytest.mark.parametrize("strength", [-0.2, np.nan, np.inf])
+def test_perturbed_projectors_refuse_a_bad_strength(strength):
+    # a negative strength used to give phase-only frames (W = 9.741) and a
+    # non-finite one W = 0.0
+    with pytest.raises(ConfigError, match="strength must be finite and >= 0"):
+        witness_with_perturbed_projectors(example_state(), strength,
+                                          np.random.default_rng(0))
 
 
 # --- reports -----------------------------------------------------------------
@@ -581,3 +614,133 @@ def test_perturbed_projectors_correlated_matches_embedding():
         b = witness_with_perturbed_projectors(st.embed(), strength,
                                               np.random.default_rng(1))
         assert abs(a - b) < 1e-12
+
+
+# --- robustness reference ----------------------------------------------------
+# The per-trial robustness loop, with the per-state perturbation and frame
+# arithmetic it ran on each trial.  robustness_study scores the same draws as
+# stacks and must give the same bytes.
+
+def ref_perturb_state(state, strength, rng):
+    base = state.embed()
+    if strength == 0.0:
+        return base
+    D = state.D
+    cross = np.asarray([i * D + j for i in range(D) for j in range(D) if i != j])
+    m = cross.size
+    G = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    H = (G + G.conj().T) / 2.0
+    H /= np.linalg.norm(H)
+    rho = base.rho.copy()
+    rho[np.ix_(cross, cross)] += strength * H
+    w, V = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    w = np.clip(w, 0.0, None)
+    rho = (V * w) @ V.conj().T
+    rho /= np.trace(rho).real
+    return GeneralTwoPhotonState(rho, state.mode_set)
+
+
+def ref_frame(D, strength, rng):
+    theta = strength * rng.standard_normal(D)
+    F = np.diag(np.exp(1j * theta)).astype(complex)
+    if strength > 0.0:
+        G = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        G /= np.linalg.norm(G, axis=0)
+        F = F + _LEAK_FRACTION * strength * G
+    return F / np.linalg.norm(F, axis=0)
+
+
+def ref_projector_witness(state, strength, rng):
+    state = state.embed() if isinstance(state, CorrelatedState) else state
+    D = state.D
+    frames = np.stack([ref_frame(D, strength, rng) for _ in range(2)])
+    K = np.kron(frames[0], frames[1])
+    seen = GeneralTwoPhotonState(K.conj().T @ state.rho @ K, state.mode_set)
+    kl = np.transpose(np.triu_indices(D, 1))
+    gram = frames.conj().swapaxes(1, 2) @ frames
+    norms = np.einsum("bsi,fpij,bsj->fpbs", _EIGVECS.conj(),
+                      gram[:, kl[:, :, None], kl[:, None, :]], _EIGVECS).real
+    probs = outcome_probabilities(seen) / (
+        norms[0][..., :, None] * norms[1][..., None, :]).reshape(-1, len(BASES), 4)
+    V = basis_visibilities(probs)
+    return np.cumsum(V[:, 0] + V[:, 1] + V[:, 2])[-1]
+
+
+def ref_trial(kind, state, strength, rng):
+    if kind == "state":
+        return brute_force_sv_witness(ref_perturb_state(state, strength, rng))
+    if kind == "projector":
+        return ref_projector_witness(state, strength, rng)
+    return ref_projector_witness(ref_perturb_state(state, strength, rng),
+                                 strength, rng)
+
+
+def ref_robustness_study(state, kind, n_trials, strength_max, seed):
+    """(baseline, trials, fraction_non_increasing), one trial at a time."""
+    baseline = brute_force_sv_witness(state)
+    trials = []
+    for i, s in enumerate(np.linspace(0.0, strength_max, n_trials)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 3, i)))
+        trials.append((float(s), float(ref_trial(kind, state, float(s), rng))))
+    frac = float(np.mean([w <= baseline + 1e-9 for _, w in trials]))
+    return baseline, trials, frac
+
+
+def complex_state(D, seed):
+    rng = np.random.default_rng(seed)
+    return correlated_pure(rng.standard_normal(D) + 1j * rng.standard_normal(D),
+                           generic_mode_set(D))
+
+
+ROBUSTNESS_STATES = {2: lambda: complex_state(2, 61), 4: example_state,
+                     8: lambda: complex_state(8, 62)}
+KINDS = ["state", "projector", "both"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("D", sorted(ROBUSTNESS_STATES))
+def test_robustness_equals_reference_loop(kind, D):
+    state = ROBUSTNESS_STATES[D]()
+    chunk = max(1, _CHUNK_BYTES // (16 * D**4))   # trials per stack
+    for n_trials in sorted({1, chunk, chunk + 1}):
+        res = robustness_study(state, kind, n_trials, 0.3, seed=D)
+        baseline, trials, frac = ref_robustness_study(state, kind, n_trials, 0.3,
+                                                      seed=D)
+        assert res.baseline == baseline
+        assert res.trials == trials
+        assert res.fraction_non_increasing == frac
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("D", sorted(ROBUSTNESS_STATES))
+def test_robustness_at_zero_strength_is_the_baseline(kind, D):
+    state = ROBUSTNESS_STATES[D]()
+    res = robustness_study(state, kind, 5, 0.0, seed=3)
+    assert (res.baseline, res.trials, res.fraction_non_increasing) == \
+        ref_robustness_study(state, kind, 5, 0.0, seed=3)
+    assert all(s == 0.0 for s, _ in res.trials)
+    # the frames measure W through the outcome probabilities, the baseline
+    # through the oracle's traces: the same number up to rounding
+    tol = 0.0 if kind == "state" else 1e-12
+    assert all(abs(w - res.baseline) <= tol for _, w in res.trials)
+    assert res.fraction_non_increasing == 1.0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_robustness_draws_leave_each_stream_where_the_loop_left_it(kind, monkeypatch):
+    built = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(*args, **kwargs):
+        built.append(default_rng(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    robustness_study(example_state(), kind, 17, 0.2, seed=8)
+    monkeypatch.undo()
+    strengths = np.linspace(0.0, 0.2, 17)
+    assert len(built) == len(strengths)
+    for i, (rng, s) in enumerate(zip(built, strengths)):
+        ref = np.random.default_rng(np.random.SeedSequence((8, 3, i)))
+        ref_trial(kind, example_state(), float(s), ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
