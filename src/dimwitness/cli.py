@@ -30,7 +30,7 @@ from .measurement import (_count_str, read_counts_csv, read_counts_json,
 from .witness import (bound, build_report, certified_dimension, greedy_subset,
                       robustness_study, table_from_dataset, table_from_state,
                       witness_sum)
-from .oracle import brute_force_witness, schmidt_rank
+from .oracle import brute_force_sv_witness, schmidt_rank
 
 
 def _load_config(ctx, param, value):
@@ -313,7 +313,7 @@ def verify(d_max, seed):
           certified_dimension(35529, 186) == 100)
     for D in range(2, d_max + 1):
         for d in range(1, D + 1):
-            got = brute_force_witness(max_witness_state(D, d))
+            got = brute_force_sv_witness(max_witness_state(D, d))
             want = D * d + D * (D - 3) / 2
             check(f"saturating state (D={D}, d={d}) reaches {want:g}",
                   abs(got - want) < 1e-6)
@@ -323,7 +323,7 @@ def verify(d_max, seed):
         amps = np.abs(rng.standard_normal(4))
         state = correlated_pure(amps, generic_mode_set(4))
         fast = witness_sum(table_from_state(state))
-        brute = brute_force_witness(state)
+        brute = brute_force_sv_witness(state)
         ok = ok and abs(fast - brute) < 1e-9
     check("table path matches brute force on random pure states", ok)
     check("Schmidt rank of the maximally entangled state",

@@ -416,8 +416,12 @@ def read_counts_json(path) -> CoincidenceDataset:
         with open(path) as fh:
             payload = json.load(fh)
         mode_set = ModeSet.from_json(payload["modes"])
-        flux = float(payload["flux"])
-        expectation = bool(payload.get("expectation", False))
+        flux, expectation = payload["flux"], payload.get("expectation", False)
+        if type(flux) not in (int, float):
+            raise TypeError(f"flux {flux!r} is not a JSON number")
+        if type(expectation) is not bool:
+            raise TypeError(f"expectation {expectation!r} is not a JSON boolean")
+        flux = float(flux)
         rows = list(map(itemgetter(*CSV_HEADER), payload["counts"]))
         cells = list(zip(*rows)) or [()] * len(CSV_HEADER)
         columns = list(map(_json_column, CSV_HEADER, cells))

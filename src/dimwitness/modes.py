@@ -75,9 +75,7 @@ class ModeSet:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-        with open(path, "a") as fh:
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json(), indent=1) + "\n")
 
     @classmethod
     def load(cls, path) -> "ModeSet":

@@ -24,7 +24,6 @@ __all__ = [
     "schmidt_rank",
     "random_correlated_mixture",
     "random_rank_d_search",
-    "f_total",
 ]
 
 # sx, sy, sz in the {|k>, |l>} sub-basis; the outcome vectors
@@ -47,6 +46,9 @@ _CHUNK_BYTES = 1 << 20
 
 # a random mixture has 1 to _MAX_ELEMENTS pure components
 _MAX_ELEMENTS = 4
+
+# schmidt_rank counts the singular values above this fraction of the largest
+_SCHMIDT_TOL = 1e-10
 
 
 def _embedded(state) -> GeneralTwoPhotonState:
@@ -85,7 +87,9 @@ def _one(state) -> np.ndarray:
 
 
 def brute_force_witness(state) -> float:
-    """Sum of g over all subspaces, from the explicit full density matrix.
+    """Sum of the signed correlations g over all subspaces, from the
+    explicit full density matrix.  No package path scores with it (they all
+    score :func:`brute_force_sv_witness`); perfbench/spans.py traces it.
 
     For each pair (k, l) the state is projected onto the span of
     {|kk>, |kl>, |lk>, |ll>}, normalized, and the correlation operator
@@ -101,24 +105,19 @@ def _sv_witness(rho: np.ndarray) -> np.ndarray:
 
 def brute_force_sv_witness(state) -> float:
     """Sum of |<s_i x s_i>| visibilities over all subspaces (the measured W),
-    same explicit projection path as :func:`brute_force_witness`."""
+    from each subspace's block of the explicit full density matrix,
+    normalized to unit trace; zero-weight subspaces contribute 0."""
     return float(_sv_witness(_one(state))[0])
 
 
-def f_total(state) -> float:
-    """Sum of the un-normalized correlations f_kl over all pairs."""
-    t, _ = _traces(_one(state))
-    return float(np.sum(t @ _G_SIGNS))
-
-
-def schmidt_rank(M: np.ndarray, tol: float = 1e-10) -> int:
+def schmidt_rank(M: np.ndarray) -> int:
     """Schmidt rank of |psi> = sum_ij M_ij |i>|j>: singular values above
-    tol times the largest one."""
+    _SCHMIDT_TOL times the largest one."""
     M = np.asarray(M, dtype=complex)
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         raise InvalidStateError("zero amplitude matrix has no Schmidt rank")
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > _SCHMIDT_TOL * s[0]))
 
 
 def _random_mixtures(D: int, d: int, n: int,

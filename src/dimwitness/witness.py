@@ -34,7 +34,6 @@ __all__ = [
     "witness_correlated",
     "bound",
     "certified_dimension",
-    "f_bound",
     "monte_carlo_ci",
     "per_mode_contribution",
     "greedy_subset",
@@ -58,9 +57,13 @@ class VisibilityTable:
     V: np.ndarray
 
     def subset(self, indices) -> "VisibilityTable":
-        """Table of the modes `indices` alone, renumbered in sorted order."""
+        """Table of the modes `indices` alone, renumbered in sorted order;
+        they must be distinct mode indices in [0, D)."""
         D = self.mode_set.D
-        idx = _checked_subset(indices, D)
+        idx = sorted(indices)
+        if len(set(idx)) != len(idx) or any(not 0 <= k < D for k in idx):
+            raise ConfigError(f"mode subset {idx} must hold distinct indices "
+                              f"in [0, {D})")
         self.check_complete()
         a, b = np.triu_indices(len(idx), 1)
         k = np.array(idx, dtype=np.intp)
@@ -80,15 +83,6 @@ class VisibilityTable:
                                  + (" ..." if len(missing) > 10 else ""))
 
 
-def _checked_subset(indices, D: int) -> list:
-    """`indices` sorted; they must be distinct mode indices in [0, D)."""
-    idx = sorted(indices)
-    if len(set(idx)) != len(idx) or any(not 0 <= k < D for k in idx):
-        raise ConfigError(f"mode subset {idx} must hold distinct indices "
-                          f"in [0, {D})")
-    return idx
-
-
 def table_from_state(state) -> VisibilityTable:
     return VisibilityTable(state.mode_set,
                            basis_visibilities(outcome_probabilities(state)))
@@ -98,19 +92,15 @@ def table_from_dataset(dataset: CoincidenceDataset) -> VisibilityTable:
     return VisibilityTable(dataset.mode_set, basis_visibilities(dataset.count_array()))
 
 
-def _sv_matrix(table: VisibilityTable, indices=None) -> np.ndarray:
-    """Symmetric matrix of the summed visibilities, zero diagonal, over all
-    modes or over the modes `indices` in sorted order."""
+def _sv_matrix(table: VisibilityTable) -> np.ndarray:
+    """Symmetric matrix of the summed visibilities, zero diagonal."""
     table.check_complete()
     D = table.mode_set.D
     V = table.V
     S = np.zeros((D, D))
     S[np.triu_indices(D, 1)] = V[:, 0] + V[:, 1] + V[:, 2]
     S += S.T
-    if indices is None:
-        return S
-    idx = _checked_subset(indices, D)
-    return S[np.ix_(idx, idx)]
+    return S
 
 
 def _ordered_sum(values: np.ndarray):
@@ -133,12 +123,12 @@ def _row_means(S: np.ndarray) -> np.ndarray:
         else np.zeros(n)
 
 
-def witness_sum(table: VisibilityTable, indices=None) -> float:
-    """W over all pairs of the table, or over pairs within `indices` only.
+def witness_sum(table: VisibilityTable) -> float:
+    """W over all pairs of the table (of a subset: over `table.subset(idx)`).
 
     Summation runs in fixed index order so results are reproducible.
     """
-    return _pair_sum(_sv_matrix(table, indices))
+    return _pair_sum(_sv_matrix(table))
 
 
 def witness_correlated(coeffs: np.ndarray):
@@ -177,13 +167,6 @@ def certified_dimension(W: float, D: int) -> int:
         if W > bound(D, d - 1):
             d_cert = d
     return d_cert
-
-
-def f_bound(D: int, d: int) -> int:
-    """Maximum of the un-normalized total correlation for rank-d states."""
-    if not 1 <= d <= D:
-        raise ConfigError(f"need 1 <= d <= D, got d={d}, D={D}")
-    return 2 * d + D - 3
 
 
 # A basis is smooth when its visibility sits this many Poisson standard
@@ -240,9 +223,9 @@ def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
     return float(mean), float(np.sqrt(variance))
 
 
-def per_mode_contribution(table: VisibilityTable, indices=None) -> np.ndarray:
+def per_mode_contribution(table: VisibilityTable) -> np.ndarray:
     """Mean summed visibility of each mode against all other modes."""
-    return _row_means(_sv_matrix(table, indices))
+    return _row_means(_sv_matrix(table))
 
 
 @dataclass(frozen=True)
@@ -452,9 +435,9 @@ class WitnessReport:
     certified_d: int
     bounds: list                       # [(d, threshold), ...]
     per_mode: list
+    subset_trajectory: list            # greedy (D', d, W) steps
     sigma: float | None = None
     n_resamples: int | None = None
-    subset_trajectory: list | None = None
     notes: list = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -466,8 +449,7 @@ class WitnessReport:
             "certified_d": self.certified_d,
             "bounds": [[d, t] for d, t in self.bounds],
             "per_mode": list(map(float, self.per_mode)),
-            "subset_trajectory": ([[dp, d] for dp, d, _ in self.subset_trajectory]
-                                  if self.subset_trajectory is not None else None),
+            "subset_trajectory": [[dp, d] for dp, d, _ in self.subset_trajectory],
             "notes": self.notes,
         }
         return payload
@@ -479,9 +461,9 @@ class WitnessReport:
 
 
 def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = None,
-                 n_resamples: int = 0, seed: int | None = None,
-                 with_subsets: bool = True) -> WitnessReport:
-    """Full certification report from a visibility table.
+                 n_resamples: int = 0, seed: int | None = None) -> WitnessReport:
+    """Full certification report from a visibility table, with the greedy
+    subset trajectory.
 
     A W above the global cap 3 D(D-1)/2 is physically impossible and raises
     an integrity error rather than producing a report.  `n_resamples` is 0
@@ -500,6 +482,7 @@ def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = No
         certified_d=certified_dimension(W, D),
         bounds=[(d, bound(D, d)) for d in range(1, D + 1)],
         per_mode=list(per_mode_contribution(table)),
+        subset_trajectory=greedy_subset(table).trajectory,
     )
     if n_resamples:
         if dataset is None:
@@ -513,6 +496,4 @@ def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = No
         pairs = D * (D - 1) // 2
         report.notes.append(f"sigma: closed form on {closed} of {pairs} pairs, "
                             f"{n_resamples} resamples on {pairs - closed}")
-    if with_subsets:
-        report.subset_trajectory = greedy_subset(table).trajectory
     return report

@@ -10,11 +10,12 @@ from scipy import stats
 
 from dimwitness import (bound, brute_force_witness, build_report,
                         certified_dimension, correlated_pure, enumerate_modes,
-                        f_bound, f_total, generic_mode_set, greedy_subset,
+                        generic_mode_set, greedy_subset,
                         max_witness_state, monte_carlo_ci, robustness_study,
                         simulate_counts, spdc_profile, table_from_dataset,
                         table_from_state, witness_correlated, witness_sum)
 from dimwitness.measurement import pair_index
+from dimwitness import oracle
 from dimwitness.oracle import _random_mixtures
 from dimwitness.modes import ModeIndex, ModeSet
 
@@ -26,6 +27,12 @@ EXAMPLE_MODES = ModeSet((ModeIndex(0, 0), ModeIndex(1, -1),
 # summed visibilities (1.55 + 1.08 + 1.08 + 1.56 + 1.56 + 3 ~= 9.83), so the
 # oracle value is the acceptance target (see README, "Worked example").
 EXAMPLE_W_FULL = 9.829171019705104
+
+
+def f_total(state):
+    """Sum of the un-normalized signed correlations f_kl over all pairs."""
+    t, _ = oracle._traces(oracle._one(state))
+    return float(np.sum(t @ oracle._G_SIGNS))
 
 
 def _verdict(label, ok):
@@ -52,7 +59,7 @@ def test_acceptance_worked_example():
     ok = all(abs(table.V[pair_index(k, l, 4)].sum() - sv) <= 0.01
              for (k, l), sv in quoted.items())
     ok = ok and (bound(4, 1), bound(4, 2), bound(4, 3)) == (6, 10, 14)
-    W_sub = witness_sum(table, [1, 2, 3])
+    W_sub = witness_sum(table.subset([1, 2, 3]))
     ok = ok and abs(W_sub - 6.12) <= 0.01
     ok = ok and certified_dimension(W_sub, 3) == 3
     # full-set W: the oracle value is the target; it disagrees with the
@@ -110,7 +117,7 @@ def test_acceptance_unnormalized_correlation_bound():
         amps = np.zeros(D, dtype=complex)
         amps[support] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         st = correlated_pure(amps, generic_mode_set(D))
-        ok = ok and f_total(st) <= f_bound(D, d) + 1e-6
+        ok = ok and f_total(st) <= 2 * d + D - 3 + 1e-6
     _verdict("un-normalized correlation total equals 2d + D - 3 for uniform "
              "rank-d states (D <= 8) and random rank-d states never exceed it",
              ok)
@@ -167,7 +174,7 @@ def test_acceptance_full_scale_synthetic_run():
     modes = ModeSet(tuple(chosen[:186]))
     st = correlated_pure(spdc_profile(modes, 8.0, 4.0), modes)
     ds = simulate_counts(st, 1e6, expectation=True)
-    report = build_report(table_from_dataset(ds), with_subsets=True)
+    report = build_report(table_from_dataset(ds))
     cap = 3 * 186 * 185 // 2
     ok = report.D == 186
     ok = ok and report.W <= cap + 1e-6

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -26,6 +27,19 @@ def test_workflow_installs_the_pyproject_test_extra():
     assert install == 'python -m pip install -e ".[test]"'
     pyproject = (ROOT / "pyproject.toml").read_text()
     assert re.search(r"^\[project\.optional-dependencies\]\ntest = \[", pyproject, re.M)
+
+
+def test_perfbench_traced_names_resolve():
+    # the traced benchmark run looks up each TRACED function by name, so a
+    # package name it still traces must not be deleted before perfbench drops it
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench/spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    missing = [f"{layer}.{fn}" for layer, fns in spans.TRACED.items() for fn in fns
+               if not callable(getattr(importlib.import_module(f"dimwitness.{layer}"),
+                                       fn, None))]
+    assert missing == []
 
 
 def test_bench_files_name_only_declared_workloads_and_metrics():

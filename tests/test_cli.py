@@ -240,10 +240,28 @@ def test_robustness_bad_strength_max_is_config_error(tmp_path, kind, strength_ma
 
 
 def test_verify_command(runner):
+    # the lines verify printed when it scored the signed sum of g; it scores
+    # the summed visibilities now, equal to it on its non-negative states
     res = run(runner, ["verify", "--d-max", "4"])
     assert res.exit_code == 0, res.output
     assert "all checks passed" in res.output
     assert "FAIL" not in res.output
+    assert res.output.splitlines() == [
+        "PASS  bound(186, 99) == 35433",
+        "PASS  certified_dimension(35529, 186) == 100",
+        "PASS  saturating state (D=2, d=1) reaches 1",
+        "PASS  saturating state (D=2, d=2) reaches 3",
+        "PASS  saturating state (D=3, d=1) reaches 3",
+        "PASS  saturating state (D=3, d=2) reaches 6",
+        "PASS  saturating state (D=3, d=3) reaches 9",
+        "PASS  saturating state (D=4, d=1) reaches 6",
+        "PASS  saturating state (D=4, d=2) reaches 10",
+        "PASS  saturating state (D=4, d=3) reaches 14",
+        "PASS  saturating state (D=4, d=4) reaches 18",
+        "PASS  table path matches brute force on random pure states",
+        "PASS  Schmidt rank of the maximally entangled state",
+        "all checks passed",
+    ]
 
 
 def test_report_command(runner, tmp_path):
@@ -484,7 +502,8 @@ def test_json_counts_with_non_integer_mode_is_ingestion_error(runner, tmp_path, 
 
 
 @pytest.mark.parametrize("command", ["certify", "optimize"])
-@pytest.mark.parametrize("flux", ["NaN", "-3.0", "0"])
+# "flux": true used to certify with flux 1.0 and "flux": "1e6" was read as 1e6
+@pytest.mark.parametrize("flux", ["NaN", "-3.0", "0", "true", '"1e6"'])
 def test_json_bad_file_flux_is_ingestion_error(runner, tmp_path, command, flux):
     counts, _ = simulate_example(runner, tmp_path, name="counts.json",
                                  extra=["--format", "json"])
@@ -493,6 +512,18 @@ def test_json_bad_file_flux_is_ingestion_error(runner, tmp_path, command, flux):
                                                   f'"flux": {flux}'))
     assert json.loads(counts.read_text())["flux"] != payload["flux"]
     assert exit_code([command, "--input", str(counts),
+                      "--output", str(tmp_path / "out.json")]) == 3
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_json_expectation_must_be_a_boolean(runner, tmp_path):
+    # "expectation": "false" used to be read as true
+    counts, _ = simulate_example(runner, tmp_path, name="counts.json",
+                                 extra=["--format", "json"])
+    payload = json.loads(counts.read_text())
+    payload["expectation"] = "false"
+    counts.write_text(json.dumps(payload))
+    assert exit_code(["certify", "--input", str(counts),
                       "--output", str(tmp_path / "out.json")]) == 3
     assert not (tmp_path / "out.json").exists()
 

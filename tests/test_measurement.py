@@ -7,9 +7,9 @@ from operator import itemgetter
 import numpy as np
 import pytest
 
-from dimwitness import measurement
+from dimwitness import measurement, oracle
 from dimwitness import (ConfigError, IngestionError, brute_force_witness,
-                        correlated_pure, f_total, generic_mode_set,
+                        correlated_pure, generic_mode_set,
                         read_counts_csv, read_counts_json, simulate_counts,
                         table_from_dataset, table_from_state, write_counts_csv,
                         write_counts_json)
@@ -53,6 +53,12 @@ def probabilities(state, k, l, basis):
 def weight(state, k, l):
     """Subspace weight N_kl: the summed z-basis outcome probabilities."""
     return probabilities(state, k, l, "z").sum()
+
+
+def f_total(state):
+    """Sum of the un-normalized signed correlations f_kl over all pairs."""
+    t, _ = oracle._traces(oracle._one(state))
+    return float(np.sum(t @ oracle._G_SIGNS))
 
 
 def pair_state(state, k, l):
@@ -860,6 +866,32 @@ def test_json_reader_refuses_bad_file_flux(tmp_path, flux):
     path.write_text(json.dumps(payload))
     with pytest.raises(IngestionError, match="flux must be positive and finite"):
         read_counts_json(path)
+
+
+@pytest.mark.parametrize("key, value", [("flux", True), ("flux", "1e6"),
+                                        ("flux", None), ("expectation", "false"),
+                                        ("expectation", 0), ("expectation", None)])
+def test_json_reader_refuses_wrong_flux_and_expectation_types(tmp_path, key, value):
+    # flux must be a JSON number and expectation a JSON boolean
+    path = tmp_path / "counts.json"
+    write_counts_json(simulate_counts(example_state(), 1e5, seed=4), path)
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(IngestionError, match=f"{key} .* is not a JSON"):
+        read_counts_json(path)
+
+
+@pytest.mark.parametrize("flux, expectation", [(100000, False), (1e5, True)])
+def test_json_reader_takes_json_numbers_and_booleans(tmp_path, flux, expectation):
+    path = tmp_path / "counts.json"
+    write_counts_json(simulate_counts(example_state(), 1e5, seed=4), path)
+    payload = json.loads(path.read_text())
+    payload.update(flux=flux, expectation=expectation)
+    path.write_text(json.dumps(payload))
+    ds = read_counts_json(path)
+    assert (ds.flux, ds.expectation) == (1e5, expectation)
+    assert type(ds.flux) is float
 
 
 def test_truncated_json_count_file_is_ingestion_error(tmp_path):

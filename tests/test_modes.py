@@ -55,6 +55,13 @@ def test_mode_set_json_roundtrip(tmp_path):
     assert ModeSet.load(path) == ms
 
 
+def test_mode_set_save_bytes(tmp_path):
+    ms = enumerate_modes(2, 1)
+    path = tmp_path / "modes.json"
+    ms.save(path)
+    assert path.read_text() == json.dumps(ms.to_json(), indent=1) + "\n"
+
+
 @pytest.mark.parametrize("value", [1.9, 1.0, "1", True])
 def test_mode_file_numbers_must_be_integers(tmp_path, value):
     with pytest.raises(ValueError, match="not an integer"):

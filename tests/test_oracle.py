@@ -5,7 +5,7 @@ import pytest
 
 from dimwitness import (CapacityError, DecompositionElement,
                         GeneralTwoPhotonState, InvalidStateError, bound,
-                        brute_force_witness, correlated_pure, f_bound, f_total,
+                        brute_force_witness, correlated_pure,
                         generic_mode_set, load_state, max_witness_state,
                         maximally_entangled, perturb_state,
                         random_correlated_mixture, random_rank_d_search,
@@ -19,6 +19,12 @@ from dimwitness.witness import witness_with_perturbed_projectors
 
 # szsz - sysy + sxsx; _DOUBLE holds the x, y, z operators in that order
 _G_OP = _DOUBLE[2] - _DOUBLE[1] + _DOUBLE[0]
+
+
+def f_total(state):
+    """Sum of the un-normalized signed correlations f_kl over all pairs."""
+    t, _ = oracle._traces(oracle._one(state))
+    return float(np.sum(t @ oracle._G_SIGNS))
 
 
 # --- equivalence of the production and brute-force paths ---------------------
@@ -93,7 +99,7 @@ def test_f_total_uniform_rank_d():
             amps = np.zeros(D)
             amps[:d] = 1.0
             st = correlated_pure(amps, generic_mode_set(D))
-            assert abs(f_total(st) - f_bound(D, d)) < 1e-9
+            assert abs(f_total(st) - (2 * d + D - 3)) < 1e-9
 
 
 def test_f_total_random_rank_d_never_exceeds_bound():
@@ -102,7 +108,7 @@ def test_f_total_random_rank_d_never_exceeds_bound():
         D = int(rng.integers(2, 6))
         d = int(rng.integers(1, D + 1))
         st = random_correlated_mixture(D, d, rng)
-        assert f_total(st) <= f_bound(D, d) + 1e-9
+        assert f_total(st) <= 2 * d + D - 3 + 1e-9
 
 
 def test_f_is_g_times_weight():

@@ -7,8 +7,7 @@ import pytest
 from dimwitness import (ConfigError, IngestionError, IntegrityError,
                         VisibilityTable, bound, build_report,
                         certified_dimension, correlated_pure, enumerate_modes,
-                        f_bound, generic_mode_set,
-                        greedy_subset, max_witness_state, maximally_entangled,
+                        generic_mode_set, greedy_subset, max_witness_state, maximally_entangled,
                         monte_carlo_ci, per_mode_contribution, robustness_study,
                         simulate_counts, spdc_profile, table_from_dataset,
                         table_from_state, witness_correlated, witness_sum)
@@ -86,13 +85,6 @@ def test_certified_dimension_input_checks():
         certified_dimension(3.0, 1)
 
 
-def test_f_bound_values():
-    assert f_bound(4, 2) == 5
-    assert f_bound(2, 2) == 3
-    with pytest.raises(ConfigError):
-        f_bound(3, 4)
-
-
 # --- witness sums ------------------------------------------------------------
 
 def test_example_witness_value():
@@ -102,7 +94,7 @@ def test_example_witness_value():
 
 def test_example_restricted_witness():
     table = table_from_state(example_state())
-    W = witness_sum(table, [1, 2, 3])
+    W = witness_sum(table.subset([1, 2, 3]))
     assert abs(W - 6.12) < 0.005
     assert certified_dimension(W, 3) == 3
 
@@ -178,7 +170,7 @@ def test_monte_carlo_deterministic():
 def test_monte_carlo_all_rough_is_the_plain_bootstrap():
     ds = all_rough_dataset()
     report = build_report(table_from_dataset(ds), dataset=ds, n_resamples=50,
-                          seed=4, with_subsets=False)
+                          seed=4)
     assert report.notes == ["sigma: closed form on 0 of 10 pairs, "
                             "50 resamples on 10"]
     assert monte_carlo_ci(ds, 50, seed=4) == ref_bootstrap(ds, 50, seed=4)
@@ -303,7 +295,7 @@ def exhaustive_best_subset(table):
     best, best_d = list(range(D)), 1
     for size in range(2, D + 1):
         for subset in combinations(range(D), size):
-            d = certified_dimension(witness_sum(table, subset), size)
+            d = certified_dimension(witness_sum(table.subset(subset)), size)
             if d > best_d or (d == best_d and size > len(best)):
                 best, best_d = list(subset), d
     return best, best_d
@@ -404,7 +396,7 @@ def test_report_integrity_check():
     D = 3
     table = VisibilityTable(generic_mode_set(D), np.full((D * (D - 1) // 2, 3), 2.0))
     with pytest.raises(IntegrityError):
-        build_report(table, with_subsets=False)
+        build_report(table)
 
 
 @pytest.mark.parametrize("n_resamples", [1, -4])
@@ -537,8 +529,8 @@ def test_array_sums_equal_reference_loops(D):
     assert np.array_equal(per_mode_contribution(table), ref_per_mode(table))
     for _ in range(5):
         sub = rng.choice(D, size=int(rng.integers(2, D + 1)), replace=False).tolist()
-        assert witness_sum(table, sub) == ref_witness_sum(table, sub)
-        assert np.array_equal(per_mode_contribution(table, sub),
+        assert witness_sum(table.subset(sub)) == ref_witness_sum(table, sub)
+        assert np.array_equal(per_mode_contribution(table.subset(sub)),
                               ref_per_mode(table, sub))
     res = greedy_subset(table)
     assert (res.trajectory, res.subsets, res.best_subset, res.best_d) == \
@@ -561,9 +553,9 @@ def test_subset_selects_rows(sub):
 def test_subset_indices_checked(indices):
     table = table_from_state(example_state())
     with pytest.raises(ConfigError):
-        witness_sum(table, indices)
+        witness_sum(table.subset(indices))
     with pytest.raises(ConfigError):
-        per_mode_contribution(table, indices)
+        per_mode_contribution(table.subset(indices))
     with pytest.raises(ConfigError):
         table.subset(indices)
 
