@@ -138,6 +138,9 @@ _mode_options = [
 ]
 
 
+_BY_NAME = "JSON if the file name ends in .json, else CSV."
+
+
 def _add(options):
     def deco(fn):
         for opt in reversed(options):
@@ -158,12 +161,10 @@ def _add(options):
               help="Reuse z-basis population counts across subspaces.")
 @click.option("--dry-run", is_flag=True,
               help="Print the measurement count and exit without sampling.")
-@click.option("--output", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
+@click.option("--output", type=click.Path(), default=None, help=_BY_NAME)
 def simulate(l_max, n_max, mode_file, state_file, profile, amplitudes,
              rate_file, lambda_l, lambda_n, flux, expectation, seed,
-             share_populations, dry_run, output, fmt):
+             share_populations, dry_run, output):
     """Simulate the coincidence counts of a full measurement run."""
     state = _state_source(state_file, profile, amplitudes, rate_file,
                           lambda_l, lambda_n, l_max, n_max, mode_file)
@@ -177,16 +178,18 @@ def simulate(l_max, n_max, mode_file, state_file, profile, amplitudes,
         raise ConfigError("--output is required unless --dry-run is set")
     ds = simulate_counts(state, flux, seed=seed, expectation=expectation,
                          share_populations=share_populations)
-    if fmt == "csv":
-        write_counts_csv(ds, output)
-    else:
-        write_counts_json(ds, output)
+    (write_counts_json if _is_json(output) else write_counts_csv)(ds, output)
     click.echo(f"wrote {n_meas} counts for D={D} to {output}")
 
 
-def _load_dataset(path, fmt, mode_file, flux):
+def _is_json(path) -> bool:
+    """The format rule of count and trajectory files: *.json is JSON, else CSV."""
+    return str(path).endswith(".json")
+
+
+def _load_dataset(path, mode_file, flux):
     """The dataset and the notes its reading leaves for the report."""
-    if fmt == "json" or (fmt is None and str(path).endswith(".json")):
+    if _is_json(path):
         # a config file's defaults may name them; only flags are refused
         ctx = click.get_current_context()
         given = [f"--{name.replace('_', '-')}" for name in ("mode_file", "flux")
@@ -204,8 +207,7 @@ def _load_dataset(path, fmt, mode_file, flux):
 
 @cli.command()
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True,
-              help="Coincidence dataset (CSV or JSON).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
+              help=_BY_NAME)
 @click.option("--mode-file", type=click.Path(exists=True), default=None)
 @click.option("--flux", type=float, default=None,
               help="Dataset scale when certifying a bare CSV.")
@@ -216,9 +218,9 @@ def _load_dataset(path, fmt, mode_file, flux):
 @click.option("--subset", default=None,
               help="Comma-separated flat indices; certify this subset only.")
 @click.option("--output", type=click.Path(), required=True)
-def certify(input_path, fmt, mode_file, flux, resamples, seed, subset, output):
+def certify(input_path, mode_file, flux, resamples, seed, subset, output):
     """Estimate visibilities, compute W and certify the dimensionality."""
-    ds, notes = _load_dataset(input_path, fmt, mode_file, flux)
+    ds, notes = _load_dataset(input_path, mode_file, flux)
     table = table_from_dataset(ds)
     if subset:
         try:
@@ -237,18 +239,16 @@ def certify(input_path, fmt, mode_file, flux, resamples, seed, subset, output):
 
 
 @cli.command()
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
+@click.option("--input", "input_path", type=click.Path(exists=True), required=True,
+              help=_BY_NAME)
 @click.option("--mode-file", type=click.Path(exists=True), default=None)
 @click.option("--flux", type=float, default=None)
-@click.option("--output", type=click.Path(), required=True)
-@click.option("--out-format", type=click.Choice(["json", "csv"]),
-              default="json", show_default=True)
-def optimize(input_path, fmt, mode_file, flux, output, out_format):
+@click.option("--output", type=click.Path(), required=True, help=_BY_NAME)
+def optimize(input_path, mode_file, flux, output):
     """Greedy mode-subset search maximizing the certified dimension."""
-    ds, _ = _load_dataset(input_path, fmt, mode_file, flux)
+    ds, _ = _load_dataset(input_path, mode_file, flux)
     result = greedy_subset(table_from_dataset(ds))
-    if out_format == "json":
+    if _is_json(output):
         payload = {"trajectory": [[dp, d] for dp, d, _ in result.trajectory],
                    "witness": [w for _, _, w in result.trajectory],
                    "best_subset": result.best_subset,
@@ -260,8 +260,7 @@ def optimize(input_path, fmt, mode_file, flux, output, out_format):
         with open(output, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["subset_size", "certified_d", "W"])
-            for dp, d, wv in result.trajectory:
-                w.writerow([dp, d, repr(float(wv))])
+            w.writerows([dp, d, repr(float(wv))] for dp, d, wv in result.trajectory)
     click.echo(f"best subset size {len(result.best_subset)}, "
                f"certified d = {result.best_d}")
 
@@ -375,6 +374,9 @@ def main(argv=None):
         sys.exit(exc.exit_code)
     except click.ClickException as exc:
         exc.show()
+        sys.exit(2)
+    except OSError as exc:  # e.g. an output path in a missing directory
+        click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except click.Abort:
         sys.exit(1)

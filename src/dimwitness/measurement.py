@@ -200,28 +200,24 @@ def simulate_counts(state, flux: float, seed: int | None = None,
     _check_flux(flux)
     if not expectation and seed is None:
         raise ConfigError("a seed is required unless expectation mode is set")
-    counts = flux * outcome_probabilities(state)
+    counts = means = flux * outcome_probabilities(state)
     if not expectation:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        counts = rng.poisson(counts).astype(float)
+        counts = rng.poisson(means).astype(float)
         if share_populations:
+            # the z outcomes pp, pm, mp, mm of pair (k, l) have the mean
+            # populations <ij|rho|ij> of (k, k), (k, l), (l, k), (l, l)
+            D = state.mode_set.D
+            k, l = np.triu_indices(D, 1)
+            pop = np.zeros((D, D))
+            pop[k, k], pop[k, l], pop[l, k], pop[l, l] = means[:, _BASIS_ID["z"]].T
             rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-            pop = rng.poisson(flux * _populations(state)).astype(float)
-            k, l = np.triu_indices(state.mode_set.D, 1)
+            pop = rng.poisson(pop).astype(float)
             counts[:, _BASIS_ID["z"]] = np.stack(
                 [pop[k, k], pop[k, l], pop[l, k], pop[l, l]], axis=-1)
     ds = CoincidenceDataset(state.mode_set, float(flux), expectation=expectation)
     ds.tensor[:] = counts
     return ds
-
-
-def _populations(state) -> np.ndarray:
-    """D x D matrix of <ij|rho|ij> on the full state."""
-    if isinstance(state, CorrelatedState):
-        pop = np.diag(state.coeffs.diagonal().real)
-    else:
-        pop = state.rho.diagonal().real.reshape(state.D, state.D)
-    return np.clip(pop, 0.0, None)
 
 
 def basis_visibilities(counts) -> np.ndarray:
@@ -365,9 +361,10 @@ def read_counts_csv(path, mode_set: ModeSet | None = None,
     if flux is not None:
         _check_flux(flux)
     with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]))
-        if header != CSV_HEADER:
-            raise IngestionError(f"bad CSV header {header}, expected {CSV_HEADER}")
+        line = fh.readline()  # a JSON count file is one line of megabytes
+        if next(csv.reader([line])) != CSV_HEADER:
+            raise IngestionError(f"bad CSV header {line[:200].rstrip()!r}, "
+                                 f"expected {','.join(CSV_HEADER)!r}")
         with warnings.catch_warnings():
             # numpy releases with loadtxt's int-via-float fallback cut a mode
             # field such as 2.5 to 2 with only a DeprecationWarning; as an

@@ -1,9 +1,12 @@
 import importlib.util
 import json
 import re
+import shlex
 from pathlib import Path
 
 import yaml
+
+from dimwitness.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,3 +60,24 @@ def test_bench_files_name_only_declared_workloads_and_metrics():
                 assert set(sides) == {"parent", "change"}, (path.name, workload, metric)
                 assert len(sides["parent"]) == len(sides["change"]) > 0, \
                     (path.name, workload, metric)
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    # every command the README shows runs as written, so the docs cannot name
+    # a deleted flag; the flags --output and --*-csv name files it must write
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n")[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines
+                if line.strip() and not line.lstrip().startswith("#")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "dimwitness"
+        try:
+            main(argv[1:])
+        except SystemExit as exc:
+            raise AssertionError(f"{shlex.join(argv)} exited {exc.code}") from exc
+        outputs = [value for flag, value in zip(argv, argv[1:])
+                   if flag == "--output" or flag.endswith("-csv")]
+        assert all((tmp_path / name).is_file() for name in outputs), argv

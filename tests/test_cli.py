@@ -9,6 +9,7 @@ from dimwitness.errors import (CapacityError, ConfigError, IngestionError,
                                IntegrityError)
 from dimwitness.modes import ModeIndex, ModeSet, generic_mode_set
 from dimwitness.oracle import brute_force_sv_witness, brute_force_witness
+from dimwitness.measurement import simulate_counts, write_counts_json
 from dimwitness.states import correlated_pure, perturb_state, save_state
 
 EXAMPLE_MODES = ModeSet((ModeIndex(0, 0), ModeIndex(1, -1),
@@ -72,8 +73,7 @@ def test_simulate_byte_identical_for_same_seed(runner, tmp_path):
 
 
 def test_simulate_json_format(runner, tmp_path):
-    out, _ = simulate_example(runner, tmp_path, "counts.json",
-                              extra=["--format", "json"])
+    out, _ = simulate_example(runner, tmp_path, "counts.json")
     payload = json.loads(out.read_text())
     assert payload["flux"] == 1e6
     assert len(payload["counts"]) == 72
@@ -189,7 +189,7 @@ def test_optimize_csv_output(runner, tmp_path):
     out = tmp_path / "opt.csv"
     res = run(runner, ["optimize", "--input", str(counts),
                        "--mode-file", str(modes), "--flux", "1e6",
-                       "--output", str(out), "--out-format", "csv"])
+                       "--output", str(out)])
     assert res.exit_code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "subset_size,certified_d,W"
@@ -303,8 +303,7 @@ def test_malformed_report_is_ingestion_error(tmp_path, report):
 @pytest.mark.parametrize("command", ["certify", "optimize"])
 @pytest.mark.parametrize("flag", ["--flux", "--mode-file"])
 def test_json_dataset_rejects_csv_flags(runner, tmp_path, command, flag):
-    counts, modes = simulate_example(runner, tmp_path, "counts.json",
-                                     extra=["--format", "json"])
+    counts, modes = simulate_example(runner, tmp_path, "counts.json")
     value = {"--flux": "5", "--mode-file": str(modes)}[flag]
     argv = [command, "--input", str(counts), "--output", str(tmp_path / "out.json")]
     assert exit_code(argv) == 0
@@ -312,8 +311,7 @@ def test_json_dataset_rejects_csv_flags(runner, tmp_path, command, flag):
 
 
 def test_json_dataset_ignores_config_flux(runner, tmp_path):
-    counts, _ = simulate_example(runner, tmp_path, "counts.json",
-                                 extra=["--format", "json"])
+    counts, _ = simulate_example(runner, tmp_path, "counts.json")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"flux": 5.0}))
     assert exit_code(["--config", str(cfg), "certify", "--input", str(counts),
@@ -340,19 +338,33 @@ def test_config_file_rejects_unknown_keys(runner, tmp_path):
     cfg.write_text(json.dumps({"resamples": 5, "kind": "state", "seed": 7}))
     assert exit_code(["--config", str(cfg), "simulate", "--amplitudes",
                       EXAMPLE_AMPS, "--dry-run"]) == 0
+    for key in ("fmt", "out_format"):  # the deleted format options
+        cfg.write_text(json.dumps({key: "json"}))
+        assert exit_code(["--config", str(cfg), "simulate", "--amplitudes",
+                          EXAMPLE_AMPS, "--dry-run"]) == 2
 
 
-def test_unknown_option_exits_2():
+def test_unknown_option_exits_2(runner, tmp_path):
     assert exit_code(["certify", "--no-such-flag"]) == 2
+    # the file name decides the format; there is no flag for it
+    counts, modes = simulate_example(runner, tmp_path)
+    out = str(tmp_path / "out.json")
+    args = {"simulate": ["--amplitudes", EXAMPLE_AMPS, "--seed", "1", "--output", out],
+            "certify": ["--input", str(counts), "--mode-file", str(modes), "--output", out],
+            "optimize": ["--input", str(counts), "--mode-file", str(modes), "--output", out]}
+    for command, argv in args.items():
+        assert exit_code([command, *argv]) == 0
+        assert exit_code([command, *argv, "--format", "json"]) == 2
+    assert exit_code(["optimize", *args["optimize"], "--out-format", "csv"]) == 2
 
 
 def test_optimize_csv_w_matches_json(runner, tmp_path):
     counts, modes = simulate_example(runner, tmp_path)
     paths = {fmt: tmp_path / f"opt.{fmt}" for fmt in ("json", "csv")}
-    for fmt, out in paths.items():
+    for out in paths.values():
         res = run(runner, ["optimize", "--input", str(counts),
                            "--mode-file", str(modes), "--flux", "1e6",
-                           "--output", str(out), "--out-format", fmt])
+                           "--output", str(out)])
         assert res.exit_code == 0, res.output
     rows = paths["csv"].read_text().splitlines()[1:]
     assert [float(r.split(",")[2]) for r in rows] == \
@@ -491,8 +503,7 @@ def test_csv_bad_flux_is_config_error(runner, tmp_path, command, flux):
 
 @pytest.mark.parametrize("value", [1.9, "1", True])
 def test_json_counts_with_non_integer_mode_is_ingestion_error(runner, tmp_path, value):
-    counts, _ = simulate_example(runner, tmp_path, name="counts.json",
-                                 extra=["--format", "json"])
+    counts, _ = simulate_example(runner, tmp_path, name="counts.json")
     payload = json.loads(counts.read_text())
     assert payload["counts"][0]["nb"] == 1  # int(value) is the same mode
     payload["counts"][0]["nb"] = value
@@ -505,8 +516,7 @@ def test_json_counts_with_non_integer_mode_is_ingestion_error(runner, tmp_path, 
 # "flux": true used to certify with flux 1.0 and "flux": "1e6" was read as 1e6
 @pytest.mark.parametrize("flux", ["NaN", "-3.0", "0", "true", '"1e6"'])
 def test_json_bad_file_flux_is_ingestion_error(runner, tmp_path, command, flux):
-    counts, _ = simulate_example(runner, tmp_path, name="counts.json",
-                                 extra=["--format", "json"])
+    counts, _ = simulate_example(runner, tmp_path, name="counts.json")
     payload = json.loads(counts.read_text())
     counts.write_text(json.dumps(payload).replace(f'"flux": {payload["flux"]}',
                                                   f'"flux": {flux}'))
@@ -518,8 +528,7 @@ def test_json_bad_file_flux_is_ingestion_error(runner, tmp_path, command, flux):
 
 def test_json_expectation_must_be_a_boolean(runner, tmp_path):
     # "expectation": "false" used to be read as true
-    counts, _ = simulate_example(runner, tmp_path, name="counts.json",
-                                 extra=["--format", "json"])
+    counts, _ = simulate_example(runner, tmp_path, name="counts.json")
     payload = json.loads(counts.read_text())
     payload["expectation"] = "false"
     counts.write_text(json.dumps(payload))
@@ -538,8 +547,7 @@ def _json_input(runner, tmp_path, kind):
         save_state(correlated_pure([0.5, 0.07, 0.01, 0.01], EXAMPLE_MODES), path)
         argv = ["simulate", "--state-file", str(path), "--seed", "1", "--output", out]
     elif kind == "count-file":
-        path, _ = simulate_example(runner, tmp_path, name="counts.json",
-                                   extra=["--format", "json"])
+        path, _ = simulate_example(runner, tmp_path, name="counts.json")
         argv = ["certify", "--input", str(path), "--output", out]
     elif kind == "mode-file-simulate":
         path = modes
@@ -577,3 +585,49 @@ def test_malformed_json_input_exit_code(runner, tmp_path, kind, case, code):
     (tmp_path / "out.json").unlink(missing_ok=True)
     assert exit_code(argv) == code
     assert not (tmp_path / "out.json").exists()
+
+
+def test_file_name_decides_the_count_format(runner, tmp_path):
+    # simulate used to write CSV into x.json unless --format json was given
+    counts, _ = simulate_example(runner, tmp_path, "x.json")
+    want = tmp_path / "want.json"
+    state = correlated_pure([float(a) for a in EXAMPLE_AMPS.split(",")], EXAMPLE_MODES)
+    write_counts_json(simulate_counts(state, 1e6, seed=7), want)
+    assert counts.read_bytes() == want.read_bytes()
+    for command in ("certify", "optimize"):
+        assert exit_code([command, "--input", str(counts),
+                          "--output", str(tmp_path / f"{command}.json")]) == 0
+
+
+def test_csv_named_json_count_file_gives_a_short_error(runner, tmp_path, capsys):
+    counts, _ = simulate_example(runner, tmp_path, "counts.json")
+    misnamed = tmp_path / "counts.csv"
+    misnamed.write_bytes(counts.read_bytes())
+    assert misnamed.stat().st_size > 5000
+    assert exit_code(["certify", "--input", str(misnamed),
+                      "--output", str(tmp_path / "out.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad CSV header ")
+    assert "expected 'na,la,nb,lb,basis,outcome,count'" in err
+    assert len(err) < 400
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "optimize",
+                                     "robustness", "report"])
+def test_unwritable_output_exits_2(runner, tmp_path, capsys, command):
+    counts, modes = simulate_example(runner, tmp_path)
+    report = tmp_path / "report.json"
+    assert exit_code(["certify", "--input", str(counts), "--mode-file", str(modes),
+                      "--output", str(report)]) == 0
+    out = str(tmp_path / "no-such-dir" / "out.json")
+    argv = {"simulate": ["--amplitudes", EXAMPLE_AMPS, "--seed", "1", "--output", out],
+            "certify": ["--input", str(counts), "--output", out],
+            "optimize": ["--input", str(counts), "--output", out],
+            "robustness": ["--amplitudes", EXAMPLE_AMPS, "--trials", "2", "--seed", "1",
+                           "--output", out],
+            "report": ["--input", str(report), "--per-mode-csv", out]}[command]
+    capsys.readouterr()
+    assert exit_code([command, *argv]) == 2  # no traceback escapes main
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no-such-dir" in err
+    assert "Traceback" not in err
