@@ -39,7 +39,7 @@ def _load_config(ctx, param, value):
     try:
         with open(value) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also a file that is not UTF-8
         raise ConfigError(f"cannot read config file {value}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -89,7 +89,7 @@ def _read_rates(path) -> dict:
                 if mode in rates:
                     raise ValueError(f"mode {mode} appears twice")
                 rates[mode] = rate
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
         raise IngestionError(f"cannot read rate table {path}: {exc}") from exc
     return rates
 
@@ -344,25 +344,28 @@ def report(input_path, per_mode_csv, trajectory_csv):
     try:
         with open(input_path) as fh:
             payload = json.load(fh)
-        per_mode = [repr(float(v)) for v in payload["per_mode"]]
-        trajectory = payload.get("subset_trajectory")
-        if trajectory is not None:
-            trajectory = [(dp, d) for dp, d in trajectory]
+        per_mode, trajectory = payload["per_mode"], payload.get("subset_trajectory")
+        if type(per_mode) is not list or not {*map(type, per_mode)} <= {int, float}:
+            raise TypeError(f"per_mode {per_mode!r:.200} is not a list of numbers")
+        if trajectory is not None and (type(trajectory) is not list or any(
+                type(step) is not list or [*map(type, step)] != [int, int]
+                for step in trajectory)):
+            raise TypeError(f"subset_trajectory {trajectory!r:.200} is not null "
+                            f"or a list of integer pairs")
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise IngestionError(f"cannot read report {input_path}: {exc}") from exc
+    if trajectory_csv and trajectory is None:
+        raise IngestionError("report holds no subset trajectory")
     if per_mode_csv:
         with open(per_mode_csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["mode_index", "mean_summed_visibility"])
-            w.writerows(enumerate(per_mode))
+            w.writerows((i, repr(float(v))) for i, v in enumerate(per_mode))
     if trajectory_csv:
-        if trajectory is None:
-            raise IngestionError("report holds no subset trajectory")
         with open(trajectory_csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["subset_size", "certified_d"])
-            for dp, d in trajectory:
-                w.writerow([dp, d])
+            w.writerows(trajectory)
     click.echo("report data written")
 
 

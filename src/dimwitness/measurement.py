@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import ConfigError, IngestionError
 from .modes import ModeIndex, ModeSet
-from .states import CorrelatedState, GeneralTwoPhotonState
 
 __all__ = [
     "BASES",
@@ -141,32 +140,11 @@ class CountView(Mapping):
         return int(np.count_nonzero(~np.isnan(self._ds.tensor)))
 
 
-def _blocks(state, k, l) -> np.ndarray:
-    """Unnormalized 4x4 restrictions of the state to (kk, kl, lk, ll), one per
-    pair (k[i], l[i]) of the index arrays k, l: shape (pairs, 4, 4)."""
-    if isinstance(state, CorrelatedState):
-        c = state.coeffs
-        B = np.zeros((len(k), 4, 4), dtype=complex)
-        B[:, 0, 0], B[:, 0, 3], B[:, 3, 0], B[:, 3, 3] = c[k, k], c[k, l], c[l, k], c[l, l]
-        return B
-    if isinstance(state, GeneralTwoPhotonState):
-        return _cut_blocks(state.rho, k, l)
-    raise ConfigError(f"unsupported state type {type(state).__name__}")
-
-
-def _cut_blocks(rho: np.ndarray, k, l) -> np.ndarray:
-    """The (kk, kl, lk, ll) blocks of D^2 x D^2 density matrices stacked on
-    any leading axes, one per pair (k[i], l[i]): shape (..., pairs, 4, 4)."""
-    D = math.isqrt(rho.shape[-1])
-    idx = np.stack([k * D + k, k * D + l, l * D + k, l * D + l], axis=-1)
-    return rho[..., idx[:, :, None], idx[:, None, :]]
-
-
 def outcome_probabilities(state) -> np.ndarray:
     """Coincidence probabilities on the full state of every pair, basis and
     outcome: shape (pairs, 3 bases, 4 outcomes), pairs in row-major order."""
     k, l = np.triu_indices(state.mode_set.D, 1)
-    return _block_probabilities(_blocks(state, k, l))
+    return _block_probabilities(state.blocks(k, l))
 
 
 def _block_probabilities(blocks: np.ndarray) -> np.ndarray:
@@ -361,8 +339,12 @@ def read_counts_csv(path, mode_set: ModeSet | None = None,
     if flux is not None:
         _check_flux(flux)
     with open(path, newline="") as fh:
-        line = fh.readline()  # a JSON count file is one line of megabytes
-        if next(csv.reader([line])) != CSV_HEADER:
+        try:
+            line = fh.readline()  # a JSON count file is one line of megabytes
+            header = next(csv.reader([line]))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise IngestionError(f"malformed CSV header in {path}: {exc}") from exc
+        if header != CSV_HEADER:
             raise IngestionError(f"bad CSV header {line[:200].rstrip()!r}, "
                                  f"expected {','.join(CSV_HEADER)!r}")
         with warnings.catch_warnings():

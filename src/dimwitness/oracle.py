@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from .errors import InvalidStateError
-from .measurement import BASES, _cut_blocks
-from .states import CorrelatedState, GeneralTwoPhotonState, _check_cap, _embed
+from .measurement import BASES
+from .states import CorrelatedState, _check_cap, _cut_blocks, _embed
 from .modes import generic_mode_set
 
 __all__ = [
@@ -51,15 +51,6 @@ _MAX_ELEMENTS = 4
 _SCHMIDT_TOL = 1e-10
 
 
-def _embedded(state) -> GeneralTwoPhotonState:
-    """The state as an explicit full density matrix."""
-    if isinstance(state, CorrelatedState):
-        return state.embed()
-    if not isinstance(state, GeneralTwoPhotonState):
-        raise InvalidStateError(f"unsupported state type {type(state).__name__}")
-    return state
-
-
 def _traces(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For a stack of explicit full density matrices (m, D^2, D^2): the
     (kk, kl, lk, ll) block of every pair k < l traced against each
@@ -83,7 +74,7 @@ def _correlations(rho: np.ndarray) -> np.ndarray:
 
 def _one(state) -> np.ndarray:
     """A single state as a stack of one density matrix."""
-    return _embedded(state).rho[None]
+    return state.embed().rho[None]
 
 
 def brute_force_witness(state) -> float:

@@ -9,6 +9,9 @@ Two representations are used:
 * ``GeneralTwoPhotonState`` stores the full D^2 x D^2 density matrix and is
   only allowed for small D (the fixed cap ``SMALL_D_CAP`` = 8), where
   brute-force work is feasible.
+
+Both give ``blocks(k, l)``, the (kk, kl, lk, ll) block of each mode pair
+(all that measurement needs), and ``embed()``, the full density matrix.
 """
 
 from __future__ import annotations
@@ -82,6 +85,14 @@ class CorrelatedState:
     def validate(self) -> None:
         _check_density(self.coeffs, "CorrelatedState")
 
+    def blocks(self, k, l) -> np.ndarray:
+        """Unnormalized (kk, kl, lk, ll) blocks, one per pair (k[i], l[i]):
+        shape (pairs, 4, 4), built from four corners of c alone."""
+        c = self.coeffs
+        B = np.zeros((len(k), 4, 4), dtype=complex)
+        B[:, 0, 0], B[:, 0, 3], B[:, 3, 0], B[:, 3, 3] = c[k, k], c[k, l], c[l, k], c[l, l]
+        return B
+
     def embed(self) -> "GeneralTwoPhotonState":
         """Exact embedding into the full D^2 x D^2 representation."""
         return GeneralTwoPhotonState(_embed(self.coeffs), self.mode_set)
@@ -97,6 +108,14 @@ def _embed(coeffs: np.ndarray) -> np.ndarray:
     rho[..., diag[:, None], diag] = coeffs
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     return rho
+
+
+def _cut_blocks(rho: np.ndarray, k, l) -> np.ndarray:
+    """The (kk, kl, lk, ll) blocks of D^2 x D^2 density matrices stacked on
+    any leading axes, one per pair (k[i], l[i]): shape (..., pairs, 4, 4)."""
+    D = math.isqrt(rho.shape[-1])
+    idx = np.stack([k * D + k, k * D + l, l * D + k, l * D + l], axis=-1)
+    return rho[..., idx[:, :, None], idx[:, None, :]]
 
 
 @dataclass(frozen=True)
@@ -118,6 +137,14 @@ class GeneralTwoPhotonState:
     @property
     def D(self) -> int:
         return self.mode_set.D
+
+    def blocks(self, k, l) -> np.ndarray:
+        """Unnormalized (kk, kl, lk, ll) blocks of rho: shape (pairs, 4, 4)."""
+        return _cut_blocks(self.rho, k, l)
+
+    def embed(self) -> "GeneralTwoPhotonState":
+        """The state itself, already in the full representation."""
+        return self
 
     def validate(self) -> None:
         _check_density(self.rho, "GeneralTwoPhotonState")
@@ -268,14 +295,15 @@ def _perturb(rho: np.ndarray, strength: np.ndarray, G: np.ndarray) -> np.ndarray
     return rho
 
 
-def perturb_state(state: CorrelatedState, strength: float,
+def perturb_state(state, strength: float,
                   rng: np.random.Generator) -> GeneralTwoPhotonState:
     """Break the perfect mode correlation by random admixture.
 
     Adds a random Hermitian perturbation of magnitude O(strength) supported
     on the cross-correlated part of the two-photon space (|ij> with i != j),
     then projects back to the nearest PSD unit-trace matrix by eigenvalue
-    clipping.  strength = 0 returns the exact embedding.
+    clipping.  strength = 0 returns the exact embedding.  The state may be
+    a CorrelatedState or a GeneralTwoPhotonState.
     """
     s = _check_strength(strength)
     base = state.embed()

@@ -18,12 +18,10 @@ import numpy as np
 
 from .errors import ConfigError, IngestionError, IntegrityError
 from .measurement import (_EIGVECS, BASES, CoincidenceDataset, _block_probabilities,
-                          _cut_blocks, basis_visibilities, outcome_probabilities,
-                          pair_index)
+                          basis_visibilities, outcome_probabilities, pair_index)
 from .modes import ModeSet
-from .oracle import _embedded, _sv_witness, brute_force_sv_witness
-from .states import (CorrelatedState, _check_strength, _draw_perturbation,
-                     _perturb)
+from .oracle import _sv_witness, brute_force_sv_witness
+from .states import _check_strength, _cut_blocks, _draw_perturbation, _perturb
 
 __all__ = [
     "VisibilityTable",
@@ -159,14 +157,11 @@ def bound(D: int, d: int) -> int:
 
 def certified_dimension(W: float, D: int) -> int:
     """Largest d with W strictly above bound(D, d-1); 1 when nothing is
-    certified."""
+    certified.  The bounds rise with d, so this d is 1 plus the number of
+    bounds bound(D, 1), ..., bound(D, D-1) below W."""
     if D < 2 or not np.isfinite(W):
         raise ConfigError("need finite W and D >= 2")
-    d_cert = 1
-    for d in range(2, D + 1):
-        if W > bound(D, d - 1):
-            d_cert = d
-    return d_cert
+    return 1 + int(np.count_nonzero(W > D * np.arange(1, D) + D * (D - 3) // 2))
 
 
 # A basis is smooth when its visibility sits this many Poisson standard
@@ -348,7 +343,7 @@ def witness_with_perturbed_projectors(state, strength: float,
     :func:`_frames`); the state is scored by :func:`_seen_witness`.
     """
     s = _check_strength(strength)
-    state = _embedded(state)
+    state = state.embed()
     frames = np.stack([_perturbed_frame(state.D, s, rng) for _ in range(2)])
     return float(_seen_witness(state.rho[None], frames[None])[0])
 
@@ -393,7 +388,7 @@ def _score_trials(kind: str, base: np.ndarray, strength: np.ndarray,
     return _seen_witness(rho, _frames(strength, normals, crosstalk))
 
 
-def robustness_study(state: CorrelatedState, kind: str, n_trials: int,
+def robustness_study(state, kind: str, n_trials: int,
                      strength_max: float, seed: int) -> RobustnessResult:
     """Monte-Carlo perturbation sweep of the witness.
 
@@ -415,7 +410,7 @@ def robustness_study(state: CorrelatedState, kind: str, n_trials: int,
         raise ConfigError(f"need a whole number of trials >= 1, got {n_trials!r}")
     _check_strength(strength_max)
     baseline = brute_force_sv_witness(state)
-    base = _embedded(state).rho
+    base = state.embed().rho
     strengths = np.linspace(0.0, strength_max, n_trials)
     m = max(1, _CHUNK_BYTES // base.nbytes)
     W = np.concatenate([_score_trials(kind, base, strengths[i:i + m], seed, i)

@@ -290,7 +290,16 @@ def test_report_bad_input_is_ingestion_error(tmp_path):
     [],                                                    # not an object
     {"per_mode": [1.0, "x"], "subset_trajectory": None},   # non-numeric value
     {"per_mode": [1.0], "subset_trajectory": [[4, 2], [1]]},  # short row
-], ids=["list", "per_mode", "trajectory"])
+    {"per_mode": "12", "subset_trajectory": [["a", "b"]]},  # wrote rows 1.0, 2.0, a,b
+    {"per_mode": "12", "subset_trajectory": None},         # a string, not a list
+    {"per_mode": [True], "subset_trajectory": None},       # a bool, not a number
+    {"per_mode": [1.0], "subset_trajectory": [["a", "b"]]},  # not integers
+    {"per_mode": [1.0], "subset_trajectory": [[4, 2.0]]},  # a float step
+    {"per_mode": [1.0], "subset_trajectory": [{"4": 2, "3": 3}]},  # not a list
+    {"per_mode": [1.0], "subset_trajectory": None},  # per_mode CSV was written
+], ids=["list", "per_mode", "trajectory", "both-strings", "per_mode-string",
+        "per_mode-bool", "trajectory-strings", "trajectory-float",
+        "trajectory-object-step", "no-trajectory"])
 def test_malformed_report_is_ingestion_error(tmp_path, report):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(report))
@@ -631,3 +640,45 @@ def test_unwritable_output_exits_2(runner, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no-such-dir" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, code", [
+    ("--config", 2), ("certify-csv", 3), ("certify-json", 3), ("optimize-csv", 3),
+    ("optimize-json", 3), ("--mode-file", 3), ("--state-file", 3),
+    ("--rate-file", 3), ("report", 3)])
+def test_input_file_that_is_not_utf8_gives_an_error_line(tmp_path, capsys, flag, code):
+    # a config file or the first line of a count CSV used to end in a
+    # UnicodeDecodeError traceback with exit 1
+    name = "bad.csv" if flag.endswith("csv") or flag == "--rate-file" else "bad.json"
+    bad = tmp_path / name
+    bad.write_bytes(b"\xff\xfe\xe9 not UTF-8\n")
+    out = str(tmp_path / "out.json")
+    command, _, _ = flag.partition("-")
+    argv = {"--config": ["--config", str(bad), "verify"],
+            "--mode-file": ["simulate", "--mode-file", str(bad), "--amplitudes",
+                            EXAMPLE_AMPS, "--dry-run"],
+            "--state-file": ["simulate", "--state-file", str(bad), "--dry-run"],
+            "--rate-file": ["simulate", "--rate-file", str(bad), "--l-max", "1",
+                            "--dry-run"],
+            "report": ["report", "--input", str(bad), "--per-mode-csv", out],
+            }.get(flag, [command, "--input", str(bad), "--output", out])
+    assert exit_code(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--input", "--rate-file"])
+def test_over_long_csv_field_gives_an_error_line(tmp_path, capsys, flag):
+    # the csv module refuses a field over 128 KiB with csv.Error, which used
+    # to end in a traceback with exit 1
+    bad = tmp_path / "long.csv"
+    bad.write_text("n,l,rate\n" * (flag == "--rate-file") + "a" * 200_000 + "\n")
+    argv = (["certify", "--input", str(bad), "--output", str(tmp_path / "o.json")]
+            if flag == "--input" else
+            ["simulate", "--rate-file", str(bad), "--l-max", "1", "--dry-run"])
+    assert exit_code(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "field larger than field limit" in err
+    assert "Traceback" not in err and len(err) < 400

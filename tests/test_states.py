@@ -141,6 +141,23 @@ def test_perturb_zero_strength_is_exact_embedding():
     assert np.allclose(off, 0.0)
 
 
+def test_perturb_takes_a_general_state():
+    st = example_state()
+    a = perturb_state(st, 0.1, np.random.default_rng(5))
+    b = perturb_state(st.embed(), 0.1, np.random.default_rng(5))
+    assert np.array_equal(a.rho, b.rho)
+    assert perturb_state(a, 0.0, np.random.default_rng(0)) is a
+
+
+def test_blocks_of_a_correlated_state_equal_those_of_its_embedding():
+    st = example_state()
+    gen = st.embed()
+    k, l = np.triu_indices(st.D, 1)
+    assert st.blocks(k, l).shape == (6, 4, 4)
+    assert np.allclose(st.blocks(k, l), gen.blocks(k, l), rtol=0, atol=1e-15)
+    assert gen.embed() is gen
+
+
 @pytest.mark.parametrize("strength", [0.01, 0.1, 0.5])
 def test_perturbed_state_is_valid(strength):
     bell = correlated_pure([1, 1], generic_mode_set(2))

@@ -78,6 +78,24 @@ def test_certified_dimension_monotone_in_W():
             prev = d
 
 
+def _certified_dimension_loop(W, D):
+    """Reference: the largest d whose bound(D, d - 1) lies below W."""
+    d_cert = 1
+    for d in range(2, D + 1):
+        if W > bound(D, d - 1):
+            d_cert = d
+    return d_cert
+
+
+@pytest.mark.parametrize("D", [*range(2, 41), 186, 299])
+def test_certified_dimension_equals_the_bound_loop(D):
+    b = np.array([bound(D, d) for d in range(1, D + 1)], dtype=float)
+    Ws = np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                         b - 0.5, b + 0.5, [-1.0, 0.0, 1.0, 1e18]])
+    for W in [*Ws, *Ws.tolist()]:  # numpy and Python floats
+        assert certified_dimension(W, D) == _certified_dimension_loop(W, D)
+
+
 def test_certified_dimension_input_checks():
     with pytest.raises(ConfigError):
         certified_dimension(np.nan, 4)
