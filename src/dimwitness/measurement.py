@@ -154,6 +154,11 @@ def _block_probabilities(blocks: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+# the largest Poisson mean numpy's Generator.poisson draws from; above it the
+# draw fails with "lam value too large"
+_POISSON_MAX = float(np.iinfo("l").max - 10 * np.sqrt(np.iinfo("l").max))
+
+
 def _check_flux(flux) -> None:
     if not flux > 0 or not math.isfinite(flux):
         raise ConfigError(f"flux must be positive and finite, got {flux!r}")
@@ -180,6 +185,11 @@ def simulate_counts(state, flux: float, seed: int | None = None,
         raise ConfigError("a seed is required unless expectation mode is set")
     counts = means = flux * outcome_probabilities(state)
     if not expectation:
+        if means.max(initial=0.0) > _POISSON_MAX:
+            raise ConfigError(f"flux {flux!r} gives a Poisson mean of "
+                              f"{means.max():.6g}, above {_POISSON_MAX:.6g}, the "
+                              f"largest that can be sampled; lower the flux or "
+                              f"set expectation mode")
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
         counts = rng.poisson(means).astype(float)
         if share_populations:
@@ -275,21 +285,29 @@ def _dataset(columns, mode_set: ModeSet | None, flux: float | None,
     must be positive unless there are no rows."""
     na, la, nb, lb, basis, outcome, counts = columns
     rows = len(counts)
-    # one code per (n, l) cell of either column, from the ranks of the mode
-    # numbers; codes sort in (n, l) order
+    # the mode numbers are coded once per run of rows of one pair (a file
+    # lists a pair's 12 counts together): one code per (n, l) cell of either
+    # column, from the ranks of the mode numbers; codes sort in (n, l) order
+    head = np.ones(rows, dtype=bool)
+    head[1:] = np.any([c[1:] != c[:-1] for c in (na, la, nb, lb)], axis=0)
+    na, la, nb, lb = (column[head] for column in (na, la, nb, lb))
+    runs = len(na)
     numbers, rank = np.unique(np.concatenate([na, nb, la, lb]), return_inverse=True)
-    codes, ids = np.unique(rank[:2 * rows] * len(numbers) + rank[2 * rows:],
+    codes, ids = np.unique(rank[:2 * runs] * len(numbers) + rank[2 * runs:],
                            return_inverse=True)
     n, lq = numbers[codes // len(numbers)], numbers[codes % len(numbers)]
     try:
         modes = list(map(ModeIndex, n.tolist(), lq.tolist()))
     except ConfigError as exc:
         raise IngestionError(f"bad mode: {exc}") from exc
-    ia, ib = ids[:rows], ids[rows:]
-    tokens, which = np.unique(np.concatenate([basis, outcome]), return_inverse=True)
-    tokens = [t.decode("latin-1") for t in tokens.tolist()]
-    bi = np.array([_BASIS_ID.get(t, -1) for t in tokens], dtype=np.intp)[which[:rows]]
-    oi = np.array([_OUTCOME_ID.get(t, -1) for t in tokens], dtype=np.intp)[which[rows:]]
+    run = np.cumsum(head) - 1
+    ia, ib = ids[:runs][run], ids[runs:][run]
+    # a token that is none of the valid ones keeps the index -1
+    bi = np.full(rows, -1, dtype=np.intp)
+    oi = np.full(rows, -1, dtype=np.intp)
+    for index, column, names in ((bi, basis, BASES), (oi, outcome, OUTCOMES)):
+        for i, name in enumerate(names):
+            index[column == name.encode()] = i
     if (bi < 0).any() or (oi < 0).any():
         i = int(np.argmax((bi < 0) | (oi < 0)))
         raise IngestionError(f"unknown basis/outcome {basis[i].decode('latin-1')!r}/"

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError, IntegrityError
-from .measurement import (_EIGVECS, BASES, CoincidenceDataset, _block_probabilities,
-                          basis_visibilities, outcome_probabilities, pair_index)
+from .errors import CapacityError, ConfigError, IngestionError, IntegrityError
+from .measurement import (_EIGVECS, _POISSON_MAX, BASES, CoincidenceDataset,
+                          _block_probabilities, basis_visibilities,
+                          outcome_probabilities, pair_index)
 from .modes import ModeSet
 from .oracle import _sv_witness, brute_force_sv_witness
 from .states import _check_strength, _cut_blocks, _draw_perturbation, _perturb
@@ -115,10 +116,14 @@ def _pair_sum(S: np.ndarray):
 
 
 def _row_means(S: np.ndarray) -> np.ndarray:
-    """Mean of each row's off-diagonal entries."""
+    """Mean of each row's off-diagonal entries, each row added in its order."""
     n = len(S)
-    return S[~np.eye(n, dtype=bool)].reshape(n, n - 1).mean(axis=1) if n > 1 \
-        else np.zeros(n)
+    if n < 2:
+        return np.zeros(n)
+    # after the first entry, the flat matrix runs in strides of n + 1 from
+    # each (i, i + 1) to the diagonal entry (i + 1, i + 1)
+    off = S.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].reshape(n, n - 1)
+    return off.mean(axis=1)
 
 
 def witness_sum(table: VisibilityTable) -> float:
@@ -203,11 +208,21 @@ def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
     """
     if n_resamples < 2:
         raise ConfigError("need at least 2 resamples")
-    counts = dataset.count_array()
+    mean, sigma, _ = _bootstrap(dataset.count_array(), n_resamples, seed)
+    return mean, sigma
+
+
+def _bootstrap(counts: np.ndarray, n_resamples: int, seed: int):
+    """:func:`monte_carlo_ci` of a complete count tensor; also returns the
+    number of closed-form pairs."""
     closed, var = _closed_form(counts)
     mean = basis_visibilities(counts[closed]).sum()
     variance = var[closed].sum()
     rough = counts[~closed]
+    if rough.max(initial=0.0) > _POISSON_MAX:
+        raise CapacityError(f"count {rough.max():.6g} of a resampled pair is above "
+                            f"{_POISSON_MAX:.6g}, the largest Poisson mean that "
+                            f"can be sampled")
     if len(rough):
         ws = np.empty(n_resamples)
         for i in range(n_resamples):
@@ -215,7 +230,7 @@ def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
             ws[i] = basis_visibilities(rng.poisson(rough)).sum()
         mean += ws.mean()
         variance += ws.var(ddof=1)
-    return float(mean), float(np.sqrt(variance))
+    return float(mean), float(np.sqrt(variance)), int(closed.sum())
 
 
 def per_mode_contribution(table: VisibilityTable) -> np.ndarray:
@@ -243,17 +258,23 @@ def greedy_subset(table: VisibilityTable) -> GreedyResult:
     if table.mode_set.D < 2:
         raise ConfigError(f"greedy subset search needs D >= 2, got D={table.mode_set.D}")
     S = _sv_matrix(table)
-    active = list(range(table.mode_set.D))
+    # the pairs (k, l) of the surviving modes and their summed visibilities,
+    # in (k, l) order
+    k, l = np.triu_indices(len(S), 1)
+    upper = S[k, l]
+    active = list(range(len(S)))
     trajectory, subsets = [], []
     while len(active) >= 2:
         sub = S[np.ix_(active, active)]
-        W = _pair_sum(sub)
+        W = _ordered_sum(upper)
         d = certified_dimension(W, len(active))
         trajectory.append((len(active), d, W))
         subsets.append(list(active))
         if len(active) == 2:
             break
-        active.pop(int(np.argmin(_row_means(sub))))
+        weakest = active.pop(int(np.argmin(_row_means(sub))))
+        keep = (k != weakest) & (l != weakest)
+        k, l, upper = k[keep], l[keep], upper[keep]
     best_i = max(range(len(trajectory)),
                  key=lambda i: (trajectory[i][1], trajectory[i][0]))
     return GreedyResult(trajectory, subsets, subsets[best_i],
@@ -484,10 +505,9 @@ def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = No
             raise ConfigError("confidence intervals require the counts dataset")
         if seed is None:
             raise ConfigError("a seed is required for Monte-Carlo resampling")
-        _, sigma = monte_carlo_ci(dataset, n_resamples, seed)
+        _, sigma, closed = _bootstrap(dataset.count_array(), n_resamples, seed)
         report.sigma = sigma
         report.n_resamples = n_resamples
-        closed = int(_closed_form(dataset.count_array())[0].sum())
         pairs = D * (D - 1) // 2
         report.notes.append(f"sigma: closed form on {closed} of {pairs} pairs, "
                             f"{n_resamples} resamples on {pairs - closed}")

@@ -427,6 +427,30 @@ def test_simulate_bad_flux_is_config_error(tmp_path, flux):
                       "--output", str(tmp_path / "x.csv")]) == 2
 
 
+def test_simulate_flux_too_large_to_sample_is_config_error(tmp_path, capsys):
+    argv = ["simulate", "--l-max", "1", "--n-max", "0", "--profile", "maximal",
+            "--flux", "1e300", "--seed", "1", "--output", str(tmp_path / "c.csv")]
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: flux 1e+300 gives a Poisson mean of 3.33333e+299")
+    assert not (tmp_path / "c.csv").exists()
+    assert exit_code([*argv, "--expectation"]) == 0
+
+
+def test_resampling_counts_too_large_is_capacity_error(tmp_path, capsys):
+    # equal counts in every outcome put the pair far from closed form
+    rows = [f"0,0,0,1,{b},{o},100000000000000000000" for b in "xyz"
+            for o in ("pp", "pm", "mp", "mm")]
+    counts = tmp_path / "counts.csv"
+    counts.write_text("\n".join(["na,la,nb,lb,basis,outcome,count", *rows, ""]))
+    argv = ["certify", "--input", str(counts), "--seed", "1",
+            "--output", str(tmp_path / "report.json")]
+    assert exit_code([*argv, "--resamples", "20"]) == 4
+    assert capsys.readouterr().err.startswith(
+        "error: count 1e+20 of a resampled pair is above 9.22337e+18")
+    assert exit_code(argv) == 0
+
+
 def test_certify_notes_flux_fallback(runner, tmp_path):
     counts, modes = simulate_example(runner, tmp_path)
     z_total = sum(int(r.split(",")[6]) for r in counts.read_text().splitlines()[1:]

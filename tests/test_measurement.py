@@ -1,7 +1,7 @@
 import csv
 import json
 import warnings
-from itertools import islice
+from itertools import islice, zip_longest
 from operator import itemgetter
 
 import numpy as np
@@ -713,6 +713,11 @@ _LAYOUTS = {
     "blank_lines": (lambda rows: [r for row in rows for r in ([""], row)], "\r\n"),
     "padded": (lambda rows: [[f" {f} " if i in (0, 3, 6) else f for i, f in enumerate(r)]
                              for r in rows], "\n"),
+    # the two halves of the rows interleaved, so that rows of one pair never
+    # follow each other (a pair has 12 rows)
+    "split_runs": (lambda rows: [r for two in zip_longest(rows[:len(rows) // 2],
+                                                          rows[len(rows) // 2:])
+                                 for r in two if r is not None], "\n"),
 }
 
 
@@ -773,6 +778,27 @@ def test_malformed_csv_same_error_as_reference(tmp_path, case, declared):
     for read in (read_counts_csv, ref_read_csv):
         with pytest.raises(IngestionError):
             read(path, **given)
+
+
+# a bad token, an undeclared mode, then another bad token
+_TWO_BAD_ROWS = ["0,0,0,1,x,mm,5", "0,0,0,1,w,pp,5", "0,0,4,4,x,pp,5", "0,0,0,1,x,p,5"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_first_bad_row_in_file_order_is_named(tmp_path, fmt):
+    path = tmp_path / f"counts.{fmt}"
+    rows = [row.split(",") for row in _TWO_BAD_ROWS]
+    if fmt == "csv":
+        path.write_text(_csv_text(rows))
+        read = lambda: read_counts_csv(path, mode_set=generic_mode_set(2), flux=1e5)
+    else:
+        entries = [dict(zip(CSV_HEADER, [*map(int, r[:4]), r[4], r[5], int(r[6])]))
+                   for r in rows]
+        path.write_text(json.dumps({"modes": generic_mode_set(2).to_json(),
+                                    "flux": 1e5, "counts": entries}))
+        read = lambda: read_counts_json(path)
+    with pytest.raises(IngestionError, match="^unknown basis/outcome 'w'/'pp'$"):
+        read()
 
 
 @pytest.mark.parametrize("token", ["ppm", "xyz", "ppmm"])

@@ -555,6 +555,30 @@ def test_array_sums_equal_reference_loops(D):
         ref_greedy(table)
 
 
+def tied_table(kind, D=12):
+    """A table on which the greedy search meets tied row means."""
+    shape = (D * (D - 1) // 2, 3)
+    if kind == "maximal":
+        ds = simulate_counts(maximally_entangled(D), 1e6, expectation=True)
+        return table_from_dataset(ds)
+    if kind == "rounded":  # V to one decimal; this draw ties at three steps
+        V = np.round(np.random.default_rng(19).uniform(0.0, 1.0, shape), 1)
+        return VisibilityTable(generic_mode_set(D), V)
+    return VisibilityTable(generic_mode_set(D), np.full(shape, 0.5))
+
+
+@pytest.mark.parametrize("kind", ["maximal", "rounded", "equal"])
+def test_greedy_on_tied_tables_equals_reference_loop(kind):
+    table = tied_table(kind)
+    res = greedy_subset(table)
+    assert (res.trajectory, res.subsets, res.best_subset, res.best_d) == \
+        ref_greedy(table)
+    means = [ref_per_mode(table, sub) for sub in res.subsets[:-1]]
+    assert any(np.count_nonzero(m == m.min()) > 1 for m in means)
+    if kind == "equal":  # a tie drops the first of the tied modes
+        assert res.subsets == [list(range(i, 12)) for i in range(11)]
+
+
 @pytest.mark.parametrize("sub", [[5, 1, 6, 2], [0, 7], list(range(8))])
 def test_subset_selects_rows(sub):
     table = random_table(8, np.random.default_rng(41))
