@@ -22,9 +22,8 @@ from click.core import ParameterSource
 from . import __version__
 from .errors import ConfigError, DimWitnessError, IngestionError
 from .modes import ModeSet, enumerate_modes, generic_mode_set
-from .states import (CorrelatedState, amplitudes_from_rates, correlated_pure,
-                     load_state, max_witness_state, maximally_entangled,
-                     spdc_profile)
+from .states import (amplitudes_from_rates, correlated_pure, load_state,
+                     max_witness_state, maximally_entangled, spdc_profile)
 from .measurement import (_count_str, read_counts_csv, read_counts_json,
                           simulate_counts, write_counts_csv, write_counts_json)
 from .witness import (bound, build_report, certified_dimension, greedy_subset,
@@ -281,8 +280,6 @@ def robustness(l_max, n_max, mode_file, state_file, profile, amplitudes,
     move the witness."""
     state = _state_source(state_file, profile, amplitudes, rate_file,
                           lambda_l, lambda_n, l_max, n_max, mode_file)
-    if not isinstance(state, CorrelatedState):
-        raise ConfigError("robustness study starts from a correlated state")
     result = robustness_study(state, kind, trials, strength_max, seed)
     payload = {"kind": result.kind, "baseline": result.baseline,
                "fraction_non_increasing": result.fraction_non_increasing,

@@ -16,10 +16,10 @@ import csv
 import json
 import math
 import warnings
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -68,76 +68,44 @@ class CoincidenceDataset:
     """Coincidence counts of a mode set.
 
     ``tensor`` holds every count, shape (pairs, 3 bases, 4 outcomes), pairs
-    (k, l), k < l, in row-major order (:func:`pair_index`); NaN marks a count
-    that was not measured.  ``counts`` is a read-only view of the measured
-    entries keyed by (k, l, basis, outcome).
+    (k, l), k < l, in row-major order (:func:`pair_index`); a dataset with a
+    count missing (NaN) is refused.  ``counts`` is a read-only mapping of the
+    same counts keyed by (k, l, basis, outcome).
     """
 
     mode_set: ModeSet
     flux: float
+    tensor: np.ndarray
     expectation: bool = False
-    tensor: np.ndarray = field(init=False)
 
     def __post_init__(self):
         D = self.mode_set.D
-        self.tensor = np.full((D * (D - 1) // 2, len(BASES), len(OUTCOMES)), np.nan)
-
-    @property
-    def counts(self) -> "CountView":
-        return CountView(self)
-
-    def _flat(self, k, l, basis, outcome) -> int:
-        """Flat tensor position of one count; KeyError if there is none."""
-        D = self.mode_set.D
-        if not (0 <= k < l < D and basis in _BASIS_ID and outcome in _OUTCOME_ID):
-            raise KeyError((k, l, basis, outcome))
-        return (pair_index(k, l, D) * 3 + _BASIS_ID[basis]) * 4 + _OUTCOME_ID[outcome]
-
-    def _cells(self, flat: np.ndarray):
-        """k, l, basis index and outcome index of each flat tensor position."""
-        pair, rest = np.divmod(flat, len(BASES) * len(OUTCOMES))
-        k, l = np.triu_indices(self.mode_set.D, 1)
-        return k[pair], l[pair], rest // len(OUTCOMES), rest % len(OUTCOMES)
-
-    def _keys(self, flat: np.ndarray):
-        """(k, l, basis, outcome) of each flat tensor position."""
-        k, l, b, o = self._cells(flat)
-        return zip(k.tolist(), l.tolist(), map(BASES.__getitem__, b.tolist()),
-                   map(OUTCOMES.__getitem__, o.tolist()))
-
-    def count_array(self) -> np.ndarray:
-        """The count tensor itself; raises if a count is missing."""
+        shape = (D * (D - 1) // 2, len(BASES), len(OUTCOMES))
+        if np.shape(self.tensor) != shape:
+            raise IngestionError(f"count tensor has shape {np.shape(self.tensor)}, "
+                                 f"expected {shape}")
         missing = np.flatnonzero(np.isnan(self.tensor))
         if missing.size:
-            k, l, basis, outcome = next(self._keys(missing[:1]))
+            k, l, basis, outcome = next(_keys(D, missing[:1]))
             ma, mb = self.mode_set[k], self.mode_set[l]
             raise IngestionError(
                 f"dataset is missing count for pair (n={ma.n},l={ma.l})/"
                 f"(n={mb.n},l={mb.l}), basis {basis}, outcome {outcome}")
-        return self.tensor
+
+    @property
+    def counts(self) -> MappingProxyType:
+        cells = self.tensor.reshape(-1)
+        return MappingProxyType(dict(zip(_keys(self.mode_set.D, np.arange(cells.size)),
+                                         cells.tolist())))
 
 
-class CountView(Mapping):
-    """Read-only mapping (k, l, basis, outcome) -> count over the measured
-    entries of a dataset's tensor, in tensor order."""
-
-    def __init__(self, dataset: CoincidenceDataset):
-        self._ds = dataset
-
-    def __getitem__(self, key):
-        try:
-            value = self._ds.tensor.reshape(-1)[self._ds._flat(*key)]
-        except TypeError:
-            raise KeyError(key) from None
-        if np.isnan(value):
-            raise KeyError(key)
-        return float(value)
-
-    def __iter__(self):
-        return self._ds._keys(np.flatnonzero(~np.isnan(self._ds.tensor)))
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(~np.isnan(self._ds.tensor)))
+def _keys(D: int, flat: np.ndarray):
+    """(k, l, basis, outcome) of each flat position of a D-mode count tensor."""
+    pair, setting = np.divmod(flat, len(BASES) * len(OUTCOMES))
+    basis, outcome = np.divmod(setting, len(OUTCOMES))
+    k, l = np.triu_indices(D, 1)
+    return zip(k[pair].tolist(), l[pair].tolist(), map(BASES.__getitem__, basis.tolist()),
+               map(OUTCOMES.__getitem__, outcome.tolist()))
 
 
 def outcome_probabilities(state) -> np.ndarray:
@@ -203,9 +171,7 @@ def simulate_counts(state, flux: float, seed: int | None = None,
             pop = rng.poisson(pop).astype(float)
             counts[:, _BASIS_ID["z"]] = np.stack(
                 [pop[k, k], pop[k, l], pop[l, k], pop[l, l]], axis=-1)
-    ds = CoincidenceDataset(state.mode_set, float(flux), expectation=expectation)
-    ds.tensor[:] = counts
-    return ds
+    return CoincidenceDataset(state.mode_set, float(flux), counts, expectation)
 
 
 def basis_visibilities(counts) -> np.ndarray:
@@ -253,15 +219,14 @@ def _count_values(values: np.ndarray, as_int: np.ndarray) -> list:
 
 def _measured(dataset: CoincidenceDataset):
     """Mode numbers (na, la, nb, lb) of every pair, shape (pairs, 4), and the
-    pair, setting (basis * 4 + outcome) and value of every measured cell, in
+    pair, setting (basis * 4 + outcome) and value of every count, in
     (k, l, basis, outcome) order."""
     nl = np.array([(m.n, m.l) for m in dataset.mode_set.modes],
                   dtype=np.int64).reshape(-1, 2)
     k, l = np.triu_indices(dataset.mode_set.D, 1)
     cells = dataset.tensor.reshape(-1)
-    flat = np.flatnonzero(~np.isnan(cells))
-    pair, setting = np.divmod(flat, len(BASES) * len(OUTCOMES))
-    return np.hstack([nl[k], nl[l]]), pair, setting, cells[flat]
+    pair, setting = np.divmod(np.arange(cells.size), len(BASES) * len(OUTCOMES))
+    return np.hstack([nl[k], nl[l]]), pair, setting, cells
 
 
 def write_counts_csv(dataset: CoincidenceDataset, path) -> None:
@@ -277,12 +242,21 @@ def write_counts_csv(dataset: CoincidenceDataset, path) -> None:
         fh.write("\r\n".join([",".join(CSV_HEADER), *rows, ""]))
 
 
+def _mode(n: int, l: int):
+    """The mode (n, l), or the ConfigError that refuses it."""
+    try:
+        return ModeIndex(n, l)
+    except ConfigError as exc:
+        return exc
+
+
 def _dataset(columns, mode_set: ModeSet | None, flux: float | None,
              expectation: bool = False) -> CoincidenceDataset:
     """The dataset of count rows given as the seven CSV_HEADER columns, typed
     as the fields of `_ROW`.  Without `mode_set` it is every mode seen,
     sorted by (n, l); without `flux` it is the total z-basis count, which
-    must be positive unless there are no rows."""
+    must be positive unless there are no rows.  The first bad row in row
+    order is named, with the first check it fails."""
     na, la, nb, lb, basis, outcome, counts = columns
     rows = len(counts)
     # the mode numbers are coded once per run of rows of one pair (a file
@@ -296,10 +270,8 @@ def _dataset(columns, mode_set: ModeSet | None, flux: float | None,
     codes, ids = np.unique(rank[:2 * runs] * len(numbers) + rank[2 * runs:],
                            return_inverse=True)
     n, lq = numbers[codes // len(numbers)], numbers[codes % len(numbers)]
-    try:
-        modes = list(map(ModeIndex, n.tolist(), lq.tolist()))
-    except ConfigError as exc:
-        raise IngestionError(f"bad mode: {exc}") from exc
+    modes = list(map(_mode, n.tolist(), lq.tolist()))
+    refused = np.array([isinstance(m, ConfigError) for m in modes], dtype=bool)
     run = np.cumsum(head) - 1
     ia, ib = ids[:runs][run], ids[runs:][run]
     # a token that is none of the valid ones keeps the index -1
@@ -308,48 +280,54 @@ def _dataset(columns, mode_set: ModeSet | None, flux: float | None,
     for index, column, names in ((bi, basis, BASES), (oi, outcome, OUTCOMES)):
         for i, name in enumerate(names):
             index[column == name.encode()] = i
-    if (bi < 0).any() or (oi < 0).any():
-        i = int(np.argmax((bi < 0) | (oi < 0)))
-        raise IngestionError(f"unknown basis/outcome {basis[i].decode('latin-1')!r}/"
-                             f"{outcome[i].decode('latin-1')!r}")
     if mode_set is None:
-        mode_set = ModeSet(tuple(modes))
+        mode_set = ModeSet(tuple(m for m, r in zip(modes, refused) if not r))
+    D = mode_set.D
     index = {m: i for i, m in enumerate(mode_set.modes)}
     remap = np.array([index.get(m, -1) for m in modes], dtype=np.intp)
     k, l = remap[ia], remap[ib]
-    if (k < 0).any() or (l < 0).any():
-        i = int(np.argmax((k < 0) | (l < 0)))
-        raise IngestionError(f"mode {modes[ia[i] if k[i] < 0 else ib[i]]!r} "
-                             f"not in the declared mode set")
-    if (k == l).any():
-        raise IngestionError(f"row pairs mode {modes[ia[np.argmax(k == l)]]!r} "
-                             f"with itself")
     # a (b, a) row holds the (a, b) count with the photons swapped
     swap = k > l
-    k, l = np.where(swap, l, k), np.where(swap, k, l)
-    oi = np.where(swap, _SWAP_OUTCOME[oi], oi)
+    flat = (pair_index(np.where(swap, l, k), np.where(swap, k, l), D) * 3 + bi) * 4 \
+        + np.where(swap, _SWAP_OUTCOME[oi], oi)
+    checks = [refused[ia] | refused[ib], (bi < 0) | (oi < 0), (k < 0) | (l < 0),
+              k == l, ~(np.isfinite(counts) & (counts >= 0))]
+    good = np.flatnonzero(~np.any(checks, axis=0))
+    tensor = np.full((D * (D - 1) // 2, len(BASES), len(OUTCOMES)), np.nan)
+    cells = tensor.reshape(-1)
+    cells[flat[good]] = counts[good]
+    repeated = np.zeros(rows, dtype=bool)
+    # every count is a number, so a repeated cell leaves fewer filled cells
+    if np.count_nonzero(~np.isnan(cells)) < len(good):
+        repeated[good] = True
+        repeated[good[np.unique(flat[good], return_index=True)[1]]] = False
+    failed = np.any(checks + [repeated], axis=0)
+    if failed.any():
+        i = int(np.argmax(failed))
+        a, b = modes[ia[i]], modes[ib[i]]
+        if checks[0][i]:
+            exc = modes[min(c for c in (ia[i], ib[i]) if refused[c])]
+            raise IngestionError(f"bad mode: {exc}") from exc
+        if checks[1][i]:
+            raise IngestionError(f"unknown basis/outcome {basis[i].decode('latin-1')!r}/"
+                                 f"{outcome[i].decode('latin-1')!r}")
+        if checks[2][i]:
+            raise IngestionError(f"mode {a if k[i] < 0 else b!r} not in the declared "
+                                 f"mode set")
+        if checks[3][i]:
+            raise IngestionError(f"row pairs mode {a!r} with itself")
+        key = next(_keys(D, flat[i:i + 1]))
+        if checks[4][i]:
+            raise IngestionError(f"count {float(counts[i])!r} at {key} must be "
+                                 f"finite and >= 0")
+        raise IngestionError(f"duplicate count at {key}")
     if flux is None:  # left to right in row order; np.sum adds pairwise
         z = counts[bi == _BASIS_ID["z"]]
         flux = float(np.cumsum(z)[-1]) if z.size else 0.0
-    ds = CoincidenceDataset(mode_set, flux, expectation=expectation)
-    flat = (pair_index(k, l, mode_set.D) * 3 + bi) * 4 + oi
-    bad = ~(np.isfinite(counts) & (counts >= 0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        key = next(ds._keys(flat[i:i + 1]))
-        raise IngestionError(f"count {float(counts[i])!r} at {key} must be "
-                             f"finite and >= 0")
     if rows and not flux > 0:  # a given flux is positive
         raise IngestionError("the z-basis counts sum to 0, so no flux can be "
                              "derived from them; give the flux")
-    cells = ds.tensor.reshape(-1)
-    cells[flat] = counts
-    # every count is a number, so a repeated cell leaves fewer filled cells
-    if np.count_nonzero(~np.isnan(cells)) < len(flat):
-        repeated, times = np.unique(flat, return_counts=True)
-        key = next(ds._keys(repeated[times > 1][:1]))
-        raise IngestionError(f"duplicate count at {key}")
-    return ds
+    return CoincidenceDataset(mode_set, flux, tensor, expectation)
 
 
 def read_counts_csv(path, mode_set: ModeSet | None = None,

@@ -48,8 +48,8 @@ class VisibilityTable:
     """Visibilities of every pair (k, l), k < l, of a mode set.
 
     ``V`` has shape (pairs, 3): columns (V_x, V_y, V_z), rows in the
-    row-major pair order of :func:`measurement.pair_index`.  A NaN row marks
-    a missing pair.
+    row-major pair order of :func:`measurement.pair_index`.  A table with a
+    pair missing (a NaN row) is refused.
     """
 
     mode_set: ModeSet
@@ -63,13 +63,12 @@ class VisibilityTable:
         if len(set(idx)) != len(idx) or any(not 0 <= k < D for k in idx):
             raise ConfigError(f"mode subset {idx} must hold distinct indices "
                               f"in [0, {D})")
-        self.check_complete()
         a, b = np.triu_indices(len(idx), 1)
         k = np.array(idx, dtype=np.intp)
         return VisibilityTable(self.mode_set.subset(idx),
                                self.V[pair_index(k[a], k[b], D)])
 
-    def check_complete(self) -> None:
+    def __post_init__(self):
         D = self.mode_set.D
         if np.shape(self.V) != (D * (D - 1) // 2, len(BASES)):
             raise IngestionError(f"visibility table has shape {np.shape(self.V)}, "
@@ -88,12 +87,11 @@ def table_from_state(state) -> VisibilityTable:
 
 
 def table_from_dataset(dataset: CoincidenceDataset) -> VisibilityTable:
-    return VisibilityTable(dataset.mode_set, basis_visibilities(dataset.count_array()))
+    return VisibilityTable(dataset.mode_set, basis_visibilities(dataset.tensor))
 
 
 def _sv_matrix(table: VisibilityTable) -> np.ndarray:
     """Symmetric matrix of the summed visibilities, zero diagonal."""
-    table.check_complete()
     D = table.mode_set.D
     V = table.V
     S = np.zeros((D, D))
@@ -208,7 +206,7 @@ def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
     """
     if n_resamples < 2:
         raise ConfigError("need at least 2 resamples")
-    mean, sigma, _ = _bootstrap(dataset.count_array(), n_resamples, seed)
+    mean, sigma, _ = _bootstrap(dataset.tensor, n_resamples, seed)
     return mean, sigma
 
 
@@ -505,7 +503,7 @@ def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = No
             raise ConfigError("confidence intervals require the counts dataset")
         if seed is None:
             raise ConfigError("a seed is required for Monte-Carlo resampling")
-        _, sigma, closed = _bootstrap(dataset.count_array(), n_resamples, seed)
+        _, sigma, closed = _bootstrap(dataset.tensor, n_resamples, seed)
         report.sigma = sigma
         report.n_resamples = n_resamples
         pairs = D * (D - 1) // 2

@@ -10,7 +10,8 @@ from dimwitness.errors import (CapacityError, ConfigError, IngestionError,
 from dimwitness.modes import ModeIndex, ModeSet, generic_mode_set
 from dimwitness.oracle import brute_force_sv_witness, brute_force_witness
 from dimwitness.measurement import simulate_counts, write_counts_json
-from dimwitness.states import correlated_pure, perturb_state, save_state
+from dimwitness.states import correlated_pure, load_state, perturb_state, save_state
+from dimwitness.witness import robustness_study
 
 EXAMPLE_MODES = ModeSet((ModeIndex(0, 0), ModeIndex(1, -1),
                          ModeIndex(2, -2), ModeIndex(3, -3)))
@@ -227,6 +228,22 @@ def test_robustness_capacity_error(tmp_path):
     assert exit_code(["robustness", "--amplitudes", amps, "--kind", "state",
                       "--trials", "2", "--strength-max", "0.1", "--seed", "0",
                       "--output", str(tmp_path / "x.json")]) == 4
+
+
+@pytest.mark.parametrize("kind", ["state", "projector", "both"])
+def test_robustness_takes_a_perturbed_state_file(runner, tmp_path, kind):
+    path, out = tmp_path / "state.json", tmp_path / "rob.json"
+    save_state(perturb_state(correlated_pure([0.5, 0.07, 0.01, 0.01], EXAMPLE_MODES),
+                             0.1, np.random.default_rng(3)), path)
+    res = run(runner, ["robustness", "--state-file", str(path), "--kind", kind,
+                       "--trials", "20", "--strength-max", "0.2", "--seed", "1",
+                       "--output", str(out)])
+    assert res.exit_code == 0, res.output
+    want = robustness_study(load_state(path), kind, 20, 0.2, 1)
+    assert json.loads(out.read_text()) == {
+        "kind": kind, "baseline": want.baseline,
+        "fraction_non_increasing": want.fraction_non_increasing,
+        "trials": [[s, w] for s, w in want.trials]}
 
 
 @pytest.mark.parametrize("kind", ["state", "projector", "both"])
@@ -449,6 +466,20 @@ def test_resampling_counts_too_large_is_capacity_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "error: count 1e+20 of a resampled pair is above 9.22337e+18")
     assert exit_code(argv) == 0
+
+
+def test_count_file_missing_a_row_is_ingestion_error(runner, tmp_path, capsys):
+    counts, _ = simulate_example(runner, tmp_path)
+    rows = counts.read_text().splitlines(keepends=True)
+    counts.write_text("".join(r for r in rows if not r.startswith("1,-1,2,-2,y,mp,")))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    for command in ("certify", "optimize"):
+        assert exit_code([command, "--input", str(counts), "--output", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: dataset is missing count for pair (n=1,l=-1)/(n=2,l=-2), "
+            "basis y, outcome mp\n")
+        assert not out.exists()
 
 
 def test_certify_notes_flux_fallback(runner, tmp_path):

@@ -1,7 +1,7 @@
 import csv
 import json
 import warnings
-from itertools import islice, zip_longest
+from itertools import islice, permutations, zip_longest
 from operator import itemgetter
 
 import numpy as np
@@ -295,8 +295,7 @@ def test_estimate_round_trip_expectation():
 
 
 def test_equal_counts_give_zero_visibility():
-    ds = CoincidenceDataset(generic_mode_set(2), flux=400.0)
-    ds.tensor[pair_index(0, 1, 2)] = 100
+    ds = CoincidenceDataset(generic_mode_set(2), 400.0, np.full((1, 3, 4), 100.0))
     vx, vy, vz = dataset_V(ds, 0, 1)
     assert vx == vy == vz == 0.0
 
@@ -305,7 +304,7 @@ def test_missing_count_named_in_error():
     ds = simulate_counts(bell(), 1e4, seed=1)
     ds.tensor[pair_index(0, 1, 2), BASES.index("y"), OUTCOMES.index("mp")] = np.nan
     with pytest.raises(IngestionError, match="basis y, outcome mp"):
-        table_from_dataset(ds)
+        CoincidenceDataset(ds.mode_set, ds.flux, ds.tensor)
 
 
 def test_poisson_error_scaling():
@@ -530,12 +529,46 @@ def test_count_view_is_read_only_view():
     ds = simulate_counts(example_state(), 1e5, seed=4)
     assert len(ds.counts) == 72
     assert ds.counts[(1, 2, "y", "pm")] == ds.tensor[3, 1, 1]
-    ds.tensor[3, 1, 1] = np.nan
-    assert len(ds.counts) == 71 and (1, 2, "y", "pm") not in ds.counts
     for bad in [(2, 1, "y", "pm"), (1, 2, "w", "pm"), (1, 9, "x", "pp"), "x"]:
         assert bad not in ds.counts
     with pytest.raises(TypeError):
         ds.counts[(0, 1, "x", "pp")] = 1
+
+
+_MISSING_Y_MP = (r"^dataset is missing count for pair \(n=1,l=-1\)/\(n=2,l=-2\), "
+                 r"basis y, outcome mp$")
+
+
+def test_dataset_refuses_missing_count_and_wrong_shape():
+    ds = simulate_counts(example_state(), 1e5, seed=4)
+    assert list(ds.counts.values()) == ds.tensor.reshape(-1).tolist()
+    tensor = ds.tensor.copy()
+    tensor[pair_index(1, 2, 4), BASES.index("y"), OUTCOMES.index("mp")] = np.nan
+    with pytest.raises(IngestionError, match=_MISSING_Y_MP):
+        CoincidenceDataset(EXAMPLE_MODES, 1e5, tensor)
+    for shape in [(5, 3, 4), (7, 3, 4), (6, 12), (6, 3, 3), (72,)]:
+        with pytest.raises(IngestionError, match=r"count tensor has shape"):
+            CoincidenceDataset(EXAMPLE_MODES, 1e5, np.zeros(shape))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_file_missing_a_row_refused_when_read(tmp_path, fmt):
+    ds = simulate_counts(example_state(), 1e6, seed=7)
+    path = tmp_path / f"counts.{fmt}"
+    gone = ["1", "-1", "2", "-2", "y", "mp"]
+    if fmt == "csv":
+        write_counts_csv(ds, path)
+        _rewrite_rows(path, lambda rows: [r for r in rows if r[:6] != gone])
+        read = lambda: read_counts_csv(path)
+    else:
+        write_counts_json(ds, path)
+        payload = json.loads(path.read_text())
+        payload["counts"] = [c for c in payload["counts"]
+                             if list(map(str, itemgetter(*CSV_HEADER[:6])(c))) != gone]
+        path.write_text(json.dumps(payload))
+        read = lambda: read_counts_json(path)
+    with pytest.raises(IngestionError, match=_MISSING_Y_MP):
+        read()
 
 
 @pytest.mark.parametrize("expectation", [False, True])
@@ -665,14 +698,15 @@ class _RefRows:
         if flux is None:
             z = counts[bi == 2]
             flux = float(np.cumsum(z)[-1]) if z.size else 0.0
-        ds = CoincidenceDataset(mode_set, flux)
-        flat = (pair_index(k, l, mode_set.D) * 3 + bi) * 4 + oi
+        D = mode_set.D
+        tensor = np.full((D * (D - 1) // 2, 3, 4), np.nan)
+        flat = (pair_index(k, l, D) * 3 + bi) * 4 + oi
         if not (np.isfinite(counts) & (counts >= 0)).all():
             raise IngestionError("count must be finite and >= 0")
         if len(np.unique(flat)) < len(flat):
             raise IngestionError("duplicate count")
-        ds.tensor.reshape(-1)[flat] = counts
-        return ds
+        tensor.reshape(-1)[flat] = counts
+        return CoincidenceDataset(mode_set, flux, tensor)
 
 
 def ref_read_csv(path, mode_set=None, flux=None):
@@ -784,21 +818,59 @@ def test_malformed_csv_same_error_as_reference(tmp_path, case, declared):
 _TWO_BAD_ROWS = ["0,0,0,1,x,mm,5", "0,0,0,1,w,pp,5", "0,0,4,4,x,pp,5", "0,0,0,1,x,p,5"]
 
 
+def _two_mode_reader(path, rows):
+    """A reader of a CSV or JSON file of count rows given as CSV lines, with
+    the mode set (0, 0), (0, 1) and the flux declared."""
+    rows = [row.split(",") for row in rows]
+    if path.suffix == ".csv":
+        path.write_text(_csv_text(rows))
+        return lambda: read_counts_csv(path, mode_set=generic_mode_set(2), flux=1e5)
+    entries = [dict(zip(CSV_HEADER, [*map(int, r[:4]), r[4], r[5], int(r[6])]))
+               for r in rows]
+    path.write_text(json.dumps({"modes": generic_mode_set(2).to_json(),
+                                "flux": 1e5, "counts": entries}))
+    return lambda: read_counts_json(path)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_first_bad_row_in_file_order_is_named(tmp_path, fmt):
-    path = tmp_path / f"counts.{fmt}"
-    rows = [row.split(",") for row in _TWO_BAD_ROWS]
-    if fmt == "csv":
-        path.write_text(_csv_text(rows))
-        read = lambda: read_counts_csv(path, mode_set=generic_mode_set(2), flux=1e5)
-    else:
-        entries = [dict(zip(CSV_HEADER, [*map(int, r[:4]), r[4], r[5], int(r[6])]))
-                   for r in rows]
-        path.write_text(json.dumps({"modes": generic_mode_set(2).to_json(),
-                                    "flux": 1e5, "counts": entries}))
-        read = lambda: read_counts_json(path)
+    read = _two_mode_reader(tmp_path / f"counts.{fmt}", _TWO_BAD_ROWS)
     with pytest.raises(IngestionError, match="^unknown basis/outcome 'w'/'pp'$"):
         read()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_undeclared_mode_before_a_bad_token_is_named(tmp_path, fmt):
+    # the undeclared mode is checked after the tokens, but its row comes first
+    read = _two_mode_reader(tmp_path / f"counts.{fmt}",
+                            ["0,0,4,4,x,pp,5", "0,0,0,1,x,pp,5", "0,0,0,1,w,pp,5"])
+    with pytest.raises(IngestionError,
+                       match=r"^mode ModeIndex\(n=4, l=4\) not in the declared mode set$"):
+        read()
+
+
+# one bad row of each kind, in the order of the checks, and its error
+_BAD_ROW_KINDS = {
+    "negative_mode": ("-1,0,0,1,x,pp,5",
+                      "bad mode: radial quantum number must be >= 0, got n=-1"),
+    "bad_basis": ("0,0,0,1,w,pp,5", "unknown basis/outcome 'w'/'pp'"),
+    "undeclared_mode": ("0,0,4,4,x,pp,5",
+                        "mode ModeIndex(n=4, l=4) not in the declared mode set"),
+    "self_pair": ("0,0,0,0,x,pp,5", "row pairs mode ModeIndex(n=0, l=0) with itself"),
+    "negative_count": ("0,0,0,1,x,pp,-2",
+                       "count -2.0 at (0, 1, 'x', 'pp') must be finite and >= 0"),
+    "duplicate": ("0,0,0,1,x,mm,7", "duplicate count at (0, 1, 'x', 'mm')"),
+}
+
+
+@pytest.mark.parametrize("kinds", [*permutations(_BAD_ROW_KINDS, 1),
+                                   *permutations(_BAD_ROW_KINDS, 2)], ids="+".join)
+def test_earliest_bad_row_named_with_its_own_error(tmp_path, kinds):
+    rows = [_BAD_ROW_KINDS[kind][0] for kind in kinds]
+    read = _two_mode_reader(tmp_path / "counts.csv", ["0,0,0,1,x,mm,5", *rows])
+    with pytest.raises(IngestionError) as info:
+        read()
+    assert str(info.value) == _BAD_ROW_KINDS[kinds[0]][1]
 
 
 @pytest.mark.parametrize("token", ["ppm", "xyz", "ppmm"])
@@ -831,7 +903,9 @@ def test_csv_without_z_counts_derives_no_flux(tmp_path, body):
     path.write_text(_csv_text([row.split(",") for row in body]))
     with pytest.raises(IngestionError, match="z-basis counts sum to 0"):
         read_counts_csv(path)
-    assert read_counts_csv(path, flux=1e5).flux == 1e5
+    # a given flux gets past that check, but the file lacks counts
+    with pytest.raises(IngestionError, match="missing count"):
+        read_counts_csv(path, flux=1e5)
 
 
 @pytest.mark.parametrize("field", ["2.5", "2.0", "2e0"])

@@ -142,9 +142,8 @@ def test_incomplete_table_rejected():
     table = table_from_state(example_state())
     V = table.V.copy()
     V[pair_index(1, 3, 4)] = np.nan
-    broken = VisibilityTable(table.mode_set, V)
     with pytest.raises(IngestionError, match=r"\(1, 3\)"):
-        witness_sum(broken)
+        VisibilityTable(table.mode_set, V)
 
 
 # --- confidence intervals ----------------------------------------------------
