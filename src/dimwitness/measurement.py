@@ -17,7 +17,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, product, repeat
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -69,8 +69,9 @@ class CoincidenceDataset:
 
     ``tensor`` holds every count, shape (pairs, 3 bases, 4 outcomes), pairs
     (k, l), k < l, in row-major order (:func:`pair_index`); a dataset with a
-    count missing (NaN) is refused.  ``counts`` is a read-only mapping of the
-    same counts keyed by (k, l, basis, outcome).
+    count missing (NaN) is refused, and the tensor is made read-only once
+    checked.  ``counts`` is a read-only mapping of the same counts keyed by
+    (k, l, basis, outcome).
     """
 
     mode_set: ModeSet
@@ -91,6 +92,7 @@ class CoincidenceDataset:
             raise IngestionError(
                 f"dataset is missing count for pair (n={ma.n},l={ma.l})/"
                 f"(n={mb.n},l={mb.l}), basis {basis}, outcome {outcome}")
+        self.tensor.setflags(write=False)  # complete stays complete
 
     @property
     def counts(self) -> MappingProxyType:
@@ -201,6 +203,21 @@ CSV_HEADER = ["na", "la", "nb", "lb", "basis", "outcome", "count"]
 # one, so an over-long token stays invalid when it is cut to the field width.
 _ROW = np.dtype([(name, np.int64) for name in CSV_HEADER[:4]]
                 + [("basis", "S3"), ("outcome", "S3"), ("count", np.float64)])
+# A view of a `_ROW` array: its six token bytes (basis, then outcome) and
+# the next two as one little-endian integer; _TOKEN_BYTES masks off the two.
+# _KEYS holds the sorted keys of the 12 valid token pairs, _SETTINGS their
+# setting index basis * 4 + outcome, then the same with the outcome read
+# from the (l, k) side.
+_TOKEN_KEY = np.dtype({"names": ["key"], "formats": ["<u8"],
+                       "offsets": [_ROW.fields["basis"][1]],
+                       "itemsize": _ROW.itemsize})
+_TOKEN_BYTES = np.uint64((1 << 48) - 1)
+_TOKEN_PAIRS = sorted(
+    (int.from_bytes(b.encode().ljust(3, b"\0") + o.encode().ljust(3, b"\0"), "little"),
+     _BASIS_ID[b], _OUTCOME_ID[o]) for b, o in product(BASES, OUTCOMES))
+_KEYS = np.array([key for key, _, _ in _TOKEN_PAIRS], dtype=np.uint64)
+_SETTINGS = np.array([b * len(OUTCOMES) + o for _, b, o in _TOKEN_PAIRS]
+                     + [b * len(OUTCOMES) + _SWAP_OUTCOME[o] for _, b, o in _TOKEN_PAIRS])
 
 # JSON value types accepted per column; bool is not int here
 _JSON_TYPES = dict(zip(CSV_HEADER, [{int}] * 4 + [{str}] * 2 + [{int, float}]))
@@ -212,34 +229,44 @@ def _count_str(c) -> str:
 
 def _count_values(values: np.ndarray, as_int: np.ndarray) -> list:
     """The values as Python numbers: int where `as_int`, float elsewhere."""
-    out = np.array(values.tolist(), dtype=object)
-    out[as_int] = list(map(int, values[as_int].tolist()))
-    return out.tolist()
+    small = as_int & (np.abs(values) < 2.0 ** 63)  # whole numbers int64 holds
+    if small.all():
+        return values.astype(np.int64).tolist()
+    out = values.tolist()
+    big = as_int & ~small
+    for where, ints in ((small, values[small].astype(np.int64).tolist()),
+                        (big, map(int, values[big].tolist()))):
+        for i, value in zip(np.flatnonzero(where).tolist(), ints):
+            out[i] = value
+    return out
 
 
-def _measured(dataset: CoincidenceDataset):
-    """Mode numbers (na, la, nb, lb) of every pair, shape (pairs, 4), and the
-    pair, setting (basis * 4 + outcome) and value of every count, in
-    (k, l, basis, outcome) order."""
+def _pair_modes(dataset: CoincidenceDataset) -> np.ndarray:
+    """Mode numbers (na, la, nb, lb) of every pair, shape (pairs, 4)."""
     nl = np.array([(m.n, m.l) for m in dataset.mode_set.modes],
                   dtype=np.int64).reshape(-1, 2)
     k, l = np.triu_indices(dataset.mode_set.D, 1)
-    cells = dataset.tensor.reshape(-1)
-    pair, setting = np.divmod(np.arange(cells.size), len(BASES) * len(OUTCOMES))
-    return np.hstack([nl[k], nl[l]]), pair, setting, cells
+    return np.hstack([nl[k], nl[l]])
+
+
+# The 12 rows of one pair in (basis, outcome) order; each row's two %s take
+# the pair's "na,la,nb,lb," and a count.  The line ends are the bytes
+# csv.writer gives, and no field needs quoting.
+_PAIR_ROWS = "".join(f"%s{b},{o},%s\r\n" for b in BASES for o in OUTCOMES)
 
 
 def write_counts_csv(dataset: CoincidenceDataset, path) -> None:
-    pair_modes, pair, setting, values = _measured(dataset)
-    pairs = [f"{na},{la},{nb},{lb}," for na, la, nb, lb in pair_modes.tolist()]
-    settings = [f"{b},{o}," for b in BASES for o in OUTCOMES]
+    pairs = [f"{na},{la},{nb},{lb}," for na, la, nb, lb in
+             _pair_modes(dataset).tolist()]
+    values = dataset.tensor.reshape(-1)
+    fields = [None] * (2 * len(values))
+    fields[0::2] = chain.from_iterable(map(repeat, pairs,
+                                           repeat(len(BASES) * len(OUTCOMES))))
     # _count_str of every value: whole numbers as ints
-    counts = map(str, _count_values(values, values == np.floor(values)))
-    rows = map("".join, zip(map(pairs.__getitem__, pair.tolist()),
-                            map(settings.__getitem__, setting.tolist()), counts))
-    # the bytes csv.writer gives: no field needs quoting
+    fields[1::2] = _count_values(values, values == np.floor(values))
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(CSV_HEADER), *rows, ""]))
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        fh.write(_PAIR_ROWS * len(pairs) % tuple(fields))
 
 
 def _mode(n: int, l: int):
@@ -250,81 +277,89 @@ def _mode(n: int, l: int):
         return exc
 
 
-def _dataset(columns, mode_set: ModeSet | None, flux: float | None,
+def _dataset(rows: np.ndarray, mode_set: ModeSet | None, flux: float | None,
              expectation: bool = False) -> CoincidenceDataset:
-    """The dataset of count rows given as the seven CSV_HEADER columns, typed
-    as the fields of `_ROW`.  Without `mode_set` it is every mode seen,
-    sorted by (n, l); without `flux` it is the total z-basis count, which
-    must be positive unless there are no rows.  The first bad row in row
-    order is named, with the first check it fails."""
-    na, la, nb, lb, basis, outcome, counts = columns
-    rows = len(counts)
-    # the mode numbers are coded once per run of rows of one pair (a file
-    # lists a pair's 12 counts together): one code per (n, l) cell of either
-    # column, from the ranks of the mode numbers; codes sort in (n, l) order
-    head = np.ones(rows, dtype=bool)
+    """The dataset of count rows given as a `_ROW` array.  Without `mode_set`
+    it is every mode seen, sorted by (n, l); without `flux` it is the total
+    z-basis count, which must be positive unless there are no rows.  The
+    first bad row in row order is named, with the first check it fails:
+    mode number, basis/outcome token, undeclared mode, self pair, count
+    value, then repeated cell."""
+    counts = rows["count"]
+    # the modes are coded once per run of rows of one pair (a file lists a
+    # pair's 12 counts together): one code per (n, l) cell of either column,
+    # from the ranks of the mode numbers; codes sort in (n, l) order
+    na, la, nb, lb = (rows[name] for name in CSV_HEADER[:4])
+    head = np.ones(len(rows), dtype=bool)
     head[1:] = np.any([c[1:] != c[:-1] for c in (na, la, nb, lb)], axis=0)
-    na, la, nb, lb = (column[head] for column in (na, la, nb, lb))
-    runs = len(na)
+    starts = np.flatnonzero(head)
+    lengths = np.diff(starts, append=len(rows))
+    na, la, nb, lb = (column[starts] for column in (na, la, nb, lb))
     numbers, rank = np.unique(np.concatenate([na, nb, la, lb]), return_inverse=True)
-    codes, ids = np.unique(rank[:2 * runs] * len(numbers) + rank[2 * runs:],
-                           return_inverse=True)
+    codes, ids = np.unique(rank[:2 * len(starts)] * len(numbers)
+                           + rank[2 * len(starts):], return_inverse=True)
     n, lq = numbers[codes // len(numbers)], numbers[codes % len(numbers)]
     modes = list(map(_mode, n.tolist(), lq.tolist()))
     refused = np.array([isinstance(m, ConfigError) for m in modes], dtype=bool)
-    run = np.cumsum(head) - 1
-    ia, ib = ids[:runs][run], ids[runs:][run]
-    # a token that is none of the valid ones keeps the index -1
-    bi = np.full(rows, -1, dtype=np.intp)
-    oi = np.full(rows, -1, dtype=np.intp)
-    for index, column, names in ((bi, basis, BASES), (oi, outcome, OUTCOMES)):
-        for i, name in enumerate(names):
-            index[column == name.encode()] = i
+    ia, ib = ids[:len(starts)], ids[len(starts):]
     if mode_set is None:
         mode_set = ModeSet(tuple(m for m, r in zip(modes, refused) if not r))
     D = mode_set.D
     index = {m: i for i, m in enumerate(mode_set.modes)}
     remap = np.array([index.get(m, -1) for m in modes], dtype=np.intp)
     k, l = remap[ia], remap[ib]
+    # per run, the first mode check it fails: 1 a refused mode number, 3 a
+    # mode not in the set, 4 a self pair (2 is the row's token check)
+    run_check = np.select([refused[ia] | refused[ib], (k < 0) | (l < 0), k == l],
+                          [1, 3, 4])
+    settings = len(BASES) * len(OUTCOMES)
     # a (b, a) row holds the (a, b) count with the photons swapped
     swap = k > l
-    flat = (pair_index(np.where(swap, l, k), np.where(swap, k, l), D) * 3 + bi) * 4 \
-        + np.where(swap, _SWAP_OUTCOME[oi], oi)
-    checks = [refused[ia] | refused[ib], (bi < 0) | (oi < 0), (k < 0) | (l < 0),
-              k == l, ~(np.isfinite(counts) & (counts >= 0))]
-    good = np.flatnonzero(~np.any(checks, axis=0))
+    run_cell = pair_index(np.where(swap, l, k), np.where(swap, k, l), D) * settings
+    # each row's token pair, looked up in one pass among the valid ones
+    key = rows.view(_TOKEN_KEY)["key"] & _TOKEN_BYTES
+    token = np.searchsorted(_KEYS, key)
+    np.minimum(token, len(_KEYS) - 1, out=token)
+    token_ok = _KEYS[token] == key
+    token += np.repeat(swap * settings, lengths)  # the (l, k) side's settings
+    flat = np.repeat(run_cell, lengths)
+    flat += _SETTINGS[token]
+    count_ok = np.isfinite(counts) & (counts >= 0)
+    ok = np.repeat(run_check == 0, lengths) & token_ok & count_ok
     tensor = np.full((D * (D - 1) // 2, len(BASES), len(OUTCOMES)), np.nan)
     cells = tensor.reshape(-1)
-    cells[flat[good]] = counts[good]
-    repeated = np.zeros(rows, dtype=bool)
+    filled = np.count_nonzero(ok)
+    cells[flat[ok]] = counts[ok]
     # every count is a number, so a repeated cell leaves fewer filled cells
-    if np.count_nonzero(~np.isnan(cells)) < len(good):
-        repeated[good] = True
-        repeated[good[np.unique(flat[good], return_index=True)[1]]] = False
-    failed = np.any(checks + [repeated], axis=0)
-    if failed.any():
+    if filled < len(rows) or np.count_nonzero(~np.isnan(cells)) < filled:
+        # only the first row of each cell among the rows that pass passes
+        good = np.flatnonzero(ok)
+        failed = np.ones(len(rows), dtype=bool)
+        failed[good[np.unique(flat[good], return_index=True)[1]]] = False
         i = int(np.argmax(failed))
-        a, b = modes[ia[i]], modes[ib[i]]
-        if checks[0][i]:
-            exc = modes[min(c for c in (ia[i], ib[i]) if refused[c])]
+        r = int(np.searchsorted(starts, i, side="right")) - 1
+        a, b = modes[ia[r]], modes[ib[r]]
+        if run_check[r] == 1:
+            exc = modes[min(c for c in (ia[r], ib[r]) if refused[c])]
             raise IngestionError(f"bad mode: {exc}") from exc
-        if checks[1][i]:
-            raise IngestionError(f"unknown basis/outcome {basis[i].decode('latin-1')!r}/"
-                                 f"{outcome[i].decode('latin-1')!r}")
-        if checks[2][i]:
-            raise IngestionError(f"mode {a if k[i] < 0 else b!r} not in the declared "
+        if not token_ok[i]:
+            raise IngestionError(f"unknown basis/outcome "
+                                 f"{rows['basis'][i].decode('latin-1')!r}/"
+                                 f"{rows['outcome'][i].decode('latin-1')!r}")
+        if run_check[r] == 3:
+            raise IngestionError(f"mode {a if k[r] < 0 else b!r} not in the declared "
                                  f"mode set")
-        if checks[3][i]:
+        if run_check[r] == 4:
             raise IngestionError(f"row pairs mode {a!r} with itself")
-        key = next(_keys(D, flat[i:i + 1]))
-        if checks[4][i]:
-            raise IngestionError(f"count {float(counts[i])!r} at {key} must be "
+        cell = next(_keys(D, flat[i:i + 1]))
+        if not count_ok[i]:
+            raise IngestionError(f"count {float(counts[i])!r} at {cell} must be "
                                  f"finite and >= 0")
-        raise IngestionError(f"duplicate count at {key}")
+        raise IngestionError(f"duplicate count at {cell}")
     if flux is None:  # left to right in row order; np.sum adds pairwise
-        z = counts[bi == _BASIS_ID["z"]]
+        z = counts[_SETTINGS[token] // len(OUTCOMES) == _BASIS_ID["z"]]
         flux = float(np.cumsum(z)[-1]) if z.size else 0.0
-    if rows and not flux > 0:  # a given flux is positive
+    if len(rows) and not flux > 0:  # a given flux is positive
         raise IngestionError("the z-basis counts sum to 0, so no flux can be "
                              "derived from them; give the flux")
     return CoincidenceDataset(mode_set, flux, tensor, expectation)
@@ -355,12 +390,14 @@ def read_counts_csv(path, mode_set: ModeSet | None = None,
                                   quotechar='"', ndmin=1)
             except ValueError as exc:
                 raise IngestionError(f"malformed CSV row in {path}: {exc}") from exc
-    return _dataset([rows[name] for name in CSV_HEADER], mode_set, flux)
+    return _dataset(rows, mode_set, flux)
 
 
 def write_counts_json(dataset: CoincidenceDataset, path) -> None:
-    pair_modes, pair, setting, values = _measured(dataset)
+    values = dataset.tensor.reshape(-1)
+    pair, setting = np.divmod(np.arange(values.size), len(BASES) * len(OUTCOMES))
     basis, outcome = np.divmod(setting, len(OUTCOMES))
+    pair_modes = _pair_modes(dataset)
     cols = (*pair_modes[pair].T.tolist(), np.array(BASES)[basis].tolist(),
             np.array(OUTCOMES)[outcome].tolist())
     # sampled counts are written as ints, expectation values as floats
@@ -397,13 +434,14 @@ def read_counts_json(path) -> CoincidenceDataset:
         if type(expectation) is not bool:
             raise TypeError(f"expectation {expectation!r} is not a JSON boolean")
         flux = float(flux)
-        rows = list(map(itemgetter(*CSV_HEADER), payload["counts"]))
-        cells = list(zip(*rows)) or [()] * len(CSV_HEADER)
-        columns = list(map(_json_column, CSV_HEADER, cells))
+        entries = list(map(itemgetter(*CSV_HEADER), payload["counts"]))
+        rows = np.empty(len(entries), dtype=_ROW)
+        for name, cells in zip(CSV_HEADER, zip(*entries)):
+            rows[name] = _json_column(name, cells)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IngestionError(f"malformed dataset file {path}: {exc}") from exc
     try:
         _check_flux(flux)
     except ConfigError as exc:  # the bad value is in the file
         raise IngestionError(f"bad dataset file {path}: {exc}") from exc
-    return _dataset(columns, mode_set, flux, expectation)
+    return _dataset(rows, mode_set, flux, expectation)

@@ -113,15 +113,16 @@ def _pair_sum(S: np.ndarray):
     return _ordered_sum(S[np.triu_indices(len(S), 1)])
 
 
-def _row_means(S: np.ndarray) -> np.ndarray:
-    """Mean of each row's off-diagonal entries, each row added in its order."""
-    n = len(S)
+def _row_means(rows: np.ndarray, diagonal) -> np.ndarray:
+    """Mean of each row's off-diagonal entries, each row added in its order:
+    `rows` are rows of a square matrix, and row i's diagonal entry is in
+    column diagonal[i]."""
+    m, n = rows.shape
     if n < 2:
-        return np.zeros(n)
-    # after the first entry, the flat matrix runs in strides of n + 1 from
-    # each (i, i + 1) to the diagonal entry (i + 1, i + 1)
-    off = S.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].reshape(n, n - 1)
-    return off.mean(axis=1)
+        return np.zeros(m)
+    off = np.ones((m, n), dtype=bool)
+    off[np.arange(m), diagonal] = False
+    return rows[off].reshape(m, n - 1).mean(axis=1)
 
 
 def witness_sum(table: VisibilityTable) -> float:
@@ -158,13 +159,24 @@ def bound(D: int, d: int) -> int:
     return 3 * D * (D - 1) // 2 - D * (D - d)
 
 
+# W sums n = D(D-1)/2 pairs, and rounding alone moves a sum of n terms by up
+# to (n - 1) eps sum|x| (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., sec. 4.2).  So a verdict takes W above a bound only
+# when it clears it by more than tau = _TAU_PER_PAIR * n * |W|, and a state
+# that saturates a bound does not certify one dimension more by its last
+# digits.
+_TAU_PER_PAIR = np.finfo(float).eps
+
+
 def certified_dimension(W: float, D: int) -> int:
-    """Largest d with W strictly above bound(D, d-1); 1 when nothing is
-    certified.  The bounds rise with d, so this d is 1 plus the number of
-    bounds bound(D, 1), ..., bound(D, D-1) below W."""
+    """Largest d with W above bound(D, d-1) by more than tau = n eps |W|
+    (n = D(D-1)/2 pairs, see _TAU_PER_PAIR); 1 when nothing is certified.
+    The bounds rise with d, so this d is 1 plus the number of bounds
+    bound(D, 1), ..., bound(D, D-1) that W clears."""
     if D < 2 or not np.isfinite(W):
         raise ConfigError("need finite W and D >= 2")
-    return 1 + int(np.count_nonzero(W > D * np.arange(1, D) + D * (D - 3) // 2))
+    tau = _TAU_PER_PAIR * (D * (D - 1) // 2) * abs(W)
+    return 1 + int(np.count_nonzero(W - (D * np.arange(1, D) + D * (D - 3) // 2) > tau))
 
 
 # A basis is smooth when its visibility sits this many Poisson standard
@@ -233,7 +245,8 @@ def _bootstrap(counts: np.ndarray, n_resamples: int, seed: int):
 
 def per_mode_contribution(table: VisibilityTable) -> np.ndarray:
     """Mean summed visibility of each mode against all other modes."""
-    return _row_means(_sv_matrix(table))
+    S = _sv_matrix(table)
+    return _row_means(S, np.arange(len(S)))
 
 
 @dataclass(frozen=True)
@@ -244,6 +257,18 @@ class GreedyResult:
     best_d: int
 
 
+# Running row sums within _TIE_ULPS * D^2 * eps * max|S| of the smallest are
+# tied, and the tied modes' row means decide.  A sum of m terms added in any
+# order is off its exact value by at most (m - 1) eps sum|x| (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 4.2).  So a
+# running sum (D terms, then at most D - 3 subtractions) is off the exact
+# row sum by at most 2 D^2 eps max|S|, and a row mean times D' - 1 by at
+# most 2 D^2 eps max|S| too: the mode of the smallest row mean has a running
+# sum at most 2 (2 + 2) D^2 eps max|S| = 8 D^2 eps max|S| above the
+# smallest.  16 leaves a factor of 2 for the second-order terms.
+_TIE_ULPS = 16
+
+
 def greedy_subset(table: VisibilityTable) -> GreedyResult:
     """Iteratively drop the weakest-contributing mode and track how the
     certified dimension evolves.
@@ -251,7 +276,10 @@ def greedy_subset(table: VisibilityTable) -> GreedyResult:
     At each step the mode with the lowest mean summed visibility against the
     remaining modes is removed, W recomputed on the surviving pairs, and the
     certified dimension evaluated at the reduced D'.  The best subset is the
-    one with the highest certified d (larger subsets win ties).
+    one with the highest certified d (larger subsets win ties).  Modes are
+    ranked by running row sums; where the lowest is tied within rounding,
+    the tied modes' mean summed visibilities decide, and of equal means the
+    first mode goes.
     """
     if table.mode_set.D < 2:
         raise ConfigError(f"greedy subset search needs D >= 2, got D={table.mode_set.D}")
@@ -260,17 +288,25 @@ def greedy_subset(table: VisibilityTable) -> GreedyResult:
     # in (k, l) order
     k, l = np.triu_indices(len(S), 1)
     upper = S[k, l]
-    active = list(range(len(S)))
+    active = np.arange(len(S))
+    rs = S.sum(axis=1)  # the surviving modes' summed visibilities
+    tie = _TIE_ULPS * len(S) ** 2 * np.finfo(float).eps * np.abs(S).max()
     trajectory, subsets = [], []
     while len(active) >= 2:
-        sub = S[np.ix_(active, active)]
         W = _ordered_sum(upper)
         d = certified_dimension(W, len(active))
         trajectory.append((len(active), d, W))
-        subsets.append(list(active))
+        subsets.append(active.tolist())
         if len(active) == 2:
             break
-        weakest = active.pop(int(np.argmin(_row_means(sub))))
+        # a NaN or inf sum ties every mode, as it would have no order
+        tied = np.flatnonzero(~(rs > rs.min() + tie))
+        i = tied[0]
+        if len(tied) > 1:
+            i = tied[np.argmin(_row_means(S[np.ix_(active[tied], active)], tied))]
+        weakest = active[i]
+        active, rs = np.delete(active, i), np.delete(rs, i)
+        rs -= S[active, weakest]
         keep = (k != weakest) & (l != weakest)
         k, l, upper = k[keep], l[keep], upper[keep]
     best_i = max(range(len(trajectory)),

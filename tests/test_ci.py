@@ -85,24 +85,39 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch):
         assert all((tmp_path / name).is_file() for name in outputs), argv
 
 
-def test_paper_pipeline_keeps_its_bytes(tmp_path, monkeypatch):
-    # the paper_D186 command lines at D = 30; the digests were taken before
-    # the count reader and the greedy search were vectorized, so a speed-up
-    # that moves a byte of a seeded output fails here
+def _paper_pipeline_digests(tmp_path, monkeypatch, *simulate_flags):
+    """sha256 of the files of the paper_D186 command lines at D = 30."""
     grid = enumerate_modes(11, 13)
     chosen = sorted(grid.modes, key=lambda m: (2 * m.n + abs(m.l), m.n, m.l))
     ModeSet(tuple(chosen[:30])).save(tmp_path / "modes.json")
     monkeypatch.chdir(tmp_path)
     common = ["--mode-file", "modes.json", "--flux", "1e6"]
     main(["simulate", *common, "--profile", "exponential", "--lambda-l", "8",
-          "--lambda-n", "4", "--seed", "7", "--output", "counts.csv"])
+          "--lambda-n", "4", *simulate_flags, "--output", "counts.csv"])
     main(["certify", "--input", "counts.csv", *common, "--resamples", "200",
           "--seed", "7", "--output", "report.json"])
     main(["optimize", "--input", "counts.csv", *common, "--output", "trajectory.json"])
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("counts.csv", "report.json", "trajectory.json")}
-    assert digests == {
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("counts.csv", "report.json", "trajectory.json")}
+
+
+def test_paper_pipeline_keeps_its_bytes(tmp_path, monkeypatch):
+    # the digests were taken before the count reader and the greedy search
+    # were vectorized, so a speed-up that moves a byte of a seeded output
+    # fails here
+    assert _paper_pipeline_digests(tmp_path, monkeypatch, "--seed", "7") == {
         "counts.csv": "13bdcf5fde144a35abdde88d8b2c175ee04bf3820b52db257dccca5174d59ad5",
         "report.json": "123216b571c204c68127e4703d8c66c6475dd4618a0877abd12649e8834b6baf",
         "trajectory.json": "035f0c57f09e6e560f7b51a4a6c4dde93ded77810c2c1e85097344658d67bb35",
+    }
+
+
+def test_expectation_pipeline_keeps_its_bytes(tmp_path, monkeypatch):
+    # the same command lines on exact expected counts, so the CSV writer's
+    # fractional counts are pinned as well as its whole ones; the digests
+    # were taken before the CSV writer used one row template per pair
+    assert _paper_pipeline_digests(tmp_path, monkeypatch, "--expectation") == {
+        "counts.csv": "f9d66e017f856d8acb65a4bd86bffd835d4578fabbe3797730877a260bce0cbe",
+        "report.json": "0c419e15fc7af214d811298490c843d03eecc27f20943dc00c600a8cb909cd95",
+        "trajectory.json": "a5494efec61cee56f7345737c7418df674c82bf7f188bcfd893864d7556b32ae",
     }

@@ -10,7 +10,8 @@ from dimwitness.errors import (CapacityError, ConfigError, IngestionError,
 from dimwitness.modes import ModeIndex, ModeSet, generic_mode_set
 from dimwitness.oracle import brute_force_sv_witness, brute_force_witness
 from dimwitness.measurement import simulate_counts, write_counts_json
-from dimwitness.states import correlated_pure, load_state, perturb_state, save_state
+from dimwitness.states import (correlated_pure, load_state, max_witness_state,
+                               perturb_state, save_state)
 from dimwitness.witness import robustness_study
 
 EXAMPLE_MODES = ModeSet((ModeIndex(0, 0), ModeIndex(1, -1),
@@ -119,6 +120,21 @@ def test_certify_expectation_subset(runner, tmp_path):
     assert payload["D"] == 3
     assert abs(payload["W"] - 6.12) < 0.005
     assert payload["certified_d"] == 3
+
+
+@pytest.mark.parametrize("name", ["counts.json", "counts.csv"])
+def test_saturating_state_certifies_its_own_dimension(runner, tmp_path, name):
+    # max_witness_state(4, 2) has Schmidt number 2 and W = bound(4, 2) = 10;
+    # the rounding of W must not certify d = 3
+    save_state(max_witness_state(4, 2), tmp_path / "state.json")
+    counts = tmp_path / name
+    res = run(runner, ["simulate", "--state-file", str(tmp_path / "state.json"),
+                       "--expectation", "--output", str(counts)])
+    assert res.exit_code == 0, res.output
+    res = run(runner, ["certify", "--input", str(counts),
+                       "--output", str(tmp_path / "report.json")])
+    assert res.exit_code == 0, res.output
+    assert res.output == "W = 10 (D = 4), certified d = 2\n"
 
 
 def test_certify_subset_with_resamples_is_config_error(runner, tmp_path):

@@ -302,9 +302,21 @@ def test_equal_counts_give_zero_visibility():
 
 def test_missing_count_named_in_error():
     ds = simulate_counts(bell(), 1e4, seed=1)
-    ds.tensor[pair_index(0, 1, 2), BASES.index("y"), OUTCOMES.index("mp")] = np.nan
+    tensor = ds.tensor.copy()
+    tensor[pair_index(0, 1, 2), BASES.index("y"), OUTCOMES.index("mp")] = np.nan
     with pytest.raises(IngestionError, match="basis y, outcome mp"):
-        CoincidenceDataset(ds.mode_set, ds.flux, ds.tensor)
+        CoincidenceDataset(ds.mode_set, ds.flux, tensor)
+
+
+def test_count_tensor_is_read_only():
+    # a dataset's counts were checked complete when it was built, so no
+    # caller may write a NaN into them afterwards
+    ds = simulate_counts(bell(), 1e4, seed=1)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.tensor[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        ds.tensor.reshape(-1)[0] = 1.0
+    assert not np.isnan(ds.tensor).any()
 
 
 def test_poisson_error_scaling():
@@ -583,6 +595,51 @@ def test_writers_match_previous_bytes(tmp_path, expectation):
     counts = [e["count"] for e in json.loads((tmp_path / "c.json").read_text())["counts"]]
     assert all(type(c) is (float if expectation else int) for c in counts)
     assert read_counts_json(tmp_path / "c.json").counts == ds.counts
+
+
+def ref_write_json(dataset, path):
+    """The previous JSON writer, row by row: sampled whole counts as ints,
+    every other count as a float."""
+    entries = []
+    for (k, l, basis, oc), c in dataset.counts.items():
+        ma, mb = dataset.mode_set[k], dataset.mode_set[l]
+        whole = float(c).is_integer() and not dataset.expectation
+        entries.append(dict(zip(CSV_HEADER, [ma.n, ma.l, mb.n, mb.l, basis, oc,
+                                             int(c) if whole else float(c)])))
+    payload = {"modes": dataset.mode_set.to_json(), "flux": dataset.flux,
+               "expectation": dataset.expectation, "counts": entries}
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, sort_keys=True))
+        fh.write("\n")
+
+
+def writer_dataset(case):
+    st = random_states()[2]
+    if case == "sampled":
+        return simulate_counts(st, 1e5, seed=8)
+    if case == "fractional":
+        return simulate_counts(st, 1e5, expectation=True)
+    if case == "huge":  # whole counts of 2^63 and above, and zeros
+        ds = simulate_counts(example_state(), 1e300, expectation=True)
+        assert ds.tensor.max() >= 2.0 ** 63 and (ds.tensor == 0).any()
+        return ds
+    if case == "one pair":
+        return simulate_counts(bell(), 1e4, seed=2)
+    return CoincidenceDataset(generic_mode_set(1), 1.0, np.zeros((0, 3, 4)))
+
+
+@pytest.mark.parametrize("case", ["sampled", "fractional", "huge", "one pair",
+                                  "no pairs"])
+def test_writers_equal_reference_writers(tmp_path, case):
+    ds = writer_dataset(case)
+    write_counts_csv(ds, tmp_path / "new.csv")
+    ref_write_csv(ds, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    if case in ("sampled", "fractional", "huge"):
+        write_counts_json(ds, tmp_path / "new.json")
+        ref_write_json(ds, tmp_path / "ref.json")
+        assert (tmp_path / "new.json").read_bytes() == \
+            (tmp_path / "ref.json").read_bytes()
 
 
 def _rewrite_rows(path, change):

@@ -11,8 +11,9 @@ from dimwitness import (ConfigError, IngestionError, IntegrityError,
                         monte_carlo_ci, per_mode_contribution, robustness_study,
                         simulate_counts, spdc_profile, table_from_dataset,
                         table_from_state, witness_correlated, witness_sum)
-from dimwitness.measurement import (_EIGVECS, BASES, OUTCOMES, basis_visibilities,
-                                    outcome_probabilities, pair_index)
+from dimwitness.measurement import (_EIGVECS, BASES, OUTCOMES, CoincidenceDataset,
+                                    basis_visibilities, outcome_probabilities,
+                                    pair_index)
 from dimwitness.modes import ModeIndex, ModeSet
 from dimwitness.oracle import brute_force_sv_witness
 from dimwitness.states import CorrelatedState, GeneralTwoPhotonState, perturb_state
@@ -66,6 +67,8 @@ def test_certified_dimension_examples():
     assert certified_dimension(6.12, 3) == 3
     # exactly on a bound certifies nothing extra (strict inequality)
     assert certified_dimension(float(bound(4, 2)), 4) == 2
+    # nor does a W that rounding puts just above it
+    assert certified_dimension(float(bound(4, 2)) + 3.6e-15, 4) == 2
     assert certified_dimension(0.0, 4) == 1
 
 
@@ -78,11 +81,17 @@ def test_certified_dimension_monotone_in_W():
             prev = d
 
 
+def _tau(W, D):
+    """The rounding margin of a verdict: n eps |W| over n = D(D-1)/2 pairs."""
+    return D * (D - 1) / 2 * np.finfo(float).eps * abs(W)
+
+
 def _certified_dimension_loop(W, D):
-    """Reference: the largest d whose bound(D, d - 1) lies below W."""
+    """Reference: the largest d whose bound(D, d - 1) lies more than the
+    rounding margin below W."""
     d_cert = 1
     for d in range(2, D + 1):
-        if W > bound(D, d - 1):
+        if W - bound(D, d - 1) > _tau(W, D):
             d_cert = d
     return d_cert
 
@@ -90,10 +99,23 @@ def _certified_dimension_loop(W, D):
 @pytest.mark.parametrize("D", [*range(2, 41), 186, 299])
 def test_certified_dimension_equals_the_bound_loop(D):
     b = np.array([bound(D, d) for d in range(1, D + 1)], dtype=float)
+    tau = _tau(b, D)
     Ws = np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
-                         b - 0.5, b + 0.5, [-1.0, 0.0, 1.0, 1e18]])
+                         b - 0.5, b + 0.5, b + tau / 2, b + 2 * tau,
+                         [-1.0, 0.0, 1.0, 1e18]])
     for W in [*Ws, *Ws.tolist()]:  # numpy and Python floats
         assert certified_dimension(W, D) == _certified_dimension_loop(W, D)
+
+
+@pytest.mark.parametrize("D", range(2, 41))
+def test_saturating_states_certify_their_own_dimension(D):
+    # max_witness_state(D, d) has Schmidt number d and W on bound(D, d); the
+    # rounding of W must not certify d + 1, from the state or from its counts
+    for d in range(1, D + 1):
+        st = max_witness_state(D, d)
+        for table in (table_from_state(st),
+                      table_from_dataset(simulate_counts(st, 1e6, expectation=True))):
+            assert certified_dimension(witness_sum(table), D) == d, d
 
 
 def test_certified_dimension_input_checks():
@@ -164,13 +186,19 @@ def scan_like_dataset():
     return simulate_counts(correlated_pure(amps, generic_mode_set(8)), 1e5, seed=1)
 
 
+def with_tensor(ds, tensor):
+    """The dataset `ds` with its (read-only) count tensor replaced."""
+    return CoincidenceDataset(ds.mode_set, ds.flux, tensor, ds.expectation)
+
+
 def all_rough_dataset():
     """Every pair has fewer than 25 counts per basis, so no visibility is
     5 Poisson sigmas away from 0; every z basis has counts."""
     ds = simulate_counts(maximally_entangled(5), 1e6, seed=0)
-    ds.tensor[:] = np.random.default_rng(3).poisson(2.0, ds.tensor.shape)
-    ds.tensor[:, BASES.index("z"), 0] += 1
-    return ds
+    tensor = ds.tensor.copy()
+    tensor[:] = np.random.default_rng(3).poisson(2.0, ds.tensor.shape)
+    tensor[:, BASES.index("z"), 0] += 1
+    return with_tensor(ds, tensor)
 
 
 def test_monte_carlo_deterministic():
@@ -215,15 +243,18 @@ def forbid_generators(monkeypatch):
 def test_monte_carlo_empty_z_pair_contributes_nothing(monkeypatch):
     ds = simulate_counts(example_state(), 1e6, seed=5)
     p, z = pair_index(1, 3, 4), BASES.index("z")
-    ds.tensor[p, z] = 0.0
-    ds.tensor[p, BASES.index("x")] = 50.0  # V_x = 0 would need resampling
+    tensor = ds.tensor.copy()
+    tensor[p, z] = 0.0
+    tensor[p, BASES.index("x")] = 50.0  # V_x = 0 would need resampling
     forbid_generators(monkeypatch)  # the other pairs are smooth
     # conftest makes the RuntimeWarning of an unguarded 0 / 0 an error
-    only_z_empty = monte_carlo_ci(ds, 20, seed=7)
-    ds.tensor[p] = 0.0
-    assert monte_carlo_ci(ds, 20, seed=7) == only_z_empty
-    ds.tensor[p] = np.nan
-    rest = np.delete(ds.tensor, p, axis=0)
+    only_z_empty = monte_carlo_ci(with_tensor(ds, tensor), 20, seed=7)
+    tensor = tensor.copy()
+    tensor[p] = 0.0
+    assert monte_carlo_ci(with_tensor(ds, tensor), 20, seed=7) == only_z_empty
+    tensor = tensor.copy()
+    tensor[p] = np.nan
+    rest = np.delete(tensor, p, axis=0)
     assert only_z_empty[0] == basis_visibilities(rest).sum()
 
 
@@ -578,6 +609,68 @@ def test_greedy_on_tied_tables_equals_reference_loop(kind):
         assert res.subsets == [list(range(i, 12)) for i in range(11)]
 
 
+def previous_row_means(S):
+    """Mean of each row's off-diagonal entries, each row added in its order
+    (the previous greedy's ranking)."""
+    n = len(S)
+    off = S.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].reshape(n, n - 1)
+    return off.mean(axis=1)
+
+
+def previous_greedy(table):
+    """The previous greedy search: row means of the surviving modes' copy of
+    the summed-visibility matrix at every step."""
+    V = table.V
+    D = table.mode_set.D
+    S = np.zeros((D, D))
+    S[np.triu_indices(D, 1)] = V[:, 0] + V[:, 1] + V[:, 2]
+    S += S.T
+    k, l = np.triu_indices(D, 1)
+    upper = S[k, l]
+    active = list(range(D))
+    trajectory, subsets = [], []
+    while len(active) >= 2:
+        sub = S[np.ix_(active, active)]
+        W = np.cumsum(upper)[-1]
+        trajectory.append((len(active), certified_dimension(W, len(active)), W))
+        subsets.append(list(active))
+        if len(active) == 2:
+            break
+        weakest = active.pop(int(np.argmin(previous_row_means(sub))))
+        keep = (k != weakest) & (l != weakest)
+        k, l, upper = k[keep], l[keep], upper[keep]
+    best_i = max(range(len(trajectory)),
+                 key=lambda i: (trajectory[i][1], trajectory[i][0]))
+    return trajectory, subsets, subsets[best_i], trajectory[best_i][1]
+
+
+def test_greedy_breaks_a_rounded_tie_as_the_row_means_do():
+    # simulate at the paper settings, seed 123: with 12 modes left every row
+    # mean is exactly 3.0, but the running row sums differ in their last
+    # digits, so taking their argmin would drop another mode than the first
+    grid = enumerate_modes(11, 13)
+    modes = ModeSet(tuple(sorted(grid.modes,
+                                 key=lambda m: (2 * m.n + abs(m.l), m.n, m.l))[:186]))
+    st = correlated_pure(spdc_profile(modes, 8.0, 4.0), modes)
+    table = table_from_dataset(simulate_counts(st, 1e6, seed=123))
+    res = greedy_subset(table)
+    assert (res.trajectory, res.subsets, res.best_subset, res.best_d) == \
+        previous_greedy(table)
+    assert res.best_d == 170
+    S = np.zeros((186, 186))
+    S[np.triu_indices(186, 1)] = table.V.sum(axis=1)
+    S += S.T
+    rs = S.sum(axis=1)
+    for before, after in zip(res.subsets[:174], res.subsets[1:175]):
+        (gone,) = set(before) - set(after)
+        rs -= S[:, gone]
+    tied = res.subsets[174]
+    assert len(tied) == 12
+    assert previous_row_means(S[np.ix_(tied, tied)]).tolist() == [3.0] * 12
+    assert len(set(rs[tied].tolist())) > 1
+    assert res.subsets[175] == tied[1:]
+
+
 @pytest.mark.parametrize("sub", [[5, 1, 6, 2], [0, 7], list(range(8))])
 def test_subset_selects_rows(sub):
     table = random_table(8, np.random.default_rng(41))
@@ -608,7 +701,9 @@ def test_table_from_dataset_equals_per_pair_estimates(expectation):
     ds = simulate_counts(st, 1e5, seed=None if expectation else 8,
                          expectation=expectation)
     # a basis with no counts in a live subspace
-    ds.tensor[pair_index(0, 3, 5), BASES.index("x")] = 0
+    tensor = ds.tensor.copy()
+    tensor[pair_index(0, 3, 5), BASES.index("x")] = 0
+    ds = with_tensor(ds, tensor)
     want = np.array([ref_estimate(ds, k, l) for k in range(5) for l in range(k + 1, 5)])
     assert want[pair_index(1, 2, 5)].tolist() == [0.0, 0.0, 0.0]
     assert want[pair_index(0, 3, 5), 0] == 0.0 and want[pair_index(0, 3, 5), 2] > 0
