@@ -310,7 +310,7 @@ def verify(d_max, seed):
     for D in range(2, d_max + 1):
         for d in range(1, D + 1):
             got = brute_force_sv_witness(max_witness_state(D, d))
-            want = D * d + D * (D - 3) / 2
+            want = bound(D, d)
             check(f"saturating state (D={D}, d={d}) reaches {want:g}",
                   abs(got - want) < 1e-6)
     rng = np.random.default_rng(seed)
@@ -344,12 +344,16 @@ def report(input_path, per_mode_csv, trajectory_csv):
         per_mode, trajectory = payload["per_mode"], payload.get("subset_trajectory")
         if type(per_mode) is not list or not {*map(type, per_mode)} <= {int, float}:
             raise TypeError(f"per_mode {per_mode!r:.200} is not a list of numbers")
+        # an int too large for a float makes math.isfinite raise OverflowError
+        if not all(map(math.isfinite, per_mode)):
+            raise ValueError(f"per_mode {per_mode!r:.200} holds a value that is "
+                             f"not finite")
         if trajectory is not None and (type(trajectory) is not list or any(
                 type(step) is not list or [*map(type, step)] != [int, int]
                 for step in trajectory)):
             raise TypeError(f"subset_trajectory {trajectory!r:.200} is not null "
                             f"or a list of integer pairs")
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IngestionError(f"cannot read report {input_path}: {exc}") from exc
     if trajectory_csv and trajectory is None:
         raise IngestionError("report holds no subset trajectory")

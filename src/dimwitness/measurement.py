@@ -69,9 +69,9 @@ class CoincidenceDataset:
 
     ``tensor`` holds every count, shape (pairs, 3 bases, 4 outcomes), pairs
     (k, l), k < l, in row-major order (:func:`pair_index`); a dataset with a
-    count missing (NaN) is refused, and the tensor is made read-only once
-    checked.  ``counts`` is a read-only mapping of the same counts keyed by
-    (k, l, basis, outcome).
+    count missing (NaN), negative or infinite is refused, and the tensor is
+    made read-only once checked.  ``counts`` is a read-only mapping of the
+    same counts keyed by (k, l, basis, outcome).
     """
 
     mode_set: ModeSet
@@ -85,13 +85,17 @@ class CoincidenceDataset:
         if np.shape(self.tensor) != shape:
             raise IngestionError(f"count tensor has shape {np.shape(self.tensor)}, "
                                  f"expected {shape}")
-        missing = np.flatnonzero(np.isnan(self.tensor))
-        if missing.size:
-            k, l, basis, outcome = next(_keys(D, missing[:1]))
+        bad = np.flatnonzero(~((self.tensor >= 0) & (self.tensor < np.inf)))
+        if bad.size:  # NaN compares False: a missing count is bad too
+            k, l, basis, outcome = next(_keys(D, bad[:1]))
             ma, mb = self.mode_set[k], self.mode_set[l]
-            raise IngestionError(
-                f"dataset is missing count for pair (n={ma.n},l={ma.l})/"
-                f"(n={mb.n},l={mb.l}), basis {basis}, outcome {outcome}")
+            cell = (f"pair (n={ma.n},l={ma.l})/(n={mb.n},l={mb.l}), "
+                    f"basis {basis}, outcome {outcome}")
+            count = float(self.tensor.flat[bad[0]])
+            if math.isnan(count):
+                raise IngestionError(f"dataset is missing count for {cell}")
+            raise IngestionError(f"dataset has count {count!r} for {cell}; "
+                                 f"counts must be finite and >= 0")
         self.tensor.setflags(write=False)  # complete stays complete
 
     @property

@@ -181,9 +181,12 @@ def correlated_pure(amplitudes, mode_set: ModeSet) -> CorrelatedState:
             f"amplitude vector length {a.size} does not match D={mode_set.D}")
     if not np.isfinite(a).all():
         raise InvalidStateError(f"amplitudes must be finite, got {amplitudes!r}")
-    norm2 = float(np.sum(np.abs(a) ** 2))
+    with np.errstate(over="ignore"):
+        norm2 = float(np.sum(np.abs(a) ** 2))
     if norm2 == 0.0:
         raise InvalidStateError("amplitude vector is identically zero")
+    if norm2 == np.inf:
+        raise InvalidStateError("the squared norm of the amplitudes overflows float64")
     c = np.outer(a, a.conj()) / norm2
     return CorrelatedState(c, mode_set)
 

@@ -21,7 +21,7 @@ from .measurement import (_EIGVECS, _POISSON_MAX, BASES, CoincidenceDataset,
                           _block_probabilities, basis_visibilities,
                           outcome_probabilities, pair_index)
 from .modes import ModeSet
-from .oracle import _sv_witness, brute_force_sv_witness
+from .oracle import _sv_witness
 from .states import _check_strength, _cut_blocks, _draw_perturbation, _perturb
 
 __all__ = [
@@ -108,11 +108,6 @@ def _ordered_sum(values: np.ndarray):
     return total[()]  # a scalar for 1-D values
 
 
-def _pair_sum(S: np.ndarray):
-    """W of a summed-visibility matrix: its upper triangle in (k, l) order."""
-    return _ordered_sum(S[np.triu_indices(len(S), 1)])
-
-
 def _row_means(rows: np.ndarray, diagonal) -> np.ndarray:
     """Mean of each row's off-diagonal entries, each row added in its order:
     `rows` are rows of a square matrix, and row i's diagonal entry is in
@@ -130,7 +125,8 @@ def witness_sum(table: VisibilityTable) -> float:
 
     Summation runs in fixed index order so results are reproducible.
     """
-    return _pair_sum(_sv_matrix(table))
+    V = table.V
+    return _ordered_sum(V[:, 0] + V[:, 1] + V[:, 2])
 
 
 def witness_correlated(coeffs: np.ndarray):
@@ -359,13 +355,6 @@ def _frames(strength: np.ndarray, normals: np.ndarray, G: np.ndarray) -> np.ndar
     return F / np.linalg.norm(F, axis=-2, keepdims=True)
 
 
-def _perturbed_frame(D: int, strength: float,
-                     rng: np.random.Generator) -> np.ndarray:
-    """One photon's perturbed frame (see :func:`_frames`)."""
-    normals, G = _frame_draws(D, strength, rng)
-    return _frames(np.array([strength]), normals[None, None], G[None, None])[0, 0]
-
-
 def _seen_witness(rho: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Summed visibilities of the states rho (n or 1, D^2, D^2) measured
     through the frame pairs (n, 2, D, D), shape (n,).
@@ -399,8 +388,9 @@ def witness_with_perturbed_projectors(state, strength: float,
     """
     s = _check_strength(strength)
     state = state.embed()
-    frames = np.stack([_perturbed_frame(state.D, s, rng) for _ in range(2)])
-    return float(_seen_witness(state.rho[None], frames[None])[0])
+    normals, G = zip(*(_frame_draws(state.D, s, rng) for _ in range(2)))
+    frames = _frames(np.array([s]), np.stack(normals)[None], np.stack(G)[None])
+    return float(_seen_witness(state.rho[None], frames)[0])
 
 
 @dataclass(frozen=True)
@@ -464,8 +454,8 @@ def robustness_study(state, kind: str, n_trials: int,
             or n_trials < 1:
         raise ConfigError(f"need a whole number of trials >= 1, got {n_trials!r}")
     _check_strength(strength_max)
-    baseline = brute_force_sv_witness(state)
     base = state.embed().rho
+    baseline = float(_sv_witness(base[None])[0])
     strengths = np.linspace(0.0, strength_max, n_trials)
     m = max(1, _CHUNK_BYTES // base.nbytes)
     W = np.concatenate([_score_trials(kind, base, strengths[i:i + m], seed, i)
@@ -513,7 +503,8 @@ class WitnessReport:
 def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = None,
                  n_resamples: int = 0, seed: int | None = None) -> WitnessReport:
     """Full certification report from a visibility table, with the greedy
-    subset trajectory.
+    subset trajectory; the report's W and certified dimension are its first
+    step, the full mode set.
 
     A W above the global cap 3 D(D-1)/2 is physically impossible and raises
     an integrity error rather than producing a report.  `n_resamples` is 0
@@ -521,18 +512,16 @@ def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = No
     """
     if n_resamples != 0 and n_resamples < 2:
         raise ConfigError(f"need 0 or at least 2 resamples, got {n_resamples}")
-    D = table.mode_set.D
-    W = witness_sum(table)
-    cap = 1.5 * D * (D - 1)
-    if W > cap + 1e-6:
+    trajectory = greedy_subset(table).trajectory
+    D, certified_d, W = trajectory[0]
+    if W > bound(D, D) + 1e-6:
         raise IntegrityError(
-            f"W={W} exceeds the global cap {cap}; the data is inconsistent")
+            f"W={W} exceeds the global cap {bound(D, D)}; the data is inconsistent")
     report = WitnessReport(
-        W=W, D=D,
-        certified_d=certified_dimension(W, D),
+        W=W, D=D, certified_d=certified_d,
         bounds=[(d, bound(D, d)) for d in range(1, D + 1)],
         per_mode=list(per_mode_contribution(table)),
-        subset_trajectory=greedy_subset(table).trajectory,
+        subset_trajectory=trajectory,
     )
     if n_resamples:
         if dataset is None:

@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -83,6 +86,51 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch):
         outputs = [value for flag, value in zip(argv, argv[1:])
                    if flag == "--output" or flag.endswith("-csv")]
         assert all((tmp_path / name).is_file() for name in outputs), argv
+
+
+def _readme_names():
+    """Dotted names in the README's inline code (`...`, not the fenced blocks),
+    file names left out."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    for span in re.findall(r"`([^`]+)`", text):
+        for name in re.findall(r"(?<![\w./-])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span):
+            if name.rsplit(".", 1)[1] not in {"py", "json", "csv", "md"}:
+                yield name
+
+
+def _resolves(obj, parts) -> bool:
+    """Whether the attribute path `parts` exists below obj; a dataclass field
+    counts, and ends the path, since its value's type is not known."""
+    for part in parts:
+        if dataclasses.is_dataclass(obj) and part in {f.name for f in dataclasses.fields(obj)}:
+            return True
+        if inspect.ismodule(obj) and not hasattr(obj, part):
+            try:
+                importlib.import_module(f"{obj.__name__}.{part}")
+            except ImportError:
+                return False
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_names_exist():
+    # a README that names a deleted function, constant or field fails here;
+    # names rooted in a package module or a package class are checked
+    import dimwitness
+    roots = {"dimwitness": dimwitness}
+    for info in pkgutil.iter_modules(dimwitness.__path__):
+        module = importlib.import_module(f"dimwitness.{info.name}")
+        roots[info.name] = module
+        roots.update((name, cls) for name, cls in inspect.getmembers(module, inspect.isclass)
+                     if cls.__module__ == module.__name__)
+    checked = [name for name in _readme_names() if name.split(".")[0] in roots]
+    assert {"witness._TIE_ULPS", "states.SMALL_D_CAP", "CoincidenceDataset.tensor",
+            "VisibilityTable.V"} <= set(checked)
+    missing = [name for name in checked
+               if not _resolves(roots[name.split(".")[0]], name.split(".")[1:])]
+    assert missing == []
 
 
 def _paper_pipeline_digests(tmp_path, monkeypatch, *simulate_flags):

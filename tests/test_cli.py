@@ -330,9 +330,12 @@ def test_report_bad_input_is_ingestion_error(tmp_path):
     {"per_mode": [1.0], "subset_trajectory": [[4, 2.0]]},  # a float step
     {"per_mode": [1.0], "subset_trajectory": [{"4": 2, "3": 3}]},  # not a list
     {"per_mode": [1.0], "subset_trajectory": None},  # per_mode CSV was written
+    {"per_mode": [float("nan"), float("inf")], "subset_trajectory": [[2, 1]]},
+    {"per_mode": [10 ** 400], "subset_trajectory": [[2, 1]]},  # no float
 ], ids=["list", "per_mode", "trajectory", "both-strings", "per_mode-string",
         "per_mode-bool", "trajectory-strings", "trajectory-float",
-        "trajectory-object-step", "no-trajectory"])
+        "trajectory-object-step", "no-trajectory", "per_mode-not-finite",
+        "per_mode-huge-int"])
 def test_malformed_report_is_ingestion_error(tmp_path, report):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(report))
@@ -446,11 +449,24 @@ def test_bad_rate_file_is_ingestion_error(tmp_path, rows):
     ["--amplitudes", "inf,1"],
     ["--profile", "exponential", "--l-max", "1", "--lambda-l", "nan"],
     ["--profile", "exponential", "--l-max", "1", "--lambda-n", "nan"],
-], ids=["letter", "empty", "nan", "inf", "lambda-l-nan", "lambda-n-nan"])
+    ["--amplitudes", "1e200,1e200"],
+], ids=["letter", "empty", "nan", "inf", "lambda-l-nan", "lambda-n-nan",
+        "norm-overflow"])
 def test_bad_state_input_is_config_error(tmp_path, command, state):
     trials = ["--trials", "2"] if command == "robustness" else []
     assert exit_code([command, *state, *trials, "--seed", "1",
                       "--output", str(tmp_path / "x.out")]) == 2
+
+
+def test_amplitude_norm_overflow_is_config_error_with_expectation(tmp_path, capsys):
+    # the squared norm 2e400 is inf in float64; it made c NaN, and expectation
+    # counts then ended in "dataset is missing count" (exit 3)
+    out = tmp_path / "c.csv"
+    assert exit_code(["simulate", "--amplitudes", "1e200,1e200", "--expectation",
+                      "--output", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: the squared norm of the amplitudes "
+                                       "overflows float64\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flux", ["nan", "inf", "0", "-1"])

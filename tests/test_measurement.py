@@ -19,7 +19,7 @@ from dimwitness.measurement import (_EIGVECS, _U, BASES, CSV_HEADER, OUTCOMES,
 from dimwitness.modes import ModeIndex, ModeSet
 from dimwitness.oracle import _DOUBLE, _PAULI2
 from dimwitness.states import (CorrelatedState, GeneralTwoPhotonState,
-                               perturb_state)
+                               max_witness_state, perturb_state)
 
 EXAMPLE_AMPS = np.array([0.5, 0.07, 0.01, 0.01])
 EXAMPLE_MODES = ModeSet((ModeIndex(0, 0), ModeIndex(1, -1),
@@ -561,6 +561,21 @@ def test_dataset_refuses_missing_count_and_wrong_shape():
     for shape in [(5, 3, 4), (7, 3, 4), (6, 12), (6, 3, 3), (72,)]:
         with pytest.raises(IngestionError, match=r"count tensor has shape"):
             CoincidenceDataset(EXAMPLE_MODES, 1e5, np.zeros(shape))
+
+
+@pytest.mark.parametrize("count", [-5.0, np.inf])
+def test_dataset_refuses_negative_and_infinite_counts(count):
+    # max_witness_state(4, 2) has Schmidt number 2; with one x-basis pm count
+    # negated its W fell to 10.67 and certified d = 3, and an infinite count
+    # ended as "visibility table is missing pairs"
+    ds = simulate_counts(max_witness_state(4, 2), 1e6, expectation=True)
+    tensor = ds.tensor.copy()
+    tensor[pair_index(1, 2, 4), BASES.index("x"), OUTCOMES.index("pm")] = count
+    tensor[pair_index(2, 3, 4), BASES.index("z"), OUTCOMES.index("mm")] = -1.0
+    with pytest.raises(IngestionError, match=(
+            rf"^dataset has count {count!r} for pair \(n=0,l=1\)/\(n=0,l=2\), "
+            rf"basis x, outcome pm; counts must be finite and >= 0$")):
+        CoincidenceDataset(ds.mode_set, ds.flux, tensor, expectation=True)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -54,6 +54,13 @@ def test_non_finite_amplitudes_rejected(amps):
         correlated_pure(amps, generic_mode_set(3))
 
 
+def test_amplitudes_whose_squared_norm_overflows_rejected():
+    # refused before c = a a^+ / |a|^2 turns NaN, and without an overflow warning
+    with pytest.raises(InvalidStateError, match="squared norm"):
+        correlated_pure([1e200, 1e200, 1.0], generic_mode_set(3))
+    assert np.isclose(correlated_pure([1e150, 1e150], generic_mode_set(2)).coeffs[0, 1], 0.5)
+
+
 def test_scale_invariance():
     v = np.array([0.3, -0.2, 0.9, 0.1])
     a = correlated_pure(v, generic_mode_set(4))

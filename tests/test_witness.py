@@ -16,8 +16,10 @@ from dimwitness.measurement import (_EIGVECS, BASES, OUTCOMES, CoincidenceDatase
                                     pair_index)
 from dimwitness.modes import ModeIndex, ModeSet
 from dimwitness.oracle import brute_force_sv_witness
-from dimwitness.states import CorrelatedState, GeneralTwoPhotonState, perturb_state
-from dimwitness.witness import (_CHUNK_BYTES, _LEAK_FRACTION, _perturbed_frame,
+from dimwitness.cli import main
+from dimwitness.states import (CorrelatedState, GeneralTwoPhotonState, perturb_state,
+                               save_state)
+from dimwitness.witness import (_CHUNK_BYTES, _LEAK_FRACTION, _frame_draws, _frames,
                                 witness_with_perturbed_projectors)
 
 EXAMPLE_AMPS = np.array([0.5, 0.07, 0.01, 0.01])
@@ -464,6 +466,85 @@ def test_report_resampling_requires_dataset_and_seed():
         build_report(table_from_dataset(ds), dataset=ds, n_resamples=10)
 
 
+def report_table(name):
+    if name == "readme":
+        return table_from_dataset(simulate_counts(example_state(), 1e6, seed=7))
+    if name == "paper-D30":  # the 30 lowest-order modes of the paper settings
+        grid = enumerate_modes(11, 13)
+        modes = ModeSet(tuple(sorted(grid.modes,
+                                     key=lambda m: (2 * m.n + abs(m.l), m.n, m.l))[:30]))
+        st = correlated_pure(spdc_profile(modes, 8.0, 4.0), modes)
+        return table_from_dataset(simulate_counts(st, 1e6, seed=7))
+    if name == "tied":
+        return tied_table("rounded")
+    D, d = map(int, name.split("-")[-2:])
+    return table_from_state(max_witness_state(D, d))
+
+
+@pytest.mark.parametrize("name", ["readme", "paper-D30", "max-witness-4-2",
+                                  "max-witness-7-1", "max-witness-7-7",
+                                  "max-witness-12-5", "tied"])
+def test_report_verdict_is_the_first_greedy_step(name):
+    table = report_table(name)
+    report = build_report(table)
+    assert (report.D, report.certified_d, report.W) == report.subset_trajectory[0]
+    W = witness_sum(table)
+    assert report.W == W
+    assert report.certified_d == certified_dimension(W, report.D)
+
+
+# --- ROADMAP item 1: states outside the correlated class ---------------------
+# Each certifies d = 3 on every path below; item 1(a) asks that it end in a
+# refusal, so the tests are strict xfails until then.
+
+def pure_general(M):
+    """|psi> = sum_ij M_ij |ij> / |M| as a full density matrix."""
+    M = np.asarray(M, dtype=complex)
+    psi = M.reshape(-1) / np.linalg.norm(M)
+    return GeneralTwoPhotonState(np.outer(psi, psi.conj()), generic_mode_set(len(M)))
+
+
+def hole_states():
+    # hole 1: Schmidt rank 2, W = 9 > bound(3, 2) = 6
+    yield "hole-1", pure_general(np.array([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
+                                 / np.sqrt(6))
+    # hole 2: Schmidt rank 1, yet each dust pair counts in full:
+    # W = 12 > bound(4, 2) = 10
+    M = np.zeros((4, 4))
+    M[0, 0] = 1.0
+    for k, l in [(1, 2), (1, 3), (2, 3)]:
+        M[k, l], M[l, k] = 1e-20, -1e-20
+    yield "hole-2", pure_general(M)
+
+
+HOLES = dict(hole_states())
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("path", ["state", "expectation-counts"])
+@pytest.mark.parametrize("hole", list(HOLES))
+def test_state_outside_the_class_is_refused(hole, path):
+    st = HOLES[hole]
+    table = (table_from_state(st) if path == "state" else
+             table_from_dataset(simulate_counts(st, 1e6, expectation=True)))
+    with pytest.raises(IntegrityError):
+        build_report(table)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("name", ["counts.json", "counts.csv"])
+@pytest.mark.parametrize("hole", list(HOLES))
+def test_state_outside_the_class_exits_5(tmp_path, hole, name):
+    save_state(HOLES[hole], tmp_path / "state.json")
+    counts = tmp_path / name
+    main(["simulate", "--state-file", str(tmp_path / "state.json"),
+          "--expectation", "--output", str(counts)])
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--input", str(counts),
+              "--output", str(tmp_path / "report.json")])
+    assert exc.value.code == 5
+
+
 # --- reference loops ---------------------------------------------------------
 # Per-pair loop versions of the array paths above; the array paths must give
 # the same numbers.
@@ -522,7 +603,11 @@ def ref_estimate(dataset, k, l):
 
 def ref_perturbed_projectors(state, strength, rng):
     D = state.mode_set.D
-    frames = [_perturbed_frame(D, strength, rng) for _ in range(2)]
+    frames = []
+    for _ in range(2):  # one photon's frame at a time
+        normals, G = _frame_draws(D, strength, rng)
+        frames.append(_frames(np.array([strength]), normals[None, None],
+                              G[None, None])[0, 0])
 
     def prob(va, vb):
         if isinstance(state, CorrelatedState):
