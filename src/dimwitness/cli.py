@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration, 3 ingestion, 4 capacity,
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import sys
@@ -93,64 +94,79 @@ def _read_rates(path) -> dict:
     return rates
 
 
-def _state_source(state_file, profile, amplitudes, rate_file, lambda_l,
-                  lambda_n, l_max, n_max, mode_file):
-    if state_file:
-        return load_state(state_file)
-    if amplitudes:
-        try:
-            amps = np.array([float(x) for x in amplitudes.split(",")])
-        except ValueError as exc:
-            raise ConfigError(f"--amplitudes takes comma-separated numbers: "
-                              f"{exc}") from exc
-        modes = _mode_set(l_max, n_max, mode_file, fallback_D=amps.size)
-        return correlated_pure(amps, modes)
-    modes = _mode_set(l_max, n_max, mode_file)
-    if rate_file:
-        return correlated_pure(amplitudes_from_rates(modes, _read_rates(rate_file)),
-                               modes)
-    if profile == "maximal":
-        return maximally_entangled(modes)
-    if profile == "exponential":
-        return correlated_pure(spdc_profile(modes, lambda_l, lambda_n), modes)
-    raise ConfigError("no state given: use --state-file, --amplitudes, "
-                      "--rate-file or --profile")
-
-
-_state_options = [
-    click.option("--state-file", type=click.Path(exists=True),
-                 help="State JSON file."),
-    click.option("--profile", type=click.Choice(["maximal", "exponential"]),
-                 help="Built-in amplitude profile."),
-    click.option("--amplitudes", help="Comma-separated real amplitudes."),
-    click.option("--rate-file", type=click.Path(exists=True),
-                 help="CSV (n,l,rate) of per-mode coincidence rates."),
-    click.option("--lambda-l", type=float, default=1.0, show_default=True),
-    click.option("--lambda-n", type=float, default=1.0, show_default=True),
-]
-
-_mode_options = [
-    click.option("--l-max", type=int, default=None),
-    click.option("--n-max", type=int, default=None),
-    click.option("--mode-file", type=click.Path(exists=True),
-                 help="JSON array of {n, l} mode entries."),
-]
-
-
 _BY_NAME = "JSON if the file name ends in .json, else CSV."
 
 
-def _add(options):
-    def deco(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-    return deco
+def _given(*names) -> list:
+    """The flags of the parameters `names` that the command line gives; a
+    config file's defaults do not count."""
+    ctx = click.get_current_context()
+    return [f"--{name.replace('_', '-')}" for name in names
+            if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE]
+
+
+def _state_input(command):
+    """Give `command` the mode and state options, and pass it the state they
+    describe as `state`.
+
+    The command line may name one state source.  Mode options do not go with
+    --state-file, whose file carries its own modes, and the decay constants
+    only go with --profile exponential.
+    """
+    @click.option("--l-max", type=int, default=None)
+    @click.option("--n-max", type=int, default=None)
+    @click.option("--mode-file", type=click.Path(exists=True),
+                  help="JSON array of {n, l} mode entries.")
+    @click.option("--state-file", type=click.Path(exists=True),
+                  help="State JSON file.")
+    @click.option("--profile", type=click.Choice(["maximal", "exponential"]),
+                  help="Built-in amplitude profile.")
+    @click.option("--amplitudes", help="Comma-separated real amplitudes.")
+    @click.option("--rate-file", type=click.Path(exists=True),
+                  help="CSV (n,l,rate) of per-mode coincidence rates.")
+    @click.option("--lambda-l", type=float, default=1.0, show_default=True)
+    @click.option("--lambda-n", type=float, default=1.0, show_default=True)
+    @functools.wraps(command)
+    def with_state(l_max, n_max, mode_file, state_file, profile, amplitudes,
+                   rate_file, lambda_l, lambda_n, **options):
+        sources = _given("state_file", "amplitudes", "rate_file", "profile")
+        if len(sources) > 1:
+            raise ConfigError(f"{' and '.join(sources)} each give a state; use one")
+        if state_file and (flags := _given("l_max", "n_max", "mode_file")):
+            raise ConfigError(f"{' and '.join(flags)} cannot be used with "
+                              f"--state-file: the file carries its own modes")
+        if profile != "exponential" and (flags := _given("lambda_l", "lambda_n")):
+            raise ConfigError(f"{' and '.join(flags)} cannot be used without "
+                              f"--profile exponential")
+        if state_file:
+            state = load_state(state_file)
+        elif amplitudes:
+            try:
+                amps = np.array([float(x) for x in amplitudes.split(",")])
+            except ValueError as exc:
+                raise ConfigError(f"--amplitudes takes comma-separated numbers: "
+                                  f"{exc}") from exc
+            state = correlated_pure(amps, _mode_set(l_max, n_max, mode_file,
+                                                    fallback_D=amps.size))
+        else:
+            modes = _mode_set(l_max, n_max, mode_file)
+            if rate_file:
+                state = correlated_pure(
+                    amplitudes_from_rates(modes, _read_rates(rate_file)), modes)
+            elif profile == "maximal":
+                state = maximally_entangled(modes)
+            elif profile == "exponential":
+                state = correlated_pure(spdc_profile(modes, lambda_l, lambda_n), modes)
+            else:
+                raise ConfigError("no state given: use --state-file, --amplitudes, "
+                                  "--rate-file or --profile")
+        return command(state=state, **options)
+
+    return with_state
 
 
 @cli.command()
-@_add(_mode_options)
-@_add(_state_options)
+@_state_input
 @click.option("--flux", type=float, default=1e6, show_default=True,
               help="Expected total pair detections per setting scale.")
 @click.option("--expectation", is_flag=True,
@@ -161,12 +177,8 @@ def _add(options):
 @click.option("--dry-run", is_flag=True,
               help="Print the measurement count and exit without sampling.")
 @click.option("--output", type=click.Path(), default=None, help=_BY_NAME)
-def simulate(l_max, n_max, mode_file, state_file, profile, amplitudes,
-             rate_file, lambda_l, lambda_n, flux, expectation, seed,
-             share_populations, dry_run, output):
+def simulate(state, flux, expectation, seed, share_populations, dry_run, output):
     """Simulate the coincidence counts of a full measurement run."""
-    state = _state_source(state_file, profile, amplitudes, rate_file,
-                          lambda_l, lambda_n, l_max, n_max, mode_file)
     D = state.mode_set.D
     n_meas = 12 * D * (D - 1) // 2
     if dry_run:
@@ -190,9 +202,7 @@ def _load_dataset(path, mode_file, flux):
     """The dataset and the notes its reading leaves for the report."""
     if _is_json(path):
         # a config file's defaults may name them; only flags are refused
-        ctx = click.get_current_context()
-        given = [f"--{name.replace('_', '-')}" for name in ("mode_file", "flux")
-                 if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE]
+        given = _given("mode_file", "flux")
         if given:
             raise ConfigError(f"{' and '.join(given)} cannot be used with a JSON "
                               f"dataset: the file carries its own mode set and flux")
@@ -265,21 +275,16 @@ def optimize(input_path, mode_file, flux, output):
 
 
 @cli.command()
-@_add(_mode_options)
-@_add(_state_options)
+@_state_input
 @click.option("--kind", type=click.Choice(["state", "projector", "both"]),
               default="both", show_default=True)
 @click.option("--trials", type=int, default=1000, show_default=True)
 @click.option("--strength-max", type=float, default=0.2, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--output", type=click.Path(), required=True)
-def robustness(l_max, n_max, mode_file, state_file, profile, amplitudes,
-               rate_file, lambda_l, lambda_n, kind, trials, strength_max,
-               seed, output):
+def robustness(state, kind, trials, strength_max, seed, output):
     """Perturbation sweep: how measurement and correlation imperfections
     move the witness."""
-    state = _state_source(state_file, profile, amplitudes, rate_file,
-                          lambda_l, lambda_n, l_max, n_max, mode_file)
     result = robustness_study(state, kind, trials, strength_max, seed)
     payload = {"kind": result.kind, "baseline": result.baseline,
                "fraction_non_increasing": result.fraction_non_increasing,

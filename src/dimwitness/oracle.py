@@ -118,23 +118,15 @@ def _random_mixtures(D: int, d: int, n: int,
     (random supports, Dirichlet weights), drawn one state after another."""
     weights = np.zeros((n, _MAX_ELEMENTS))
     amps = np.zeros((n, _MAX_ELEMENTS, D))
-    present = np.zeros((n, _MAX_ELEMENTS), dtype=bool)
     for i in range(n):
         n_el = int(rng.integers(1, _MAX_ELEMENTS + 1))
         weights[i, :n_el] = rng.dirichlet(np.ones(n_el))
-        present[i, :n_el] = True
         for e in range(n_el):
             r = int(rng.integers(1, d + 1))
             support = rng.choice(D, size=r, replace=False)
             support.sort()
             a = np.abs(rng.standard_normal(r)) + 1e-12
             amps[i, e, support] = a / math.sqrt(a.dot(a))  # = np.linalg.norm(a)
-    total = weights.sum(axis=1)
-    off = np.abs(total - 1.0) > 1e-9
-    if off.any():
-        raise InvalidStateError(f"element weights sum to {total[off][0]}, expected 1")
-    if np.any(np.abs(np.sum(amps**2, axis=-1) - 1.0)[present] > 1e-9):
-        raise InvalidStateError("element amplitudes are not normalized")
     # c = sum_alpha p_alpha lambda lambda^T, element by element: the terms
     # and their order of addition are those of state_from_elements
     c = np.zeros((n, D, D), dtype=complex)

@@ -174,17 +174,25 @@ class DecompositionElement:
 
 
 def correlated_pure(amplitudes, mode_set: ModeSet) -> CorrelatedState:
-    """Rank-1 correlated state c_kl = a_k conj(a_l) / sum|a|^2."""
+    """Rank-1 correlated state c_kl = a_k conj(a_l) / sum|a|^2.
+
+    c does not depend on the scale of a, so amplitudes whose sum|a|^2 is
+    below the smallest normal float are first divided by max|a|.
+    """
     a = np.asarray(amplitudes, dtype=complex).ravel()
     if a.size != mode_set.D:
         raise InvalidStateError(
             f"amplitude vector length {a.size} does not match D={mode_set.D}")
     if not np.isfinite(a).all():
         raise InvalidStateError(f"amplitudes must be finite, got {amplitudes!r}")
+    if not a.any():
+        raise InvalidStateError("amplitude vector is identically zero")
     with np.errstate(over="ignore"):
         norm2 = float(np.sum(np.abs(a) ** 2))
-    if norm2 == 0.0:
-        raise InvalidStateError("amplitude vector is identically zero")
+    if norm2 < np.finfo(float).tiny:
+        m = np.abs(a).max()  # a complex divided by a subnormal overflows
+        a = a.real / m + 1j * (a.imag / m)
+        norm2 = float(np.sum(np.abs(a) ** 2))
     if norm2 == np.inf:
         raise InvalidStateError("the squared norm of the amplitudes overflows float64")
     c = np.outer(a, a.conj()) / norm2

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,17 @@ class VisibilityTable:
     mode_set: ModeSet
     V: np.ndarray
 
+    @cached_property
+    def S(self) -> np.ndarray:
+        """Symmetric (D, D) matrix of the summed visibilities, zero diagonal;
+        built on first use and read-only, so every reader shares one."""
+        D = self.mode_set.D
+        S = np.zeros((D, D))
+        S[np.triu_indices(D, 1)] = self.V[:, 0] + self.V[:, 1] + self.V[:, 2]
+        S += S.T
+        S.flags.writeable = False
+        return S
+
     def subset(self, indices) -> "VisibilityTable":
         """Table of the modes `indices` alone, renumbered in sorted order;
         they must be distinct mode indices in [0, D)."""
@@ -88,16 +100,6 @@ def table_from_state(state) -> VisibilityTable:
 
 def table_from_dataset(dataset: CoincidenceDataset) -> VisibilityTable:
     return VisibilityTable(dataset.mode_set, basis_visibilities(dataset.tensor))
-
-
-def _sv_matrix(table: VisibilityTable) -> np.ndarray:
-    """Symmetric matrix of the summed visibilities, zero diagonal."""
-    D = table.mode_set.D
-    V = table.V
-    S = np.zeros((D, D))
-    S[np.triu_indices(D, 1)] = V[:, 0] + V[:, 1] + V[:, 2]
-    S += S.T
-    return S
 
 
 def _ordered_sum(values: np.ndarray):
@@ -241,7 +243,7 @@ def _bootstrap(counts: np.ndarray, n_resamples: int, seed: int):
 
 def per_mode_contribution(table: VisibilityTable) -> np.ndarray:
     """Mean summed visibility of each mode against all other modes."""
-    S = _sv_matrix(table)
+    S = table.S
     return _row_means(S, np.arange(len(S)))
 
 
@@ -279,7 +281,7 @@ def greedy_subset(table: VisibilityTable) -> GreedyResult:
     """
     if table.mode_set.D < 2:
         raise ConfigError(f"greedy subset search needs D >= 2, got D={table.mode_set.D}")
-    S = _sv_matrix(table)
+    S = table.S
     # the pairs (k, l) of the surviving modes and their summed visibilities,
     # in (k, l) order
     k, l = np.triu_indices(len(S), 1)

@@ -9,8 +9,9 @@ import shlex
 from pathlib import Path
 
 import yaml
+from click.testing import CliRunner
 
-from dimwitness.cli import main
+from dimwitness.cli import cli, main
 from dimwitness.modes import ModeSet, enumerate_modes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,6 +87,33 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch):
         outputs = [value for flag, value in zip(argv, argv[1:])
                    if flag == "--output" or flag.endswith("-csv")]
         assert all((tmp_path / name).is_file() for name in outputs), argv
+
+
+# every option string of the group and of each subcommand; a rename or a
+# dropped option breaks the command lines of users, scripts and the benchmark
+_STATE_OPTIONS = {"--l-max", "--n-max", "--mode-file", "--state-file", "--profile",
+                  "--amplitudes", "--rate-file", "--lambda-l", "--lambda-n"}
+CLI_OPTIONS = {
+    None: {"--config", "--version"},
+    "simulate": _STATE_OPTIONS | {"--flux", "--expectation", "--seed",
+                                  "--share-populations", "--dry-run", "--output"},
+    "certify": {"--input", "--mode-file", "--flux", "--resamples", "--seed",
+                "--subset", "--output"},
+    "optimize": {"--input", "--mode-file", "--flux", "--output"},
+    "robustness": _STATE_OPTIONS | {"--kind", "--trials", "--strength-max", "--seed",
+                                    "--output"},
+    "verify": {"--d-max", "--seed"},
+    "report": {"--input", "--per-mode-csv", "--trajectory-csv"},
+}
+
+
+def test_cli_keeps_its_option_surface():
+    assert set(cli.commands) == set(CLI_OPTIONS) - {None}
+    for name, want in CLI_OPTIONS.items():
+        command = cli if name is None else cli.commands[name]
+        assert {opt for param in command.params for opt in param.opts} == want, name
+        res = CliRunner().invoke(cli, [name, "--help"] if name else ["--help"])
+        assert res.exit_code == 0 and res.output.startswith("Usage:"), name
 
 
 def _readme_names():

@@ -469,6 +469,78 @@ def test_amplitude_norm_overflow_is_config_error_with_expectation(tmp_path, caps
     assert not out.exists()
 
 
+def test_tiny_amplitudes_give_the_state_of_unit_ones(tmp_path):
+    # |a|^2 = 2e-320 is subnormal: simulate exited 1 (3 with --expectation),
+    # robustness 1, and 1e-200 was refused as identically zero
+    outs = [tmp_path / "tiny.csv", tmp_path / "unit.csv"]
+    for amps, out in zip(["1e-160,1e-160", "1,1"], outs):
+        assert exit_code(["simulate", "--amplitudes", amps, "--seed", "1",
+                          "--output", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert exit_code(["simulate", "--amplitudes", "1e-160,1e-160", "--expectation",
+                      "--output", str(tmp_path / "e.csv")]) == 0
+    assert exit_code(["robustness", "--amplitudes", "1e-160,1e-160", "--trials", "5",
+                      "--seed", "1", "--output", str(tmp_path / "r.json")]) == 0
+    assert exit_code(["simulate", "--amplitudes", "1e-200,1e-200", "--dry-run"]) == 0
+
+
+def state_sources(tmp_path):
+    """Flags of each state source, and of the mode file, on example files."""
+    modes, state, rates = (tmp_path / n for n in ("modes.json", "state.json", "rates.csv"))
+    EXAMPLE_MODES.save(modes)
+    save_state(correlated_pure([0.5, 0.07, 0.01, 0.01], EXAMPLE_MODES), state)
+    rates.write_text("n,l,rate\n" + "".join(f"{r}\n" for r in RATE_ROWS))
+    return {"state": ["--state-file", str(state)], "amps": ["--amplitudes", EXAMPLE_AMPS],
+            "rates": ["--rate-file", str(rates)], "maximal": ["--profile", "maximal"],
+            "exponential": ["--profile", "exponential"],
+            "modes": ["--mode-file", str(modes)]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "robustness"])
+@pytest.mark.parametrize("flags, text", [
+    (("state", "amps"), "--state-file and --amplitudes each give a state"),
+    (("amps", "maximal", "modes"), "--amplitudes and --profile each give a state"),
+    (("rates", "exponential", "modes"), "--rate-file and --profile each give a state"),
+    (("state", "rates"), "--state-file and --rate-file each give a state"),
+    (("state", "modes"), "--mode-file cannot be used with --state-file"),
+    (("state", "--l-max", "1"), "--l-max cannot be used with --state-file"),
+    (("state", "--n-max", "0"), "--n-max cannot be used with --state-file"),
+    (("amps", "--lambda-l", "2"), "--lambda-l cannot be used without --profile exponential"),
+    (("maximal", "modes", "--lambda-n", "2"), "--lambda-n cannot be used without"),
+    (("rates", "modes", "--lambda-l", "2", "--lambda-n", "2"),
+     "--lambda-l and --lambda-n cannot be used without"),
+])
+def test_conflicting_state_flags_are_config_error(tmp_path, capsys, command, flags, text):
+    # each of these used to take the first source and drop the rest silently
+    sources = state_sources(tmp_path)
+    argv = [arg for f in flags for arg in sources.get(f, [f])]
+    out = tmp_path / "out"
+    extra = ["--trials", "2"] if command == "robustness" else []
+    assert exit_code([command, *argv, *extra, "--seed", "1", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {text}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "robustness"])
+def test_state_flags_that_go_together_are_accepted(tmp_path, command):
+    sources = state_sources(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda_l": 3.0, "mode_file": sources["modes"][1]}))
+    extra = ["--trials", "2"] if command == "robustness" else []
+    for argv in (sources["modes"] + sources["exponential"] + ["--lambda-l", "8",
+                                                               "--lambda-n", "4"],
+                 sources["amps"] + sources["modes"],
+                 sources["rates"] + sources["modes"],
+                 sources["maximal"] + ["--l-max", "1", "--n-max", "0"],
+                 sources["state"]):
+        assert exit_code([command, *argv, *extra, "--seed", "1",
+                          "--output", str(tmp_path / "out")]) == 0, argv
+    # a config file's defaults are not flags of the command line
+    for argv in (sources["state"], sources["amps"]):
+        assert exit_code(["--config", str(cfg), command, *argv, *extra, "--seed", "1",
+                          "--output", str(tmp_path / "out")]) == 0, argv
+
+
 @pytest.mark.parametrize("flux", ["nan", "inf", "0", "-1"])
 def test_simulate_bad_flux_is_config_error(tmp_path, flux):
     assert exit_code(["simulate", "--amplitudes", EXAMPLE_AMPS,

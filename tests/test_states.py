@@ -61,6 +61,21 @@ def test_amplitudes_whose_squared_norm_overflows_rejected():
     assert np.isclose(correlated_pure([1e150, 1e150], generic_mode_set(2)).coeffs[0, 1], 0.5)
 
 
+@pytest.mark.parametrize("tiny, unit", [
+    ([3e-155, 1e-155], [3.0, 1.0]),           # |a|^2 subnormal
+    ([1e-200, 1e-200, 0.0], [1.0, 1.0, 0.0]),  # |a|^2 underflows to 0
+    ([5e-324, 5e-324j], [1.0, 1j]),            # subnormal amplitudes
+], ids=["1e-155", "1e-200", "subnormal"])
+def test_tiny_amplitudes_are_scaled_not_refused(tiny, unit):
+    # c does not depend on the scale of a; it used to turn inf or be refused
+    # as identically zero
+    got = correlated_pure(tiny, generic_mode_set(len(tiny))).coeffs
+    want = correlated_pure(unit, generic_mode_set(len(unit))).coeffs
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+    assert np.array_equal(correlated_pure([1e-160, 1e-160], generic_mode_set(2)).coeffs,
+                          correlated_pure([1.0, 1.0], generic_mode_set(2)).coeffs)
+
+
 def test_scale_invariance():
     v = np.array([0.3, -0.2, 0.9, 0.1])
     a = correlated_pure(v, generic_mode_set(4))

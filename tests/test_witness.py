@@ -320,6 +320,23 @@ def test_greedy_on_maximally_entangled_keeps_everything():
         assert d == size
 
 
+def test_report_builds_the_summed_visibility_matrix_once():
+    table = random_table(6, np.random.default_rng(8))
+    assert "S" not in vars(table)
+    build_report(table)
+    S = vars(table)["S"]
+    assert table.S is S
+    per_mode_contribution(table)
+    greedy_subset(table)
+    assert vars(table)["S"] is S
+    k, l = np.triu_indices(6, 1)
+    assert np.array_equal(S[k, l], [ref_sv(table, *kl) for kl in zip(k, l)])
+    assert np.array_equal(S, S.T) and not S.diagonal().any()
+    assert not S.flags.writeable
+    with pytest.raises(ValueError):
+        S[0, 1] = 0.0
+
+
 @pytest.mark.parametrize("D", [0, 1])
 def test_greedy_needs_two_modes(D):
     with pytest.raises(ConfigError, match="D >= 2"):
