@@ -109,7 +109,8 @@ def _state_input(command):
     """Give `command` the mode and state options, and pass it the state they
     describe as `state`.
 
-    The command line may name one state source.  Mode options do not go with
+    The command line may name one state source, which replaces any that a
+    config file names.  Mode options do not go with
     --state-file, whose file carries its own modes, and the decay constants
     only go with --profile exponential.
     """
@@ -132,6 +133,11 @@ def _state_input(command):
         sources = _given("state_file", "amplitudes", "rate_file", "profile")
         if len(sources) > 1:
             raise ConfigError(f"{' and '.join(sources)} each give a state; use one")
+        if sources:  # a source on the command line replaces a config file's
+            state_file, amplitudes, rate_file, profile = (
+                value if flag in sources else None for flag, value in zip(
+                    ("--state-file", "--amplitudes", "--rate-file", "--profile"),
+                    (state_file, amplitudes, rate_file, profile)))
         if state_file and (flags := _given("l_max", "n_max", "mode_file")):
             raise ConfigError(f"{' and '.join(flags)} cannot be used with "
                               f"--state-file: the file carries its own modes")

@@ -114,23 +114,25 @@ def schmidt_rank(M: np.ndarray) -> int:
 def _random_mixtures(D: int, d: int, n: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Coefficient matrices c, shape (n, D, D), of n random mixtures of 1 to 4
-    rank <= d correlated pure states with non-negative real amplitudes
-    (random supports, Dirichlet weights), drawn one state after another."""
-    weights = np.zeros((n, _MAX_ELEMENTS))
-    amps = np.zeros((n, _MAX_ELEMENTS, D))
-    for i in range(n):
-        n_el = int(rng.integers(1, _MAX_ELEMENTS + 1))
-        weights[i, :n_el] = rng.dirichlet(np.ones(n_el))
-        for e in range(n_el):
-            r = int(rng.integers(1, d + 1))
-            support = rng.choice(D, size=r, replace=False)
-            support.sort()
-            a = np.abs(rng.standard_normal(r)) + 1e-12
-            amps[i, e, support] = a / math.sqrt(a.dot(a))  # = np.linalg.norm(a)
+    rank <= d correlated pure states with non-negative real amplitudes, drawn
+    as whole arrays in this order (E = _MAX_ELEMENTS): 1. element counts (n,);
+    2. Exp(1) weights (n, E), normalized over each state's first count
+    elements: Dirichlet(1, ..., 1); 3. ranks r (n, E); 4. a place for each
+    mode, a permutation of 0..D-1 per element (n, E, D): the modes placed
+    below r form a uniform support; 5. unit-norm amplitudes from
+    |N(0, 1)| + 1e-12 draws (n, E, D), 0 off the support."""
+    E = _MAX_ELEMENTS
+    n_el = rng.integers(1, E + 1, size=n)
+    weights = rng.standard_exponential((n, E)) * (np.arange(E) < n_el[:, None])
+    weights /= weights.sum(axis=1, keepdims=True)
+    r = rng.integers(1, d + 1, size=(n, E))
+    place = rng.permuted(np.broadcast_to(np.arange(D), (n, E, D)), axis=-1)
+    amps = (np.abs(rng.standard_normal((n, E, D))) + 1e-12) * (place < r[..., None])
+    amps /= np.sqrt(np.sum(amps * amps, axis=-1, keepdims=True))
     # c = sum_alpha p_alpha lambda lambda^T, element by element: the terms
     # and their order of addition are those of state_from_elements
     c = np.zeros((n, D, D), dtype=complex)
-    for e in range(_MAX_ELEMENTS):
+    for e in range(E):
         v = amps[:, e]
         c += weights[:, e, None, None] * (v[:, :, None] * v[:, None, :])
     return c
@@ -146,8 +148,8 @@ def random_correlated_mixture(D: int, d: int,
 def random_rank_d_search(D: int, d: int, iters: int,
                          rng: np.random.Generator) -> float:
     """Max brute-force summed-visibility W over `iters` random rank <= d
-    correlated mixtures (the states of as many random_correlated_mixture
-    calls), scored chunk by chunk from their explicit density matrices."""
+    correlated mixtures (one _random_mixtures stack, with the law of
+    random_correlated_mixture), scored chunk by chunk from their density matrices."""
     _check_cap(D)
     coeffs = _random_mixtures(D, d, iters, rng)
     m = max(1, _CHUNK_BYTES // (16 * D**4))

@@ -176,8 +176,9 @@ class DecompositionElement:
 def correlated_pure(amplitudes, mode_set: ModeSet) -> CorrelatedState:
     """Rank-1 correlated state c_kl = a_k conj(a_l) / sum|a|^2.
 
-    c does not depend on the scale of a, so amplitudes whose sum|a|^2 is
-    below the smallest normal float are first divided by max|a|.
+    c does not depend on the scale of a, so amplitudes whose max|a|^2 is
+    below the smallest normal float are first divided by max|a|: the
+    products a_k conj(a_l) stay normal floats.
     """
     a = np.asarray(amplitudes, dtype=complex).ravel()
     if a.size != mode_set.D:
@@ -188,10 +189,9 @@ def correlated_pure(amplitudes, mode_set: ModeSet) -> CorrelatedState:
     if not a.any():
         raise InvalidStateError("amplitude vector is identically zero")
     with np.errstate(over="ignore"):
-        norm2 = float(np.sum(np.abs(a) ** 2))
-    if norm2 < np.finfo(float).tiny:
-        m = np.abs(a).max()  # a complex divided by a subnormal overflows
-        a = a.real / m + 1j * (a.imag / m)
+        m = np.abs(a).max()
+        if m < math.sqrt(np.finfo(float).tiny):
+            a = a.real / m + 1j * (a.imag / m)  # a complex divided by a subnormal overflows
         norm2 = float(np.sum(np.abs(a) ** 2))
     if norm2 == np.inf:
         raise InvalidStateError("the squared norm of the amplitudes overflows float64")

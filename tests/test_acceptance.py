@@ -84,19 +84,18 @@ def test_acceptance_bound_tightness_small_D():
 
 
 def test_acceptance_soundness_sweep():
-    # 10^4 random rank-<=d correlated mixtures per (D, d), D <= 5, drawn as
-    # one stack per cell (the states of as many random_correlated_mixture
-    # calls), must never exceed bound(D, d); the closed-form witness path is
-    # used for speed and is itself cross-checked against the oracle in the
-    # suite
+    # 10^4 random rank-<=d correlated mixtures per (D, d), D <= 6, drawn as
+    # one stack per cell (with the law of random_correlated_mixture), must
+    # never exceed bound(D, d); the closed-form witness path is used for
+    # speed and is itself cross-checked against the oracle in the suite
     rng = np.random.default_rng(2024)
     ok, worst = True, -np.inf
-    for D in range(2, 6):
+    for D in range(2, 7):
         for d in range(1, D + 1):
             margin = witness_correlated(_random_mixtures(D, d, 10_000, rng)) - bound(D, d)
             worst = max(worst, float(margin.max()))
             ok = ok and bool(np.all(margin <= 1e-6))
-    _verdict(f"soundness: 10^4 random rank-<=d mixtures per (D <= 5, d) "
+    _verdict(f"soundness: 10^4 random rank-<=d mixtures per (D <= 6, d) "
              f"never beat the bound (worst margin {worst:.3e})", ok)
 
 

@@ -541,6 +541,23 @@ def test_state_flags_that_go_together_are_accepted(tmp_path, command):
                           "--output", str(tmp_path / "out")]) == 0, argv
 
 
+def test_command_line_state_source_replaces_the_config_one(tmp_path, runner):
+    # the config's 3-mode state file used to win silently, printing D=3
+    state, cfg = tmp_path / "s.json", tmp_path / "cfg.json"
+    save_state(correlated_pure([1.0, 0.5, 0.2], generic_mode_set(3)), state)
+    cfg.write_text(json.dumps({"state_file": str(state)}))
+    res = run(runner, ["--config", str(cfg), "simulate",
+                       "--amplitudes", "1,1,1,1,1", "--dry-run"])
+    assert res.exit_code == 0
+    assert "D=5 modes" in res.output
+    res = run(runner, ["--config", str(cfg), "simulate", "--dry-run"])
+    assert res.exit_code == 0
+    assert "D=3 modes" in res.output
+    # two sources on the command line are still refused
+    assert exit_code(["--config", str(cfg), "simulate", "--amplitudes", "1,1",
+                      "--profile", "maximal", "--dry-run"]) == 2
+
+
 @pytest.mark.parametrize("flux", ["nan", "inf", "0", "-1"])
 def test_simulate_bad_flux_is_config_error(tmp_path, flux):
     assert exit_code(["simulate", "--amplitudes", EXAMPLE_AMPS,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -278,23 +279,41 @@ def test_stacked_scores_equal_one_state_scores():
         assert np.array_equal(stack, [brute_force_sv_witness(st) for st in states])
 
 
+def ref_mixture_elements(D, d, n, rng):
+    """The decomposition elements of n random mixtures: the five whole-array
+    draws of oracle._random_mixtures, in its order, read state by state."""
+    E = oracle._MAX_ELEMENTS
+    n_el = rng.integers(1, E + 1, size=n)
+    expo = rng.standard_exponential((n, E))
+    r = rng.integers(1, d + 1, size=(n, E))
+    place = rng.permuted(np.tile(np.arange(D), (n, E, 1)), axis=-1)
+    z = np.abs(rng.standard_normal((n, E, D))) + 1e-12
+    mixtures = []
+    for i in range(n):
+        weights = expo[i, :n_el[i]] / np.sum(expo[i, :n_el[i]])
+        elements = []
+        for e, w in enumerate(weights):
+            support = np.sort(np.argsort(place[i, e])[:r[i, e]])
+            amps = z[i, e, support]
+            amps = amps / math.sqrt(np.sum(amps * amps))
+            elements.append(DecompositionElement(tuple(support.tolist()), float(w), amps))
+        mixtures.append(elements)
+    return mixtures
+
+
+def ref_random_mixtures(D, d, n, rng):
+    """n random mixtures, each assembled element by element."""
+    return [state_from_elements(elements, generic_mode_set(D))
+            for elements in ref_mixture_elements(D, d, n, rng)]
+
+
 def ref_random_correlated_mixture(D, d, rng):
-    """One random mixture, drawn and assembled element by element."""
-    n_el = int(rng.integers(1, 5))
-    weights = rng.dirichlet(np.ones(n_el))
-    elements = []
-    for w in weights:
-        r = int(rng.integers(1, d + 1))
-        support = tuple(sorted(rng.choice(D, size=r, replace=False).tolist()))
-        amps = np.abs(rng.standard_normal(r)) + 1e-12
-        amps /= np.linalg.norm(amps)
-        elements.append(DecompositionElement(support, float(w), amps))
-    return state_from_elements(elements, generic_mode_set(D))
+    return ref_random_mixtures(D, d, 1, rng)[0]
 
 
 def ref_random_rank_d_search(D, d, iters, rng):
-    return max(ref_brute_force_sv_witness(ref_random_correlated_mixture(D, d, rng))
-               for _ in range(iters))
+    return max(ref_brute_force_sv_witness(st)
+               for st in ref_random_mixtures(D, d, iters, rng))
 
 
 def _zero_population_pairs(coeffs):
@@ -307,10 +326,10 @@ def test_mixture_stack_equals_reference_generator():
     for D in range(2, 7):
         for d in range(1, D + 1):
             stack = oracle._random_mixtures(D, d, 200, np.random.default_rng([D, d]))
-            rng = np.random.default_rng([D, d])
+            ref = ref_random_mixtures(D, d, 200, np.random.default_rng([D, d]))
             assert stack.shape == (200, D, D)
-            for c in stack:
-                assert np.array_equal(c, ref_random_correlated_mixture(D, d, rng).coeffs)
+            for c, st in zip(stack, ref):
+                assert np.array_equal(c, st.coeffs)
 
 
 def test_random_mixture_equals_reference_generator():
@@ -362,6 +381,26 @@ def test_search_equals_reference_loop_across_chunks(D, chunk_bytes, monkeypatch)
 def test_search_leaves_the_generator_where_the_reference_does():
     a, b = np.random.default_rng(4), np.random.default_rng(4)
     random_rank_d_search(4, 2, 30, a)
-    for _ in range(30):
-        ref_random_correlated_mixture(4, 2, b)
+    ref_random_mixtures(4, 2, 30, b)
     assert a.integers(1 << 62) == b.integers(1 << 62)
+
+
+def test_random_mixtures_follow_their_law():
+    # 1 to 4 elements about equally often, Dirichlet(1, 1) weights, support
+    # sizes uniform on 1..d and every mode in a support about equally often
+    D, d, n = 6, 3, 8000
+    mixtures = ref_mixture_elements(D, d, n, np.random.default_rng(19))
+    counts = np.bincount([len(m) for m in mixtures], minlength=5)
+    assert counts[0] == 0 and np.all(np.abs(counts[1:] / n - 0.25) < 0.02)
+    sizes = np.bincount([len(e.support) for m in mixtures for e in m], minlength=d + 1)
+    assert sizes.size == d + 1 and sizes[0] == 0
+    assert np.all(np.abs(sizes[1:d + 1] / sizes.sum() - 1 / d) < 0.02)
+    modes = np.bincount([k for m in mixtures for e in m for k in e.support], minlength=D)
+    assert np.all(np.abs(modes / modes.mean() - 1.0) < 0.05)
+    assert all(abs(sum(e.weight for e in m) - 1.0) < 1e-12 for m in mixtures)
+    first_of_two = np.array([m[0].weight for m in mixtures if len(m) == 2])
+    assert abs(first_of_two.mean() - 0.5) < 0.03
+    assert abs(np.mean(first_of_two < 0.25) - 0.25) < 0.03
+    stack = oracle._random_mixtures(D, d, n, np.random.default_rng(19))
+    trace = np.trace(stack, axis1=1, axis2=2)
+    assert np.all(np.abs(trace - 1.0) <= 4 * np.finfo(float).eps)

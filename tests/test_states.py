@@ -76,6 +76,19 @@ def test_tiny_amplitudes_are_scaled_not_refused(tiny, unit):
                           correlated_pure([1.0, 1.0], generic_mode_set(2)).coeffs)
 
 
+def test_amplitudes_with_subnormal_squares_are_scaled():
+    # sum|a|^2 is a normal float but every |a_k|^2 is subnormal: the products
+    # a_k a_l kept only about 45 bits, errors of up to 3e-15 in c
+    D = 100
+    got = correlated_pure(np.linspace(1.0, 2.0, D) * 1.5e-155, generic_mode_set(D)).coeffs
+    want = correlated_pure(np.linspace(1.0, 2.0, D), generic_mode_set(D)).coeffs
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+    ones = correlated_pure([1.5e-155] * D, generic_mode_set(D)).coeffs
+    assert np.array_equal(ones, correlated_pure([1.0] * D, generic_mode_set(D)).coeffs)
+    # 100 terms of 0.01 sum to 1 - 2^-52, at any scale
+    assert abs(np.trace(ones).real - 1.0) <= 4 * np.finfo(float).eps
+
+
 def test_scale_invariance():
     v = np.array([0.3, -0.2, 0.9, 0.1])
     a = correlated_pure(v, generic_mode_set(4))
