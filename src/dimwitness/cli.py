@@ -33,6 +33,17 @@ from .witness import (bound, build_report, certified_dimension, greedy_subset,
 from .oracle import brute_force_sv_witness, schmidt_rank
 
 
+# the JSON types of a config value, by the type of the option that takes it;
+# a bool is no number, and JSON null leaves the option at its default
+_CONFIG_TYPES = {click.types.IntParamType: ((int,), "an integer"),
+                 click.types.IntRange: ((int,), "an integer"),
+                 click.types.FloatParamType: ((int, float), "a number"),
+                 click.types.BoolParamType: ((bool,), "true or false"),
+                 click.types.StringParamType: ((str,), "a string"),
+                 click.Path: ((str,), "a string"),
+                 click.Choice: ((str,), "a string")}
+
+
 def _load_config(ctx, param, value):
     if value is None:
         return None
@@ -47,6 +58,13 @@ def _load_config(ctx, param, value):
     unknown = sorted(set(cfg) - known)
     if unknown:
         raise ConfigError(f"config file has keys no subcommand takes: {unknown}")
+    for cmd in cli.commands.values():
+        for p in cmd.params:
+            types, wanted = _CONFIG_TYPES[type(p.type)]
+            given = cfg.get(p.name)
+            if given is not None and type(given) not in types:
+                raise ConfigError(f"config key {p.name!r} takes {wanted}, "
+                                  f"got {given!r:.100}")
     # flags beat config values; config beats defaults
     ctx.default_map = {cmd: cfg for cmd in cli.commands}
     return value

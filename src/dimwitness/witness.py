@@ -174,7 +174,15 @@ def certified_dimension(W: float, D: int) -> int:
     if D < 2 or not np.isfinite(W):
         raise ConfigError("need finite W and D >= 2")
     tau = _TAU_PER_PAIR * (D * (D - 1) // 2) * abs(W)
-    return 1 + int(np.count_nonzero(W - (D * np.arange(1, D) + D * (D - 3) // 2) > tau))
+    return 1 + int(np.count_nonzero(W - (bound(D, 1) + D * np.arange(D - 1)) > tau))
+
+
+def _whole(count, what: str) -> int:
+    """A trial or resample count as an int: a Python or numpy integer, not a
+    bool (a float, even 3.0, is refused)."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ConfigError(f"need a whole number of {what}, got {count!r}")
+    return int(count)
 
 
 # A basis is smooth when its visibility sits this many Poisson standard
@@ -214,6 +222,7 @@ def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
     on execution order, and with no closed-form pair it is the plain
     bootstrap of W.
     """
+    n_resamples = _whole(n_resamples, "resamples")
     if n_resamples < 2:
         raise ConfigError("need at least 2 resamples")
     mean, sigma, _ = _bootstrap(dataset.tensor, n_resamples, seed)
@@ -383,16 +392,14 @@ def _seen_witness(rho: np.ndarray, frames: np.ndarray) -> np.ndarray:
 
 def witness_with_perturbed_projectors(state, strength: float,
                                       rng: np.random.Generator) -> float:
-    """W as measured with imperfect (non-orthogonal) projection frames.
+    """W as measured with imperfect (non-orthogonal) projection frames: the
+    one trial of a "projector" sweep at `strength` that draws from `rng`.
 
     Each photon gets one perturbed frame F for the whole run (see
     :func:`_frames`); the state is scored by :func:`_seen_witness`.
     """
     s = _check_strength(strength)
-    state = state.embed()
-    normals, G = zip(*(_frame_draws(state.D, s, rng) for _ in range(2)))
-    frames = _frames(np.array([s]), np.stack(normals)[None], np.stack(G)[None])
-    return float(_seen_witness(state.rho[None], frames)[0])
+    return float(_score_trials("projector", state.embed().rho, np.array([s]), [rng])[0])
 
 
 @dataclass(frozen=True)
@@ -404,22 +411,21 @@ class RobustnessResult:
 
 
 def _score_trials(kind: str, base: np.ndarray, strength: np.ndarray,
-                  seed: int, first: int) -> np.ndarray:
-    """W of the trials first, first + 1, ... of a sweep at the given
-    strengths, scored as one stack.
+                  rngs) -> np.ndarray:
+    """W of trials at the given strengths, scored as one stack; the only
+    code that draws and scores a perturbed trial.
 
-    Trial i draws from its own stream SeedSequence((seed, 3, i)) what
-    perturb_state and then witness_with_perturbed_projectors draw, in their
-    order: the state perturbation when strength > 0 (kinds "state" and
-    "both"), then each photon's frame (kinds "projector" and "both").
+    Trial j draws from rngs[j], in this order: the state perturbation when
+    strength > 0 (kinds "state" and "both"), then each photon's frame
+    (kinds "projector" and "both").  Frames that overflow float64 are
+    refused.
     """
     n, D = len(strength), math.isqrt(base.shape[-1])
     perturbs, measures = kind != "projector", kind != "state"
     G = np.empty((n, D * D - D, D * D - D), dtype=complex)
     normals = np.empty((n, 2, D))
     crosstalk = np.empty((n, 2, D, D), dtype=complex)
-    for j, s in enumerate(strength):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 3, first + j)))
+    for j, (s, rng) in enumerate(zip(strength, rngs)):
         if perturbs and s > 0.0:
             G[j] = _draw_perturbation(D, rng)
         if measures:
@@ -432,7 +438,13 @@ def _score_trials(kind: str, base: np.ndarray, strength: np.ndarray,
         rho[live] = _perturb(base, strength[live], G[live])
     if not measures:
         return _sv_witness(rho)
-    return _seen_witness(rho, _frames(strength, normals, crosstalk))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            frames = _frames(strength, normals, crosstalk)
+    except FloatingPointError as exc:
+        raise ConfigError(f"perturbation strengths up to {strength.max():g} make "
+                          f"the projection frames overflow: {exc}") from exc
+    return _seen_witness(rho, frames)
 
 
 def robustness_study(state, kind: str, n_trials: int,
@@ -445,23 +457,24 @@ def robustness_study(state, kind: str, n_trials: int,
     gets certified: the baseline and "state" trials through the brute-force
     path, "projector" and "both" trials through the perturbed frames.
 
-    Each trial draws its random numbers from its own stream, as
-    :func:`perturb_state` and :func:`witness_with_perturbed_projectors`
-    would; the trials are scored in stacks of `_CHUNK_BYTES` of density
-    matrices, each trial's W equal to what those two functions give.
+    Trial i draws from its own stream SeedSequence((seed, 3, i)) what
+    :func:`perturb_state` and then :func:`witness_with_perturbed_projectors`
+    (this sweep's scorer on one trial) draw; :func:`_score_trials` scores
+    the trials in stacks of `_CHUNK_BYTES` of density matrices.
     """
     if kind not in ("state", "projector", "both"):
         raise ConfigError(f"unknown robustness kind {kind!r}")
-    if isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer)) \
-            or n_trials < 1:
+    n_trials = _whole(n_trials, "trials")
+    if n_trials < 1:
         raise ConfigError(f"need a whole number of trials >= 1, got {n_trials!r}")
     _check_strength(strength_max)
     base = state.embed().rho
     baseline = float(_sv_witness(base[None])[0])
     strengths = np.linspace(0.0, strength_max, n_trials)
     m = max(1, _CHUNK_BYTES // base.nbytes)
-    W = np.concatenate([_score_trials(kind, base, strengths[i:i + m], seed, i)
-                        for i in range(0, n_trials, m)])
+    W = np.concatenate([_score_trials(kind, base, strengths[i:i + m], [
+        np.random.default_rng(np.random.SeedSequence((seed, 3, j)))
+        for j in range(i, min(i + m, n_trials))]) for i in range(0, n_trials, m)])
     trials = [(float(s), float(w)) for s, w in zip(strengths, W)]
     frac = float(np.mean([w <= baseline + 1e-9 for _, w in trials]))
     return RobustnessResult(kind, baseline, trials, frac)
@@ -512,6 +525,7 @@ def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = No
     an integrity error rather than producing a report.  `n_resamples` is 0
     (no confidence interval) or at least 2.
     """
+    n_resamples = _whole(n_resamples, "resamples")
     if n_resamples != 0 and n_resamples < 2:
         raise ConfigError(f"need 0 or at least 2 resamples, got {n_resamples}")
     trajectory = greedy_subset(table).trajectory

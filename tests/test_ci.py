@@ -38,6 +38,20 @@ def test_workflow_installs_the_pyproject_test_extra():
     assert re.search(r"^\[project\.optional-dependencies\]\ntest = \[", pyproject, re.M)
 
 
+def test_workflow_runs_the_installed_console_script():
+    # the tests call cli.main directly, so only this step sees a broken entry
+    # point of the installed package
+    steps = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text()
+                           )["jobs"]["tests"]["steps"]
+    names = [step.get("name") for step in steps]
+    script = names.index("Installed console script")
+    assert names.index("Install dependencies") < script
+    assert steps[script]["run"].splitlines() == ["dimwitness --version",
+                                                 "dimwitness verify --d-max 3"]
+    assert re.search(r'^\[project\.scripts\]\ndimwitness = "dimwitness\.cli:main"$',
+                     (ROOT / "pyproject.toml").read_text(), re.M)
+
+
 def test_perfbench_traced_names_resolve():
     # the traced benchmark run looks up each TRACED function by name, so a
     # package name it still traces must not be deleted before perfbench drops it

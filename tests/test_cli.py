@@ -272,6 +272,16 @@ def test_robustness_bad_strength_max_is_config_error(tmp_path, kind, strength_ma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["projector", "both"])
+def test_robustness_overflowing_frames_are_config_error(tmp_path, kind, capsys):
+    out = tmp_path / "x.json"
+    assert exit_code(["robustness", "--amplitudes", "1,1,1", "--kind", kind,
+                      "--trials", "3", "--strength-max", "1e200",
+                      "--seed", "1", "--output", str(out)]) == 2
+    assert not out.exists()
+    assert "projection frames overflow" in capsys.readouterr().err
+
+
 def test_verify_command(runner):
     # the lines verify printed when it scored the signed sum of g; it scores
     # the summed visibilities now, equal to it on its non-negative states
@@ -387,6 +397,44 @@ def test_config_file_rejects_unknown_keys(runner, tmp_path):
         cfg.write_text(json.dumps({key: "json"}))
         assert exit_code(["--config", str(cfg), "simulate", "--amplitudes",
                           EXAMPLE_AMPS, "--dry-run"]) == 2
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"resamples": 2.7, "seed": 1}, "resamples"),  # was run with 2 resamples
+    ({"seed": 7.9}, "seed"),                        # was seed 7
+    ({"seed": True}, "seed"),                       # was seed 1
+    ({"trials": True}, "trials"),
+    ({"expectation": 1}, "expectation"),            # was a click traceback
+    ({"flux": "1e6"}, "flux"),
+    ({"amplitudes": [0.5, 0.07]}, "amplitudes"),
+    ({"output": 3}, "output"),
+])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, cfg, key):
+    counts, _ = simulate_example(CliRunner(), tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "r.json"
+    assert exit_code(["--config", str(path), "certify", "--input", str(counts),
+                      "--output", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key!r} takes ")
+    assert "Traceback" not in err
+
+
+def test_config_values_of_the_option_types_are_taken(tmp_path):
+    counts, _ = simulate_example(CliRunner(), tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"flux": 1000000, "resamples": 20, "seed": 3,
+                                "subset": None, "expectation": False,
+                                "kind": "state", "lambda_l": 2}))
+    out = tmp_path / "r.json"
+    assert exit_code(["--config", str(path), "certify", "--input", str(counts),
+                      "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["n_resamples"] == 20
+    assert payload["notes"] == ["sigma: closed form on 6 of 6 pairs, "
+                                "20 resamples on 0"]
 
 
 def test_unknown_option_exits_2(runner, tmp_path):

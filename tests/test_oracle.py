@@ -332,6 +332,22 @@ def test_mixture_stack_equals_reference_generator():
                 assert np.array_equal(c, st.coeffs)
 
 
+@pytest.mark.parametrize("D", [7, 8])
+def test_mixture_stack_matches_the_reference_up_to_the_cap(D):
+    # D = 7 matches exactly.  At the cap, D = 8, the stack normalizes each
+    # element over all 8 modes, and numpy's pairwise sum groups 8 squares
+    # differently from the reference's sum over the support alone, so a
+    # state may differ from the reference in its last bits.
+    for d in range(1, D + 1):
+        stack = oracle._random_mixtures(D, d, 200, np.random.default_rng([D, d]))
+        ref = np.array([st.coeffs for st in
+                        ref_random_mixtures(D, d, 200, np.random.default_rng([D, d]))])
+        if D == 7:
+            assert np.array_equal(stack, ref)
+        else:
+            assert np.abs(stack - ref).max() <= 4 * np.finfo(float).eps
+
+
 def test_random_mixture_equals_reference_generator():
     a, b = np.random.default_rng(21), np.random.default_rng(21)
     for _ in range(100):

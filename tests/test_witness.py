@@ -436,6 +436,45 @@ def test_perturbed_projectors_refuse_a_bad_strength(strength):
                                           np.random.default_rng(0))
 
 
+def complex_state(D, seed):
+    rng = np.random.default_rng(seed)
+    return correlated_pure(rng.standard_normal(D) + 1j * rng.standard_normal(D),
+                           generic_mode_set(D))
+
+
+@pytest.mark.parametrize("strength", [0.05, 0.2, 1.0])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_perturbed_projectors_are_one_trial_of_the_sweep(strength, seed):
+    # trial 1 of a two-trial sweep has the full strength and draws from the
+    # stream SeedSequence((seed, 3, 1))
+    for state in (example_state(), complex_state(8, 13)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 3, 1)))
+        one = witness_with_perturbed_projectors(state, strength, rng)
+        sweep = robustness_study(state, "projector", 2, strength, seed)
+        assert sweep.trials[1] == (strength, one)
+
+
+@pytest.mark.parametrize("strength", [1e155, 1e200])
+def test_overflowing_frames_are_refused(strength):
+    # the crosstalk 0.3 s of a frame column has a square above the largest
+    # float64 from s ~ 4.5e154 on; the frames came out zero and scored W = 0
+    state = correlated_pure([1, 1, 1], generic_mode_set(3))
+    with pytest.raises(ConfigError, match="overflow"):
+        witness_with_perturbed_projectors(state, strength, np.random.default_rng(0))
+    for kind in ("projector", "both"):
+        with pytest.raises(ConfigError, match="overflow"):
+            robustness_study(state, kind, 3, strength, seed=1)
+
+
+def test_frames_just_below_the_overflow_still_score():
+    state = correlated_pure([1, 1, 1], generic_mode_set(3))
+    W = witness_with_perturbed_projectors(state, 1e154, np.random.default_rng(0))
+    assert 0.0 < W <= bound(3, 3)
+    for kind in ("state", "projector", "both"):
+        res = robustness_study(state, kind, 3, 1e154, seed=1)
+        assert all(0.0 < w <= bound(3, 3) for _, w in res.trials)
+
+
 # --- reports -----------------------------------------------------------------
 
 def test_report_from_counts(tmp_path):
@@ -472,6 +511,26 @@ def test_report_rejects_bad_resample_count(n_resamples):
     with pytest.raises(ConfigError, match="resamples"):
         build_report(table_from_dataset(ds), dataset=ds,
                      n_resamples=n_resamples, seed=11)
+
+
+@pytest.mark.parametrize("n_resamples", [2.5, 3.0, "3", True, np.float64(3)])
+def test_resample_counts_must_be_whole_numbers(n_resamples):
+    ds = simulate_counts(example_state(), 1e6, seed=11)
+    with pytest.raises(ConfigError, match="resamples"):
+        monte_carlo_ci(ds, n_resamples, seed=1)
+    with pytest.raises(ConfigError, match="resamples"):
+        build_report(table_from_dataset(ds), dataset=ds,
+                     n_resamples=n_resamples, seed=1)
+
+
+def test_numpy_integer_resample_count_is_saved_as_an_integer(tmp_path):
+    ds = simulate_counts(example_state(), 1e6, seed=11)
+    report = build_report(table_from_dataset(ds), dataset=ds,
+                          n_resamples=np.int64(5), seed=1)
+    assert type(report.n_resamples) is int
+    report.save(tmp_path / "report.json")
+    assert '"n_resamples": 5,' in (tmp_path / "report.json").read_text()
+    assert monte_carlo_ci(ds, np.int64(5), seed=1) == monte_carlo_ci(ds, 5, seed=1)
 
 
 def test_report_resampling_requires_dataset_and_seed():
