@@ -65,6 +65,12 @@ def _load_config(ctx, param, value):
             if given is not None and type(given) not in types:
                 raise ConfigError(f"config key {p.name!r} takes {wanted}, "
                                   f"got {given!r:.100}")
+            if float in types and type(given) is int:
+                try:
+                    float(given)
+                except OverflowError:  # click's float() would raise it later
+                    raise ConfigError(f"config key {p.name!r} takes a number that "
+                                      f"fits a float, got {given!r:.100}") from None
     # flags beat config values; config beats defaults
     ctx.default_map = {cmd: cfg for cmd in cli.commands}
     return value

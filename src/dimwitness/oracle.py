@@ -120,7 +120,14 @@ def _random_mixtures(D: int, d: int, n: int,
     elements: Dirichlet(1, ..., 1); 3. ranks r (n, E); 4. a place for each
     mode, a permutation of 0..D-1 per element (n, E, D): the modes placed
     below r form a uniform support; 5. unit-norm amplitudes from
-    |N(0, 1)| + 1e-12 draws (n, E, D), 0 off the support."""
+    |N(0, 1)| + 1e-12 draws (n, E, D), 0 off the support.
+
+    Non-negative amplitudes miss no worst case of W in the class.  Take
+    c = sum_i p_i v_i v_i^H with |supp v_i| <= d.  Then |Re c_kl| <= |c_kl|
+    <= sum_i p_i |v_ik| |v_il|, the (k, l) entry of the mixture of the |v_i|,
+    which has the same diagonal and Schmidt number.  W reads c only through
+    its diagonal and |Re c_kl|, and grows with |Re c_kl|, so that |v| twin
+    has a W at least as large."""
     E = _MAX_ELEMENTS
     n_el = rng.integers(1, E + 1, size=n)
     weights = rng.standard_exponential((n, E)) * (np.arange(E) < n_el[:, None])

@@ -8,6 +8,7 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
 import yaml
 from click.testing import CliRunner
 
@@ -175,15 +176,21 @@ def test_readme_names_exist():
     assert missing == []
 
 
-def _paper_pipeline_digests(tmp_path, monkeypatch, *simulate_flags):
-    """sha256 of the files of the paper_D186 command lines at D = 30."""
+def _simulate_paper_counts(tmp_path, monkeypatch, output, *simulate_flags):
+    """Run the paper_D186 simulate command line at D = 30 in `tmp_path`."""
     grid = enumerate_modes(11, 13)
     chosen = sorted(grid.modes, key=lambda m: (2 * m.n + abs(m.l), m.n, m.l))
     ModeSet(tuple(chosen[:30])).save(tmp_path / "modes.json")
     monkeypatch.chdir(tmp_path)
+    main(["simulate", "--mode-file", "modes.json", "--flux", "1e6", "--profile",
+          "exponential", "--lambda-l", "8", "--lambda-n", "4", *simulate_flags,
+          "--output", output])
+
+
+def _paper_pipeline_digests(tmp_path, monkeypatch, *simulate_flags):
+    """sha256 of the files of the paper_D186 command lines at D = 30."""
+    _simulate_paper_counts(tmp_path, monkeypatch, "counts.csv", *simulate_flags)
     common = ["--mode-file", "modes.json", "--flux", "1e6"]
-    main(["simulate", *common, "--profile", "exponential", "--lambda-l", "8",
-          "--lambda-n", "4", *simulate_flags, "--output", "counts.csv"])
     main(["certify", "--input", "counts.csv", *common, "--resamples", "200",
           "--seed", "7", "--output", "report.json"])
     main(["optimize", "--input", "counts.csv", *common, "--output", "trajectory.json"])
@@ -211,3 +218,14 @@ def test_expectation_pipeline_keeps_its_bytes(tmp_path, monkeypatch):
         "report.json": "0c419e15fc7af214d811298490c843d03eecc27f20943dc00c600a8cb909cd95",
         "trajectory.json": "a5494efec61cee56f7345737c7418df674c82bf7f188bcfd893864d7556b32ae",
     }
+
+
+@pytest.mark.parametrize("flags, digest", [
+    (("--seed", "7"), "e05d1ac862e00750d81bc5b7fa4a1d8d4d08ce46ed93d43ef79951083898e823"),
+    (("--expectation",), "72e3844871da2db4f8214a92174607438c31dc34e43d912d8799e547b6f7a4a9"),
+])
+def test_json_count_files_keep_their_bytes(tmp_path, monkeypatch, flags, digest):
+    # the digests were taken before the JSON writer filled one template of
+    # a pair's count objects instead of calling json.dumps on every count
+    _simulate_paper_counts(tmp_path, monkeypatch, "counts.json", *flags)
+    assert hashlib.sha256((tmp_path / "counts.json").read_bytes()).hexdigest() == digest

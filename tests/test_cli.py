@@ -408,6 +408,8 @@ def test_config_file_rejects_unknown_keys(runner, tmp_path):
     ({"flux": "1e6"}, "flux"),
     ({"amplitudes": [0.5, 0.07]}, "amplitudes"),
     ({"output": 3}, "output"),
+    ({"flux": 10**400}, "flux"),                    # was an OverflowError traceback
+    ({"lambda_l": -10**400}, "lambda_l"),
 ])
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, cfg, key):
     counts, _ = simulate_example(CliRunner(), tmp_path)

@@ -613,8 +613,8 @@ def test_writers_match_previous_bytes(tmp_path, expectation):
 
 
 def ref_write_json(dataset, path):
-    """The previous JSON writer, row by row: sampled whole counts as ints,
-    every other count as a float."""
+    """The JSON writer as json.dumps(payload, sort_keys=True) and a newline,
+    row by row: sampled whole counts as ints, every other count as a float."""
     entries = []
     for (k, l, basis, oc), c in dataset.counts.items():
         ma, mb = dataset.mode_set[k], dataset.mode_set[l]
@@ -640,21 +640,29 @@ def writer_dataset(case):
         return ds
     if case == "one pair":
         return simulate_counts(bell(), 1e4, seed=2)
+    if case.startswith("edge values"):  # negative l; sampled or expectation
+        values = [-0.0, 5e-324, 0.1, 3.0, 2.0 ** 63, 2.0 ** 64 + 2.0 ** 12, 1.5e308, 0.0]
+        tensor = np.resize(values, (3, 3, 4))
+        modes = ModeSet((ModeIndex(0, -3), ModeIndex(0, 2), ModeIndex(1, -1)))
+        return CoincidenceDataset(modes, 2.5, tensor, case.endswith("expectation"))
     return CoincidenceDataset(generic_mode_set(1), 1.0, np.zeros((0, 3, 4)))
 
 
 @pytest.mark.parametrize("case", ["sampled", "fractional", "huge", "one pair",
-                                  "no pairs"])
+                                  "no pairs", "edge values",
+                                  "edge values, expectation"])
 def test_writers_equal_reference_writers(tmp_path, case):
     ds = writer_dataset(case)
     write_counts_csv(ds, tmp_path / "new.csv")
     ref_write_csv(ds, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    if case in ("sampled", "fractional", "huge"):
-        write_counts_json(ds, tmp_path / "new.json")
-        ref_write_json(ds, tmp_path / "ref.json")
-        assert (tmp_path / "new.json").read_bytes() == \
-            (tmp_path / "ref.json").read_bytes()
+    write_counts_json(ds, tmp_path / "new.json")
+    ref_write_json(ds, tmp_path / "ref.json")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+    back = read_counts_json(tmp_path / "new.json")
+    assert np.array_equal(back.tensor, ds.tensor)
+    assert (back.mode_set, back.flux, back.expectation) == \
+        (ds.mode_set, ds.flux, ds.expectation)
 
 
 def _rewrite_rows(path, change):

@@ -16,7 +16,7 @@ from dimwitness import oracle
 from dimwitness.cli import main
 from dimwitness.oracle import _DOUBLE, brute_force_sv_witness
 from dimwitness.states import _embed
-from dimwitness.witness import witness_with_perturbed_projectors
+from dimwitness.witness import _TAU_PER_PAIR, witness_with_perturbed_projectors
 
 # szsz - sysy + sxsx; _DOUBLE holds the x, y, z operators in that order
 _G_OP = _DOUBLE[2] - _DOUBLE[1] + _DOUBLE[0]
@@ -399,6 +399,29 @@ def test_search_leaves_the_generator_where_the_reference_does():
     random_rank_d_search(4, 2, 30, a)
     ref_random_mixtures(4, 2, 30, b)
     assert a.integers(1 << 62) == b.integers(1 << 62)
+
+
+def test_nonnegative_twin_bounds_the_witness_of_complex_mixtures():
+    # why _random_mixtures may draw |N(0, 1)| amplitudes: the mixture of the
+    # |v_i| has the diagonal and Schmidt number of c = sum_i p_i v_i v_i^H
+    # and a W at least as large, so the sweep misses no worst case
+    rng = np.random.default_rng(31)
+    n, E = 400, oracle._MAX_ELEMENTS
+    for D in range(2, 9):
+        for d in sorted({1, 2, D}):
+            rank = rng.integers(1, d + 1, (n, E, 1))
+            support = rng.random((n, E, D)).argsort(axis=-1) < rank
+            v = (rng.standard_normal((n, E, D)) + 1j * rng.standard_normal((n, E, D))) * support
+            p = rng.dirichlet(np.ones(E), n)
+            c = np.einsum("ne,nek,nel->nkl", p, v, v.conj())
+            twin = np.einsum("ne,nek,nel->nkl", p, np.abs(v), np.abs(v))
+            assert np.allclose(c.diagonal(axis1=1, axis2=2).real,
+                               twin.diagonal(axis1=1, axis2=2), rtol=1e-14, atol=0)
+            W, W_twin = witness_correlated(c), witness_correlated(twin)
+            tau = _TAU_PER_PAIR * (D * (D - 1) // 2) * W_twin
+            assert np.all(W <= W_twin + tau)
+            if d > 1:  # the phases lower W: the bound is not met trivially
+                assert np.mean(W < W_twin - 1e-6) > 0.5
 
 
 def test_random_mixtures_follow_their_law():
