@@ -15,8 +15,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, product, repeat
 from operator import itemgetter
 from types import MappingProxyType
@@ -61,6 +63,20 @@ def pair_index(k, l, D: int):
     """Position of the pair (k, l), k < l, in row-major pair order; works
     elementwise on index arrays."""
     return k * (2 * D - k - 1) // 2 + (l - k - 1)
+
+
+@lru_cache(maxsize=16)
+def pairs(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (k, l), k < l, of D modes in row-major pair order: two
+    read-only index arrays k and l, built once per D."""
+    k, l = np.triu_indices(D, 1)
+    k.flags.writeable = l.flags.writeable = False
+    return k, l
+
+
+def _slices(n: int, size: int):
+    """Slices of `size` items that cover range(n) in order."""
+    return (slice(i, i + size) for i in range(0, n, size))
 
 
 @dataclass(eq=False)
@@ -109,16 +125,25 @@ def _keys(D: int, flat: np.ndarray):
     """(k, l, basis, outcome) of each flat position of a D-mode count tensor."""
     pair, setting = np.divmod(flat, len(BASES) * len(OUTCOMES))
     basis, outcome = np.divmod(setting, len(OUTCOMES))
-    k, l = np.triu_indices(D, 1)
+    k, l = pairs(D)
     return zip(k[pair].tolist(), l[pair].tolist(), map(BASES.__getitem__, basis.tolist()),
                map(OUTCOMES.__getitem__, outcome.tolist()))
 
 
+# pairs per block of outcome_probabilities and of the Poisson draw: a
+# block's (pairs, 4, 4) complex blocks take 1 MB
+_PROB_PAIRS = 4096
+
+
 def outcome_probabilities(state) -> np.ndarray:
     """Coincidence probabilities on the full state of every pair, basis and
-    outcome: shape (pairs, 3 bases, 4 outcomes), pairs in row-major order."""
-    k, l = np.triu_indices(state.mode_set.D, 1)
-    return _block_probabilities(state.blocks(k, l))
+    outcome: shape (pairs, 3 bases, 4 outcomes), pairs in row-major order,
+    worked out `_PROB_PAIRS` pairs at a time."""
+    k, l = pairs(state.mode_set.D)
+    p = np.empty((len(k), len(BASES), len(OUTCOMES)))
+    for s in _slices(len(k), _PROB_PAIRS):
+        p[s] = _block_probabilities(state.blocks(k[s], l[s]))
+    return p
 
 
 def _block_probabilities(blocks: np.ndarray) -> np.ndarray:
@@ -157,7 +182,8 @@ def simulate_counts(state, flux: float, seed: int | None = None,
     _check_flux(flux)
     if not expectation and seed is None:
         raise ConfigError("a seed is required unless expectation mode is set")
-    counts = means = flux * outcome_probabilities(state)
+    counts = means = outcome_probabilities(state)
+    means *= flux
     if not expectation:
         if means.max(initial=0.0) > _POISSON_MAX:
             raise ConfigError(f"flux {flux!r} gives a Poisson mean of "
@@ -165,12 +191,15 @@ def simulate_counts(state, flux: float, seed: int | None = None,
                               f"largest that can be sampled; lower the flux or "
                               f"set expectation mode")
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        counts = rng.poisson(means).astype(float)
+        # block by block, the draws are those of one call on all the means
+        counts = np.empty_like(means)
+        for s in _slices(len(means), _PROB_PAIRS):
+            counts[s] = rng.poisson(means[s])
         if share_populations:
             # the z outcomes pp, pm, mp, mm of pair (k, l) have the mean
             # populations <ij|rho|ij> of (k, k), (k, l), (l, k), (l, l)
             D = state.mode_set.D
-            k, l = np.triu_indices(D, 1)
+            k, l = pairs(D)
             pop = np.zeros((D, D))
             pop[k, k], pop[k, l], pop[l, k], pop[l, l] = means[:, _BASIS_ID["z"]].T
             rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
@@ -209,19 +238,22 @@ _ROW = np.dtype([(name, np.int64) for name in CSV_HEADER[:4]]
                 + [("basis", "S3"), ("outcome", "S3"), ("count", np.float64)])
 # A view of a `_ROW` array: its six token bytes (basis, then outcome) and
 # the next two as one little-endian integer; _TOKEN_BYTES masks off the two.
-# _KEYS holds the sorted keys of the 12 valid token pairs, _SETTINGS their
-# setting index basis * 4 + outcome, then the same with the outcome read
-# from the (l, k) side.
+# _KEYS holds the sorted keys of the 12 valid token pairs, _KEY_SETTINGS
+# their setting index basis * 4 + outcome.
 _TOKEN_KEY = np.dtype({"names": ["key"], "formats": ["<u8"],
                        "offsets": [_ROW.fields["basis"][1]],
                        "itemsize": _ROW.itemsize})
 _TOKEN_BYTES = np.uint64((1 << 48) - 1)
 _TOKEN_PAIRS = sorted(
     (int.from_bytes(b.encode().ljust(3, b"\0") + o.encode().ljust(3, b"\0"), "little"),
-     _BASIS_ID[b], _OUTCOME_ID[o]) for b, o in product(BASES, OUTCOMES))
-_KEYS = np.array([key for key, _, _ in _TOKEN_PAIRS], dtype=np.uint64)
-_SETTINGS = np.array([b * len(OUTCOMES) + o for _, b, o in _TOKEN_PAIRS]
-                     + [b * len(OUTCOMES) + _SWAP_OUTCOME[o] for _, b, o in _TOKEN_PAIRS])
+     _BASIS_ID[b] * len(OUTCOMES) + _OUTCOME_ID[o]) for b, o in product(BASES, OUTCOMES))
+_KEYS = np.array([key for key, _ in _TOKEN_PAIRS], dtype=np.uint64)
+_KEY_SETTINGS = np.array([setting for _, setting in _TOKEN_PAIRS], dtype=np.int8)
+# The setting index of each setting as read from the (k, l) side, then of
+# each as read from the (l, k) side, where pm and mp trade places.
+_SETTINGS = np.concatenate([np.arange(len(BASES) * len(OUTCOMES)),
+                            np.add.outer(np.arange(len(BASES)) * len(OUTCOMES),
+                                         _SWAP_OUTCOME).reshape(-1)]).astype(np.int8)
 
 # JSON value types accepted per column; bool is not int here
 _JSON_TYPES = dict(zip(CSV_HEADER, [{int}] * 4 + [{str}] * 2 + [{int, float}]))
@@ -245,14 +277,6 @@ def _count_values(values: np.ndarray, as_int: np.ndarray) -> list:
     return out
 
 
-def _pair_modes(dataset: CoincidenceDataset) -> np.ndarray:
-    """Mode numbers (na, la, nb, lb) of every pair, shape (pairs, 4)."""
-    nl = np.array([(m.n, m.l) for m in dataset.mode_set.modes],
-                  dtype=np.int64).reshape(-1, 2)
-    k, l = np.triu_indices(dataset.mode_set.D, 1)
-    return np.hstack([nl[k], nl[l]])
-
-
 # The 12 rows of one pair in (basis, outcome) order; each row's two %s take
 # the pair's "na,la,nb,lb," and a count.  The line ends are the bytes
 # csv.writer gives, and no field needs quoting.
@@ -263,29 +287,37 @@ _PAIR_ROWS = "".join(f"%s{b},{o},%s\r\n" for b in BASES for o in OUTCOMES)
 _PAIR_OBJECTS = "".join(f'{{"basis": "{b}", "count": %s, %s, "outcome": "{o}"}}, '
                         for b in BASES for o in OUTCOMES)
 
+# pairs per block that _fill formats with one %
+_WRITE_PAIRS = 1024
 
-def _fill(rows: str, pairs: list, values: np.ndarray, as_int: np.ndarray,
-          count_first: bool = False) -> str:
-    """`rows` filled for every pair with one %, a row taking its pair's
-    string and its count, the value as an int where `as_int` (with
-    `count_first`, the count comes first)."""
-    fields = [None] * (2 * len(values))
-    fields[count_first::2] = chain.from_iterable(
-        map(repeat, pairs, repeat(len(BASES) * len(OUTCOMES))))
-    # the counts' list stays unnamed, so it is freed before the tuple is built
-    # (a named one adds 3 MB to the peak RSS of `simulate` at D = 186)
-    fields[not count_first::2] = _count_values(values, as_int)
-    return rows * len(pairs) % tuple(fields)
+
+def _fill(fh, dataset: CoincidenceDataset, rows: str, pair: str, ints: bool,
+          count_first: bool = False, cut: int = 0) -> None:
+    """Write `rows` filled for every pair of `dataset`, `_WRITE_PAIRS` pairs
+    per %: a row takes its pair's string, `pair` formatted with (na, la, nb,
+    lb), and its count, as an int where `ints` and the count is whole (with
+    `count_first`, the count comes first).  The last `cut` characters are
+    left out."""
+    nl = np.array([(m.n, m.l) for m in dataset.mode_set.modes],
+                  dtype=np.int64).reshape(-1, 2)
+    k, l = pairs(dataset.mode_set.D)
+    for s in _slices(len(k), _WRITE_PAIRS):
+        labels = list(map(pair.format, *nl[k[s]].T.tolist(), *nl[l[s]].T.tolist()))
+        values = dataset.tensor[s].reshape(-1)
+        fields = [None] * (2 * len(values))
+        fields[count_first::2] = chain.from_iterable(
+            map(repeat, labels, repeat(len(BASES) * len(OUTCOMES))))
+        fields[not count_first::2] = _count_values(values, (values == np.floor(values))
+                                                   & ints)
+        text = rows * len(labels) % tuple(fields)
+        fh.write(text if s.stop < len(k) else text[:len(text) - cut])
 
 
 def write_counts_csv(dataset: CoincidenceDataset, path) -> None:
-    pairs = [f"{na},{la},{nb},{lb}," for na, la, nb, lb in
-             _pair_modes(dataset).tolist()]
-    values = dataset.tensor.reshape(-1)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
         # _count_str of every value: whole numbers as ints
-        fh.write(_fill(_PAIR_ROWS, pairs, values, values == np.floor(values)))
+        _fill(fh, dataset, _PAIR_ROWS, "{0},{1},{2},{3},", ints=True)
 
 
 def _mode(n: int, l: int):
@@ -296,31 +328,55 @@ def _mode(n: int, l: int):
         return exc
 
 
-def _dataset(rows: np.ndarray, mode_set: ModeSet | None, flux: float | None,
+def _compact(rows: np.ndarray) -> tuple:
+    """A chunk of count rows, a `_ROW` array, reduced to what `_dataset`
+    needs.  Per run of rows of one pair (a file lists a pair's 12 counts
+    together): its mode numbers (na, la, nb, lb), shape (runs, 4), and its
+    length.  Per row: its setting index basis * 4 + outcome as read from the
+    (na, la) side, -1 for an unknown token pair, and its count.  Last, the
+    (basis, outcome) bytes of the first row with an unknown token pair, or
+    None."""
+    columns = [rows[name] for name in CSV_HEADER[:4]]
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = np.any([c[1:] != c[:-1] for c in columns], axis=0)
+    starts = np.flatnonzero(head)
+    # each row's token pair, looked up in one pass among the valid ones
+    key = rows.view(_TOKEN_KEY)["key"] & _TOKEN_BYTES
+    token = np.searchsorted(_KEYS, key)
+    np.minimum(token, len(_KEYS) - 1, out=token)
+    settings = np.where(_KEYS[token] == key, _KEY_SETTINGS[token], -1)
+    unknown = None
+    if settings.min(initial=0) < 0:
+        i = int(np.argmax(settings < 0))
+        unknown = rows["basis"][i], rows["outcome"][i]
+    return (np.stack([c[starts] for c in columns], axis=-1),
+            np.diff(starts, append=len(rows)), settings, rows["count"].copy(), unknown)
+
+
+def _dataset(chunks, mode_set: ModeSet | None, flux: float | None,
              expectation: bool = False) -> CoincidenceDataset:
-    """The dataset of count rows given as a `_ROW` array.  Without `mode_set`
-    it is every mode seen, sorted by (n, l); without `flux` it is the total
+    """The dataset of count rows given as `_ROW` arrays, chunk by chunk;
+    each is reduced by `_compact` as it comes.  Without `mode_set` it is
+    every mode seen, sorted by (n, l); without `flux` it is the total
     z-basis count, which must be positive unless there are no rows.  The
     first bad row in row order is named, with the first check it fails:
     mode number, basis/outcome token, undeclared mode, self pair, count
     value, then repeated cell."""
-    counts = rows["count"]
-    # the modes are coded once per run of rows of one pair (a file lists a
-    # pair's 12 counts together): one code per (n, l) cell of either column,
-    # from the ranks of the mode numbers; codes sort in (n, l) order
-    na, la, nb, lb = (rows[name] for name in CSV_HEADER[:4])
-    head = np.ones(len(rows), dtype=bool)
-    head[1:] = np.any([c[1:] != c[:-1] for c in (na, la, nb, lb)], axis=0)
-    starts = np.flatnonzero(head)
-    lengths = np.diff(starts, append=len(rows))
-    na, la, nb, lb = (column[starts] for column in (na, la, nb, lb))
+    parts = [_compact(rows) for rows in chunks]
+    *columns, unknowns = zip(*parts)
+    runs, lengths, settings, counts = map(np.concatenate, columns)
+    unknown = next((u for u in unknowns if u is not None), None)
+    del parts, columns  # the chunks' copies
+    # the modes are coded once per run: one code per (n, l) cell of either
+    # column, from the ranks of the mode numbers; codes sort in (n, l) order
+    na, la, nb, lb = runs.T
     numbers, rank = np.unique(np.concatenate([na, nb, la, lb]), return_inverse=True)
-    codes, ids = np.unique(rank[:2 * len(starts)] * len(numbers)
-                           + rank[2 * len(starts):], return_inverse=True)
+    codes, ids = np.unique(rank[:2 * len(runs)] * len(numbers)
+                           + rank[2 * len(runs):], return_inverse=True)
     n, lq = numbers[codes // len(numbers)], numbers[codes % len(numbers)]
     modes = list(map(_mode, n.tolist(), lq.tolist()))
     refused = np.array([isinstance(m, ConfigError) for m in modes], dtype=bool)
-    ia, ib = ids[:len(starts)], ids[len(starts):]
+    ia, ib = ids[:len(runs)], ids[len(runs):]
     if mode_set is None:
         mode_set = ModeSet(tuple(m for m, r in zip(modes, refused) if not r))
     D = mode_set.D
@@ -331,40 +387,35 @@ def _dataset(rows: np.ndarray, mode_set: ModeSet | None, flux: float | None,
     # mode not in the set, 4 a self pair (2 is the row's token check)
     run_check = np.select([refused[ia] | refused[ib], (k < 0) | (l < 0), k == l],
                           [1, 3, 4])
-    settings = len(BASES) * len(OUTCOMES)
     # a (b, a) row holds the (a, b) count with the photons swapped
+    per_pair = len(BASES) * len(OUTCOMES)
     swap = k > l
-    run_cell = pair_index(np.where(swap, l, k), np.where(swap, k, l), D) * settings
-    # each row's token pair, looked up in one pass among the valid ones
-    key = rows.view(_TOKEN_KEY)["key"] & _TOKEN_BYTES
-    token = np.searchsorted(_KEYS, key)
-    np.minimum(token, len(_KEYS) - 1, out=token)
-    token_ok = _KEYS[token] == key
-    token += np.repeat(swap * settings, lengths)  # the (l, k) side's settings
+    run_cell = pair_index(np.where(swap, l, k), np.where(swap, k, l), D) * per_pair
+    # an unknown token's -1 indexes a setting too; its row is not ok
     flat = np.repeat(run_cell, lengths)
-    flat += _SETTINGS[token]
+    flat += _SETTINGS[np.where(np.repeat(swap, lengths), settings + per_pair, settings)]
     count_ok = np.isfinite(counts) & (counts >= 0)
-    ok = np.repeat(run_check == 0, lengths) & token_ok & count_ok
+    ok = np.repeat(run_check == 0, lengths) & (settings >= 0) & count_ok
     tensor = np.full((D * (D - 1) // 2, len(BASES), len(OUTCOMES)), np.nan)
     cells = tensor.reshape(-1)
     filled = np.count_nonzero(ok)
-    cells[flat[ok]] = counts[ok]
+    if filled == len(counts):  # else a row is refused below
+        cells[flat] = counts
     # every count is a number, so a repeated cell leaves fewer filled cells
-    if filled < len(rows) or np.count_nonzero(~np.isnan(cells)) < filled:
+    if filled < len(counts) or np.count_nonzero(~np.isnan(cells)) < filled:
         # only the first row of each cell among the rows that pass passes
         good = np.flatnonzero(ok)
-        failed = np.ones(len(rows), dtype=bool)
+        failed = np.ones(len(counts), dtype=bool)
         failed[good[np.unique(flat[good], return_index=True)[1]]] = False
         i = int(np.argmax(failed))
-        r = int(np.searchsorted(starts, i, side="right")) - 1
+        r = int(np.searchsorted(np.cumsum(lengths), i, side="right"))
         a, b = modes[ia[r]], modes[ib[r]]
         if run_check[r] == 1:
             exc = modes[min(c for c in (ia[r], ib[r]) if refused[c])]
             raise IngestionError(f"bad mode: {exc}") from exc
-        if not token_ok[i]:
-            raise IngestionError(f"unknown basis/outcome "
-                                 f"{rows['basis'][i].decode('latin-1')!r}/"
-                                 f"{rows['outcome'][i].decode('latin-1')!r}")
+        if settings[i] < 0:  # so this is the first unknown token's row
+            raise IngestionError("unknown basis/outcome {!r}/{!r}".format(
+                *(t.decode("latin-1") for t in unknown)))
         if run_check[r] == 3:
             raise IngestionError(f"mode {a if k[r] < 0 else b!r} not in the declared "
                                  f"mode set")
@@ -376,12 +427,47 @@ def _dataset(rows: np.ndarray, mode_set: ModeSet | None, flux: float | None,
                                  f"finite and >= 0")
         raise IngestionError(f"duplicate count at {cell}")
     if flux is None:  # left to right in row order; np.sum adds pairwise
-        z = counts[_SETTINGS[token] // len(OUTCOMES) == _BASIS_ID["z"]]
+        z = counts[settings // len(OUTCOMES) == _BASIS_ID["z"]]
         flux = float(np.cumsum(z)[-1]) if z.size else 0.0
-    if len(rows) and not flux > 0:  # a given flux is positive
+    if len(counts) and not flux > 0:  # a given flux is positive
         raise IngestionError("the z-basis counts sum to 0, so no flux can be "
                              "derived from them; give the flux")
     return CoincidenceDataset(mode_set, flux, tensor, expectation)
+
+
+# data rows per np.loadtxt call of read_counts_csv; a chunk's `_ROW` records
+# take 3 MB
+_READ_ROWS = 65536
+
+
+def _csv_chunks(fh, path):
+    """The count rows of an open CSV file past its header, as `_ROW` arrays
+    of up to `_READ_ROWS` rows; a malformed row is refused with its place
+    among the file's data rows."""
+    done = 0  # data rows of the chunks before
+    while True:
+        with warnings.catch_warnings():
+            # numpy releases with loadtxt's int-via-float fallback cut a mode
+            # field such as 2.5 to 2 with only a DeprecationWarning; as an
+            # error loadtxt refuses it.  Blank lines are no rows, in a chunk
+            # or in a body.
+            warnings.filterwarnings("error", category=DeprecationWarning)
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no data",
+                                    UserWarning)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            try:
+                rows = np.loadtxt(fh, dtype=_ROW, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=1, max_rows=_READ_ROWS)
+            except ValueError as exc:
+                # numpy numbers the data rows of one call
+                message = re.sub(r"(?<=at row )\d+", lambda m: str(int(m[0]) + done),
+                                 str(exc), count=1)
+                raise IngestionError(f"malformed CSV row in {path}: {message}") from exc
+        yield rows
+        if len(rows) < _READ_ROWS:
+            return
+        done += len(rows)
 
 
 def read_counts_csv(path, mode_set: ModeSet | None = None,
@@ -397,33 +483,17 @@ def read_counts_csv(path, mode_set: ModeSet | None = None,
         if header != CSV_HEADER:
             raise IngestionError(f"bad CSV header {line[:200].rstrip()!r}, "
                                  f"expected {','.join(CSV_HEADER)!r}")
-        with warnings.catch_warnings():
-            # numpy releases with loadtxt's int-via-float fallback cut a mode
-            # field such as 2.5 to 2 with only a DeprecationWarning; as an
-            # error loadtxt refuses it.  A body of blank lines is no rows.
-            warnings.filterwarnings("error", category=DeprecationWarning)
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                    UserWarning)
-            try:
-                rows = np.loadtxt(fh, dtype=_ROW, delimiter=",", comments=None,
-                                  quotechar='"', ndmin=1)
-            except ValueError as exc:
-                raise IngestionError(f"malformed CSV row in {path}: {exc}") from exc
-    return _dataset(rows, mode_set, flux)
+        return _dataset(_csv_chunks(fh, path), mode_set, flux)
 
 
 def write_counts_json(dataset: CoincidenceDataset, path) -> None:
-    pairs = [f'"la": {la}, "lb": {lb}, "na": {na}, "nb": {nb}' for na, la, nb, lb in
-             _pair_modes(dataset).tolist()]
-    values = dataset.tensor.reshape(-1)
-    # sampled counts are written as ints, expectation values as floats
-    body = _fill(_PAIR_OBJECTS, pairs, values, (values == np.floor(values))
-                 & (not dataset.expectation), count_first=True)
     rest = json.dumps({"modes": dataset.mode_set.to_json(), "flux": dataset.flux,
                        "expectation": dataset.expectation}, sort_keys=True)
     with open(path, "w") as fh:  # "counts" sorts first; the last separator is cut
         fh.write('{"counts": [')
-        fh.write(body[:-2])
+        # sampled counts are written as ints, expectation values as floats
+        _fill(fh, dataset, _PAIR_OBJECTS, '"la": {1}, "lb": {3}, "na": {0}, "nb": {2}',
+              ints=not dataset.expectation, count_first=True, cut=2)
         fh.write("], " + rest[1:] + "\n")
 
 
@@ -460,4 +530,4 @@ def read_counts_json(path) -> CoincidenceDataset:
         _check_flux(flux)
     except ConfigError as exc:  # the bad value is in the file
         raise IngestionError(f"bad dataset file {path}: {exc}") from exc
-    return _dataset(rows, mode_set, flux, expectation)
+    return _dataset([rows], mode_set, flux, expectation)

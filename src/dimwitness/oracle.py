@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import InvalidStateError
-from .measurement import BASES
+from .measurement import BASES, pairs
 from .states import CorrelatedState, _check_cap, _cut_blocks, _embed
 from .modes import generic_mode_set
 
@@ -56,7 +56,7 @@ def _traces(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (kk, kl, lk, ll) block of every pair k < l traced against each
     double-Pauli operator, shape (m, pairs, 3 bases), and the blocks' own
     traces N_kl, shape (m, pairs)."""
-    blocks = _cut_blocks(rho, *np.triu_indices(math.isqrt(rho.shape[-1]), 1))
+    blocks = _cut_blocks(rho, *pairs(math.isqrt(rho.shape[-1])))
     # both in C order: numpy reduces in memory order, and a state's sums must
     # not depend on the size of the stack it is scored in
     t = np.einsum("bij,mpji->mpb", _DOUBLE, blocks, order="C").real

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CapacityError, ConfigError, IngestionError, IntegrityError
 from .measurement import (_EIGVECS, _POISSON_MAX, BASES, CoincidenceDataset,
                           _block_probabilities, basis_visibilities,
-                          outcome_probabilities, pair_index)
+                          outcome_probabilities, pair_index, pairs)
 from .modes import ModeSet
 from .oracle import _sv_witness
 from .states import _check_strength, _cut_blocks, _draw_perturbation, _perturb
@@ -62,7 +62,7 @@ class VisibilityTable:
         built on first use and read-only, so every reader shares one."""
         D = self.mode_set.D
         S = np.zeros((D, D))
-        S[np.triu_indices(D, 1)] = self.V[:, 0] + self.V[:, 1] + self.V[:, 2]
+        S[pairs(D)] = self.V[:, 0] + self.V[:, 1] + self.V[:, 2]
         S += S.T
         S.flags.writeable = False
         return S
@@ -75,7 +75,7 @@ class VisibilityTable:
         if len(set(idx)) != len(idx) or any(not 0 <= k < D for k in idx):
             raise ConfigError(f"mode subset {idx} must hold distinct indices "
                               f"in [0, {D})")
-        a, b = np.triu_indices(len(idx), 1)
+        a, b = pairs(len(idx))
         k = np.array(idx, dtype=np.intp)
         return VisibilityTable(self.mode_set.subset(idx),
                                self.V[pair_index(k[a], k[b], D)])
@@ -87,7 +87,7 @@ class VisibilityTable:
                                  f"expected ({D * (D - 1) // 2}, {len(BASES)})")
         nan = np.isnan(self.V).any(axis=1)
         if nan.any():
-            k, l = np.triu_indices(D, 1)
+            k, l = pairs(D)
             missing = list(zip(k[nan].tolist(), l[nan].tolist()))
             raise IngestionError(f"visibility table is missing pairs {missing[:10]}"
                                  + (" ..." if len(missing) > 10 else ""))
@@ -142,7 +142,7 @@ def witness_correlated(coeffs: np.ndarray):
     """
     c = np.asarray(coeffs).real
     pop = c.diagonal(axis1=-2, axis2=-1)
-    k, l = np.triu_indices(pop.shape[-1], k=1)
+    k, l = pairs(pop.shape[-1])
     n, v = pop[..., k] + pop[..., l], np.abs(c[..., k, l])
     live = n > 0
     terms = np.divide(4.0 * v, n, out=np.zeros_like(n), where=live) + live
@@ -293,7 +293,7 @@ def greedy_subset(table: VisibilityTable) -> GreedyResult:
     S = table.S
     # the pairs (k, l) of the surviving modes and their summed visibilities,
     # in (k, l) order
-    k, l = np.triu_indices(len(S), 1)
+    k, l = pairs(len(S))
     upper = S[k, l]
     active = np.arange(len(S))
     rs = S.sum(axis=1)  # the surviving modes' summed visibilities
@@ -379,7 +379,7 @@ def _seen_witness(rho: np.ndarray, frames: np.ndarray) -> np.ndarray:
          ).reshape(n, D * D, D * D)                 # kron(F_A, F_B)
     seen = K.conj().swapaxes(-1, -2) @ rho @ K
     # |F u|^2 = u^+ (F^+ F) u on the (k, l) block of each frame's Gram matrix
-    kl = np.transpose(np.triu_indices(D, 1))
+    kl = np.transpose(pairs(D))
     gram = frames.conj().swapaxes(-1, -2) @ frames
     norms = np.einsum("bsi,nfpij,bsj->nfpbs", _EIGVECS.conj(),
                       gram[:, :, kl[:, :, None], kl[:, None, :]], _EIGVECS).real

@@ -12,6 +12,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from dimwitness import measurement
 from dimwitness.cli import cli, main
 from dimwitness.modes import ModeSet, enumerate_modes
 
@@ -220,12 +221,33 @@ def test_expectation_pipeline_keeps_its_bytes(tmp_path, monkeypatch):
     }
 
 
-@pytest.mark.parametrize("flags, digest", [
+_JSON_PINS = [
     (("--seed", "7"), "e05d1ac862e00750d81bc5b7fa4a1d8d4d08ce46ed93d43ef79951083898e823"),
     (("--expectation",), "72e3844871da2db4f8214a92174607438c31dc34e43d912d8799e547b6f7a4a9"),
-])
+]
+
+
+@pytest.mark.parametrize("flags, digest", _JSON_PINS)
 def test_json_count_files_keep_their_bytes(tmp_path, monkeypatch, flags, digest):
     # the digests were taken before the JSON writer filled one template of
     # a pair's count objects instead of calling json.dumps on every count
     _simulate_paper_counts(tmp_path, monkeypatch, "counts.json", *flags)
     assert hashlib.sha256((tmp_path / "counts.json").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("pinned", ["seeded", "expectation", "json seeded",
+                                    "json expectation"])
+def test_byte_pins_hold_across_block_and_chunk_boundaries(tmp_path, monkeypatch, pinned):
+    # at the default sizes the D = 30 files (435 pairs, 5,220 rows) fit in
+    # one block and one chunk; these sizes split them into 5 probability
+    # blocks, 7 write blocks and 6 read chunks, four of the five chunk
+    # boundaries inside a pair's 12 rows
+    for name, size in {"_PROB_PAIRS": 100, "_WRITE_PAIRS": 64, "_READ_ROWS": 1000}.items():
+        monkeypatch.setattr(measurement, name, size)
+    if pinned == "seeded":
+        test_paper_pipeline_keeps_its_bytes(tmp_path, monkeypatch)
+    elif pinned == "expectation":
+        test_expectation_pipeline_keeps_its_bytes(tmp_path, monkeypatch)
+    else:
+        flags, digest = _JSON_PINS[pinned == "json expectation"]
+        test_json_count_files_keep_their_bytes(tmp_path, monkeypatch, flags, digest)

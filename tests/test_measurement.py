@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+import tracemalloc
 import warnings
 from itertools import islice, permutations, zip_longest
 from operator import itemgetter
@@ -15,7 +17,7 @@ from dimwitness import (ConfigError, IngestionError, brute_force_witness,
                         write_counts_json)
 from dimwitness.measurement import (_EIGVECS, _U, BASES, CSV_HEADER, OUTCOMES,
                                     CoincidenceDataset, _count_str,
-                                    outcome_probabilities, pair_index)
+                                    outcome_probabilities, pair_index, pairs)
 from dimwitness.modes import ModeIndex, ModeSet
 from dimwitness.oracle import _DOUBLE, _PAULI2
 from dimwitness.states import (CorrelatedState, GeneralTwoPhotonState,
@@ -1080,3 +1082,179 @@ def test_truncated_json_count_file_is_ingestion_error(tmp_path):
     path.write_text(path.read_text()[:100])
     with pytest.raises(IngestionError, match="malformed dataset file"):
         read_counts_json(path)
+
+
+# --- blocks and chunks ----------------------------------------------------------
+
+def test_pairs_are_cached_read_only_triu_indices():
+    for D in (0, 1, 2, 7):
+        k, l = pairs(D)
+        assert all(np.array_equal(a, b) for a, b in zip((k, l), np.triu_indices(D, 1)))
+        assert pairs(D)[0] is k and not k.flags.writeable and not l.flags.writeable
+        assert np.array_equal(pair_index(k, l, D), np.arange(D * (D - 1) // 2))
+
+
+@pytest.fixture(params=[1, 5, 12, 13], ids="read{}".format)
+def read_chunk(request, monkeypatch):
+    """Read chunks of 1, 5, 12 and 13 rows: chunk boundaries inside, at and
+    across the 12 rows of a pair."""
+    monkeypatch.setattr(measurement, "_READ_ROWS", request.param)
+    return request.param
+
+
+@pytest.fixture(params=[1, 2], ids="write{}".format)
+def write_block(request, monkeypatch):
+    monkeypatch.setattr(measurement, "_WRITE_PAIRS", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("expectation", [False, True])
+@pytest.mark.parametrize("declared", [True, False])
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_csv_reader_equals_reference_reader_in_chunks(tmp_path, read_chunk, layout,
+                                                      declared, expectation):
+    test_csv_reader_equals_reference_reader(tmp_path, layout, declared, expectation)
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_BODIES))
+def test_malformed_csv_same_error_as_reference_in_chunks(tmp_path, read_chunk, case):
+    for declared in (True, False):
+        if (case, declared) != ("undeclared_mode", False):
+            test_malformed_csv_same_error_as_reference(tmp_path, case, declared)
+
+
+@pytest.mark.parametrize("kinds", [*permutations(_BAD_ROW_KINDS, 1),
+                                   *permutations(_BAD_ROW_KINDS, 2)], ids="+".join)
+def test_earliest_bad_row_named_in_chunks(tmp_path, read_chunk, kinds):
+    test_earliest_bad_row_named_with_its_own_error(tmp_path, kinds)
+
+
+@pytest.mark.parametrize("case", ["sampled", "fractional", "huge", "one pair",
+                                  "no pairs", "edge values",
+                                  "edge values, expectation"])
+def test_writers_equal_reference_writers_in_blocks(tmp_path, write_block, case):
+    test_writers_equal_reference_writers(tmp_path, case)
+
+
+@pytest.mark.parametrize("expectation", [False, True])
+def test_writers_match_previous_bytes_in_blocks(tmp_path, write_block, expectation):
+    test_writers_match_previous_bytes(tmp_path, expectation)
+
+
+def test_probability_blocks_keep_every_bit(monkeypatch):
+    # the probabilities and the Poisson draws of one block after another are
+    # those of one pass over all pairs
+    st = random_states()[3]
+    means = measurement._block_probabilities(st.blocks(*pairs(st.mode_set.D)))
+    shared = simulate_counts(st, 1e5, seed=9, share_populations=True).tensor
+    for size in (1, 4, measurement._PROB_PAIRS):
+        monkeypatch.setattr(measurement, "_PROB_PAIRS", size)
+        assert np.array_equal(outcome_probabilities(st), means)
+        rng = np.random.default_rng(np.random.SeedSequence((9, 1)))
+        assert np.array_equal(simulate_counts(st, 1e5, seed=9).tensor,
+                              rng.poisson(1e5 * means))
+        assert np.array_equal(simulate_counts(st, 1e5, seed=9,
+                                              share_populations=True).tensor, shared)
+
+
+def _written_rows(tmp_path, D=3):
+    """A CSV file of a seeded D-mode dataset and its count rows as lists."""
+    ds = simulate_counts(correlated_pure(np.linspace(1.0, 2.0, D), generic_mode_set(D)),
+                         1e5, seed=6)
+    path = tmp_path / "counts.csv"
+    write_counts_csv(ds, path)
+    with open(path, newline="") as fh:
+        return ds, path, list(csv.reader(fh))[1:]
+
+
+def test_pair_straddling_two_chunks_reads_whole(tmp_path, monkeypatch):
+    ds, path, rows = _written_rows(tmp_path)
+    monkeypatch.setattr(measurement, "_READ_ROWS", 5)   # pair 0: rows 0-4, 5-9, 10-11
+    back = read_counts_csv(path)
+    assert np.array_equal(back.tensor, ds.tensor) and back.flux == ref_read_csv(path).flux
+    # and from the (b, a) side, rows of one pair split across chunks
+    path.write_text(_csv_text(_LAYOUTS["swapped"][0](rows)))
+    assert np.array_equal(read_counts_csv(path, mode_set=ds.mode_set).tensor, ds.tensor)
+
+
+def test_blank_lines_at_chunk_boundaries(tmp_path, monkeypatch):
+    ds, path, rows = _written_rows(tmp_path)
+    monkeypatch.setattr(measurement, "_READ_ROWS", 5)
+    lines = []
+    for i, row in enumerate(rows):
+        if i % 5 == 0:   # a blank line before each chunk
+            lines.append([""])
+        lines.append(row)
+    path.write_text(_csv_text(lines + [[""], [""]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_counts_csv(path)
+    assert np.array_equal(back.tensor, ds.tensor) and back.flux == ref_read_csv(path).flux
+
+
+@pytest.mark.parametrize("case, message", [
+    # the first copy in chunk 0, the second in the last chunk
+    ("duplicate", "duplicate count at (0, 1, 'x', 'pp')"),
+    # the first bad token in a later chunk, another one after it
+    ("later token", "unknown basis/outcome 'w'/'pp'"),
+])
+def test_bad_row_in_a_later_chunk_named(tmp_path, monkeypatch, case, message):
+    _, path, rows = _written_rows(tmp_path)
+    if case == "duplicate":
+        rows.append(rows[0])
+    else:
+        rows[20][4], rows[30][5] = "w", "pq"
+    path.write_text(_csv_text(rows))
+    for size in (5, 13, measurement._READ_ROWS):
+        monkeypatch.setattr(measurement, "_READ_ROWS", size)
+        with pytest.raises(IngestionError) as info:
+            read_counts_csv(path)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad, place", [
+    (["0", "0", "0", "1", "x", "pp"], "at row 9;"),    # numpy counts from 1 here
+    (["0", "a", "0", "1", "x", "pp", "5"], "at row 8,"),   # and from 0 here
+])
+def test_malformed_row_in_a_later_chunk_located_in_the_file(tmp_path, monkeypatch,
+                                                             bad, place):
+    _, path, rows = _written_rows(tmp_path)
+    # the 9th data row is bad; blank lines before it are not counted
+    path.write_text(_csv_text([[""], *rows[:3], [""], *rows[3:8], bad, *rows[8:]]))
+    messages = set()
+    for size in (1, 5, 12, 13, measurement._READ_ROWS):
+        monkeypatch.setattr(measurement, "_READ_ROWS", size)
+        with pytest.raises(IngestionError, match="^malformed CSV row") as info:
+            read_counts_csv(path)
+        messages.add(str(info.value))
+    assert len(messages) == 1 and place in messages.pop()
+
+
+def _traced_peak(call) -> int:
+    """Bytes allocated at the peak of `call`, over those held before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_path_memory_stays_near_the_tensor(tmp_path, monkeypatch):
+    # with whole-array passes the peaks were 5.8 (simulate), 10.9 (write) and
+    # 13.6 (read) times the count tensor's bytes; block by block and chunk by
+    # chunk they stay near the tensor itself
+    for name, size in {"_PROB_PAIRS": 128, "_WRITE_PAIRS": 64, "_READ_ROWS": 1000}.items():
+        monkeypatch.setattr(measurement, name, size)
+    st = correlated_pure(np.linspace(1.0, 2.0, 80), generic_mode_set(80))
+    simulate_counts(bell(), 1e4, seed=1)   # the first draw's one-time allocations
+    path = tmp_path / "counts.csv"
+    out = {}
+    simulate = _traced_peak(lambda: out.update(ds=simulate_counts(st, 1e5, seed=3)))
+    tensor = out["ds"].tensor.nbytes    # 37,920 counts, 0.3 MB
+    write = _traced_peak(lambda: write_counts_csv(out["ds"], path))
+    read = _traced_peak(lambda: read_counts_csv(path))
+    assert simulate < 3 * tensor and write < tensor and read < 7 * tensor, \
+        (simulate / tensor, write / tensor, read / tensor)
