@@ -21,7 +21,7 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import __version__
-from .errors import ConfigError, DimWitnessError, IngestionError
+from .errors import _JSON_KINDS, ConfigError, DimWitnessError, IngestionError, _json_array
 from .modes import ModeSet, enumerate_modes, generic_mode_set
 from .states import (amplitudes_from_rates, correlated_pure, load_state,
                      max_witness_state, maximally_entangled, spdc_profile)
@@ -33,15 +33,12 @@ from .witness import (bound, build_report, certified_dimension, greedy_subset,
 from .oracle import brute_force_sv_witness, schmidt_rank
 
 
-# the JSON types of a config value, by the type of the option that takes it;
-# a bool is no number, and JSON null leaves the option at its default
-_CONFIG_TYPES = {click.types.IntParamType: ((int,), "an integer"),
-                 click.types.IntRange: ((int,), "an integer"),
-                 click.types.FloatParamType: ((int, float), "a number"),
-                 click.types.BoolParamType: ((bool,), "true or false"),
-                 click.types.StringParamType: ((str,), "a string"),
-                 click.Path: ((str,), "a string"),
-                 click.Choice: ((str,), "a string")}
+# the JSON kind of a config value, by the type of the option that takes it;
+# JSON null leaves the option at its default
+_CONFIG_KINDS = {click.types.IntParamType: "integer", click.types.IntRange: "integer",
+                 click.types.FloatParamType: "number", click.types.BoolParamType: "boolean",
+                 click.types.StringParamType: "string", click.Path: "string",
+                 click.Choice: "string"}
 
 
 def _load_config(ctx, param, value):
@@ -60,17 +57,12 @@ def _load_config(ctx, param, value):
         raise ConfigError(f"config file has keys no subcommand takes: {unknown}")
     for cmd in cli.commands.values():
         for p in cmd.params:
-            types, wanted = _CONFIG_TYPES[type(p.type)]
-            given = cfg.get(p.name)
-            if given is not None and type(given) not in types:
-                raise ConfigError(f"config key {p.name!r} takes {wanted}, "
-                                  f"got {given!r:.100}")
-            if float in types and type(given) is int:
-                try:
-                    float(given)
-                except OverflowError:  # click's float() would raise it later
-                    raise ConfigError(f"config key {p.name!r} takes a number that "
-                                      f"fits a float, got {given!r:.100}") from None
+            kind, given = _CONFIG_KINDS[type(p.type)], cfg.get(p.name)
+            try:
+                _json_array(p.name, [] if given is None else [given], kind)
+            except ValueError:
+                raise ConfigError(f"config key {p.name!r} takes {_JSON_KINDS[kind][1]}"
+                                  f", got {given!r:.100}") from None
     # flags beat config values; config beats defaults
     ctx.default_map = {cmd: cfg for cmd in cli.commands}
     return value
@@ -377,18 +369,18 @@ def report(input_path, per_mode_csv, trajectory_csv):
         with open(input_path) as fh:
             payload = json.load(fh)
         per_mode, trajectory = payload["per_mode"], payload.get("subset_trajectory")
-        if type(per_mode) is not list or not {*map(type, per_mode)} <= {int, float}:
-            raise TypeError(f"per_mode {per_mode!r:.200} is not a list of numbers")
-        # an int too large for a float makes math.isfinite raise OverflowError
-        if not all(map(math.isfinite, per_mode)):
-            raise ValueError(f"per_mode {per_mode!r:.200} holds a value that is "
-                             f"not finite")
-        if trajectory is not None and (type(trajectory) is not list or any(
-                type(step) is not list or [*map(type, step)] != [int, int]
-                for step in trajectory)):
-            raise TypeError(f"subset_trajectory {trajectory!r:.200} is not null "
-                            f"or a list of integer pairs")
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        # a per_mode or a step that is no list yields no numbers, or no pair
+        per_mode = _json_array("per_mode", per_mode, "number")
+        if not np.isfinite(per_mode).all():
+            raise ValueError(f"per_mode {per_mode.tolist()!r:.200} holds a value "
+                             f"that is not finite")
+        if trajectory is not None:
+            if not set(map(len, trajectory)) <= {2}:
+                raise TypeError(f"subset_trajectory {trajectory!r:.200} is not null "
+                                f"or a list of integer pairs")
+            _json_array("subset_trajectory", [x for step in trajectory for x in step],
+                        "integer")
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise IngestionError(f"cannot read report {input_path}: {exc}") from exc
     if trajectory_csv and trajectory is None:
         raise IngestionError("report holds no subset trajectory")
@@ -396,7 +388,7 @@ def report(input_path, per_mode_csv, trajectory_csv):
         with open(per_mode_csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["mode_index", "mean_summed_visibility"])
-            w.writerows((i, repr(float(v))) for i, v in enumerate(per_mode))
+            w.writerows((i, repr(v)) for i, v in enumerate(per_mode.tolist()))
     if trajectory_csv:
         with open(trajectory_csv, "w", newline="") as fh:
             w = csv.writer(fh)

@@ -4,6 +4,8 @@ Each class carries the process exit code used by the CLI, so library code
 raises the same errors the command line reports.
 """
 
+import numpy as np
+
 __all__ = [
     "DimWitnessError",
     "ConfigError",
@@ -51,3 +53,34 @@ class IntegrityError(DimWitnessError):
     """Data that violates a hard mathematical cap, e.g. W above its global maximum."""
 
     exit_code = 5
+
+
+# The one rule for values read from JSON files: the kinds of value, each with
+# the Python types json.load gives for it, its name in messages and the numpy
+# type that holds it.  A bool is no number.
+_JSON_KINDS = {"integer": ({int}, "an integer", np.int64),
+               "number": ({int, float}, "a JSON number", np.float64),
+               "boolean": ({bool}, "a JSON boolean", np.bool_),
+               "string": ({str}, "a JSON string", np.str_)}
+
+
+def _json_array(name: str, values, kind: str, dtype=None) -> np.ndarray:
+    """The values json.load gave for the field `name` as one array of `dtype`
+    (by default the numpy type of `kind`); the first that is not of that kind,
+    or that `dtype` cannot hold, raises ValueError.  A whole column is tested as one
+    set of types, with no Python loop over its values."""
+    types, phrase, default = _JSON_KINDS[kind]
+    dtype = default if dtype is None else dtype
+    if set(map(type, values)) <= types:
+        try:
+            return np.array(values, dtype=dtype)
+        except OverflowError:
+            pass
+    for value in values:
+        if type(value) not in types:
+            raise ValueError(f"{name} {value!r:.100} is not {phrase}")
+        try:
+            np.array(value, dtype=dtype)
+        except OverflowError:
+            raise ValueError(f"{name} {value!r:.100} is not {phrase} that "
+                             f"{np.dtype(dtype)} holds") from None

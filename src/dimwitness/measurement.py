@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError
+from .errors import ConfigError, IngestionError, _json_array
 from .modes import ModeIndex, ModeSet
 
 __all__ = [
@@ -254,10 +254,6 @@ _KEY_SETTINGS = np.array([setting for _, setting in _TOKEN_PAIRS], dtype=np.int8
 _SETTINGS = np.concatenate([np.arange(len(BASES) * len(OUTCOMES)),
                             np.add.outer(np.arange(len(BASES)) * len(OUTCOMES),
                                          _SWAP_OUTCOME).reshape(-1)]).astype(np.int8)
-
-# JSON value types accepted per column; bool is not int here
-_JSON_TYPES = dict(zip(CSV_HEADER, [{int}] * 4 + [{str}] * 2 + [{int, float}]))
-
 
 def _count_str(c) -> str:
     return str(int(c)) if float(c).is_integer() else repr(float(c))
@@ -497,34 +493,20 @@ def write_counts_json(dataset: CoincidenceDataset, path) -> None:
         fh.write("], " + rest[1:] + "\n")
 
 
-def _json_column(name: str, cells: tuple) -> np.ndarray:
-    """One column of JSON count rows as an array of its `_ROW` field type; a
-    value of another JSON type (a bool, float or string as a mode number) is
-    refused."""
-    types = _JSON_TYPES[name]
-    if not set(map(type, cells)) <= types:
-        bad = next(c for c in cells if type(c) not in types)
-        raise TypeError(f"{name} {bad!r} is not of type "
-                        f"{' or '.join(sorted(t.__name__ for t in types))}")
-    return np.array(cells, dtype=_ROW[name])
-
-
 def read_counts_json(path) -> CoincidenceDataset:
     try:
         with open(path) as fh:
             payload = json.load(fh)
         mode_set = ModeSet.from_json(payload["modes"])
-        flux, expectation = payload["flux"], payload.get("expectation", False)
-        if type(flux) not in (int, float):
-            raise TypeError(f"flux {flux!r} is not a JSON number")
-        if type(expectation) is not bool:
-            raise TypeError(f"expectation {expectation!r} is not a JSON boolean")
-        flux = float(flux)
+        flux = _json_array("flux", [payload["flux"]], "number").item()
+        expectation = _json_array("expectation", [payload.get("expectation", False)],
+                                  "boolean").item()
         entries = list(map(itemgetter(*CSV_HEADER), payload["counts"]))
         rows = np.empty(len(entries), dtype=_ROW)
-        for name, cells in zip(CSV_HEADER, zip(*entries)):
-            rows[name] = _json_column(name, cells)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        kinds = ["integer"] * 4 + ["string"] * 2 + ["number"]
+        for name, cells, kind in zip(CSV_HEADER, zip(*entries), kinds):
+            rows[name] = _json_array(name, cells, kind, _ROW[name])
+    except (KeyError, TypeError, ValueError) as exc:
         raise IngestionError(f"malformed dataset file {path}: {exc}") from exc
     try:
         _check_flux(flux)

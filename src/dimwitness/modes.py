@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import ConfigError, InvalidModeSetError
+from .errors import ConfigError, InvalidModeSetError, _json_array
 
 __all__ = [
     "ModeIndex",
@@ -53,9 +53,6 @@ class ModeSet:
     def D(self) -> int:
         return len(self.modes)
 
-    def __len__(self) -> int:
-        return len(self.modes)
-
     def __getitem__(self, k: int) -> ModeIndex:
         return self.modes[k]
 
@@ -66,12 +63,15 @@ class ModeSet:
         return [{"n": m.n, "l": m.l} for m in self.modes]
 
     @classmethod
-    def from_json(cls, data: Iterable[dict]) -> "ModeSet":
-        """The mode set of a JSON list of {n, l} entries; a malformed entry
-        raises KeyError, TypeError or ValueError, which readers report as
-        bad input, and a repeated mode InvalidModeSetError."""
-        return cls(tuple(ModeIndex(_radial_number(d["n"]), _mode_number(d["l"]))
-                         for d in data))
+    def from_json(cls, data: list[dict]) -> "ModeSet":
+        """The mode set of a JSON list of {n, l} entries of integers; a
+        malformed entry raises KeyError, TypeError or ValueError, which
+        readers report as bad input, and a repeated mode InvalidModeSetError."""
+        n, l = (_json_array(key, [entry[key] for entry in data], "integer").tolist()
+                for key in "nl")
+        if min(n, default=0) < 0:
+            raise ValueError(f"radial quantum number must be >= 0, got n={min(n)}")
+        return cls(tuple(map(ModeIndex, n, l)))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -81,21 +81,6 @@ class ModeSet:
     def load(cls, path) -> "ModeSet":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
-
-
-def _mode_number(value) -> int:
-    """A mode number read from JSON: an integer that is not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"mode number {value!r} is not an integer")
-    return value
-
-
-def _radial_number(value) -> int:
-    """A radial mode number read from JSON: a mode number >= 0."""
-    n = _mode_number(value)
-    if n < 0:
-        raise ValueError(f"radial quantum number must be >= 0, got n={n}")
-    return n
 
 
 def generic_mode_set(D: int) -> ModeSet:

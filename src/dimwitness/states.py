@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, IngestionError, InvalidStateError
+from .errors import (CapacityError, ConfigError, IngestionError, InvalidStateError,
+                     _json_array)
 from .modes import ModeSet, generic_mode_set
 
 __all__ = [
@@ -333,7 +334,12 @@ def _matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 def _matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+    parts = np.array(data, dtype=object)
+    if parts.shape[2:] != (2,):
+        raise ValueError("matrix is not a list of rows of [re, im] pairs")
+    # a float64 pair [re, im] seen as one complex128 is complex(re, im)
+    return _json_array("matrix", parts.ravel().tolist(), "number").view(
+        np.complex128).reshape(parts.shape[:2])
 
 
 def save_state(state, path) -> None:

@@ -15,24 +15,15 @@ from dimwitness import (bound, brute_force_witness, build_report,
                         simulate_counts, spdc_profile, table_from_dataset,
                         table_from_state, witness_correlated, witness_sum)
 from dimwitness.measurement import pair_index
-from dimwitness import oracle
 from dimwitness.oracle import _random_mixtures
-from dimwitness.modes import ModeIndex, ModeSet
+from dimwitness.modes import ModeSet
+from helpers import EXAMPLE_AMPS, EXAMPLE_MODES, f_total
 
-EXAMPLE_AMPS = np.array([0.5, 0.07, 0.01, 0.01])
-EXAMPLE_MODES = ModeSet((ModeIndex(0, 0), ModeIndex(1, -1),
-                         ModeIndex(2, -2), ModeIndex(3, -3)))
 # W of the 4-mode example computed by the brute-force oracle; the commonly
 # quoted rounded value 9.723 is inconsistent with the state's own per-pair
 # summed visibilities (1.55 + 1.08 + 1.08 + 1.56 + 1.56 + 3 ~= 9.83), so the
 # oracle value is the acceptance target (see README, "Worked example").
 EXAMPLE_W_FULL = 9.829171019705104
-
-
-def f_total(state):
-    """Sum of the un-normalized signed correlations f_kl over all pairs."""
-    t, _ = oracle._traces(oracle._one(state))
-    return float(np.sum(t @ oracle._G_SIGNS))
 
 
 def _verdict(label, ok):

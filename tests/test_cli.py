@@ -7,15 +7,14 @@ from click.testing import CliRunner
 from dimwitness.cli import cli, main
 from dimwitness.errors import (CapacityError, ConfigError, IngestionError,
                                IntegrityError)
-from dimwitness.modes import ModeIndex, ModeSet, generic_mode_set
+from dimwitness.modes import generic_mode_set
 from dimwitness.oracle import brute_force_sv_witness, brute_force_witness
 from dimwitness.measurement import simulate_counts, write_counts_json
 from dimwitness.states import (correlated_pure, load_state, max_witness_state,
                                perturb_state, save_state)
 from dimwitness.witness import robustness_study
+from helpers import EXAMPLE_MODES
 
-EXAMPLE_MODES = ModeSet((ModeIndex(0, 0), ModeIndex(1, -1),
-                         ModeIndex(2, -2), ModeIndex(3, -3)))
 EXAMPLE_AMPS = "0.5,0.07,0.01,0.01"
 
 
@@ -410,6 +409,7 @@ def test_config_file_rejects_unknown_keys(runner, tmp_path):
     ({"output": 3}, "output"),
     ({"flux": 10**400}, "flux"),                    # was an OverflowError traceback
     ({"lambda_l": -10**400}, "lambda_l"),
+    ({"seed": 2**64}, "seed"),                      # int64 holds no such integer
 ])
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, cfg, key):
     counts, _ = simulate_example(CliRunner(), tmp_path)
@@ -820,6 +820,41 @@ def test_malformed_json_input_exit_code(runner, tmp_path, kind, case, code):
     (tmp_path / "out.json").unlink(missing_ok=True)
     assert exit_code(argv) == code
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [("n", 10 ** 400), ("l", -2 ** 63 - 1)],
+                         ids=["n-10**400", "l--2**63-1"])
+@pytest.mark.parametrize("kind", ["mode-file-simulate", "state-file"])
+def test_mode_number_outside_int64_exits_3(runner, tmp_path, capsys, kind, key, value):
+    # simulate took such a mode and then failed in the count writer with an
+    # OverflowError traceback (exit 1)
+    path, argv = _json_input(runner, tmp_path, kind)
+    payload = json.loads(path.read_text())
+    (payload if kind == "mode-file-simulate" else payload["modes"])[1][key] = value
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert exit_code(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed ") and "int64" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("where, value", [(0, True), (1, False), (1, 10 ** 400)],
+                         ids=["re-true", "im-false", "im-10**400"])
+def test_state_file_entry_that_is_no_float_exits_3(tmp_path, capsys, where, value):
+    # true and false were read as 1 and 0, so simulate exited 0; an integer
+    # too large for a float ended in an OverflowError traceback with exit 1
+    path = tmp_path / "state.json"
+    save_state(correlated_pure([1, 0], generic_mode_set(2)), path)
+    payload = json.loads(path.read_text())
+    assert payload["matrix"][0][0] == [1.0, 0.0]
+    payload["matrix"][0][0][where] = value
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "counts.csv"
+    assert exit_code(["simulate", "--state-file", str(path), "--seed", "1",
+                      "--output", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: malformed state file {path}: ")
+    assert not out.exists()
 
 
 def test_file_name_decides_the_count_format(runner, tmp_path):

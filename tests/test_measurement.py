@@ -9,7 +9,7 @@ from operator import itemgetter
 import numpy as np
 import pytest
 
-from dimwitness import measurement, oracle
+from dimwitness import measurement
 from dimwitness import (ConfigError, IngestionError, brute_force_witness,
                         correlated_pure, generic_mode_set,
                         read_counts_csv, read_counts_json, simulate_counts,
@@ -22,14 +22,7 @@ from dimwitness.modes import ModeIndex, ModeSet
 from dimwitness.oracle import _DOUBLE, _PAULI2
 from dimwitness.states import (CorrelatedState, GeneralTwoPhotonState,
                                max_witness_state, perturb_state)
-
-EXAMPLE_AMPS = np.array([0.5, 0.07, 0.01, 0.01])
-EXAMPLE_MODES = ModeSet((ModeIndex(0, 0), ModeIndex(1, -1),
-                         ModeIndex(2, -2), ModeIndex(3, -3)))
-
-
-def example_state():
-    return correlated_pure(EXAMPLE_AMPS, EXAMPLE_MODES)
+from helpers import EXAMPLE_AMPS, EXAMPLE_MODES, example_state, f_total
 
 
 def bell():
@@ -55,12 +48,6 @@ def probabilities(state, k, l, basis):
 def weight(state, k, l):
     """Subspace weight N_kl: the summed z-basis outcome probabilities."""
     return probabilities(state, k, l, "z").sum()
-
-
-def f_total(state):
-    """Sum of the un-normalized signed correlations f_kl over all pairs."""
-    t, _ = oracle._traces(oracle._one(state))
-    return float(np.sum(t @ oracle._G_SIGNS))
 
 
 def pair_state(state, k, l):
@@ -1061,6 +1048,20 @@ def test_json_reader_refuses_wrong_flux_and_expectation_types(tmp_path, key, val
     payload[key] = value
     path.write_text(json.dumps(payload))
     with pytest.raises(IngestionError, match=f"{key} .* is not a JSON"):
+        read_counts_json(path)
+
+
+@pytest.mark.parametrize("key, value", [("n", 2 ** 63), ("l", -2 ** 63 - 1)],
+                         ids=["n-2**63", "l--2**63-1"])
+def test_json_reader_refuses_mode_numbers_outside_int64(tmp_path, key, value):
+    # such a mode was declared, and the file was refused only because no row
+    # (an int64 field) could name it
+    path = tmp_path / "counts.json"
+    write_counts_json(simulate_counts(example_state(), 1e5, seed=4), path)
+    payload = json.loads(path.read_text())
+    payload["modes"][1][key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(IngestionError, match="is not an integer that int64 holds"):
         read_counts_json(path)
 
 

@@ -62,7 +62,12 @@ def test_mode_set_save_bytes(tmp_path):
     assert path.read_text() == json.dumps(ms.to_json(), indent=1) + "\n"
 
 
-@pytest.mark.parametrize("value", [1.9, 1.0, "1", True])
+@pytest.mark.parametrize("value", [1.9, 1.0, "1", True,
+                                   # beyond int64, which the CSV reader parses
+                                   # into, and on which the count writers failed
+                                   pytest.param(2 ** 63, id="2**63"),
+                                   pytest.param(10 ** 400, id="10**400"),
+                                   pytest.param(-2 ** 63 - 1, id="-2**63-1")])
 def test_mode_file_numbers_must_be_integers(tmp_path, value):
     with pytest.raises(ValueError, match="not an integer"):
         ModeSet.from_json([{"n": 0, "l": 0}, {"n": value, "l": 0}])
@@ -70,6 +75,12 @@ def test_mode_file_numbers_must_be_integers(tmp_path, value):
     path.write_text(json.dumps([{"n": 0, "l": value}]))
     with pytest.raises(ValueError):
         ModeSet.load(path)
+
+
+def test_mode_file_numbers_take_all_of_int64():
+    edge = ModeSet.from_json([{"n": 2 ** 63 - 1, "l": -2 ** 63}])
+    assert edge.modes == (ModeIndex(2 ** 63 - 1, -2 ** 63),)
+    assert json.loads(json.dumps(edge.to_json())) == [{"n": 2 ** 63 - 1, "l": -2 ** 63}]
 
 
 def test_mode_file_radial_numbers_must_not_be_negative():

@@ -17,15 +17,10 @@ from dimwitness.cli import main
 from dimwitness.oracle import _DOUBLE, brute_force_sv_witness
 from dimwitness.states import _embed
 from dimwitness.witness import _TAU_PER_PAIR, witness_with_perturbed_projectors
+from helpers import f_total
 
 # szsz - sysy + sxsx; _DOUBLE holds the x, y, z operators in that order
 _G_OP = _DOUBLE[2] - _DOUBLE[1] + _DOUBLE[0]
-
-
-def f_total(state):
-    """Sum of the un-normalized signed correlations f_kl over all pairs."""
-    t, _ = oracle._traces(oracle._one(state))
-    return float(np.sum(t @ oracle._G_SIGNS))
 
 
 # --- equivalence of the production and brute-force paths ---------------------

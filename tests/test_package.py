@@ -40,3 +40,20 @@ def test_only_states_switches_on_the_state_type():
     checks = {path.name: _state_type_checks(path)
               for path in sorted(package.glob("*.py")) if path.name != "states.py"}
     assert {name: lines for name, lines in checks.items() if lines} == {}
+
+
+def _json_type_sets(path: Path) -> list:
+    """Lines of the literal sets, tuples and lists of a module that hold both
+    int and float: a JSON type rule of its own."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.Set, ast.Tuple, ast.List))
+            and {"int", "float"} <= {getattr(e, "id", None) for e in node.elts}]
+
+
+def test_only_errors_holds_the_json_value_rule():
+    # errors._json_array is the one rule for values read from JSON files
+    package = Path(dimwitness.__file__).parent
+    assert _json_type_sets(package / "errors.py")
+    sets = {path.name: _json_type_sets(path)
+            for path in sorted(package.glob("*.py")) if path.name != "errors.py"}
+    assert {name: lines for name, lines in sets.items() if lines} == {}

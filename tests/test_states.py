@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -11,15 +12,8 @@ from dimwitness import (CapacityError, ConfigError, CorrelatedState,
                         max_witness_state, maximally_entangled, perturb_state,
                         save_state, schmidt_rank, spdc_profile,
                         state_from_elements)
-from dimwitness.modes import ModeIndex, ModeSet
+from helpers import EXAMPLE_AMPS, EXAMPLE_MODES, example_state
 
-EXAMPLE_AMPS = np.array([0.5, 0.07, 0.01, 0.01])
-EXAMPLE_MODES = ModeSet((ModeIndex(0, 0), ModeIndex(1, -1),
-                         ModeIndex(2, -2), ModeIndex(3, -3)))
-
-
-def example_state():
-    return correlated_pure(EXAMPLE_AMPS, EXAMPLE_MODES)
 
 
 def test_product_state_coefficients():
@@ -236,3 +230,20 @@ def test_truncated_state_file_is_ingestion_error(tmp_path, text):
     path.write_text(text)
     with pytest.raises(IngestionError, match="malformed state file"):
         load_state(path)
+
+
+def test_state_file_matrix_holds_pairs_of_json_numbers(tmp_path):
+    # true and false were read as 1 and 0, so the first two files loaded as
+    # the state saved; an integer too large for a float ended in an
+    # OverflowError traceback
+    path = tmp_path / "state.json"
+    save_state(correlated_pure([1, 0], generic_mode_set(2)), path)
+    saved = json.loads(path.read_text())
+    assert saved["matrix"] == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    for row in ([[True, 0.0], [0.0, 0.0]], [[1.0, False], [0.0, 0.0]],
+                [[10 ** 400, 0.0], [0.0, 0.0]], [[1.0, -10 ** 400], [0.0, 0.0]],
+                [["1", 0.0], [0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 0.0]],
+                [[1.0], [0.0, 0.0]], [1.0, 0.0]):
+        path.write_text(json.dumps({**saved, "matrix": [row, saved["matrix"][1]]}))
+        with pytest.raises(IngestionError, match="malformed state file"):
+            load_state(path)

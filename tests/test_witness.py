@@ -14,22 +14,16 @@ from dimwitness import (ConfigError, IngestionError, IntegrityError,
 from dimwitness.measurement import (_EIGVECS, BASES, OUTCOMES, CoincidenceDataset,
                                     basis_visibilities, outcome_probabilities,
                                     pair_index)
-from dimwitness.modes import ModeIndex, ModeSet
+from dimwitness.modes import ModeSet
 from dimwitness.oracle import brute_force_sv_witness
 from dimwitness.cli import main
 from dimwitness.states import (CorrelatedState, GeneralTwoPhotonState, perturb_state,
                                save_state)
 from dimwitness.witness import (_CHUNK_BYTES, _LEAK_FRACTION, _frame_draws, _frames,
                                 witness_with_perturbed_projectors)
+from helpers import complex_state, example_state
 
-EXAMPLE_AMPS = np.array([0.5, 0.07, 0.01, 0.01])
-EXAMPLE_MODES = ModeSet((ModeIndex(0, 0), ModeIndex(1, -1),
-                         ModeIndex(2, -2), ModeIndex(3, -3)))
 EXAMPLE_W = 9.829171019705104  # frozen; cross-checked by the oracle tests
-
-
-def example_state():
-    return correlated_pure(EXAMPLE_AMPS, EXAMPLE_MODES)
 
 
 # --- bounds and certification ------------------------------------------------
@@ -434,12 +428,6 @@ def test_perturbed_projectors_refuse_a_bad_strength(strength):
     with pytest.raises(ConfigError, match="strength must be finite and >= 0"):
         witness_with_perturbed_projectors(example_state(), strength,
                                           np.random.default_rng(0))
-
-
-def complex_state(D, seed):
-    rng = np.random.default_rng(seed)
-    return correlated_pure(rng.standard_normal(D) + 1j * rng.standard_normal(D),
-                           generic_mode_set(D))
 
 
 @pytest.mark.parametrize("strength", [0.05, 0.2, 1.0])
@@ -973,12 +961,6 @@ def ref_robustness_study(state, kind, n_trials, strength_max, seed):
         trials.append((float(s), float(ref_trial(kind, state, float(s), rng))))
     frac = float(np.mean([w <= baseline + 1e-9 for _, w in trials]))
     return baseline, trials, frac
-
-
-def complex_state(D, seed):
-    rng = np.random.default_rng(seed)
-    return correlated_pure(rng.standard_normal(D) + 1j * rng.standard_normal(D),
-                           generic_mode_set(D))
 
 
 ROBUSTNESS_STATES = {2: lambda: complex_state(2, 61), 4: example_state,
