@@ -21,7 +21,8 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import __version__
-from .errors import _JSON_KINDS, ConfigError, DimWitnessError, IngestionError, _json_array
+from .errors import (_JSON_KINDS, ConfigError, DimWitnessError, IngestionError,
+                     _json_array, _reading)
 from .modes import ModeSet, enumerate_modes, generic_mode_set
 from .states import (amplitudes_from_rates, correlated_pure, load_state,
                      max_witness_state, maximally_entangled, spdc_profile)
@@ -77,16 +78,9 @@ def cli():
     """Simulate, ingest and certify high-dimensional two-photon entanglement."""
 
 
-def _load_mode_file(path) -> ModeSet:
-    try:
-        return ModeSet.load(path)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IngestionError(f"malformed mode file {path}: {exc}") from exc
-
-
 def _mode_set(l_max, n_max, mode_file, fallback_D=None) -> ModeSet:
     if mode_file:
-        return _load_mode_file(mode_file)
+        return ModeSet.load(mode_file)
     if l_max is not None or n_max is not None:
         return enumerate_modes(l_max or 0, n_max or 0)
     if fallback_D is not None:
@@ -94,20 +88,17 @@ def _mode_set(l_max, n_max, mode_file, fallback_D=None) -> ModeSet:
     raise ConfigError("no mode set given: use --mode-file or --l-max/--n-max")
 
 
-def _read_rates(path) -> dict:
+def _rate_amplitudes(path, modes: ModeSet) -> np.ndarray:
     rates = {}
-    try:
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                mode, rate = (int(row["n"]), int(row["l"])), float(row["rate"])
-                if not math.isfinite(rate):
-                    raise ValueError(f"rate {rate!r} of mode {mode} is not finite")
-                if mode in rates:
-                    raise ValueError(f"mode {mode} appears twice")
-                rates[mode] = rate
-    except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
-        raise IngestionError(f"cannot read rate table {path}: {exc}") from exc
-    return rates
+    with _reading("rate table", path), open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            mode, rate = (int(row["n"]), int(row["l"])), float(row["rate"])
+            if not math.isfinite(rate):
+                raise ValueError(f"rate {rate!r} of mode {mode} is not finite")
+            if mode in rates:
+                raise ValueError(f"mode {mode} appears twice")
+            rates[mode] = rate
+        return amplitudes_from_rates(modes, rates)
 
 
 _BY_NAME = "JSON if the file name ends in .json, else CSV."
@@ -173,8 +164,7 @@ def _state_input(command):
         else:
             modes = _mode_set(l_max, n_max, mode_file)
             if rate_file:
-                state = correlated_pure(
-                    amplitudes_from_rates(modes, _read_rates(rate_file)), modes)
+                state = correlated_pure(_rate_amplitudes(rate_file, modes), modes)
             elif profile == "maximal":
                 state = maximally_entangled(modes)
             elif profile == "exponential":
@@ -229,7 +219,7 @@ def _load_dataset(path, mode_file, flux):
             raise ConfigError(f"{' and '.join(given)} cannot be used with a JSON "
                               f"dataset: the file carries its own mode set and flux")
         return read_counts_json(path), []
-    modes = _load_mode_file(mode_file) if mode_file else None
+    modes = ModeSet.load(mode_file) if mode_file else None
     ds = read_counts_csv(path, mode_set=modes, flux=flux)
     if flux is not None:
         return ds, []
@@ -365,9 +355,8 @@ def verify(d_max, seed):
               help="Write the subset-size vs certified-d curve.")
 def report(input_path, per_mode_csv, trajectory_csv):
     """Emit plot-data CSVs from a witness report."""
-    try:
-        with open(input_path) as fh:
-            payload = json.load(fh)
+    with _reading("report", input_path), open(input_path) as fh:
+        payload = json.load(fh)
         per_mode, trajectory = payload["per_mode"], payload.get("subset_trajectory")
         # a per_mode or a step that is no list yields no numbers, or no pair
         per_mode = _json_array("per_mode", per_mode, "number")
@@ -380,8 +369,6 @@ def report(input_path, per_mode_csv, trajectory_csv):
                                 f"or a list of integer pairs")
             _json_array("subset_trajectory", [x for step in trajectory for x in step],
                         "integer")
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise IngestionError(f"cannot read report {input_path}: {exc}") from exc
     if trajectory_csv and trajectory is None:
         raise IngestionError("report holds no subset trajectory")
     if per_mode_csv:

@@ -4,6 +4,9 @@ Each class carries the process exit code used by the CLI, so library code
 raises the same errors the command line reports.
 """
 
+import csv
+from contextlib import contextmanager
+
 import numpy as np
 
 __all__ = [
@@ -84,3 +87,30 @@ def _json_array(name: str, values, kind: str, dtype=None) -> np.ndarray:
         except OverflowError:
             raise ValueError(f"{name} {value!r:.100} is not {phrase} that "
                              f"{np.dtype(dtype)} holds") from None
+
+
+@contextmanager
+def _reading(what: str, path):
+    """The boundary of every input file reader: failing to open `path` or to
+    accept what it holds, a constructor's ConfigError included, raises
+    IngestionError "malformed <what> <path>: ..." (exit 3).  CapacityError
+    and IngestionError pass through."""
+    try:
+        yield
+    except (OSError, KeyError, TypeError, ValueError, csv.Error, ConfigError) as exc:
+        raise IngestionError(f"malformed {what} {path}: {exc}") from exc
+
+
+def _whole(count, what: str) -> int:
+    """A trial or resample count as an int: a Python or numpy integer, not a
+    bool (a float, even 3.0, is refused)."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ConfigError(f"need a whole number of {what}, got {count!r}")
+    return int(count)
+
+
+def _seed(seed) -> int:
+    """A random seed as an int: a whole number >= 0 (not None, a bool or a float)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"need a seed that is a whole number >= 0, got {seed!r}")
+    return int(seed)

@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError, _json_array
+from .errors import ConfigError, IngestionError, _json_array, _reading, _seed
 from .modes import ModeIndex, ModeSet
 
 __all__ = [
@@ -180,8 +180,8 @@ def simulate_counts(state, flux: float, seed: int | None = None,
     D x D population counts.
     """
     _check_flux(flux)
-    if not expectation and seed is None:
-        raise ConfigError("a seed is required unless expectation mode is set")
+    if not expectation:
+        seed = _seed(seed)
     counts = means = outcome_probabilities(state)
     means *= flux
     if not expectation:
@@ -470,12 +470,9 @@ def read_counts_csv(path, mode_set: ModeSet | None = None,
                     flux: float | None = None) -> CoincidenceDataset:
     if flux is not None:
         _check_flux(flux)
-    with open(path, newline="") as fh:
-        try:
-            line = fh.readline()  # a JSON count file is one line of megabytes
-            header = next(csv.reader([line]))
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise IngestionError(f"malformed CSV header in {path}: {exc}") from exc
+    with _reading("dataset file", path), open(path, newline="") as fh:
+        line = fh.readline()  # a JSON count file is one line of megabytes
+        header = next(csv.reader([line]))
         if header != CSV_HEADER:
             raise IngestionError(f"bad CSV header {line[:200].rstrip()!r}, "
                                  f"expected {','.join(CSV_HEADER)!r}")
@@ -494,11 +491,11 @@ def write_counts_json(dataset: CoincidenceDataset, path) -> None:
 
 
 def read_counts_json(path) -> CoincidenceDataset:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
+    with _reading("dataset file", path), open(path) as fh:
+        payload = json.load(fh)
         mode_set = ModeSet.from_json(payload["modes"])
         flux = _json_array("flux", [payload["flux"]], "number").item()
+        _check_flux(flux)
         expectation = _json_array("expectation", [payload.get("expectation", False)],
                                   "boolean").item()
         entries = list(map(itemgetter(*CSV_HEADER), payload["counts"]))
@@ -506,10 +503,4 @@ def read_counts_json(path) -> CoincidenceDataset:
         kinds = ["integer"] * 4 + ["string"] * 2 + ["number"]
         for name, cells, kind in zip(CSV_HEADER, zip(*entries), kinds):
             rows[name] = _json_array(name, cells, kind, _ROW[name])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IngestionError(f"malformed dataset file {path}: {exc}") from exc
-    try:
-        _check_flux(flux)
-    except ConfigError as exc:  # the bad value is in the file
-        raise IngestionError(f"bad dataset file {path}: {exc}") from exc
     return _dataset([rows], mode_set, flux, expectation)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigError, InvalidModeSetError, _json_array
+from .errors import ConfigError, InvalidModeSetError, _json_array, _reading
 
 __all__ = [
     "ModeIndex",
@@ -65,8 +65,8 @@ class ModeSet:
     @classmethod
     def from_json(cls, data: list[dict]) -> "ModeSet":
         """The mode set of a JSON list of {n, l} entries of integers; a
-        malformed entry raises KeyError, TypeError or ValueError, which
-        readers report as bad input, and a repeated mode InvalidModeSetError."""
+        malformed entry raises KeyError, TypeError or ValueError, and a
+        repeated mode InvalidModeSetError; file readers report both as bad input."""
         n, l = (_json_array(key, [entry[key] for entry in data], "integer").tolist()
                 for key in "nl")
         if min(n, default=0) < 0:
@@ -79,7 +79,7 @@ class ModeSet:
 
     @classmethod
     def load(cls, path) -> "ModeSet":
-        with open(path) as fh:
+        with _reading("mode file", path), open(path) as fh:
             return cls.from_json(json.load(fh))
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (CapacityError, ConfigError, IngestionError, InvalidStateError,
-                     _json_array)
+                     _json_array, _reading)
 from .modes import ModeSet, generic_mode_set
 
 __all__ = [
@@ -360,19 +360,16 @@ def save_state(state, path) -> None:
 
 
 def load_state(path):
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
+    with _reading("state file", path), open(path) as fh:
+        payload = json.load(fh)
         mode_set = ModeSet.from_json(payload["modes"])
         tag = payload["representation"]
         mat = _matrix_from_json(payload["matrix"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IngestionError(f"malformed state file {path}: {exc}") from exc
-    if tag == "correlated":
-        state = CorrelatedState(mat, mode_set)
-    elif tag == "general":
-        state = GeneralTwoPhotonState(mat, mode_set)
-    else:
-        raise IngestionError(f"unknown state representation {tag!r}")
-    state.validate()
+        if tag == "correlated":
+            state = CorrelatedState(mat, mode_set)
+        elif tag == "general":
+            state = GeneralTwoPhotonState(mat, mode_set)
+        else:
+            raise ValueError(f"unknown state representation {tag!r:.100}")
+        state.validate()
     return state

@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, IngestionError, IntegrityError
+from .errors import (CapacityError, ConfigError, IngestionError, IntegrityError,
+                     _seed, _whole)
 from .measurement import (_EIGVECS, _POISSON_MAX, BASES, CoincidenceDataset,
                           _block_probabilities, basis_visibilities,
                           outcome_probabilities, pair_index, pairs)
@@ -177,14 +178,6 @@ def certified_dimension(W: float, D: int) -> int:
     return 1 + int(np.count_nonzero(W - (bound(D, 1) + D * np.arange(D - 1)) > tau))
 
 
-def _whole(count, what: str) -> int:
-    """A trial or resample count as an int: a Python or numpy integer, not a
-    bool (a float, even 3.0, is refused)."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise ConfigError(f"need a whole number of {what}, got {count!r}")
-    return int(count)
-
-
 # A basis is smooth when its visibility sits this many Poisson standard
 # deviations away from the kink of |A - B| at A = B.
 _SMOOTH_SIGMAS = 5.0
@@ -225,7 +218,7 @@ def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
     n_resamples = _whole(n_resamples, "resamples")
     if n_resamples < 2:
         raise ConfigError("need at least 2 resamples")
-    mean, sigma, _ = _bootstrap(dataset.tensor, n_resamples, seed)
+    mean, sigma, _ = _bootstrap(dataset.tensor, n_resamples, _seed(seed))
     return mean, sigma
 
 
@@ -467,6 +460,7 @@ def robustness_study(state, kind: str, n_trials: int,
     n_trials = _whole(n_trials, "trials")
     if n_trials < 1:
         raise ConfigError(f"need a whole number of trials >= 1, got {n_trials!r}")
+    seed = _seed(seed)
     _check_strength(strength_max)
     base = state.embed().rho
     baseline = float(_sv_witness(base[None])[0])
@@ -542,9 +536,7 @@ def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = No
     if n_resamples:
         if dataset is None:
             raise ConfigError("confidence intervals require the counts dataset")
-        if seed is None:
-            raise ConfigError("a seed is required for Monte-Carlo resampling")
-        _, sigma, closed = _bootstrap(dataset.tensor, n_resamples, seed)
+        _, sigma, closed = _bootstrap(dataset.tensor, n_resamples, _seed(seed))
         report.sigma = sigma
         report.n_resamples = n_resamples
         pairs = D * (D - 1) // 2

@@ -90,6 +90,16 @@ def test_simulate_missing_seed_is_config_error(tmp_path):
                       "--output", str(tmp_path / "x.csv")]) == 2
 
 
+def test_simulate_missing_mode_set_is_config_error(capsys):
+    assert exit_code(["simulate", "--profile", "maximal", "--dry-run"]) == 2
+    assert "no mode set given" in capsys.readouterr().err
+
+
+def test_simulate_missing_output_is_config_error(capsys):
+    assert exit_code(["simulate", "--amplitudes", EXAMPLE_AMPS, "--seed", "1"]) == 2
+    assert "--output is required" in capsys.readouterr().err
+
+
 def test_certify_round_trip(runner, tmp_path):
     counts, modes = simulate_example(runner, tmp_path)
     report = tmp_path / "report.json"
@@ -306,6 +316,15 @@ def test_verify_command(runner):
     ]
 
 
+def test_verify_exits_1_when_a_check_fails(monkeypatch, capsys):
+    monkeypatch.setattr("dimwitness.cli.schmidt_rank", lambda rho: 3)
+    assert exit_code(["verify", "--d-max", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL  Schmidt rank of the maximally entangled state" in out
+    assert "all checks passed" not in out
+    assert err == "error: 1 verification check(s) failed\n"
+
+
 def test_report_command(runner, tmp_path):
     counts, modes = simulate_example(runner, tmp_path)
     report = tmp_path / "report.json"
@@ -381,6 +400,13 @@ def test_config_file_defaults(runner, tmp_path):
                        "--output", str(out)])
     assert res.exit_code == 0, res.output
     assert out.exists()
+
+
+def test_config_file_that_holds_no_object_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert exit_code(["--config", str(cfg), "verify", "--d-max", "2"]) == 2
+    assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
 
 
 def test_config_file_rejects_unknown_keys(runner, tmp_path):
@@ -486,7 +512,9 @@ def test_rate_file_accepted(tmp_path):
     ["0,0,25", "1,-1,nan", "2,-2,0.01", "3,-3,0.01"],
     ["0,0,25", "1,-1,inf", "2,-2,0.01", "3,-3,0.01"],
     RATE_ROWS + ["0,0,4"],                      # a mode listed twice
-], ids=["nan", "inf", "duplicate"])
+    ["0,0,25", "1,-1,-1", "2,-2,0.01", "3,-3,0.01"],
+    ["0,0,0", "1,-1,0", "2,-2,0", "3,-3,0"],     # was exit 2
+], ids=["nan", "inf", "duplicate", "negative", "all-zero"])
 def test_bad_rate_file_is_ingestion_error(tmp_path, rows):
     assert exit_code(write_rates(tmp_path, rows)) == 3
 
@@ -749,7 +777,7 @@ def test_json_counts_with_non_integer_mode_is_ingestion_error(runner, tmp_path, 
 
 @pytest.mark.parametrize("command", ["certify", "optimize"])
 # "flux": true used to certify with flux 1.0 and "flux": "1e6" was read as 1e6
-@pytest.mark.parametrize("flux", ["NaN", "-3.0", "0", "true", '"1e6"'])
+@pytest.mark.parametrize("flux", ["NaN", "-3.0", "-1", "0", "true", '"1e6"'])
 def test_json_bad_file_flux_is_ingestion_error(runner, tmp_path, command, flux):
     counts, _ = simulate_example(runner, tmp_path, name="counts.json")
     payload = json.loads(counts.read_text())
@@ -797,7 +825,7 @@ def _json_input(runner, tmp_path, kind):
 
 @pytest.mark.parametrize("case, code", [("truncated", 3), ("missing-key", 3),
                                         ("non-integer", 3), ("negative-n", 3),
-                                        ("duplicate-mode", 2)])
+                                        ("duplicate-mode", 3)])
 @pytest.mark.parametrize("kind", ["mode-file-simulate", "mode-file-certify",
                                   "count-file", "state-file"])
 def test_malformed_json_input_exit_code(runner, tmp_path, kind, case, code):
@@ -820,6 +848,30 @@ def test_malformed_json_input_exit_code(runner, tmp_path, kind, case, code):
     (tmp_path / "out.json").unlink(missing_ok=True)
     assert exit_code(argv) == code
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("representation, matrix", [
+    ("correlated", [[0.5, 0.3], [0.0, 0.5]]),
+    ("correlated", [[1.0, 0.0], [0.0, -0.5]]),
+    ("correlated", [[0.8, 0.0], [0.0, 0.7]]),
+    ("general", np.eye(4) / 8),
+    ("correlated", np.eye(3) / 3),
+    ("general", np.eye(2) / 2),
+    ("mixed", np.eye(2) / 2),
+], ids=["not-hermitian", "negative-eigenvalue", "trace-above-1", "general-trace-not-1",
+        "correlated-shape", "general-shape", "unknown-representation"])
+def test_state_file_of_no_two_mode_state_exits_3(tmp_path, capsys, representation,
+                                                 matrix):
+    # each but the last exited 2, as for a bad option, though the file is at fault
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({
+        "modes": generic_mode_set(2).to_json(), "representation": representation,
+        "matrix": [[[v, 0.0] for v in row] for row in np.asarray(matrix).tolist()]}))
+    out = tmp_path / "counts.csv"
+    assert exit_code(["simulate", "--state-file", str(path), "--seed", "1",
+                      "--output", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: malformed state file {path}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("n", 10 ** 400), ("l", -2 ** 63 - 1)],
@@ -903,16 +955,18 @@ def test_unwritable_output_exits_2(runner, tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag, code", [
+# each way in for an input file, with the exit code of a bad one: every input
+# file exits 3, a --config file 2
+INPUT_FILES = pytest.mark.parametrize("flag, code", [
     ("--config", 2), ("certify-csv", 3), ("certify-json", 3), ("optimize-csv", 3),
     ("optimize-json", 3), ("--mode-file", 3), ("--state-file", 3),
     ("--rate-file", 3), ("report", 3)])
-def test_input_file_that_is_not_utf8_gives_an_error_line(tmp_path, capsys, flag, code):
-    # a config file or the first line of a count CSV used to end in a
-    # UnicodeDecodeError traceback with exit 1
+
+
+def _input_file(tmp_path, flag):
+    """The path of an input file for `flag` and a command line that reads it."""
     name = "bad.csv" if flag.endswith("csv") or flag == "--rate-file" else "bad.json"
     bad = tmp_path / name
-    bad.write_bytes(b"\xff\xfe\xe9 not UTF-8\n")
     out = str(tmp_path / "out.json")
     command, _, _ = flag.partition("-")
     argv = {"--config": ["--config", str(bad), "verify"],
@@ -923,6 +977,28 @@ def test_input_file_that_is_not_utf8_gives_an_error_line(tmp_path, capsys, flag,
                             "--dry-run"],
             "report": ["report", "--input", str(bad), "--per-mode-csv", out],
             }.get(flag, [command, "--input", str(bad), "--output", out])
+    return bad, argv
+
+
+@INPUT_FILES
+def test_input_file_that_is_not_utf8_gives_an_error_line(tmp_path, capsys, flag, code):
+    # a config file or the first line of a count CSV used to end in a
+    # UnicodeDecodeError traceback with exit 1
+    bad, argv = _input_file(tmp_path, flag)
+    bad.write_bytes(b"\xff\xfe\xe9 not UTF-8\n")
+    assert exit_code(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@INPUT_FILES
+def test_directory_given_as_input_file_gives_an_error_line(tmp_path, capsys, flag,
+                                                          code):
+    # --mode-file, --state-file and a count file exited 2, as for a bad option
+    bad, argv = _input_file(tmp_path, flag)
+    bad.mkdir()
     assert exit_code(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err

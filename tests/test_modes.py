@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import dimwitness
-from dimwitness import (ConfigError, InvalidModeSetError, ModeIndex, ModeSet,
-                        enumerate_modes)
+from dimwitness import (ConfigError, IngestionError, InvalidModeSetError, ModeIndex,
+                        ModeSet, enumerate_modes)
 
 
 def test_single_gauss_mode():
@@ -73,7 +73,7 @@ def test_mode_file_numbers_must_be_integers(tmp_path, value):
         ModeSet.from_json([{"n": 0, "l": 0}, {"n": value, "l": 0}])
     path = tmp_path / "modes.json"
     path.write_text(json.dumps([{"n": 0, "l": value}]))
-    with pytest.raises(ValueError):
+    with pytest.raises(IngestionError):
         ModeSet.load(path)
 
 

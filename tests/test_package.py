@@ -25,14 +25,16 @@ def test_all_names_are_the_package_names(name):
 STATE_CLASSES = {"CorrelatedState", "GeneralTwoPhotonState"}
 
 
+def _names(node) -> set:
+    """The names and attribute names in the tree of `node`."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+
+
 def _state_type_checks(path: Path) -> list:
     """Lines of the isinstance calls of a module that name a state class."""
-    def names(node):
-        return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
-
     return [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
-            and len(node.args) == 2 and names(node.args[1]) & STATE_CLASSES]
+            and len(node.args) == 2 and _names(node.args[1]) & STATE_CLASSES]
 
 
 def test_only_states_switches_on_the_state_type():
@@ -57,3 +59,36 @@ def test_only_errors_holds_the_json_value_rule():
     sets = {path.name: _json_type_sets(path)
             for path in sorted(package.glob("*.py")) if path.name != "errors.py"}
     assert {name: lines for name, lines in sets.items() if lines} == {}
+
+
+def _ingestion_handlers(path: Path) -> list:
+    """(function, line) of each except handler of a module that raises
+    IngestionError: a boundary of its own for bad input files."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ExceptHandler) and any(
+                isinstance(n, ast.Raise) and "IngestionError" in _names(n)
+                for n in ast.walk(node)):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(), str(path)), "<module>")
+    return found
+
+
+def test_only_errors_turns_failures_into_ingestion_errors():
+    # errors._reading is the one boundary of the input file readers;
+    # measurement._csv_chunks also renumbers the row of a malformed CSV row
+    # among the file's rows
+    package = Path(dimwitness.__file__).parent
+    assert [f for f, _ in _ingestion_handlers(package / "errors.py")] == ["_reading"]
+    assert [f for f, _ in _ingestion_handlers(package / "measurement.py")] == [
+        "_csv_chunks"]
+    handlers = {path.name: _ingestion_handlers(path)
+                for path in sorted(package.glob("*.py"))
+                if path.name not in ("errors.py", "measurement.py")}
+    assert {name: found for name, found in handlers.items() if found} == {}

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from itertools import combinations
 
 import numpy as np
@@ -97,6 +98,25 @@ def test_constructors_validate():
         correlated_pure(v, generic_mode_set(5)).validate()
     maximally_entangled(6).validate()
     max_witness_state(6, 3).validate()
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: correlated_pure([1.0, 0.0], generic_mode_set(3)), "length 2 does not"),
+    (lambda: DecompositionElement((0, 1), 1.0, [1.0]), "lengths differ"),
+    (lambda: DecompositionElement((0,), 1.5, [1.0]), "weight 1.5 outside"),
+    (lambda: DecompositionElement((0, 1), 1.0, [1.0, 1.0]), "not normalized"),
+    (lambda: state_from_elements([DecompositionElement((0,), 0.5, [1.0])],
+                                 generic_mode_set(2)), "sum to 0.5"),
+    (lambda: state_from_elements([DecompositionElement((2,), 1.0, [1.0])],
+                                 generic_mode_set(2)), "outside the mode set"),
+    (lambda: max_witness_state(3, 0), "need 1 <= d <= D"),
+    (lambda: max_witness_state(3, 4), "need 1 <= d <= D"),
+    (lambda: save_state({}, os.devnull), "cannot serialize object of type dict"),
+], ids=["amplitude-length", "element-lengths", "element-weight", "element-norm",
+        "weights-sum", "element-support", "d-0", "d-above-D", "save-no-state"])
+def test_state_constructors_refuse_bad_input(make, match):
+    with pytest.raises(ConfigError, match=match):
+        make()
 
 
 def test_max_witness_state_full_rank_is_maximally_entangled():

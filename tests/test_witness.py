@@ -162,6 +162,8 @@ def test_incomplete_table_rejected():
     V[pair_index(1, 3, 4)] = np.nan
     with pytest.raises(IngestionError, match=r"\(1, 3\)"):
         VisibilityTable(table.mode_set, V)
+    with pytest.raises(IngestionError, match=r"shape \(5, 3\), expected \(6, 3\)"):
+        VisibilityTable(table.mode_set, V[:5])
 
 
 # --- confidence intervals ----------------------------------------------------
@@ -289,6 +291,10 @@ def test_monte_carlo_needs_resamples():
 def test_per_mode_maximally_entangled():
     out = per_mode_contribution(table_from_state(maximally_entangled(5)))
     assert np.allclose(out, 3.0)
+
+
+def test_per_mode_of_one_mode_is_zero():
+    assert per_mode_contribution(table_from_state(maximally_entangled(1))).tolist() == [0.0]
 
 
 def test_per_mode_example_values():
@@ -555,6 +561,46 @@ def test_report_verdict_is_the_first_greedy_step(name):
     W = witness_sum(table)
     assert report.W == W
     assert report.certified_d == certified_dimension(W, report.D)
+
+
+# --- seeds -------------------------------------------------------------------
+
+def _smooth_counts():
+    """Counts whose pairs all take the closed form, so monte_carlo_ci and
+    build_report draw nothing from the seed."""
+    return simulate_counts(maximally_entangled(3), 1e6, expectation=True)
+
+
+# every library entry point that draws from a seed
+SEEDED_ENTRY_POINTS = {
+    "simulate_counts": lambda seed: simulate_counts(maximally_entangled(3), 1e3,
+                                                    seed=seed),
+    "monte_carlo_ci": lambda seed: monte_carlo_ci(_smooth_counts(), 20, seed),
+    "build_report": lambda seed: build_report(table_from_dataset(_smooth_counts()),
+                                              dataset=_smooth_counts(),
+                                              n_resamples=20, seed=seed),
+    "robustness_study": lambda seed: robustness_study(maximally_entangled(2), "both",
+                                                      2, 0.1, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.0, -1, np.int64(-1)],
+                         ids=["None", "True", "1.0", "-1", "np-1"])
+@pytest.mark.parametrize("entry", list(SEEDED_ENTRY_POINTS))
+def test_seed_must_be_a_whole_number_of_at_least_0(entry, seed):
+    # None, negative and float seeds ended in numpy's TypeError or ValueError,
+    # True sampled as seed 1, and with every pair in closed form monte_carlo_ci
+    # took None
+    with pytest.raises(ConfigError, match="seed that is a whole number >= 0"):
+        SEEDED_ENTRY_POINTS[entry](seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63, np.uint64(2 ** 64 - 1), 2 ** 70])
+def test_seeds_of_any_size_keep_their_streams(seed):
+    state = maximally_entangled(3)
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 1)))
+    assert np.array_equal(simulate_counts(state, 1e3, seed=seed).tensor,
+                          rng.poisson(outcome_probabilities(state) * 1e3))
 
 
 # --- ROADMAP item 1: states outside the correlated class ---------------------
