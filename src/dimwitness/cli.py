@@ -275,8 +275,7 @@ def optimize(input_path, mode_file, flux, output):
                    "best_subset": result.best_subset,
                    "best_certified_d": result.best_d}
         with open(output, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
         with open(output, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -302,8 +301,7 @@ def robustness(state, kind, trials, strength_max, seed, output):
                "fraction_non_increasing": result.fraction_non_increasing,
                "trials": [[s, w] for s, w in result.trials]}
     with open(output, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
     click.echo(f"baseline W = {result.baseline:.6g}, non-increasing fraction "
                f"= {result.fraction_non_increasing:.3f}")
 

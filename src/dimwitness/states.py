@@ -355,8 +355,7 @@ def save_state(state, path) -> None:
         "matrix": _matrix_to_json(mat),
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_state(path):

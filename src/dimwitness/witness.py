@@ -151,11 +151,14 @@ def witness_correlated(coeffs: np.ndarray):
     return float(W) if W.ndim == 0 else W
 
 
-def bound(D: int, d: int) -> int:
-    """Witness threshold for rank-d states: 3 D(D-1)/2 - D(D-d)."""
-    if not 1 <= d <= D:
+def bound(D, d):
+    """Witness threshold for rank-d states: 3 D(D-1)/2 - D(D-d); works
+    elementwise on integer arrays, and gives an int for scalars."""
+    ok = (1 <= d) & (d <= D)
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
         raise ConfigError(f"need 1 <= d <= D, got d={d}, D={D}")
-    return 3 * D * (D - 1) // 2 - D * (D - d)
+    t = 3 * D * (D - 1) // 2 - D * (D - d)
+    return t if isinstance(t, np.ndarray) else int(t)
 
 
 # W sums n = D(D-1)/2 pairs, and rounding alone moves a sum of n terms by up
@@ -167,15 +170,29 @@ def bound(D: int, d: int) -> int:
 _TAU_PER_PAIR = np.finfo(float).eps
 
 
-def certified_dimension(W: float, D: int) -> int:
+def certified_dimension(W, D):
     """Largest d with W above bound(D, d-1) by more than tau = n eps |W|
     (n = D(D-1)/2 pairs, see _TAU_PER_PAIR); 1 when nothing is certified.
-    The bounds rise with d, so this d is 1 plus the number of bounds
-    bound(D, 1), ..., bound(D, D-1) that W clears."""
-    if D < 2 or not np.isfinite(W):
+    Works elementwise on arrays of W and D, and gives an int for scalars.
+
+    The bounds bound(D, 1), ..., bound(D, D-1) rise by D per dimension, and
+    W - bound falls as the bound rises, so W clears the first c of them and
+    d = c + 1.  A guess of c from bound(D, 1) is moved by comparing W with
+    the bounds on either side of it until it is c.
+    """
+    W, D = np.asarray(W, dtype=float), np.asarray(D)
+    if (D < 2).any() or not np.isfinite(W).all():
         raise ConfigError("need finite W and D >= 2")
-    tau = _TAU_PER_PAIR * (D * (D - 1) // 2) * abs(W)
-    return 1 + int(np.count_nonzero(W - (bound(D, 1) + D * np.arange(D - 1)) > tau))
+    tau = _TAU_PER_PAIR * (D * (D - 1) // 2) * np.abs(W)
+    first, top = bound(D, 1), D - 1
+    c = np.minimum(np.maximum(np.ceil((W - tau - first) / D), 0), top)
+    while True:
+        up = (c < top) & (W - (first + D * c) > tau)
+        down = (c > 0) & ~(W - (first + D * (c - 1)) > tau)
+        if not (up.any() or down.any()):
+            d = (c + 1).astype(np.int64)
+            return int(d) if d.ndim == 0 else d
+        c = c + up - down
 
 
 # A basis is smooth when its visibility sits this many Poisson standard
@@ -218,29 +235,31 @@ def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
     n_resamples = _whole(n_resamples, "resamples")
     if n_resamples < 2:
         raise ConfigError("need at least 2 resamples")
-    mean, sigma, _ = _bootstrap(dataset.tensor, n_resamples, _seed(seed))
-    return mean, sigma
+    rough_mean, sigma, closed = _bootstrap(dataset.tensor, n_resamples, _seed(seed))
+    return float(basis_visibilities(dataset.tensor[closed]).sum() + rough_mean), sigma
 
 
 def _bootstrap(counts: np.ndarray, n_resamples: int, seed: int):
-    """:func:`monte_carlo_ci` of a complete count tensor; also returns the
-    number of closed-form pairs."""
+    """:func:`monte_carlo_ci` of a complete count tensor but for the
+    closed-form pairs' mean: returns the resampled pairs' mean W (0 when no
+    pair is resampled), the standard deviation of W and the mask of the
+    closed-form pairs."""
     closed, var = _closed_form(counts)
-    mean = basis_visibilities(counts[closed]).sum()
     variance = var[closed].sum()
     rough = counts[~closed]
     if rough.max(initial=0.0) > _POISSON_MAX:
         raise CapacityError(f"count {rough.max():.6g} of a resampled pair is above "
                             f"{_POISSON_MAX:.6g}, the largest Poisson mean that "
                             f"can be sampled")
+    mean = 0.0
     if len(rough):
         ws = np.empty(n_resamples)
         for i in range(n_resamples):
             rng = np.random.default_rng(np.random.SeedSequence((seed, 2, i)))
             ws[i] = basis_visibilities(rng.poisson(rough)).sum()
-        mean += ws.mean()
+        mean = ws.mean()
         variance += ws.var(ddof=1)
-    return float(mean), float(np.sqrt(variance)), int(closed.sum())
+    return mean, float(np.sqrt(variance)), closed
 
 
 def per_mode_contribution(table: VisibilityTable) -> np.ndarray:
@@ -280,35 +299,47 @@ def greedy_subset(table: VisibilityTable) -> GreedyResult:
     ranked by running row sums; where the lowest is tied within rounding,
     the tied modes' mean summed visibilities decide, and of equal means the
     first mode goes.
+
+    The loop only decides the order of removal.  A pair counts up to the
+    step at which the first of its two modes leaves, so the W of every step
+    is one reverse cumulative sum of the pairs' summed visibilities, binned
+    by that step.  The full set's W is summed in pair order, as
+    :func:`witness_sum` sums it; the later steps' W differ from
+    :func:`witness_sum` of their subsets in the last digits only.
     """
-    if table.mode_set.D < 2:
-        raise ConfigError(f"greedy subset search needs D >= 2, got D={table.mode_set.D}")
+    D = table.mode_set.D
+    if D < 2:
+        raise ConfigError(f"greedy subset search needs D >= 2, got D={D}")
     S = table.S
-    # the pairs (k, l) of the surviving modes and their summed visibilities,
-    # in (k, l) order
-    k, l = pairs(len(S))
+    k, l = pairs(D)
     upper = S[k, l]
-    active = np.arange(len(S))
+    W0 = _ordered_sum(upper)
+    if not np.isfinite(W0):
+        raise ConfigError(f"need finite W, got W = {W0} for all {D} modes")
+    active = np.arange(D)
     rs = S.sum(axis=1)  # the surviving modes' summed visibilities
-    tie = _TIE_ULPS * len(S) ** 2 * np.finfo(float).eps * np.abs(S).max()
-    trajectory, subsets = [], []
-    while len(active) >= 2:
-        W = _ordered_sum(upper)
-        d = certified_dimension(W, len(active))
-        trajectory.append((len(active), d, W))
-        subsets.append(active.tolist())
-        if len(active) == 2:
-            break
+    tie = _TIE_ULPS * D ** 2 * np.finfo(float).eps * np.abs(S).max()
+    leave = np.full(D, D - 2)  # the last step of each mode; two stay to the end
+    subsets = [active.tolist()]
+    for step in range(D - 2):
         # a NaN or inf sum ties every mode, as it would have no order
-        tied = np.flatnonzero(~(rs > rs.min() + tie))
+        # (argmin finds the first NaN, as min returns it)
+        tied = (~(rs > rs[rs.argmin()] + tie)).nonzero()[0]
         i = tied[0]
         if len(tied) > 1:
             i = tied[np.argmin(_row_means(S[np.ix_(active[tied], active)], tied))]
         weakest = active[i]
-        active, rs = np.delete(active, i), np.delete(rs, i)
-        rs -= S[active, weakest]
-        keep = (k != weakest) & (l != weakest)
-        k, l, upper = k[keep], l[keep], upper[keep]
+        leave[weakest] = step
+        keep = active != weakest
+        active, rs = active[keep], rs[keep]
+        rs -= S[weakest][active]
+        subsets.append(active.tolist())
+    W = np.cumsum(np.bincount(np.minimum(leave[k], leave[l]), weights=upper,
+                              minlength=D - 1)[::-1])[::-1]
+    W[0] = W0
+    sizes = np.arange(D, 1, -1)
+    trajectory = list(zip(sizes.tolist(),
+                          certified_dimension(W, sizes).tolist(), W.tolist()))
     best_i = max(range(len(trajectory)),
                  key=lambda i: (trajectory[i][1], trajectory[i][0]))
     return GreedyResult(trajectory, subsets, subsets[best_i],
@@ -505,8 +536,7 @@ class WitnessReport:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json(), sort_keys=True) + "\n")
 
 
 def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = None,
@@ -539,7 +569,7 @@ def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = No
         _, sigma, closed = _bootstrap(dataset.tensor, n_resamples, _seed(seed))
         report.sigma = sigma
         report.n_resamples = n_resamples
-        pairs = D * (D - 1) // 2
+        pairs, closed = D * (D - 1) // 2, int(closed.sum())
         report.notes.append(f"sigma: closed form on {closed} of {pairs} pairs, "
                             f"{n_resamples} resamples on {pairs - closed}")
     return report

@@ -200,24 +200,27 @@ def _paper_pipeline_digests(tmp_path, monkeypatch, *simulate_flags):
 
 
 def test_paper_pipeline_keeps_its_bytes(tmp_path, monkeypatch):
-    # the digests were taken before the count reader and the greedy search
-    # were vectorized, so a speed-up that moves a byte of a seeded output
-    # fails here
+    # the counts and report digests were taken before the count reader and
+    # the greedy search were vectorized, so a speed-up that moves a byte of a
+    # seeded output fails here; the trajectory digest was taken when the
+    # greedy began to sum the W of its later steps as one reverse cumulative
+    # sum, which moved the last digits of those W and nothing else
     assert _paper_pipeline_digests(tmp_path, monkeypatch, "--seed", "7") == {
         "counts.csv": "13bdcf5fde144a35abdde88d8b2c175ee04bf3820b52db257dccca5174d59ad5",
         "report.json": "123216b571c204c68127e4703d8c66c6475dd4618a0877abd12649e8834b6baf",
-        "trajectory.json": "035f0c57f09e6e560f7b51a4a6c4dde93ded77810c2c1e85097344658d67bb35",
+        "trajectory.json": "004a0135358e4bf588a78d7a026d354e4aecb63e106305e7e91ae31edbf9e867",
     }
 
 
 def test_expectation_pipeline_keeps_its_bytes(tmp_path, monkeypatch):
     # the same command lines on exact expected counts, so the CSV writer's
-    # fractional counts are pinned as well as its whole ones; the digests
-    # were taken before the CSV writer used one row template per pair
+    # fractional counts are pinned as well as its whole ones; the counts and
+    # report digests were taken before the CSV writer used one row template
+    # per pair, the trajectory digest as in the test above
     assert _paper_pipeline_digests(tmp_path, monkeypatch, "--expectation") == {
         "counts.csv": "f9d66e017f856d8acb65a4bd86bffd835d4578fabbe3797730877a260bce0cbe",
         "report.json": "0c419e15fc7af214d811298490c843d03eecc27f20943dc00c600a8cb909cd95",
-        "trajectory.json": "a5494efec61cee56f7345737c7418df674c82bf7f188bcfd893864d7556b32ae",
+        "trajectory.json": "56aca7b9189a5a6f825be650c8c62a899c8dd5686a1a9c90876d301975cd2a1a",
     }
 
 

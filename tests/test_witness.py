@@ -103,6 +103,50 @@ def test_certified_dimension_equals_the_bound_loop(D):
         assert certified_dimension(W, D) == _certified_dimension_loop(W, D)
 
 
+def _verdict_cases(D, rng):
+    """W on, just below and just above each bound, near its rounding
+    margin, and at random."""
+    b = np.array([bound(D, d) for d in range(1, D + 1)], dtype=float)
+    tau = _tau(b, D)
+    return np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                           b + tau / 2, b + 2 * tau, b - 0.5, b + 0.5,
+                           rng.uniform(-1.0, 1.1 * b[-1], 50), [0.0, 1e18]])
+
+
+def test_certified_dimension_works_elementwise():
+    rng = np.random.default_rng(60)
+    cases = {D: _verdict_cases(D, rng) for D in range(2, 61)}
+    loops = {D: [_certified_dimension_loop(W, D) for W in Ws.tolist()]
+             for D, Ws in cases.items()}
+    for D, Ws in cases.items():  # one D for all W
+        assert certified_dimension(Ws, D).tolist() == loops[D]
+    Ws = np.concatenate(list(cases.values()))
+    Ds = np.concatenate([np.full(len(W), D) for D, W in cases.items()])
+    d = certified_dimension(Ws.reshape(-1, 1), Ds.reshape(-1, 1))
+    assert d.shape == (len(Ws), 1)
+    assert d.ravel().tolist() == [d for D in cases for d in loops[D]]
+    with pytest.raises(ConfigError, match="finite W"):
+        certified_dimension(np.append(Ws, np.inf), np.append(Ds, 4))
+    with pytest.raises(ConfigError, match="D >= 2"):
+        certified_dimension(Ws, np.where(Ds == 30, 1, Ds))
+
+
+def test_scalar_verdicts_and_bounds_are_ints():
+    for W, D in [(35529.0, 186), (np.float64(6.12), np.int64(3)), (np.float64(0.0), 4)]:
+        assert type(certified_dimension(W, D)) is int
+        assert type(bound(D, 2)) is int
+    assert certified_dimension(np.float64(35529.0), np.int64(186)) == 100
+
+
+def test_bound_works_elementwise():
+    D = np.array([2, 4, 7, 186, 186])
+    d = np.array([1, 3, 7, 99, 186])
+    assert bound(D, d).tolist() == [bound(int(a), int(b)) for a, b in zip(D, d)]
+    assert bound(186, np.arange(98, 101)).tolist() == [35247, 35433, 35619]
+    with pytest.raises(ConfigError):
+        bound(D, d + (D == 7))
+
+
 @pytest.mark.parametrize("D", range(2, 41))
 def test_saturating_states_certify_their_own_dimension(D):
     # max_witness_state(D, d) has Schmidt number d and W on bound(D, d); the
@@ -335,6 +379,17 @@ def test_report_builds_the_summed_visibility_matrix_once():
     assert not S.flags.writeable
     with pytest.raises(ValueError):
         S[0, 1] = 0.0
+
+
+@pytest.mark.parametrize("where", [0, 7, 27])
+def test_greedy_refuses_an_infinite_visibility(where):
+    V = np.random.default_rng(5).uniform(0.0, 1.0, (28, 3))
+    V[where, 1] = np.inf
+    table = VisibilityTable(generic_mode_set(8), V)
+    with pytest.raises(ConfigError, match="need finite W"):
+        greedy_subset(table)
+    with pytest.raises(ConfigError, match="need finite W"):
+        build_report(table)
 
 
 @pytest.mark.parametrize("D", [0, 1])
@@ -683,19 +738,56 @@ def ref_per_mode(table, indices=None):
     return out
 
 
-def ref_greedy(table):
-    active = list(range(table.mode_set.D))
-    trajectory, subsets = [], []
-    while len(active) >= 2:
-        W = ref_witness_sum(table, active)
-        trajectory.append((len(active), certified_dimension(W, len(active)), W))
-        subsets.append(list(active))
-        if len(active) == 2:
-            break
-        active.pop(int(np.argmin(ref_per_mode(table, active))))
+def ref_step_witness(table, subsets):
+    """W of each step of a greedy trajectory by the greedy's rule.  Each
+    pair's summed visibility goes, in pair order, into the bin of its last
+    step (the last one that holds both its modes), and a step's W adds the
+    bins from the last step back to it; the first step's W is the full
+    set's, added in pair order."""
+    D = table.mode_set.D
+    last = {m: s for s, sub in enumerate(subsets) for m in sub}
+    bins = [0.0] * len(subsets)
+    for k in range(D):
+        for l in range(k + 1, D):
+            bins[min(last[k], last[l])] += ref_sv(table, k, l)
+    Ws, total = [], 0.0
+    for b in reversed(bins):
+        total += b
+        Ws.insert(0, total)
+    Ws[0] = ref_witness_sum(table)
+    return Ws
+
+
+def ref_trajectory(table, subsets):
+    """The greedy's result from its subsets: each step's (D', d, W) by
+    :func:`ref_step_witness`, and the best step."""
+    trajectory = [(len(sub), certified_dimension(W, len(sub)), W)
+                  for sub, W in zip(subsets, ref_step_witness(table, subsets))]
     best_i = max(range(len(trajectory)),
                  key=lambda i: (trajectory[i][1], trajectory[i][0]))
     return trajectory, subsets, subsets[best_i], trajectory[best_i][1]
+
+
+def ref_greedy(table):
+    active = list(range(table.mode_set.D))
+    subsets = [list(active)]
+    while len(active) > 2:
+        active.pop(int(np.argmin(ref_per_mode(table, active))))
+        subsets.append(list(active))
+    return ref_trajectory(table, subsets)
+
+
+def assert_step_witness_near_subset_sums(table, res):
+    """Each step's W is a sum of the n_s summed visibilities of its subset's
+    pairs in another order than witness_sum's.  Each of the two sums is
+    within (n_s - 1) u sum|x| of the exact one, u = eps / 2 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 4.2),
+    so they are within (n_s - 1) eps W_s of each other (the V are >= 0)."""
+    assert (table.V >= 0).all()
+    for (size, _, W), sub in zip(res.trajectory, res.subsets):
+        n = size * (size - 1) // 2
+        W_sub = witness_sum(table.subset(sub))
+        assert abs(W - W_sub) <= (n - 1) * np.finfo(float).eps * W_sub, size
 
 
 def ref_estimate(dataset, k, l):
@@ -778,6 +870,7 @@ def test_array_sums_equal_reference_loops(D):
     res = greedy_subset(table)
     assert (res.trajectory, res.subsets, res.best_subset, res.best_d) == \
         ref_greedy(table)
+    assert_step_witness_near_subset_sums(table, res)
 
 
 def tied_table(kind, D=12):
@@ -798,6 +891,7 @@ def test_greedy_on_tied_tables_equals_reference_loop(kind):
     res = greedy_subset(table)
     assert (res.trajectory, res.subsets, res.best_subset, res.best_d) == \
         ref_greedy(table)
+    assert_step_witness_near_subset_sums(table, res)
     means = [ref_per_mode(table, sub) for sub in res.subsets[:-1]]
     assert any(np.count_nonzero(m == m.min()) > 1 for m in means)
     if kind == "equal":  # a tie drops the first of the tied modes
@@ -820,23 +914,13 @@ def previous_greedy(table):
     S = np.zeros((D, D))
     S[np.triu_indices(D, 1)] = V[:, 0] + V[:, 1] + V[:, 2]
     S += S.T
-    k, l = np.triu_indices(D, 1)
-    upper = S[k, l]
     active = list(range(D))
-    trajectory, subsets = [], []
-    while len(active) >= 2:
+    subsets = [list(active)]
+    while len(active) > 2:
         sub = S[np.ix_(active, active)]
-        W = np.cumsum(upper)[-1]
-        trajectory.append((len(active), certified_dimension(W, len(active)), W))
+        active.pop(int(np.argmin(previous_row_means(sub))))
         subsets.append(list(active))
-        if len(active) == 2:
-            break
-        weakest = active.pop(int(np.argmin(previous_row_means(sub))))
-        keep = (k != weakest) & (l != weakest)
-        k, l, upper = k[keep], l[keep], upper[keep]
-    best_i = max(range(len(trajectory)),
-                 key=lambda i: (trajectory[i][1], trajectory[i][0]))
-    return trajectory, subsets, subsets[best_i], trajectory[best_i][1]
+    return ref_trajectory(table, subsets)
 
 
 def test_greedy_breaks_a_rounded_tie_as_the_row_means_do():
@@ -851,6 +935,7 @@ def test_greedy_breaks_a_rounded_tie_as_the_row_means_do():
     res = greedy_subset(table)
     assert (res.trajectory, res.subsets, res.best_subset, res.best_d) == \
         previous_greedy(table)
+    assert_step_witness_near_subset_sums(table, res)
     assert res.best_d == 170
     S = np.zeros((186, 186))
     S[np.triu_indices(186, 1)] = table.V.sum(axis=1)
@@ -864,6 +949,14 @@ def test_greedy_breaks_a_rounded_tie_as_the_row_means_do():
     assert previous_row_means(S[np.ix_(tied, tied)]).tolist() == [3.0] * 12
     assert len(set(rs[tied].tolist())) > 1
     assert res.subsets[175] == tied[1:]
+
+
+def test_greedy_equals_the_previous_search_at_D300():
+    table = random_table(300, np.random.default_rng(300))
+    res = greedy_subset(table)
+    assert (res.trajectory, res.subsets, res.best_subset, res.best_d) == \
+        previous_greedy(table)
+    assert [len(sub) for sub in res.subsets] == list(range(300, 1, -1))
 
 
 @pytest.mark.parametrize("sub", [[5, 1, 6, 2], [0, 7], list(range(8))])
