@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import csv
 import functools
+import importlib
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import click
 import numpy as np
@@ -23,15 +25,32 @@ from click.core import ParameterSource
 from . import __version__
 from .errors import (_JSON_KINDS, ConfigError, DimWitnessError, IngestionError,
                      _json_array, _reading)
-from .modes import ModeSet, enumerate_modes, generic_mode_set
-from .states import (amplitudes_from_rates, correlated_pure, load_state,
-                     max_witness_state, maximally_entangled, spdc_profile)
-from .measurement import (_count_str, read_counts_csv, read_counts_json,
-                          simulate_counts, write_counts_csv, write_counts_json)
-from .witness import (bound, build_report, certified_dimension, greedy_subset,
-                      robustness_study, table_from_dataset, table_from_state,
-                      witness_sum)
-from .oracle import brute_force_sv_witness, schmidt_rank
+
+# The other package modules are imported inside the commands and helpers that
+# call them, so that a command compiles and runs only the modules it uses.
+if TYPE_CHECKING:
+    from .modes import ModeSet
+
+# Where each package name the commands call lives.  `cli.<name>` looks it up
+# there on every access (PEP 562), so it is the function a command would call
+# now, a patched one included.
+_CALLED = {name: module for module, names in {
+    "modes": ("ModeSet", "enumerate_modes", "generic_mode_set"),
+    "states": ("amplitudes_from_rates", "correlated_pure", "load_state",
+               "max_witness_state", "maximally_entangled", "spdc_profile"),
+    "measurement": ("_count_str", "read_counts_csv", "read_counts_json",
+                    "simulate_counts", "write_counts_csv", "write_counts_json"),
+    "witness": ("bound", "build_report", "certified_dimension", "greedy_subset",
+                "robustness_study", "table_from_dataset", "table_from_state",
+                "witness_sum"),
+    "oracle": ("brute_force_sv_witness", "schmidt_rank"),
+}.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _CALLED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_CALLED[name]}", __package__), name)
 
 
 # the JSON kind of a config value, by the type of the option that takes it;
@@ -79,6 +98,7 @@ def cli():
 
 
 def _mode_set(l_max, n_max, mode_file, fallback_D=None) -> ModeSet:
+    from .modes import ModeSet, enumerate_modes, generic_mode_set
     if mode_file:
         return ModeSet.load(mode_file)
     if l_max is not None or n_max is not None:
@@ -89,6 +109,7 @@ def _mode_set(l_max, n_max, mode_file, fallback_D=None) -> ModeSet:
 
 
 def _rate_amplitudes(path, modes: ModeSet) -> np.ndarray:
+    from .states import amplitudes_from_rates
     rates = {}
     with _reading("rate table", path), open(path, newline="") as fh:
         for row in csv.DictReader(fh):
@@ -137,6 +158,7 @@ def _state_input(command):
     @functools.wraps(command)
     def with_state(l_max, n_max, mode_file, state_file, profile, amplitudes,
                    rate_file, lambda_l, lambda_n, **options):
+        from .states import correlated_pure, load_state, maximally_entangled, spdc_profile
         sources = _given("state_file", "amplitudes", "rate_file", "profile")
         if len(sources) > 1:
             raise ConfigError(f"{' and '.join(sources)} each give a state; use one")
@@ -191,6 +213,7 @@ def _state_input(command):
 @click.option("--output", type=click.Path(), default=None, help=_BY_NAME)
 def simulate(state, flux, expectation, seed, share_populations, dry_run, output):
     """Simulate the coincidence counts of a full measurement run."""
+    from .measurement import simulate_counts, write_counts_csv, write_counts_json
     D = state.mode_set.D
     n_meas = 12 * D * (D - 1) // 2
     if dry_run:
@@ -212,6 +235,8 @@ def _is_json(path) -> bool:
 
 def _load_dataset(path, mode_file, flux):
     """The dataset and the notes its reading leaves for the report."""
+    from .measurement import _count_str, read_counts_csv, read_counts_json
+    from .modes import ModeSet
     if _is_json(path):
         # a config file's defaults may name them; only flags are refused
         given = _given("mode_file", "flux")
@@ -241,6 +266,7 @@ def _load_dataset(path, mode_file, flux):
 @click.option("--output", type=click.Path(), required=True)
 def certify(input_path, mode_file, flux, resamples, seed, subset, output):
     """Estimate visibilities, compute W and certify the dimensionality."""
+    from .witness import build_report, table_from_dataset
     ds, notes = _load_dataset(input_path, mode_file, flux)
     table = table_from_dataset(ds)
     if subset:
@@ -267,6 +293,7 @@ def certify(input_path, mode_file, flux, resamples, seed, subset, output):
 @click.option("--output", type=click.Path(), required=True, help=_BY_NAME)
 def optimize(input_path, mode_file, flux, output):
     """Greedy mode-subset search maximizing the certified dimension."""
+    from .witness import greedy_subset, table_from_dataset
     ds, _ = _load_dataset(input_path, mode_file, flux)
     result = greedy_subset(table_from_dataset(ds))
     if _is_json(output):
@@ -296,6 +323,7 @@ def optimize(input_path, mode_file, flux, output):
 def robustness(state, kind, trials, strength_max, seed, output):
     """Perturbation sweep: how measurement and correlation imperfections
     move the witness."""
+    from .witness import robustness_study
     result = robustness_study(state, kind, trials, strength_max, seed)
     payload = {"kind": result.kind, "baseline": result.baseline,
                "fraction_non_increasing": result.fraction_non_increasing,
@@ -312,6 +340,10 @@ def robustness(state, kind, trials, strength_max, seed, output):
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def verify(d_max, seed):
     """Cross-check the fast paths against the brute-force oracle."""
+    from .modes import generic_mode_set
+    from .oracle import brute_force_sv_witness, schmidt_rank
+    from .states import correlated_pure, max_witness_state
+    from .witness import bound, certified_dimension, table_from_state, witness_sum
     failures = 0
 
     def check(name, ok):
@@ -368,7 +400,7 @@ def report(input_path, per_mode_csv, trajectory_csv):
             _json_array("subset_trajectory", [x for step in trajectory for x in step],
                         "integer")
     if trajectory_csv and trajectory is None:
-        raise IngestionError("report holds no subset trajectory")
+        raise IngestionError(f"report {input_path} holds no subset trajectory")
     if per_mode_csv:
         with open(per_mode_csv, "w", newline="") as fh:
             w = csv.writer(fh)

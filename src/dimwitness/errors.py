@@ -92,12 +92,16 @@ def _json_array(name: str, values, kind: str, dtype=None) -> np.ndarray:
 @contextmanager
 def _reading(what: str, path):
     """The boundary of every input file reader: failing to open `path` or to
-    accept what it holds, a constructor's ConfigError included, raises
-    IngestionError "malformed <what> <path>: ..." (exit 3).  CapacityError
-    and IngestionError pass through."""
+    accept what it holds, a constructor's ConfigError or IngestionError
+    included, raises IngestionError "malformed <what> <path>: ..." (exit 3).
+    An IngestionError that names `path` already and CapacityError pass
+    through."""
     try:
         yield
-    except (OSError, KeyError, TypeError, ValueError, csv.Error, ConfigError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, csv.Error, ConfigError,
+            IngestionError) as exc:
+        if isinstance(exc, IngestionError) and f" {path}: " in str(exc):
+            raise
         raise IngestionError(f"malformed {what} {path}: {exc}") from exc
 
 

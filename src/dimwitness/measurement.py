@@ -287,18 +287,22 @@ _PAIR_OBJECTS = "".join(f'{{"basis": "{b}", "count": %s, %s, "outcome": "{o}"}},
 _WRITE_PAIRS = 1024
 
 
-def _fill(fh, dataset: CoincidenceDataset, rows: str, pair: str, ints: bool,
+def _fill(fh, dataset: CoincidenceDataset, rows: str, pair: tuple, ints: bool,
           count_first: bool = False, cut: int = 0) -> None:
     """Write `rows` filled for every pair of `dataset`, `_WRITE_PAIRS` pairs
-    per %: a row takes its pair's string, `pair` formatted with (na, la, nb,
-    lb), and its count, as an int where `ints` and the count is whole (with
-    `count_first`, the count comes first).  The last `cut` characters are
-    left out."""
-    nl = np.array([(m.n, m.l) for m in dataset.mode_set.modes],
-                  dtype=np.int64).reshape(-1, 2)
+    per %: a row takes its pair's label and its count, as an int where `ints`
+    and the count is whole (with `count_first`, the count comes first).  The
+    label of the pair (a, b) joins the pieces of `pair`, each formatted with
+    the n and l of mode a (first, third, ... piece) or b (the others); each
+    piece is formatted once per mode.  The last `cut` characters are left
+    out."""
+    pieces = [np.array([piece.format(n=m.n, l=m.l) for m in dataset.mode_set.modes],
+                       dtype=object) for piece in pair]
     k, l = pairs(dataset.mode_set.D)
     for s in _slices(len(k), _WRITE_PAIRS):
-        labels = list(map(pair.format, *nl[k[s]].T.tolist(), *nl[l[s]].T.tolist()))
+        ends = (k[s], l[s])
+        labels = list(map("".join, zip(*(strings[ends[i % 2]].tolist()
+                                         for i, strings in enumerate(pieces)))))
         values = dataset.tensor[s].reshape(-1)
         fields = [None] * (2 * len(values))
         fields[count_first::2] = chain.from_iterable(
@@ -313,7 +317,7 @@ def write_counts_csv(dataset: CoincidenceDataset, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
         # _count_str of every value: whole numbers as ints
-        _fill(fh, dataset, _PAIR_ROWS, "{0},{1},{2},{3},", ints=True)
+        _fill(fh, dataset, _PAIR_ROWS, ("{n},{l},", "{n},{l},"), ints=True)
 
 
 def _mode(n: int, l: int):
@@ -485,7 +489,8 @@ def write_counts_json(dataset: CoincidenceDataset, path) -> None:
     with open(path, "w") as fh:  # "counts" sorts first; the last separator is cut
         fh.write('{"counts": [')
         # sampled counts are written as ints, expectation values as floats
-        _fill(fh, dataset, _PAIR_OBJECTS, '"la": {1}, "lb": {3}, "na": {0}, "nb": {2}',
+        _fill(fh, dataset, _PAIR_OBJECTS,
+              ('"la": {l}, ', '"lb": {l}, ', '"na": {n}, ', '"nb": {n}'),
               ints=not dataset.expectation, count_first=True, cut=2)
         fh.write("], " + rest[1:] + "\n")
 
@@ -503,4 +508,4 @@ def read_counts_json(path) -> CoincidenceDataset:
         kinds = ["integer"] * 4 + ["string"] * 2 + ["number"]
         for name, cells, kind in zip(CSV_HEADER, zip(*entries), kinds):
             rows[name] = _json_array(name, cells, kind, _ROW[name])
-    return _dataset([rows], mode_set, flux, expectation)
+        return _dataset([rows], mode_set, flux, expectation)

@@ -23,8 +23,6 @@ from .measurement import (_EIGVECS, _POISSON_MAX, BASES, CoincidenceDataset,
                           _block_probabilities, basis_visibilities,
                           outcome_probabilities, pair_index, pairs)
 from .modes import ModeSet
-from .oracle import _sv_witness
-from .states import _check_strength, _cut_blocks, _draw_perturbation, _perturb
 
 __all__ = [
     "VisibilityTable",
@@ -348,6 +346,8 @@ def greedy_subset(table: VisibilityTable) -> GreedyResult:
 
 # ---------------------------------------------------------------------------
 # Robustness: perturbed states and perturbed (non-orthogonal) projections.
+# These functions import their `states` and `oracle` helpers when called, so
+# that certifying counts compiles neither module.
 
 # crosstalk of a perturbed frame, relative to its phase error
 _LEAK_FRACTION = 0.3
@@ -398,6 +398,7 @@ def _seen_witness(rho: np.ndarray, frames: np.ndarray) -> np.ndarray:
     probabilities are the ideal ones of the seen state
     (F_A x F_B)^+ rho (F_A x F_B), each divided by |F_A u_s|^2 |F_B u_t|^2.
     """
+    from .states import _cut_blocks
     n, _, D, _ = frames.shape
     K = (frames[:, 0, :, None, :, None] * frames[:, 1, None, :, None, :]
          ).reshape(n, D * D, D * D)                 # kron(F_A, F_B)
@@ -422,6 +423,7 @@ def witness_with_perturbed_projectors(state, strength: float,
     Each photon gets one perturbed frame F for the whole run (see
     :func:`_frames`); the state is scored by :func:`_seen_witness`.
     """
+    from .states import _check_strength
     s = _check_strength(strength)
     return float(_score_trials("projector", state.embed().rho, np.array([s]), [rng])[0])
 
@@ -444,6 +446,8 @@ def _score_trials(kind: str, base: np.ndarray, strength: np.ndarray,
     (kinds "projector" and "both").  Frames that overflow float64 are
     refused.
     """
+    from .oracle import _sv_witness
+    from .states import _draw_perturbation, _perturb
     n, D = len(strength), math.isqrt(base.shape[-1])
     perturbs, measures = kind != "projector", kind != "state"
     G = np.empty((n, D * D - D, D * D - D), dtype=complex)
@@ -486,6 +490,8 @@ def robustness_study(state, kind: str, n_trials: int,
     (this sweep's scorer on one trial) draw; :func:`_score_trials` scores
     the trials in stacks of `_CHUNK_BYTES` of density matrices.
     """
+    from .oracle import _sv_witness
+    from .states import _check_strength
     if kind not in ("state", "projector", "both"):
         raise ConfigError(f"unknown robustness kind {kind!r}")
     n_trials = _whole(n_trials, "trials")

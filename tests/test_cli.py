@@ -1,9 +1,16 @@
+import ast
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import dimwitness
 from dimwitness.cli import cli, main
 from dimwitness.errors import (CapacityError, ConfigError, IngestionError,
                                IntegrityError)
@@ -317,7 +324,7 @@ def test_verify_command(runner):
 
 
 def test_verify_exits_1_when_a_check_fails(monkeypatch, capsys):
-    monkeypatch.setattr("dimwitness.cli.schmidt_rank", lambda rho: 3)
+    monkeypatch.setattr("dimwitness.oracle.schmidt_rank", lambda rho: 3)
     assert exit_code(["verify", "--d-max", "2"]) == 1
     out, err = capsys.readouterr()
     assert "FAIL  Schmidt rank of the maximally entangled state" in out
@@ -364,13 +371,14 @@ def test_report_bad_input_is_ingestion_error(tmp_path):
         "per_mode-bool", "trajectory-strings", "trajectory-float",
         "trajectory-object-step", "no-trajectory", "per_mode-not-finite",
         "per_mode-huge-int"])
-def test_malformed_report_is_ingestion_error(tmp_path, report):
+def test_malformed_report_is_ingestion_error(tmp_path, capsys, report):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(report))
     pm, tj = tmp_path / "pm.csv", tmp_path / "tj.csv"
     assert exit_code(["report", "--input", str(bad), "--per-mode-csv", str(pm),
                       "--trajectory-csv", str(tj)]) == 3
     assert not pm.exists() and not tj.exists()
+    assert str(bad) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["certify", "optimize"])
@@ -517,6 +525,26 @@ def test_rate_file_accepted(tmp_path):
 ], ids=["nan", "inf", "duplicate", "negative", "all-zero"])
 def test_bad_rate_file_is_ingestion_error(tmp_path, rows):
     assert exit_code(write_rates(tmp_path, rows)) == 3
+
+
+def test_rate_table_missing_a_mode_names_the_file(tmp_path, capsys):
+    # amplitudes_from_rates raises IngestionError itself, inside the file's guard
+    assert exit_code(write_rates(tmp_path, RATE_ROWS[:2] + RATE_ROWS[3:])) == 3
+    assert capsys.readouterr().err == (f"error: malformed rate table "
+                                       f"{tmp_path / 'rates.csv'}: rate table is "
+                                       f"missing mode (n=2, l=-2)\n")
+
+
+@pytest.mark.parametrize("name", ["counts.csv", "x"])  # 'x' is in the message too
+def test_repeated_count_row_names_the_file(runner, tmp_path, monkeypatch, capsys, name):
+    counts, _ = simulate_example(runner, tmp_path)
+    rows = counts.read_text().splitlines(keepends=True)
+    (tmp_path / name).write_text("".join([*rows, rows[1]]))
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert exit_code(["certify", "--input", name, "--output", "out.json"]) == 3
+    assert capsys.readouterr().err == (f"error: malformed dataset file {name}: "
+                                       f"duplicate count at (0, 1, 'x', 'pp')\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "robustness"])
@@ -676,8 +704,8 @@ def test_count_file_missing_a_row_is_ingestion_error(runner, tmp_path, capsys):
     for command in ("certify", "optimize"):
         assert exit_code([command, "--input", str(counts), "--output", str(out)]) == 3
         assert capsys.readouterr().err == (
-            "error: dataset is missing count for pair (n=1,l=-1)/(n=2,l=-2), "
-            "basis y, outcome mp\n")
+            f"error: malformed dataset file {counts}: dataset is missing count for "
+            f"pair (n=1,l=-1)/(n=2,l=-2), basis y, outcome mp\n")
         assert not out.exists()
 
 
@@ -929,7 +957,7 @@ def test_csv_named_json_count_file_gives_a_short_error(runner, tmp_path, capsys)
     assert exit_code(["certify", "--input", str(misnamed),
                       "--output", str(tmp_path / "out.json")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: bad CSV header ")
+    assert err.startswith(f"error: malformed dataset file {misnamed}: bad CSV header ")
     assert "expected 'na,la,nb,lb,basis,outcome,count'" in err
     assert len(err) < 400
 
@@ -1019,3 +1047,55 @@ def test_over_long_csv_field_gives_an_error_line(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "field larger than field limit" in err
     assert "Traceback" not in err and len(err) < 400
+
+
+# What a fresh interpreter compiles and runs of the package to import the
+# command line and run one command: scipy never, witness and oracle not for
+# simulate, states and oracle not for certify or optimize.
+_LOADED = {"errors", "cli"}
+_COUNTS_LOADED = _LOADED | {"modes", "measurement"}
+
+
+@pytest.mark.parametrize("command, loaded", [
+    (None, _LOADED),
+    ("simulate", _COUNTS_LOADED | {"states"}),
+    ("certify", _COUNTS_LOADED | {"witness"}),
+    ("optimize", _COUNTS_LOADED | {"witness"}),
+    ("report", _LOADED),
+], ids=["import", "simulate", "certify", "optimize", "report"])
+def test_each_command_loads_only_its_modules(runner, tmp_path, command, loaded):
+    counts, _ = simulate_example(runner, tmp_path)
+    report = tmp_path / "report.json"
+    run(runner, ["certify", "--input", str(counts), "--output", str(report)])
+    argv = [] if command is None else [command, *{
+        "simulate": ["--amplitudes", EXAMPLE_AMPS, "--seed", "1", "--output", "c.csv"],
+        "certify": ["--input", str(counts), "--output", "r.json"],
+        "optimize": ["--input", str(counts), "--output", "t.json"],
+        "report": ["--input", str(report), "--per-mode-csv", "p.csv"]}[command]]
+    code = ("import sys, dimwitness.cli\n"
+            "if sys.argv[1:]:\n    dimwitness.cli.main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('dimwitness', 'scipy')))")
+    src = Path(dimwitness.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                         text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert ast.literal_eval(out.stdout.splitlines()[-1]) == sorted(
+        ["dimwitness", *(f"dimwitness.{m}" for m in loaded)])
+
+
+def test_cli_names_are_those_its_commands_import():
+    # `cli.<name>` looks up each package name a command imports when it runs
+    module = importlib.import_module("dimwitness.cli")
+    imported = {alias.name: node.module
+                for function in ast.walk(ast.parse(Path(module.__file__).read_text()))
+                if isinstance(function, ast.FunctionDef)
+                for node in ast.walk(function)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    assert imported == module._CALLED
+    for name, home in imported.items():
+        assert getattr(module, name) is getattr(
+            importlib.import_module(f"dimwitness.{home}"), name)
+    with pytest.raises(AttributeError):
+        module.perturb_state

@@ -540,6 +540,15 @@ _MISSING_Y_MP = (r"^dataset is missing count for pair \(n=1,l=-1\)/\(n=2,l=-2\),
                  r"basis y, outcome mp$")
 
 
+def _in_file(path, message: str) -> str:
+    """A reader's `message`, or its ^...$ pattern, as reading the dataset
+    file `path` reports it."""
+    prefix = f"malformed dataset file {path}: "
+    if message.startswith("^"):
+        return f"^{re.escape(prefix)}{message[1:]}"
+    return prefix + message
+
+
 def test_dataset_refuses_missing_count_and_wrong_shape():
     ds = simulate_counts(example_state(), 1e5, seed=4)
     assert list(ds.counts.values()) == ds.tensor.reshape(-1).tolist()
@@ -583,7 +592,7 @@ def test_file_missing_a_row_refused_when_read(tmp_path, fmt):
                              if list(map(str, itemgetter(*CSV_HEADER[:6])(c))) != gone]
         path.write_text(json.dumps(payload))
         read = lambda: read_counts_json(path)
-    with pytest.raises(IngestionError, match=_MISSING_Y_MP):
+    with pytest.raises(IngestionError, match=_in_file(path, _MISSING_Y_MP)):
         read()
 
 
@@ -903,18 +912,20 @@ def _two_mode_reader(path, rows):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_first_bad_row_in_file_order_is_named(tmp_path, fmt):
-    read = _two_mode_reader(tmp_path / f"counts.{fmt}", _TWO_BAD_ROWS)
-    with pytest.raises(IngestionError, match="^unknown basis/outcome 'w'/'pp'$"):
+    path = tmp_path / f"counts.{fmt}"
+    read = _two_mode_reader(path, _TWO_BAD_ROWS)
+    with pytest.raises(IngestionError,
+                       match=_in_file(path, "^unknown basis/outcome 'w'/'pp'$")):
         read()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_undeclared_mode_before_a_bad_token_is_named(tmp_path, fmt):
     # the undeclared mode is checked after the tokens, but its row comes first
-    read = _two_mode_reader(tmp_path / f"counts.{fmt}",
-                            ["0,0,4,4,x,pp,5", "0,0,0,1,x,pp,5", "0,0,0,1,w,pp,5"])
-    with pytest.raises(IngestionError,
-                       match=r"^mode ModeIndex\(n=4, l=4\) not in the declared mode set$"):
+    path = tmp_path / f"counts.{fmt}"
+    read = _two_mode_reader(path, ["0,0,4,4,x,pp,5", "0,0,0,1,x,pp,5", "0,0,0,1,w,pp,5"])
+    with pytest.raises(IngestionError, match=_in_file(
+            path, r"^mode ModeIndex\(n=4, l=4\) not in the declared mode set$")):
         read()
 
 
@@ -936,10 +947,11 @@ _BAD_ROW_KINDS = {
                                    *permutations(_BAD_ROW_KINDS, 2)], ids="+".join)
 def test_earliest_bad_row_named_with_its_own_error(tmp_path, kinds):
     rows = [_BAD_ROW_KINDS[kind][0] for kind in kinds]
-    read = _two_mode_reader(tmp_path / "counts.csv", ["0,0,0,1,x,mm,5", *rows])
+    path = tmp_path / "counts.csv"
+    read = _two_mode_reader(path, ["0,0,0,1,x,mm,5", *rows])
     with pytest.raises(IngestionError) as info:
         read()
-    assert str(info.value) == _BAD_ROW_KINDS[kinds[0]][1]
+    assert str(info.value) == _in_file(path, _BAD_ROW_KINDS[kinds[0]][1])
 
 
 @pytest.mark.parametrize("token", ["ppm", "xyz", "ppmm"])
@@ -1210,7 +1222,7 @@ def test_bad_row_in_a_later_chunk_named(tmp_path, monkeypatch, case, message):
         monkeypatch.setattr(measurement, "_READ_ROWS", size)
         with pytest.raises(IngestionError) as info:
             read_counts_csv(path)
-        assert str(info.value) == message
+        assert str(info.value) == _in_file(path, message)
 
 
 @pytest.mark.parametrize("bad, place", [

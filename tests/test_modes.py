@@ -1,12 +1,7 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import dimwitness
 from dimwitness import (ConfigError, IngestionError, InvalidModeSetError, ModeIndex,
                         ModeSet, enumerate_modes)
 
@@ -87,12 +82,3 @@ def test_mode_file_radial_numbers_must_not_be_negative():
     # a ValueError, which every reader reports as bad input
     with pytest.raises(ValueError, match="radial quantum number must be >= 0"):
         ModeSet.from_json([{"n": 0, "l": 0}, {"n": -1, "l": 0}])
-
-
-def test_cli_import_loads_no_scipy():
-    src = Path(dimwitness.__file__).resolve().parents[1]
-    code = ("import sys, dimwitness.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert out.stdout.strip() == "[]"

@@ -22,6 +22,28 @@ def test_all_names_are_the_package_names(name):
             if getattr(dimwitness, n, None) is not getattr(mod, n)] == []
 
 
+def test_star_import_and_dir_give_the_package_names():
+    names = {}
+    exec("from dimwitness import *", names)
+    del names["__builtins__"]
+    assert sorted(names) == sorted(dimwitness.__all__) == sorted(
+        {n for m in MODULES for n in importlib.import_module(f"dimwitness.{m}").__all__})
+    assert set(dimwitness.__all__) <= set(dir(dimwitness))
+    with pytest.raises(AttributeError):
+        dimwitness.no_such_name
+
+
+def test_package_names_follow_their_modules(monkeypatch):
+    # each lookup reads the module's name, so a patched function is seen
+    # while it is patched and the original after
+    from dimwitness import witness
+    orig = witness.greedy_subset
+    monkeypatch.setattr(witness, "greedy_subset", lambda table: None)
+    assert dimwitness.greedy_subset is witness.greedy_subset is not orig
+    monkeypatch.undo()
+    assert dimwitness.greedy_subset is orig
+
+
 STATE_CLASSES = {"CorrelatedState", "GeneralTwoPhotonState"}
 
 

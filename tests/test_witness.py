@@ -1,3 +1,4 @@
+import functools
 import json
 from itertools import combinations
 
@@ -82,12 +83,18 @@ def _tau(W, D):
     return D * (D - 1) / 2 * np.finfo(float).eps * abs(W)
 
 
+@functools.cache
+def _bounds(D) -> list:
+    """bound(D, d - 1) for d = 2, ..., D, as ints."""
+    return [bound(D, d - 1) for d in range(2, D + 1)]
+
+
 def _certified_dimension_loop(W, D):
     """Reference: the largest d whose bound(D, d - 1) lies more than the
     rounding margin below W."""
-    d_cert = 1
-    for d in range(2, D + 1):
-        if W - bound(D, d - 1) > _tau(W, D):
+    d_cert, tau = 1, _tau(W, D)
+    for d, b in enumerate(_bounds(D), start=2):
+        if W - b > tau:
             d_cert = d
     return d_cert
 
