@@ -269,7 +269,7 @@ def per_mode_contribution(table: VisibilityTable) -> np.ndarray:
 @dataclass(frozen=True)
 class GreedyResult:
     trajectory: list          # (subset size D', certified d, W)
-    subsets: list             # flat-index subset at each trajectory step
+    order: np.ndarray         # modes in the order they leave; step s keeps order[s:]
     best_subset: list
     best_d: int
 
@@ -318,7 +318,6 @@ def greedy_subset(table: VisibilityTable) -> GreedyResult:
     rs = S.sum(axis=1)  # the surviving modes' summed visibilities
     tie = _TIE_ULPS * D ** 2 * np.finfo(float).eps * np.abs(S).max()
     leave = np.full(D, D - 2)  # the last step of each mode; two stay to the end
-    subsets = [active.tolist()]
     for step in range(D - 2):
         # a NaN or inf sum ties every mode, as it would have no order
         # (argmin finds the first NaN, as min returns it)
@@ -331,7 +330,6 @@ def greedy_subset(table: VisibilityTable) -> GreedyResult:
         keep = active != weakest
         active, rs = active[keep], rs[keep]
         rs -= S[weakest][active]
-        subsets.append(active.tolist())
     W = np.cumsum(np.bincount(np.minimum(leave[k], leave[l]), weights=upper,
                               minlength=D - 1)[::-1])[::-1]
     W[0] = W0
@@ -340,7 +338,8 @@ def greedy_subset(table: VisibilityTable) -> GreedyResult:
                           certified_dimension(W, sizes).tolist(), W.tolist()))
     best_i = max(range(len(trajectory)),
                  key=lambda i: (trajectory[i][1], trajectory[i][0]))
-    return GreedyResult(trajectory, subsets, subsets[best_i],
+    order = np.argsort(leave, kind="stable")
+    return GreedyResult(trajectory, order, np.sort(order[best_i:]).tolist(),
                         trajectory[best_i][1])
 
 

@@ -1,4 +1,7 @@
-"""States and reference sums that several test modules share."""
+"""States, reference sums and a memory probe that several test modules
+share."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -27,3 +30,15 @@ def f_total(state):
     """Sum of the un-normalized signed correlations f_kl over all pairs."""
     t, _ = oracle._traces(oracle._one(state))
     return float(np.sum(t @ oracle._G_SIGNS))
+
+
+def traced_peak(call) -> int:
+    """Bytes allocated at the peak of `call`, over those held before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()

@@ -54,6 +54,12 @@ def test_workflow_runs_the_installed_console_script():
                      (ROOT / "pyproject.toml").read_text(), re.M)
 
 
+def test_xfails_are_strict_by_default(pytestconfig):
+    # an expected failure that starts to pass fails the run, also when its
+    # mark does not say strict=True
+    assert pytestconfig.getini("xfail_strict") is True
+
+
 def test_perfbench_traced_names_resolve():
     # the traced benchmark run looks up each TRACED function by name, so a
     # package name it still traces must not be deleted before perfbench drops it

@@ -959,7 +959,7 @@ def test_csv_named_json_count_file_gives_a_short_error(runner, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith(f"error: malformed dataset file {misnamed}: bad CSV header ")
     assert "expected 'na,la,nb,lb,basis,outcome,count'" in err
-    assert len(err) < 400
+    assert len(err.replace(str(misnamed), "")) < 400   # the path's length aside
 
 
 @pytest.mark.parametrize("command", ["simulate", "certify", "optimize",

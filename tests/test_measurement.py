@@ -1,7 +1,6 @@
 import csv
 import json
 import re
-import tracemalloc
 import warnings
 from itertools import islice, permutations, zip_longest
 from operator import itemgetter
@@ -22,7 +21,7 @@ from dimwitness.modes import ModeIndex, ModeSet
 from dimwitness.oracle import _DOUBLE, _PAULI2
 from dimwitness.states import (CorrelatedState, GeneralTwoPhotonState,
                                max_witness_state, perturb_state)
-from helpers import EXAMPLE_AMPS, EXAMPLE_MODES, example_state, f_total
+from helpers import EXAMPLE_AMPS, EXAMPLE_MODES, example_state, f_total, traced_peak
 
 
 def bell():
@@ -1243,18 +1242,6 @@ def test_malformed_row_in_a_later_chunk_located_in_the_file(tmp_path, monkeypatc
     assert len(messages) == 1 and place in messages.pop()
 
 
-def _traced_peak(call) -> int:
-    """Bytes allocated at the peak of `call`, over those held before it."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-
-
 def test_count_path_memory_stays_near_the_tensor(tmp_path, monkeypatch):
     # with whole-array passes the peaks were 5.8 (simulate), 10.9 (write) and
     # 13.6 (read) times the count tensor's bytes; block by block and chunk by
@@ -1265,9 +1252,9 @@ def test_count_path_memory_stays_near_the_tensor(tmp_path, monkeypatch):
     simulate_counts(bell(), 1e4, seed=1)   # the first draw's one-time allocations
     path = tmp_path / "counts.csv"
     out = {}
-    simulate = _traced_peak(lambda: out.update(ds=simulate_counts(st, 1e5, seed=3)))
+    simulate = traced_peak(lambda: out.update(ds=simulate_counts(st, 1e5, seed=3)))
     tensor = out["ds"].tensor.nbytes    # 37,920 counts, 0.3 MB
-    write = _traced_peak(lambda: write_counts_csv(out["ds"], path))
-    read = _traced_peak(lambda: read_counts_csv(path))
+    write = traced_peak(lambda: write_counts_csv(out["ds"], path))
+    read = traced_peak(lambda: read_counts_csv(path))
     assert simulate < 3 * tensor and write < tensor and read < 7 * tensor, \
         (simulate / tensor, write / tensor, read / tensor)

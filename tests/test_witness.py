@@ -16,13 +16,13 @@ from dimwitness.measurement import (_EIGVECS, BASES, OUTCOMES, CoincidenceDatase
                                     basis_visibilities, outcome_probabilities,
                                     pair_index)
 from dimwitness.modes import ModeSet
-from dimwitness.oracle import brute_force_sv_witness
+from dimwitness.oracle import brute_force_sv_witness, schmidt_rank
 from dimwitness.cli import main
 from dimwitness.states import (CorrelatedState, GeneralTwoPhotonState, perturb_state,
                                save_state)
 from dimwitness.witness import (_CHUNK_BYTES, _LEAK_FRACTION, _frame_draws, _frames,
                                 witness_with_perturbed_projectors)
-from helpers import complex_state, example_state
+from helpers import complex_state, example_state, traced_peak
 
 EXAMPLE_W = 9.829171019705104  # frozen; cross-checked by the oracle tests
 
@@ -680,8 +680,11 @@ def hole_states():
     # hole 1: Schmidt rank 2, W = 9 > bound(3, 2) = 6
     yield "hole-1", pure_general(np.array([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
                                  / np.sqrt(6))
-    # hole 2: Schmidt rank 1, yet each dust pair counts in full:
-    # W = 12 > bound(4, 2) = 10
+    # hole 2: Schmidt rank 3 (|0><0| plus a rank-2 antisymmetric block; the
+    # singular values are 1, 1.7e-20 and 1.7e-20), so d = 3 is true, but the
+    # verdict rests on three dust pairs of weight about 2e-40, each counted
+    # in full: W = 12 > bound(4, 2) = 10.  No finite flux sees them: Poisson
+    # counts at flux 1e6, seed 1, give W = 3.007 and d = 1
     M = np.zeros((4, 4))
     M[0, 0] = 1.0
     for k, l in [(1, 2), (1, 3), (2, 3)]:
@@ -717,6 +720,37 @@ def test_state_outside_the_class_exits_5(tmp_path, hole, name):
     assert exc.value.code == 5
 
 
+@pytest.mark.parametrize("t", [0.01, 0.1])
+def test_schmidt_rank_2_family_certifies_3_below_the_leakage_line(t):
+    """Documents the domain limit that ROADMAP item 1 states: this D = 4
+    Schmidt-rank-2 family leaks only on pairs (0, 1) and (2, 3), below the
+    refusal line L = 1/2, yet W exceeds bound(4, 2) = 10 and the W verdict
+    is d = 3 on every path.  Item 2's certifier must bring it down to
+    d <= 2."""
+    M = np.zeros((4, 4))
+    M[1, 1] = M[3, 3] = 1.0
+    M[0, 0] = M[2, 2] = -t
+    M[1, 0] = M[3, 2] = np.sqrt(t)
+    M[0, 1] = M[2, 3] = -np.sqrt(t)
+    st = pure_general(M)
+    assert schmidt_rank(M) == 2
+    table = table_from_state(st)
+    assert witness_sum(table) == pytest.approx(10 + 8 * t / (1 + t ** 2), abs=1e-12)
+    for k, l in [(0, 2), (1, 3)]:
+        assert table.V[pair_index(k, l, 4)] == pytest.approx([1, 1, 1], abs=1e-12)
+    z = outcome_probabilities(st)[:, BASES.index("z")]
+    leak = (z[:, 1] + z[:, 2]) / z.sum(axis=1)
+    for (k, l), L in zip(combinations(range(4), 2), leak.tolist()):
+        if (k, l) in [(0, 1), (2, 3)]:
+            assert L == pytest.approx(2 * t / (1 + t) ** 2, rel=1e-12) and L < 0.5
+        else:
+            assert L == 0
+    for counted in (table,
+                    table_from_dataset(simulate_counts(st, 1e6, expectation=True)),
+                    table_from_dataset(simulate_counts(st, 1e6, seed=1))):
+        assert build_report(counted).certified_d == 3
+
+
 # --- reference loops ---------------------------------------------------------
 # Per-pair loop versions of the array paths above; the array paths must give
 # the same numbers.
@@ -745,15 +779,22 @@ def ref_per_mode(table, indices=None):
     return out
 
 
-def ref_step_witness(table, subsets):
+def step_subsets(order):
+    """Each greedy step's subset from the removal order: step s keeps the
+    modes that leave at step s or later, in index order."""
+    order = list(map(int, order))
+    return [sorted(order[s:]) for s in range(len(order) - 1)]
+
+
+def ref_step_witness(table, order):
     """W of each step of a greedy trajectory by the greedy's rule.  Each
     pair's summed visibility goes, in pair order, into the bin of its last
     step (the last one that holds both its modes), and a step's W adds the
     bins from the last step back to it; the first step's W is the full
     set's, added in pair order."""
     D = table.mode_set.D
-    last = {m: s for s, sub in enumerate(subsets) for m in sub}
-    bins = [0.0] * len(subsets)
+    last = {m: min(s, D - 2) for s, m in enumerate(order)}
+    bins = [0.0] * (D - 1)
     for k in range(D):
         for l in range(k + 1, D):
             bins[min(last[k], last[l])] += ref_sv(table, k, l)
@@ -765,23 +806,29 @@ def ref_step_witness(table, subsets):
     return Ws
 
 
-def ref_trajectory(table, subsets):
-    """The greedy's result from its subsets: each step's (D', d, W) by
-    :func:`ref_step_witness`, and the best step."""
+def ref_trajectory(table, order):
+    """The greedy's result from its removal order: each step's (D', d, W)
+    by :func:`ref_step_witness`, the order, and the best step's subset and
+    d."""
+    subsets = step_subsets(order)
     trajectory = [(len(sub), certified_dimension(W, len(sub)), W)
-                  for sub, W in zip(subsets, ref_step_witness(table, subsets))]
+                  for sub, W in zip(subsets, ref_step_witness(table, order))]
     best_i = max(range(len(trajectory)),
                  key=lambda i: (trajectory[i][1], trajectory[i][0]))
-    return trajectory, subsets, subsets[best_i], trajectory[best_i][1]
+    return trajectory, order, subsets[best_i], trajectory[best_i][1]
 
 
 def ref_greedy(table):
     active = list(range(table.mode_set.D))
-    subsets = [list(active)]
+    order = []
     while len(active) > 2:
-        active.pop(int(np.argmin(ref_per_mode(table, active))))
-        subsets.append(list(active))
-    return ref_trajectory(table, subsets)
+        order.append(active.pop(int(np.argmin(ref_per_mode(table, active)))))
+    return ref_trajectory(table, order + active)
+
+
+def greedy_result(res):
+    """The greedy's result as the reference paths give it."""
+    return res.trajectory, res.order.tolist(), res.best_subset, res.best_d
 
 
 def assert_step_witness_near_subset_sums(table, res):
@@ -791,7 +838,7 @@ def assert_step_witness_near_subset_sums(table, res):
     Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 4.2),
     so they are within (n_s - 1) eps W_s of each other (the V are >= 0)."""
     assert (table.V >= 0).all()
-    for (size, _, W), sub in zip(res.trajectory, res.subsets):
+    for (size, _, W), sub in zip(res.trajectory, step_subsets(res.order)):
         n = size * (size - 1) // 2
         W_sub = witness_sum(table.subset(sub))
         assert abs(W - W_sub) <= (n - 1) * np.finfo(float).eps * W_sub, size
@@ -875,8 +922,7 @@ def test_array_sums_equal_reference_loops(D):
         assert np.array_equal(per_mode_contribution(table.subset(sub)),
                               ref_per_mode(table, sub))
     res = greedy_subset(table)
-    assert (res.trajectory, res.subsets, res.best_subset, res.best_d) == \
-        ref_greedy(table)
+    assert greedy_result(res) == ref_greedy(table)
     assert_step_witness_near_subset_sums(table, res)
 
 
@@ -896,13 +942,12 @@ def tied_table(kind, D=12):
 def test_greedy_on_tied_tables_equals_reference_loop(kind):
     table = tied_table(kind)
     res = greedy_subset(table)
-    assert (res.trajectory, res.subsets, res.best_subset, res.best_d) == \
-        ref_greedy(table)
+    assert greedy_result(res) == ref_greedy(table)
     assert_step_witness_near_subset_sums(table, res)
-    means = [ref_per_mode(table, sub) for sub in res.subsets[:-1]]
+    means = [ref_per_mode(table, sub) for sub in step_subsets(res.order)[:-1]]
     assert any(np.count_nonzero(m == m.min()) > 1 for m in means)
     if kind == "equal":  # a tie drops the first of the tied modes
-        assert res.subsets == [list(range(i, 12)) for i in range(11)]
+        assert step_subsets(res.order) == [list(range(i, 12)) for i in range(11)]
 
 
 def previous_row_means(S):
@@ -921,13 +966,11 @@ def previous_greedy(table):
     S = np.zeros((D, D))
     S[np.triu_indices(D, 1)] = V[:, 0] + V[:, 1] + V[:, 2]
     S += S.T
-    active = list(range(D))
-    subsets = [list(active)]
+    active, order = list(range(D)), []
     while len(active) > 2:
         sub = S[np.ix_(active, active)]
-        active.pop(int(np.argmin(previous_row_means(sub))))
-        subsets.append(list(active))
-    return ref_trajectory(table, subsets)
+        order.append(active.pop(int(np.argmin(previous_row_means(sub)))))
+    return ref_trajectory(table, order + active)
 
 
 def test_greedy_breaks_a_rounded_tie_as_the_row_means_do():
@@ -940,30 +983,41 @@ def test_greedy_breaks_a_rounded_tie_as_the_row_means_do():
     st = correlated_pure(spdc_profile(modes, 8.0, 4.0), modes)
     table = table_from_dataset(simulate_counts(st, 1e6, seed=123))
     res = greedy_subset(table)
-    assert (res.trajectory, res.subsets, res.best_subset, res.best_d) == \
-        previous_greedy(table)
+    assert greedy_result(res) == previous_greedy(table)
     assert_step_witness_near_subset_sums(table, res)
     assert res.best_d == 170
     S = np.zeros((186, 186))
     S[np.triu_indices(186, 1)] = table.V.sum(axis=1)
     S += S.T
     rs = S.sum(axis=1)
-    for before, after in zip(res.subsets[:174], res.subsets[1:175]):
+    subsets = step_subsets(res.order)
+    for before, after in zip(subsets[:174], subsets[1:175]):
         (gone,) = set(before) - set(after)
         rs -= S[:, gone]
-    tied = res.subsets[174]
+    tied = subsets[174]
     assert len(tied) == 12
     assert previous_row_means(S[np.ix_(tied, tied)]).tolist() == [3.0] * 12
     assert len(set(rs[tied].tolist())) > 1
-    assert res.subsets[175] == tied[1:]
+    assert subsets[175] == tied[1:]
 
 
 def test_greedy_equals_the_previous_search_at_D300():
     table = random_table(300, np.random.default_rng(300))
     res = greedy_subset(table)
-    assert (res.trajectory, res.subsets, res.best_subset, res.best_d) == \
-        previous_greedy(table)
-    assert [len(sub) for sub in res.subsets] == list(range(300, 1, -1))
+    assert greedy_result(res) == previous_greedy(table)
+    assert [len(sub) for sub in step_subsets(res.order)] == list(range(300, 1, -1))
+
+
+def test_greedy_memory_stays_near_the_summed_visibilities():
+    # with a list of surviving modes per step the peak was 4.0 times S's
+    # bytes at D = 1000; the removal order leaves the pair arrays of the
+    # binned W sums (2.0 times)
+    table = random_table(1000, np.random.default_rng(1000))
+    table.S     # built first, with the pair indices it caches
+    out = {}
+    peak = traced_peak(lambda: out.update(res=greedy_subset(table)))
+    assert peak <= 2.5 * table.S.nbytes, peak / table.S.nbytes
+    assert sorted(out["res"].order.tolist()) == list(range(1000))
 
 
 @pytest.mark.parametrize("sub", [[5, 1, 6, 2], [0, 7], list(range(8))])
