@@ -13,6 +13,7 @@ from dimwitness import (CapacityError, ConfigError, CorrelatedState,
                         max_witness_state, maximally_entangled, perturb_state,
                         save_state, schmidt_rank, spdc_profile,
                         state_from_elements)
+from dimwitness.states import _embed
 from helpers import EXAMPLE_AMPS, EXAMPLE_MODES, example_state
 
 
@@ -196,6 +197,28 @@ def test_perturb_takes_a_general_state():
     b = perturb_state(st.embed(), 0.1, np.random.default_rng(5))
     assert np.array_equal(a.rho, b.rho)
     assert perturb_state(a, 0.0, np.random.default_rng(0)) is a
+
+
+def ref_embed(c):
+    D = len(c)
+    rho = np.zeros((D * D, D * D), dtype=complex)
+    kk = np.arange(D) * (D + 1)
+    rho[np.ix_(kk, kk)] = c
+    rho /= np.trace(rho).real
+    return rho
+
+
+@pytest.mark.parametrize("D", range(2, 9))
+def test_embed_equals_dense_reference(D):
+    # unnormalized PSD coefficients: the trace's last digit shows in every entry
+    rng = np.random.default_rng(D)
+    a = rng.standard_normal((5, D, D)) + 1j * rng.standard_normal((5, D, D))
+    coeffs = a @ a.conj().swapaxes(-1, -2)
+    want = np.stack([ref_embed(c) for c in coeffs])
+    assert _embed(coeffs).tobytes() == want.tobytes()
+    assert _embed(coeffs.reshape(5, 1, D, D)).tobytes() == want.tobytes()
+    for c, rho in zip(coeffs, want):
+        assert _embed(c).tobytes() == rho.tobytes()
 
 
 def test_blocks_of_a_correlated_state_equal_those_of_its_embedding():

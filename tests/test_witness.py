@@ -1182,6 +1182,34 @@ def test_robustness_equals_reference_loop(kind, D):
         assert res.fraction_non_increasing == frac
 
 
+def test_readme_robustness_command_equals_reference_loop(tmp_path):
+    # the README sweep through the CLI: 1000 trials, 63 stacks of 16 at D = 4
+    out = tmp_path / "r.json"
+    main(["robustness", "--amplitudes", "0.5,0.07,0.01,0.01", "--kind", "both",
+          "--trials", "1000", "--strength-max", "0.2", "--seed", "7",
+          "--output", str(out)])
+    got = json.loads(out.read_text())
+    baseline, trials, frac = ref_robustness_study(example_state(), "both", 1000,
+                                                  0.2, seed=7)
+    assert got["baseline"] == baseline
+    assert got["trials"] == [list(t) for t in trials]
+    assert got["fraction_non_increasing"] == frac
+
+
+@pytest.mark.parametrize("D", [2, 4, 8])
+@pytest.mark.parametrize("general", [False, True])
+def test_perturb_state_equals_reference(D, general):
+    state = complex_state(D, 70 + D)
+    if general:
+        state = ref_perturb_state(state, 0.2, np.random.default_rng(D))
+    for strength in (0.0, 0.05, 0.3):
+        rng, ref = np.random.default_rng([D, 9]), np.random.default_rng([D, 9])
+        got = perturb_state(state, strength, rng).rho
+        want = ref_perturb_state(state, strength, ref).rho
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("D", sorted(ROBUSTNESS_STATES))
 def test_robustness_at_zero_strength_is_the_baseline(kind, D):
