@@ -104,10 +104,15 @@ def _embed(coeffs: np.ndarray) -> np.ndarray:
     stacked on any leading axes: c_kl at row kk, column ll."""
     D = coeffs.shape[-1]
     _check_cap(D)
+    # the trace is summed over the D^2-long diagonal of rho, zeros in place,
+    # as np.trace of the dense rho sums it: numpy's pairwise sum groups the
+    # terms by their place, and np.trace(c) groups them otherwise from D = 3
+    # on, which moves the last digit of every entry
+    tr = np.zeros(coeffs.shape[:-2] + (D * D,), dtype=complex)
+    tr[..., ::D + 1] = coeffs.diagonal(axis1=-2, axis2=-1)
     rho = np.zeros(coeffs.shape[:-2] + (D * D, D * D), dtype=complex)
     diag = np.arange(D) * (D + 1)
-    rho[..., diag[:, None], diag] = coeffs
-    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    rho[..., diag[:, None], diag] = coeffs / tr.sum(axis=-1).real[..., None, None]
     return rho
 
 
@@ -277,13 +282,6 @@ def _check_strength(strength) -> float:
     return s
 
 
-def _draw_perturbation(D: int, rng: np.random.Generator) -> np.ndarray:
-    """The random numbers of one perturbed state: a complex Gaussian matrix
-    on the cross-correlated part, real part drawn first."""
-    m = D * D - D
-    return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-
-
 def _perturb(rho: np.ndarray, strength: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Stacked core of :func:`perturb_state`: perturb the density matrix
     rho (D^2, D^2), or a stack of n, on its cross-correlated part
@@ -294,9 +292,13 @@ def _perturb(rho: np.ndarray, strength: np.ndarray, G: np.ndarray) -> np.ndarray
     D = math.isqrt(rho.shape[-1])
     cross = np.flatnonzero(~np.eye(D, dtype=bool))
     H = (G + G.conj().swapaxes(-1, -2)) / 2.0
-    # one 2-D norm per matrix: a norm over axes (-2, -1) adds in another
-    # order and moves the last digit of W
-    H /= np.array([np.linalg.norm(h) for h in H])[:, None, None]
+    # the Frobenius norm as np.linalg.norm(h) takes it: one BLAS dot of the
+    # real parts plus one of the imaginary parts, each matrix a row times a
+    # column; a norm over axes (-2, -1) adds in another order and moves the
+    # last digit of W
+    m = H.shape[-1]
+    R, I = (part.reshape(len(H), 1, m * m) for part in (H.real, H.imag))
+    H /= np.sqrt(R @ R.swapaxes(-1, -2) + I @ I.swapaxes(-1, -2))
     rho = np.broadcast_to(rho, (len(G),) + rho.shape[-2:]).copy()
     rho[:, cross[:, None], cross] += strength[:, None, None] * H
     # PSD repair: clip negative eigenvalues, renormalize the trace
@@ -321,8 +323,9 @@ def perturb_state(state, strength: float,
     base = state.embed()
     if s == 0.0:
         return base
-    G = _draw_perturbation(state.D, rng)
-    return GeneralTwoPhotonState(_perturb(base.rho, np.array([s]), G[None])[0],
+    m = state.D ** 2 - state.D
+    re, im = rng.standard_normal((2, 1, m, m))
+    return GeneralTwoPhotonState(_perturb(base.rho, np.array([s]), re + 1j * im)[0],
                                  state.mode_set)
 
 

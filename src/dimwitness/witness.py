@@ -210,11 +210,22 @@ def _closed_form(counts: np.ndarray):
     A = counts[..., 0] + counts[..., 3]
     B = counts[..., 1] + counts[..., 2]
     N = A + B
-    z_live = N[:, BASES.index("z")] > 0
-    smooth = np.abs(A - B) >= _SMOOTH_SIGMAS * np.sqrt(N)
-    closed = ~z_live | smooth.all(axis=1)
-    var = np.divide(4.0 * A * B, N ** 3, out=np.zeros(N.shape), where=N > 0)
-    return closed, np.where(z_live, var.sum(axis=1), 0.0)
+    z_live, live = N[:, BASES.index("z")] > 0, N > 0
+    # five (pairs, 3) float arrays in all, each value rounded as the formulas
+    # above say; the three bases are combined column by column, since numpy
+    # reduces an axis of length 3 row by row
+    edge = np.sqrt(N)
+    edge *= _SMOOTH_SIGMAS
+    var = A - B
+    np.abs(var, out=var)
+    smooth = var >= edge
+    closed = ~z_live | (smooth[:, 0] & smooth[:, 1] & smooth[:, 2])
+    A *= 4.0
+    A *= B
+    np.power(N, 3, out=N)
+    var.fill(0.0)
+    np.divide(A, N, out=var, where=live)
+    return closed, np.where(z_live, var[:, 0] + var[:, 1] + var[:, 2], 0.0)
 
 
 def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
@@ -353,20 +364,10 @@ _LEAK_FRACTION = 0.3
 
 # size of the (m, D^2, D^2) complex density-matrix chunks in which
 # robustness_study scores its trials (16 trials at D = 4).  On a 1000-trial
-# D = 4 sweep (one BLAS thread), 1 MiB chunks are no faster and add 9 MB of
-# peak memory; 16 KiB chunks take 1.6 times as long.
+# D = 4 sweep (one BLAS thread, median of 7), these take 0.146 s, 1 MiB
+# chunks 0.125 s but with 8.5 MB more peak memory (tracemalloc), and 16 KiB
+# chunks 0.252 s.
 _CHUNK_BYTES = 1 << 16
-
-
-def _frame_draws(D: int, strength: float, rng: np.random.Generator):
-    """The random numbers of one photon's perturbed frame: D phase normals,
-    then a complex Gaussian crosstalk matrix when strength > 0 (zeros
-    otherwise)."""
-    normals = rng.standard_normal(D)
-    G = np.zeros((D, D), dtype=complex)
-    if strength > 0.0:
-        G = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    return normals, G
 
 
 def _frames(strength: np.ndarray, normals: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -440,34 +441,38 @@ def _score_trials(kind: str, base: np.ndarray, strength: np.ndarray,
     """W of trials at the given strengths, scored as one stack; the only
     code that draws and scores a perturbed trial.
 
-    Trial j draws from rngs[j], in this order: the state perturbation when
-    strength > 0 (kinds "state" and "both"), then each photon's frame
-    (kinds "projector" and "both").  Frames that overflow float64 are
-    refused.
+    Trial j draws from rngs[j], in one call, the normals of one row, in
+    this order: the state perturbation's G (real part, then imaginary part;
+    kinds "state" and "both"), then each photon's D phase normals and D x D
+    crosstalk (real part, then imaginary part; kinds "projector" and
+    "both").  A trial at strength 0 draws only its phase normals.  Frames
+    that overflow float64 are refused.
     """
     from .oracle import _sv_witness
-    from .states import _draw_perturbation, _perturb
+    from .states import _perturb
     n, D = len(strength), math.isqrt(base.shape[-1])
     perturbs, measures = kind != "projector", kind != "state"
-    G = np.empty((n, D * D - D, D * D - D), dtype=complex)
-    normals = np.empty((n, 2, D))
-    crosstalk = np.empty((n, 2, D, D), dtype=complex)
+    m = D * D - D
+    g = perturbs * m * m
+    draws = np.zeros((n, 2 * g + 2 * measures * (D + 2 * D * D)))
+    frame = draws[:, 2 * g:].reshape(n, 2 * measures, D + 2 * D * D)
     for j, (s, rng) in enumerate(zip(strength, rngs)):
-        if perturbs and s > 0.0:
-            G[j] = _draw_perturbation(D, rng)
-        if measures:
-            for photon in range(2):
-                normals[j, photon], crosstalk[j, photon] = _frame_draws(D, s, rng)
+        if s > 0.0:
+            rng.standard_normal(out=draws[j])
+        else:
+            frame[j, :, :D] = rng.standard_normal((2 * measures, D))
     rho = base[None]
     if perturbs:
         live = strength > 0.0
+        G = (draws[:, :g] + 1j * draws[:, g:2 * g]).reshape(n, m, m)
         rho = np.repeat(rho, n, axis=0)
         rho[live] = _perturb(base, strength[live], G[live])
     if not measures:
         return _sv_witness(rho)
+    crosstalk = frame[..., D:D + D * D] + 1j * frame[..., D + D * D:]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            frames = _frames(strength, normals, crosstalk)
+            frames = _frames(strength, frame[..., :D], crosstalk.reshape(n, 2, D, D))
     except FloatingPointError as exc:
         raise ConfigError(f"perturbation strengths up to {strength.max():g} make "
                           f"the projection frames overflow: {exc}") from exc

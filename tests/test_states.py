@@ -212,11 +212,11 @@ def ref_embed(c):
 def test_embed_equals_dense_reference(D):
     # unnormalized PSD coefficients: the trace's last digit shows in every entry
     rng = np.random.default_rng(D)
-    a = rng.standard_normal((5, D, D)) + 1j * rng.standard_normal((5, D, D))
+    a = rng.standard_normal((20, D, D)) + 1j * rng.standard_normal((20, D, D))
     coeffs = a @ a.conj().swapaxes(-1, -2)
     want = np.stack([ref_embed(c) for c in coeffs])
     assert _embed(coeffs).tobytes() == want.tobytes()
-    assert _embed(coeffs.reshape(5, 1, D, D)).tobytes() == want.tobytes()
+    assert _embed(coeffs.reshape(4, 5, D, D)).tobytes() == want.tobytes()
     for c, rho in zip(coeffs, want):
         assert _embed(c).tobytes() == rho.tobytes()
 

@@ -20,7 +20,7 @@ from dimwitness.oracle import brute_force_sv_witness, schmidt_rank
 from dimwitness.cli import main
 from dimwitness.states import (CorrelatedState, GeneralTwoPhotonState, perturb_state,
                                save_state)
-from dimwitness.witness import (_CHUNK_BYTES, _LEAK_FRACTION, _frame_draws, _frames,
+from dimwitness.witness import (_CHUNK_BYTES, _LEAK_FRACTION, _frames,
                                 witness_with_perturbed_projectors)
 from helpers import complex_state, example_state, traced_peak
 
@@ -861,7 +861,9 @@ def ref_perturbed_projectors(state, strength, rng):
     D = state.mode_set.D
     frames = []
     for _ in range(2):  # one photon's frame at a time
-        normals, G = _frame_draws(D, strength, rng)
+        normals, G = rng.standard_normal(D), np.zeros((D, D), dtype=complex)
+        if strength > 0.0:
+            G = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         frames.append(_frames(np.array([strength]), normals[None, None],
                               G[None, None])[0, 0])
 
