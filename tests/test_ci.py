@@ -48,8 +48,11 @@ def test_workflow_runs_the_installed_console_script():
     names = [step.get("name") for step in steps]
     script = names.index("Installed console script")
     assert names.index("Install dependencies") < script
-    assert steps[script]["run"].splitlines() == ["dimwitness --version",
-                                                 "dimwitness verify --d-max 3"]
+    assert steps[script]["run"].splitlines() == [
+        "dimwitness --version",
+        "dimwitness verify --d-max 3",
+        "dimwitness robustness --amplitudes 0.5,0.07,0.01,0.01 --kind both "
+        "--trials 1000 --strength-max 0.2 --seed 7 --output /tmp/r.json"]
     assert re.search(r'^\[project\.scripts\]\ndimwitness = "dimwitness\.cli:main"$',
                      (ROOT / "pyproject.toml").read_text(), re.M)
 
