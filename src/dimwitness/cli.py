@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import importlib
 import json
 import math
 import sys
@@ -31,26 +30,15 @@ from .errors import (_JSON_KINDS, ConfigError, DimWitnessError, IngestionError,
 if TYPE_CHECKING:
     from .modes import ModeSet
 
-# Where each package name the commands call lives.  `cli.<name>` looks it up
-# there on every access (PEP 562), so it is the function a command would call
-# now, a patched one included.
-_CALLED = {name: module for module, names in {
-    "modes": ("ModeSet", "enumerate_modes", "generic_mode_set"),
-    "states": ("amplitudes_from_rates", "correlated_pure", "load_state",
-               "max_witness_state", "maximally_entangled", "spdc_profile"),
-    "measurement": ("_count_str", "read_counts_csv", "read_counts_json",
-                    "simulate_counts", "write_counts_csv", "write_counts_json"),
-    "witness": ("bound", "build_report", "certified_dimension", "greedy_subset",
-                "robustness_study", "table_from_dataset", "table_from_state",
-                "witness_sum"),
-    "oracle": ("brute_force_sv_witness", "schmidt_rank"),
-}.items() for name in names}
-
 
 def __getattr__(name):
-    if name not in _CALLED:
+    # `cli.<name>` is the package name (PEP 562), which the package reads from
+    # its module on every access: the function a command would call now, a
+    # patched one included.  Private names, such as the package's __path__,
+    # are the package's own.
+    if name.startswith("_"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_CALLED[name]}", __package__), name)
+    return getattr(sys.modules[__package__], name)
 
 
 # the JSON kind of a config value, by the type of the option that takes it;

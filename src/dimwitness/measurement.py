@@ -217,7 +217,9 @@ def basis_visibilities(counts) -> np.ndarray:
     subspace whose z basis has no counts.
     """
     counts = np.asarray(counts)
-    tot = counts.sum(axis=-1)
+    # the same bytes as counts.sum(axis=-1), which reduces the 4 outcomes
+    # row by row and takes about 5x as long
+    tot = counts[..., 0] + counts[..., 1] + counts[..., 2] + counts[..., 3]
     num = np.abs(counts[..., 0] + counts[..., 3] - counts[..., 1] - counts[..., 2])
     V = np.divide(num, tot, out=np.zeros(num.shape), where=tot > 0)
     V[tot[..., BASES.index("z")] == 0] = 0.0

@@ -21,6 +21,7 @@ from .modes import generic_mode_set
 
 __all__ = [
     "brute_force_witness",
+    "brute_force_sv_witness",
     "schmidt_rank",
     "random_correlated_mixture",
     "random_rank_d_search",

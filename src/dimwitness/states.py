@@ -316,15 +316,16 @@ def perturb_state(state, strength: float,
     Adds a random Hermitian perturbation of magnitude O(strength) supported
     on the cross-correlated part of the two-photon space (|ij> with i != j),
     then projects back to the nearest PSD unit-trace matrix by eigenvalue
-    clipping.  strength = 0 returns the exact embedding.  The state may be
-    a CorrelatedState or a GeneralTwoPhotonState.
+    clipping.  strength = 0 returns the exact embedding, after drawing the
+    perturbation as any other strength does.  The state may be a
+    CorrelatedState or a GeneralTwoPhotonState.
     """
     s = _check_strength(strength)
     base = state.embed()
-    if s == 0.0:
-        return base
     m = state.D ** 2 - state.D
     re, im = rng.standard_normal((2, 1, m, m))
+    if s == 0.0:
+        return base
     return GeneralTwoPhotonState(_perturb(base.rho, np.array([s]), re + 1j * im)[0],
                                  state.mode_set)
 

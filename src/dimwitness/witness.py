@@ -236,10 +236,9 @@ def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
     theirs.  Pairs whose visibilities are all far from 0 (see
     :func:`_closed_form`) add their observed visibilities to the mean and
     their delta-method variance to the variance.  Only the other pairs are
-    resampled, every count as Poisson(observed count); per-resample
-    substreams are derived from (seed, index), so the result does not depend
-    on execution order, and with no closed-form pair it is the plain
-    bootstrap of W.
+    resampled, every count as Poisson(observed count), the resamples in turn
+    from the one stream SeedSequence((seed, 2)); with no closed-form pair it
+    is the plain bootstrap of W.
     """
     n_resamples = _whole(n_resamples, "resamples")
     if n_resamples < 2:
@@ -262,9 +261,9 @@ def _bootstrap(counts: np.ndarray, n_resamples: int, seed: int):
                             f"can be sampled")
     mean = 0.0
     if len(rough):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
         ws = np.empty(n_resamples)
         for i in range(n_resamples):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, 2, i)))
             ws[i] = basis_visibilities(rng.poisson(rough)).sum()
         mean = ws.mean()
         variance += ws.var(ddof=1)
@@ -364,9 +363,9 @@ _LEAK_FRACTION = 0.3
 
 # size of the (m, D^2, D^2) complex density-matrix chunks in which
 # robustness_study scores its trials (16 trials at D = 4).  On a 1000-trial
-# D = 4 sweep (one BLAS thread, median of 7), these take 0.146 s, 1 MiB
-# chunks 0.125 s but with 8.5 MB more peak memory (tracemalloc), and 16 KiB
-# chunks 0.252 s.
+# D = 4 sweep (one BLAS thread, median of 7), these take 0.096 s, 1 MiB
+# chunks 0.095-0.100 s but with 8.3 MB more peak memory (tracemalloc), and
+# 16 KiB chunks 0.152 s.
 _CHUNK_BYTES = 1 << 16
 
 
@@ -384,9 +383,8 @@ def _frames(strength: np.ndarray, normals: np.ndarray, G: np.ndarray) -> np.ndar
     theta = strength[:, None, None] * normals
     F = np.zeros(G.shape, dtype=complex)
     F[..., np.arange(G.shape[-1]), np.arange(G.shape[-1])] = np.exp(1j * theta)
-    live = strength > 0.0
-    G = G[live] / np.linalg.norm(G[live], axis=-2, keepdims=True)
-    F[live] = F[live] + (_LEAK_FRACTION * strength[live])[:, None, None, None] * G
+    F += (_LEAK_FRACTION * strength)[:, None, None, None] * (
+        G / np.linalg.norm(G, axis=-2, keepdims=True))
     return F / np.linalg.norm(F, axis=-2, keepdims=True)
 
 
@@ -425,7 +423,7 @@ def witness_with_perturbed_projectors(state, strength: float,
     """
     from .states import _check_strength
     s = _check_strength(strength)
-    return float(_score_trials("projector", state.embed().rho, np.array([s]), [rng])[0])
+    return float(_score_trials("projector", state.embed().rho, np.array([s]), rng)[0])
 
 
 @dataclass(frozen=True)
@@ -437,16 +435,17 @@ class RobustnessResult:
 
 
 def _score_trials(kind: str, base: np.ndarray, strength: np.ndarray,
-                  rngs) -> np.ndarray:
+                  rng: np.random.Generator) -> np.ndarray:
     """W of trials at the given strengths, scored as one stack; the only
     code that draws and scores a perturbed trial.
 
-    Trial j draws from rngs[j], in one call, the normals of one row, in
-    this order: the state perturbation's G (real part, then imaginary part;
-    kinds "state" and "both"), then each photon's D phase normals and D x D
-    crosstalk (real part, then imaginary part; kinds "projector" and
-    "both").  A trial at strength 0 draws only its phase normals.  Frames
-    that overflow float64 are refused.
+    One call draws from `rng` the normals of every trial, a row a trial, in
+    trial order.  A row holds, in this order: the state perturbation's G
+    (real part, then imaginary part; kinds "state" and "both"), then each
+    photon's D phase normals and D x D crosstalk (real part, then imaginary
+    part; kinds "projector" and "both").  A trial at strength 0 draws its
+    row too, and leaves the state unperturbed.  Frames that overflow
+    float64 are refused.
     """
     from .oracle import _sv_witness
     from .states import _perturb
@@ -454,13 +453,7 @@ def _score_trials(kind: str, base: np.ndarray, strength: np.ndarray,
     perturbs, measures = kind != "projector", kind != "state"
     m = D * D - D
     g = perturbs * m * m
-    draws = np.zeros((n, 2 * g + 2 * measures * (D + 2 * D * D)))
-    frame = draws[:, 2 * g:].reshape(n, 2 * measures, D + 2 * D * D)
-    for j, (s, rng) in enumerate(zip(strength, rngs)):
-        if s > 0.0:
-            rng.standard_normal(out=draws[j])
-        else:
-            frame[j, :, :D] = rng.standard_normal((2 * measures, D))
+    draws = rng.standard_normal((n, 2 * g + 2 * measures * (D + 2 * D * D)))
     rho = base[None]
     if perturbs:
         live = strength > 0.0
@@ -469,6 +462,7 @@ def _score_trials(kind: str, base: np.ndarray, strength: np.ndarray,
         rho[live] = _perturb(base, strength[live], G[live])
     if not measures:
         return _sv_witness(rho)
+    frame = draws[:, 2 * g:].reshape(n, 2, D + 2 * D * D)
     crosstalk = frame[..., D:D + D * D] + 1j * frame[..., D + D * D:]
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -489,10 +483,12 @@ def robustness_study(state, kind: str, n_trials: int,
     gets certified: the baseline and "state" trials through the brute-force
     path, "projector" and "both" trials through the perturbed frames.
 
-    Trial i draws from its own stream SeedSequence((seed, 3, i)) what
-    :func:`perturb_state` and then :func:`witness_with_perturbed_projectors`
-    (this sweep's scorer on one trial) draw; :func:`_score_trials` scores
-    the trials in stacks of `_CHUNK_BYTES` of density matrices.
+    The trials draw in turn from the one stream SeedSequence((seed, 3)):
+    each draws what :func:`perturb_state` and then
+    :func:`witness_with_perturbed_projectors` (this sweep's scorer on one
+    trial) draw, so the sweep equals those calls made in turn on one
+    generator.  :func:`_score_trials` scores the trials in stacks of
+    `_CHUNK_BYTES` of density matrices.
     """
     from .oracle import _sv_witness
     from .states import _check_strength
@@ -507,9 +503,9 @@ def robustness_study(state, kind: str, n_trials: int,
     baseline = float(_sv_witness(base[None])[0])
     strengths = np.linspace(0.0, strength_max, n_trials)
     m = max(1, _CHUNK_BYTES // base.nbytes)
-    W = np.concatenate([_score_trials(kind, base, strengths[i:i + m], [
-        np.random.default_rng(np.random.SeedSequence((seed, 3, j)))
-        for j in range(i, min(i + m, n_trials))]) for i in range(0, n_trials, m)])
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
+    W = np.concatenate([_score_trials(kind, base, strengths[i:i + m], rng)
+                        for i in range(0, n_trials, m)])
     trials = [(float(s), float(w)) for s, w in zip(strengths, W)]
     frac = float(np.mean([w <= baseline + 1e-9 for _, w in trials]))
     return RobustnessResult(kind, baseline, trials, frac)

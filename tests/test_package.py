@@ -114,3 +114,41 @@ def test_only_errors_turns_failures_into_ingestion_errors():
                 for path in sorted(package.glob("*.py"))
                 if path.name not in ("errors.py", "measurement.py")}
     assert {name: found for name, found in handlers.items() if found} == {}
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _seed_sequences(path: Path) -> list:
+    """(line, purpose) of each SeedSequence call of a module; the purpose is
+    None unless the call is SeedSequence((seed, <int literal>)) outside any
+    loop or comprehension."""
+    found = []
+
+    def visit(node, in_loop):
+        if isinstance(node, ast.Call) and "SeedSequence" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+            arg = node.args[0] if len(node.args) == 1 and not node.keywords else None
+            ok = (not in_loop and isinstance(arg, ast.Tuple) and len(arg.elts) == 2
+                  and getattr(arg.elts[0], "id", None) == "seed"
+                  and isinstance(arg.elts[1], ast.Constant)
+                  and type(arg.elts[1].value) is int)
+            found.append((node.lineno, arg.elts[1].value if ok else None))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_loop or isinstance(node, _LOOPS))
+
+    visit(ast.parse(path.read_text(), str(path)), False)
+    return found
+
+
+def test_each_seeded_purpose_draws_from_one_stream():
+    # SeedSequence((seed, purpose)) with purpose 0 populations, 1 counts,
+    # 2 bootstrap and 3 robustness, each built once per call, never per
+    # trial or resample
+    package = Path(dimwitness.__file__).parent
+    calls = {path.name: _seed_sequences(path) for path in sorted(package.glob("*.py"))}
+    assert {name: [line for line, purpose in found if purpose is None]
+            for name, found in calls.items()
+            if any(purpose is None for _, purpose in found)} == {}
+    assert sorted(purpose for found in calls.values() for _, purpose in found) == [
+        0, 1, 2, 3]

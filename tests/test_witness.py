@@ -67,6 +67,11 @@ def test_certified_dimension_examples():
     # nor does a W that rounding puts just above it
     assert certified_dimension(float(bound(4, 2)) + 3.6e-15, 4) == 2
     assert certified_dimension(0.0, 4) == 1
+    # W clears bound(D, 12) by just more than the rounding margin, so the
+    # first guess, d = 12, is moved up by one
+    for W, D in ((380.00000000001444, 19), (221.00000000000384, 13)):
+        assert np.ceil((W - _tau(W, D) - bound(D, 1)) / D) + 1 == 12
+        assert certified_dimension(W, D) == 13 == _certified_dimension_loop(W, D)
 
 
 def test_certified_dimension_monotone_in_W():
@@ -223,9 +228,9 @@ def ref_bootstrap(ds, n_resamples, seed):
     """The plain Poisson bootstrap of W: every count of every pair resampled
     in every resample."""
     counts = ds.tensor
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     ws = np.empty(n_resamples)
     for i in range(n_resamples):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 2, i)))
         ws[i] = basis_visibilities(rng.poisson(counts)).sum()
     return float(ws.mean()), float(ws.std(ddof=1))
 
@@ -501,13 +506,14 @@ def test_perturbed_projectors_refuse_a_bad_strength(strength):
 @pytest.mark.parametrize("strength", [0.05, 0.2, 1.0])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_perturbed_projectors_are_one_trial_of_the_sweep(strength, seed):
-    # trial 1 of a two-trial sweep has the full strength and draws from the
-    # stream SeedSequence((seed, 3, 1))
+    # a two-trial sweep is trial 0 at strength 0, then trial 1 at the full
+    # strength, both drawn in turn from the stream SeedSequence((seed, 3))
     for state in (example_state(), complex_state(8, 13)):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 3, 1)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
+        zero = witness_with_perturbed_projectors(state, 0.0, rng)
         one = witness_with_perturbed_projectors(state, strength, rng)
         sweep = robustness_study(state, "projector", 2, strength, seed)
-        assert sweep.trials[1] == (strength, one)
+        assert sweep.trials == [(0.0, zero), (strength, one)]
 
 
 @pytest.mark.parametrize("strength", [1e155, 1e200])
@@ -861,9 +867,8 @@ def ref_perturbed_projectors(state, strength, rng):
     D = state.mode_set.D
     frames = []
     for _ in range(2):  # one photon's frame at a time
-        normals, G = rng.standard_normal(D), np.zeros((D, D), dtype=complex)
-        if strength > 0.0:
-            G = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        normals = rng.standard_normal(D)
+        G = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         frames.append(_frames(np.array([strength]), normals[None, None],
                               G[None, None])[0, 0])
 
@@ -1022,15 +1027,16 @@ def test_greedy_memory_stays_near_the_summed_visibilities():
     assert sorted(out["res"].order.tolist()) == list(range(1000))
 
 
-@pytest.mark.parametrize("sub", [[5, 1, 6, 2], [0, 7], list(range(8))])
+@pytest.mark.parametrize("sub", [[5, 1, 6, 2], [0, 7], list(range(8)), [3]])
 def test_subset_selects_rows(sub):
     table = random_table(8, np.random.default_rng(41))
     part = table.subset(sub)
     idx = sorted(sub)
     assert part.mode_set == table.mode_set.subset(idx)
-    assert np.array_equal(part.V, [table.V[pair_index(k, l, 8)]
-                                   for i, k in enumerate(idx) for l in idx[i + 1:]])
-    assert witness_sum(part) == ref_witness_sum(table, sub)
+    assert np.array_equal(part.V, np.reshape([
+        table.V[pair_index(k, l, 8)] for i, k in enumerate(idx) for l in idx[i + 1:]],
+        (-1, 3)))
+    assert witness_sum(part) == ref_witness_sum(table, sub)  # 0.0 for one mode
     assert np.array_equal(per_mode_contribution(part), ref_per_mode(table, sub))
 
 
@@ -1102,12 +1108,12 @@ def test_perturbed_projectors_correlated_matches_embedding():
 
 def ref_perturb_state(state, strength, rng):
     base = state.embed()
-    if strength == 0.0:
-        return base
     D = state.D
     cross = np.asarray([i * D + j for i in range(D) for j in range(D) if i != j])
     m = cross.size
     G = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    if strength == 0.0:
+        return base
     H = (G + G.conj().T) / 2.0
     H /= np.linalg.norm(H)
     rho = base.rho.copy()
@@ -1122,8 +1128,8 @@ def ref_perturb_state(state, strength, rng):
 def ref_frame(D, strength, rng):
     theta = strength * rng.standard_normal(D)
     F = np.diag(np.exp(1j * theta)).astype(complex)
+    G = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
     if strength > 0.0:
-        G = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         G /= np.linalg.norm(G, axis=0)
         F = F + _LEAK_FRACTION * strength * G
     return F / np.linalg.norm(F, axis=0)
@@ -1157,9 +1163,9 @@ def ref_trial(kind, state, strength, rng):
 def ref_robustness_study(state, kind, n_trials, strength_max, seed):
     """(baseline, trials, fraction_non_increasing), one trial at a time."""
     baseline = brute_force_sv_witness(state)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
     trials = []
-    for i, s in enumerate(np.linspace(0.0, strength_max, n_trials)):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 3, i)))
+    for s in np.linspace(0.0, strength_max, n_trials):
         trials.append((float(s), float(ref_trial(kind, state, float(s), rng))))
     frac = float(np.mean([w <= baseline + 1e-9 for _, w in trials]))
     return baseline, trials, frac
@@ -1239,9 +1245,8 @@ def test_robustness_draws_leave_each_stream_where_the_loop_left_it(kind, monkeyp
     monkeypatch.setattr(np.random, "default_rng", recording_rng)
     robustness_study(example_state(), kind, 17, 0.2, seed=8)
     monkeypatch.undo()
-    strengths = np.linspace(0.0, 0.2, 17)
-    assert len(built) == len(strengths)
-    for i, (rng, s) in enumerate(zip(built, strengths)):
-        ref = np.random.default_rng(np.random.SeedSequence((8, 3, i)))
+    assert len(built) == 1
+    ref = np.random.default_rng(np.random.SeedSequence((8, 3)))
+    for s in np.linspace(0.0, 0.2, 17):
         ref_trial(kind, example_state(), float(s), ref)
-        assert rng.bit_generator.state == ref.bit_generator.state
+    assert built[0].bit_generator.state == ref.bit_generator.state
