@@ -86,8 +86,9 @@ class CoincidenceDataset:
     ``tensor`` holds every count, shape (pairs, 3 bases, 4 outcomes), pairs
     (k, l), k < l, in row-major order (:func:`pair_index`); a dataset with a
     count missing (NaN), negative or infinite is refused, and the tensor is
-    made read-only once checked.  ``counts`` is a read-only mapping of the
-    same counts keyed by (k, l, basis, outcome).
+    made read-only once checked.  The flux must be positive and finite, or 0
+    (derived from no counts) without pairs.  ``counts`` is a read-only
+    mapping of the same counts keyed by (k, l, basis, outcome).
     """
 
     mode_set: ModeSet
@@ -112,6 +113,8 @@ class CoincidenceDataset:
                 raise IngestionError(f"dataset is missing count for {cell}")
             raise IngestionError(f"dataset has count {count!r} for {cell}; "
                                  f"counts must be finite and >= 0")
+        if len(self.tensor) or self.flux != 0.0:  # no pairs, no counts: flux 0
+            _check_flux(self.flux)
         self.tensor.setflags(write=False)  # complete stays complete
 
     @property
@@ -159,7 +162,7 @@ _POISSON_MAX = float(np.iinfo("l").max - 10 * np.sqrt(np.iinfo("l").max))
 
 
 def _check_flux(flux) -> None:
-    if not flux > 0 or not math.isfinite(flux):
+    if isinstance(flux, (bool, np.bool_)) or not flux > 0 or not math.isfinite(flux):
         raise ConfigError(f"flux must be positive and finite, got {flux!r}")
 
 
@@ -431,9 +434,9 @@ def _dataset(chunks, mode_set: ModeSet | None, flux: float | None,
     if flux is None:  # left to right in row order; np.sum adds pairwise
         z = counts[settings // len(OUTCOMES) == _BASIS_ID["z"]]
         flux = float(np.cumsum(z)[-1]) if z.size else 0.0
-    if len(counts) and not flux > 0:  # a given flux is positive
-        raise IngestionError("the z-basis counts sum to 0, so no flux can be "
-                             "derived from them; give the flux")
+        if len(counts) and not flux > 0:
+            raise IngestionError("the z-basis counts sum to 0, so no flux can be "
+                                 "derived from them; give the flux")
     return CoincidenceDataset(mode_set, flux, tensor, expectation)
 
 
@@ -502,7 +505,6 @@ def read_counts_json(path) -> CoincidenceDataset:
         payload = json.load(fh)
         mode_set = ModeSet.from_json(payload["modes"])
         flux = _json_array("flux", [payload["flux"]], "number").item()
-        _check_flux(flux)
         expectation = _json_array("expectation", [payload.get("expectation", False)],
                                   "boolean").item()
         entries = list(map(itemgetter(*CSV_HEADER), payload["counts"]))

@@ -30,6 +30,13 @@ def test_workflow_runs_the_roadmap_tier1_command():
     assert runs[-2:] == [tier1, "python -m pytest -q perfbench"]
 
 
+def test_workflow_job_has_a_timeout():
+    # a hung CLI subprocess must not hold a runner for GitHub's 6 h default
+    job = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text()
+                         )["jobs"]["tests"]
+    assert 0 < job["timeout-minutes"] <= 30
+
+
 def test_workflow_installs_the_pyproject_test_extra():
     # the dependency list lives in pyproject.toml only
     workflow = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())

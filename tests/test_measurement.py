@@ -575,6 +575,32 @@ def test_dataset_refuses_negative_and_infinite_counts(count):
         CoincidenceDataset(ds.mode_set, ds.flux, tensor, expectation=True)
 
 
+@pytest.mark.parametrize("flux", [np.nan, np.inf, -1.0, 0.0, True])
+def test_dataset_refuses_bad_flux(tmp_path, flux):
+    # each was accepted, and write_counts_json wrote a file that
+    # read_counts_json refused
+    ds = simulate_counts(example_state(), 1e5, seed=4)
+    message = re.escape(f"flux must be positive and finite, got {flux!r}")
+    with pytest.raises(ConfigError, match=message):
+        CoincidenceDataset(ds.mode_set, flux, ds.tensor)
+    if flux != 0.0:  # without pairs, 0 is the flux derived from no counts
+        with pytest.raises(ConfigError, match=message):
+            CoincidenceDataset(generic_mode_set(1), flux, np.zeros((0, 3, 4)))
+
+
+@pytest.mark.parametrize("D, flux", [(4, 1e5), (4, 5e-324), (4, 1.7976931348623157e308),
+                                     (4, 7), (1, 0.0), (0, 0.0)])
+@pytest.mark.parametrize("expectation", [False, True])
+def test_json_round_trip_of_every_dataset_that_is_built(tmp_path, D, flux, expectation):
+    ds = CoincidenceDataset(generic_mode_set(D), flux,
+                            np.arange(D * (D - 1) // 2 * 12.0).reshape(-1, 3, 4),
+                            expectation)
+    write_counts_json(ds, tmp_path / "counts.json")
+    back = read_counts_json(tmp_path / "counts.json")
+    assert (back.mode_set, back.flux, back.expectation) == (ds.mode_set, flux, expectation)
+    assert np.array_equal(back.tensor, ds.tensor)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_file_missing_a_row_refused_when_read(tmp_path, fmt):
     ds = simulate_counts(example_state(), 1e6, seed=7)

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 from itertools import combinations
 
 import numpy as np
@@ -222,6 +223,46 @@ def test_incomplete_table_rejected():
         VisibilityTable(table.mode_set, V[:5])
 
 
+def adversarial_counts(rng, n):
+    """(n, 3, 4) non-negative float64 counts: each count zero, subnormal or
+    of magnitude 1e-300 to 1e300, and in a third of the bases A = pp + mm
+    within a few ulps of B = pm + mp."""
+    counts = 10.0 ** rng.uniform(-300.0, 300.0, (n, 3, 4))
+    kind = rng.integers(0, 4, counts.shape)
+    counts[kind == 0] = 0.0
+    counts[kind == 1] = rng.integers(1, 2 ** 20, np.count_nonzero(kind == 1)) * 5e-324
+    near = rng.random((n, 3)) < 1 / 3
+    pp = counts[..., 0][near]
+    counts[..., 1][near] = pp * (1.0 + rng.integers(-4, 5, pp.size) * 2.0 ** -52)
+    counts[..., 2][near] = counts[..., 3][near]
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_visibilities_of_counts_lie_in_0_1(seed):
+    # the reason no table the package builds is refused (see VisibilityTable)
+    counts = adversarial_counts(np.random.default_rng(seed), 50_000)
+    assert (counts >= 0).all() and np.isfinite(counts).all()
+    V = basis_visibilities(counts)
+    assert ((V >= 0) & (V <= 1)).all()
+    assert (V == 1).any() and ((V > 0) & (V < 1)).any()
+    D = 10
+    ds = CoincidenceDataset(generic_mode_set(D), 1.0, counts[:D * (D - 1) // 2])
+    assert witness_sum(table_from_dataset(ds)) <= bound(D, D)
+
+
+@pytest.mark.parametrize("D", range(2, 9))
+def test_tables_of_random_general_states_are_built(D):
+    rng = np.random.default_rng(D)
+    for rank in (1, 2, D * D):
+        A = (rng.standard_normal((D * D, rank))
+             + 1j * rng.standard_normal((D * D, rank)))
+        rho = A @ A.conj().T
+        table = table_from_state(GeneralTwoPhotonState(rho / np.trace(rho).real,
+                                                       generic_mode_set(D)))
+        assert ((table.V >= 0) & (table.V <= 1)).all()
+
+
 # --- confidence intervals ----------------------------------------------------
 
 def ref_bootstrap(ds, n_resamples, seed):
@@ -393,15 +434,36 @@ def test_report_builds_the_summed_visibility_matrix_once():
         S[0, 1] = 0.0
 
 
+@pytest.mark.parametrize("value", [2.0, 1.0000000000000002, -0.1, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [0, 7, 27])
-def test_greedy_refuses_an_infinite_visibility(where):
+def test_table_refuses_a_visibility_outside_0_1(where, value):
+    # an infinite V used to reach the greedy search, which refused its W
     V = np.random.default_rng(5).uniform(0.0, 1.0, (28, 3))
-    V[where, 1] = np.inf
-    table = VisibilityTable(generic_mode_set(8), V)
-    with pytest.raises(ConfigError, match="need finite W"):
-        greedy_subset(table)
-    with pytest.raises(ConfigError, match="need finite W"):
-        build_report(table)
+    V[where, 1] = value
+    k, l = np.triu_indices(8, 1)
+    with pytest.raises(IngestionError, match=re.escape(
+            f"visibility table has V = {value!r} for pair ({k[where]}, {l[where]}), "
+            f"basis y; visibilities must lie in [0, 1]")):
+        VisibilityTable(generic_mode_set(8), V)
+
+
+def test_table_below_the_cap_with_visibilities_above_1_is_refused():
+    # W = 120 is below the cap bound(10, 10) = 135, so the report's cap check
+    # let this table through, and it certified d = 9
+    V = np.zeros((45, 3))
+    V[:8] = 5.0
+    assert V.sum() == 120 < bound(10, 10) and certified_dimension(120.0, 10) == 9
+    with pytest.raises(IngestionError, match=r"^visibility table has V = 5\.0 for "
+                                             r"pair \(0, 1\), basis x;"):
+        VisibilityTable(generic_mode_set(10), V)
+
+
+@pytest.mark.parametrize("D", [2, 5, 10])
+def test_all_ones_table_certifies_D_at_the_cap(D):
+    report = build_report(VisibilityTable(generic_mode_set(D),
+                                          np.ones((D * (D - 1) // 2, 3))))
+    assert report.W == bound(D, D)
+    assert report.certified_d == D
 
 
 @pytest.mark.parametrize("D", [0, 1])
@@ -559,12 +621,13 @@ def test_report_from_counts(tmp_path):
                                 "30 resamples on 0"]
 
 
-def test_report_integrity_check():
-    # a corrupted table claiming visibilities above 1 must be refused
+def test_table_refuses_visibilities_above_1():
+    # a corrupted table claiming visibilities above 1 is refused when built,
+    # so no report can be made from it
     D = 3
-    table = VisibilityTable(generic_mode_set(D), np.full((D * (D - 1) // 2, 3), 2.0))
-    with pytest.raises(IntegrityError):
-        build_report(table)
+    with pytest.raises(IngestionError, match=r"^visibility table has V = 2\.0 for "
+                                             r"pair \(0, 1\), basis x;"):
+        VisibilityTable(generic_mode_set(D), np.full((D * (D - 1) // 2, 3), 2.0))
 
 
 @pytest.mark.parametrize("n_resamples", [1, -4])
