@@ -34,7 +34,7 @@ __all__ = [
     "CoincidenceDataset",
     "outcome_probabilities",
     "simulate_counts",
-    "basis_visibilities",
+    "basis_correlations",
     "read_counts_csv",
     "read_counts_json",
     "write_counts_csv",
@@ -85,10 +85,10 @@ class CoincidenceDataset:
 
     ``tensor`` holds every count, shape (pairs, 3 bases, 4 outcomes), pairs
     (k, l), k < l, in row-major order (:func:`pair_index`); a dataset with a
-    count missing (NaN), negative or infinite is refused, and the tensor is
-    made read-only once checked.  The flux must be positive and finite, or 0
-    (derived from no counts) without pairs.  ``counts`` is a read-only
-    mapping of the same counts keyed by (k, l, basis, outcome).
+    count missing (NaN) or outside [0, `_COUNT_MAX`] is refused, and the
+    tensor is made read-only once checked.  The flux must be positive and
+    finite, or 0 (derived from no counts) without pairs.  ``counts`` is a
+    read-only mapping of the same counts keyed by (k, l, basis, outcome).
     """
 
     mode_set: ModeSet
@@ -102,8 +102,8 @@ class CoincidenceDataset:
         if np.shape(self.tensor) != shape:
             raise IngestionError(f"count tensor has shape {np.shape(self.tensor)}, "
                                  f"expected {shape}")
-        bad = np.flatnonzero(~((self.tensor >= 0) & (self.tensor < np.inf)))
-        if bad.size:  # NaN compares False: a missing count is bad too
+        bad = np.flatnonzero(~_counts_ok(self.tensor))
+        if bad.size:  # a missing (NaN) count is bad too
             k, l, basis, outcome = next(_keys(D, bad[:1]))
             ma, mb = self.mode_set[k], self.mode_set[l]
             cell = (f"pair (n={ma.n},l={ma.l})/(n={mb.n},l={mb.l}), "
@@ -112,7 +112,7 @@ class CoincidenceDataset:
             if math.isnan(count):
                 raise IngestionError(f"dataset is missing count for {cell}")
             raise IngestionError(f"dataset has count {count!r} for {cell}; "
-                                 f"counts must be finite and >= 0")
+                                 f"counts must be >= 0 and <= {_COUNT_MAX:.6g}")
         if len(self.tensor) or self.flux != 0.0:  # no pairs, no counts: flux 0
             _check_flux(self.flux)
         self.tensor.setflags(write=False)  # complete stays complete
@@ -122,6 +122,19 @@ class CoincidenceDataset:
         cells = self.tensor.reshape(-1)
         return MappingProxyType(dict(zip(_keys(self.mode_set.D, np.arange(cells.size)),
                                          cells.tolist())))
+
+
+# The largest count a dataset holds.  Four counts up to it sum to at most
+# np.finfo(float).max, so every per-basis total N and every A - B of
+# basis_correlations stays finite, and so do the closed form's
+# (1 - V^2) / N, which has no N^3 to overflow, and its sum over the bases.
+_COUNT_MAX = np.finfo(float).max / 4
+
+
+def _counts_ok(counts: np.ndarray) -> np.ndarray:
+    """Which counts a dataset may hold: those in [0, `_COUNT_MAX`]; NaN
+    compares False, so a missing count is not one."""
+    return (counts >= 0) & (counts <= _COUNT_MAX)
 
 
 def _keys(D: int, flat: np.ndarray):
@@ -187,10 +200,15 @@ def simulate_counts(state, flux: float, seed: int | None = None,
         seed = _seed(seed)
     counts = means = outcome_probabilities(state)
     means *= flux
+    top = means.max(initial=0.0)
+    if top > _COUNT_MAX:
+        raise ConfigError(f"flux {flux!r} gives a mean count of {top:.6g}, above "
+                          f"{_COUNT_MAX:.6g}, the largest count a dataset holds; "
+                          f"lower the flux")
     if not expectation:
-        if means.max(initial=0.0) > _POISSON_MAX:
+        if top > _POISSON_MAX:
             raise ConfigError(f"flux {flux!r} gives a Poisson mean of "
-                              f"{means.max():.6g}, above {_POISSON_MAX:.6g}, the "
+                              f"{top:.6g}, above {_POISSON_MAX:.6g}, the "
                               f"largest that can be sampled; lower the flux or "
                               f"set expectation mode")
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
@@ -212,21 +230,22 @@ def simulate_counts(state, flux: float, seed: int | None = None,
     return CoincidenceDataset(state.mode_set, float(flux), counts, expectation)
 
 
-def basis_visibilities(counts) -> np.ndarray:
-    """Visibilities |c_pp + c_mm - c_pm - c_mp| / total of counts (or
-    probabilities) shaped (..., 3 bases, 4 outcomes), one per basis.
+def basis_correlations(counts) -> tuple[np.ndarray, np.ndarray]:
+    """Per basis of counts (or probabilities) >= 0 shaped (..., 3 bases,
+    4 outcomes): the signed correlation E = (c_pp + c_mm - c_pm - c_mp) / N
+    and the total N = c_pp + c_pm + c_mp + c_mm.  The visibility is |E|.
 
-    A basis with no counts has visibility 0, and so has every basis of a
+    E is 0 where N is 0, as every count is there, and on every basis of a
     subspace whose z basis has no counts.
     """
-    counts = np.asarray(counts)
+    counts = np.asarray(counts, dtype=float)
     # the same bytes as counts.sum(axis=-1), which reduces the 4 outcomes
     # row by row and takes about 5x as long
-    tot = counts[..., 0] + counts[..., 1] + counts[..., 2] + counts[..., 3]
-    num = np.abs(counts[..., 0] + counts[..., 3] - counts[..., 1] - counts[..., 2])
-    V = np.divide(num, tot, out=np.zeros(num.shape), where=tot > 0)
-    V[tot[..., BASES.index("z")] == 0] = 0.0
-    return V
+    N = counts[..., 0] + counts[..., 1] + counts[..., 2] + counts[..., 3]
+    E = counts[..., 0] + counts[..., 3] - counts[..., 1] - counts[..., 2]
+    np.divide(E, N, out=E, where=N > 0)
+    E[N[..., _BASIS_ID["z"]] == 0] = 0.0
+    return E, N
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +418,7 @@ def _dataset(chunks, mode_set: ModeSet | None, flux: float | None,
     # an unknown token's -1 indexes a setting too; its row is not ok
     flat = np.repeat(run_cell, lengths)
     flat += _SETTINGS[np.where(np.repeat(swap, lengths), settings + per_pair, settings)]
-    count_ok = np.isfinite(counts) & (counts >= 0)
+    count_ok = _counts_ok(counts)
     ok = np.repeat(run_check == 0, lengths) & (settings >= 0) & count_ok
     tensor = np.full((D * (D - 1) // 2, len(BASES), len(OUTCOMES)), np.nan)
     cells = tensor.reshape(-1)
@@ -429,7 +448,7 @@ def _dataset(chunks, mode_set: ModeSet | None, flux: float | None,
         cell = next(_keys(D, flat[i:i + 1]))
         if not count_ok[i]:
             raise IngestionError(f"count {float(counts[i])!r} at {cell} must be "
-                                 f"finite and >= 0")
+                                 f">= 0 and <= {_COUNT_MAX:.6g}")
         raise IngestionError(f"duplicate count at {cell}")
     if flux is None:  # left to right in row order; np.sum adds pairwise
         z = counts[settings // len(OUTCOMES) == _BASIS_ID["z"]]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, IngestionError, _seed, _whole
 from .measurement import (_EIGVECS, _POISSON_MAX, BASES, CoincidenceDataset,
-                          _block_probabilities, basis_visibilities,
+                          _block_probabilities, basis_correlations,
                           outcome_probabilities, pair_index, pairs)
 from .modes import ModeSet
 
@@ -84,8 +84,8 @@ class VisibilityTable:
         if np.shape(self.V) != (D * (D - 1) // 2, len(BASES)):
             raise IngestionError(f"visibility table has shape {np.shape(self.V)}, "
                                  f"expected ({D * (D - 1) // 2}, {len(BASES)})")
-        # basis_visibilities of counts with finite sums is in [0, 1]: fl is monotone,
-        # so fl(fl(fl(a+d)-b)-c) <= fl(a+d) <= tot, minus it <= fl(b+c) <= tot
+        # |E| of basis_correlations of counts >= 0 with finite sums is in [0, 1]: fl is
+        # monotone, so fl(fl(fl(a+d)-b)-c) <= fl(a+d) <= N, minus it <= fl(b+c) <= N
         bad = np.flatnonzero(~((self.V >= 0) & (self.V <= 1)))
         if bad.size:  # NaN compares False: a missing pair is bad too
             pair, basis = divmod(int(bad[0]), len(BASES))
@@ -99,12 +99,12 @@ class VisibilityTable:
 
 
 def table_from_state(state) -> VisibilityTable:
-    return VisibilityTable(state.mode_set,
-                           basis_visibilities(outcome_probabilities(state)))
+    E, _ = basis_correlations(outcome_probabilities(state))
+    return VisibilityTable(state.mode_set, np.abs(E))
 
 
 def table_from_dataset(dataset: CoincidenceDataset) -> VisibilityTable:
-    return VisibilityTable(dataset.mode_set, basis_visibilities(dataset.tensor))
+    return VisibilityTable(dataset.mode_set, np.abs(basis_correlations(dataset.tensor)[0]))
 
 
 def _ordered_sum(values: np.ndarray):
@@ -208,30 +208,26 @@ def _closed_form(counts: np.ndarray):
     """Which pairs need no resampling, and the delta-method variance of
     each pair's summed visibility.
 
-    Per basis, with A = pp + mm, B = pm + mp and N = A + B, the visibility
-    |A - B| / N of Poisson counts has variance 4 A B / N^3 wherever
-    |A - B| >= _SMOOTH_SIGMAS sqrt(N).  A pair with an empty z basis has
-    visibility 0 in every resample, so it needs no resampling either.
+    Per basis, with E and N of :func:`measurement.basis_correlations`, V = |E|
+    of Poisson counts has variance (1 - V^2) / N = 4 A B / N^3 (A = pp + mm,
+    B = pm + mp) wherever V sqrt(N) >= _SMOOTH_SIGMAS.  A pair with an empty
+    z basis has visibility 0 in every resample, so it needs no resampling.
     """
-    A = counts[..., 0] + counts[..., 3]
-    B = counts[..., 1] + counts[..., 2]
-    N = A + B
-    z_live, live = N[:, BASES.index("z")] > 0, N > 0
-    # five (pairs, 3) float arrays in all, each value rounded as the formulas
-    # above say; the three bases are combined column by column, since numpy
-    # reduces an axis of length 3 row by row
+    E, N = basis_correlations(counts)
+    live = N > 0
+    z_live = live[:, BASES.index("z")]
+    # V >= 5 / sqrt(N) holds on N = m^2, |A - B| = 5 m, where V sqrt(N) can
+    # round below 5; an empty basis keeps edge = 0: smooth, with variance 0.
+    # Bases add column by column: numpy reduces a length-3 axis row by row.
+    V = np.abs(E, out=E)
     edge = np.sqrt(N)
-    edge *= _SMOOTH_SIGMAS
-    var = A - B
-    np.abs(var, out=var)
-    smooth = var >= edge
+    np.divide(_SMOOTH_SIGMAS, edge, out=edge, where=live)
+    smooth = V >= edge
     closed = ~z_live | (smooth[:, 0] & smooth[:, 1] & smooth[:, 2])
-    A *= 4.0
-    A *= B
-    np.power(N, 3, out=N)
-    var.fill(0.0)
-    np.divide(A, N, out=var, where=live)
-    return closed, np.where(z_live, var[:, 0] + var[:, 1] + var[:, 2], 0.0)
+    V *= V
+    np.subtract(1.0, V, out=V)
+    np.divide(V, N, out=edge, where=live)
+    return closed, np.where(z_live, edge[:, 0] + edge[:, 1] + edge[:, 2], 0.0)
 
 
 def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
@@ -250,7 +246,8 @@ def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
     if n_resamples < 2:
         raise ConfigError("need at least 2 resamples")
     rough_mean, sigma, closed = _bootstrap(dataset.tensor, n_resamples, _seed(seed))
-    return float(basis_visibilities(dataset.tensor[closed]).sum() + rough_mean), sigma
+    E, _ = basis_correlations(dataset.tensor[closed])
+    return float(np.abs(E).sum() + rough_mean), sigma
 
 
 def _bootstrap(counts: np.ndarray, n_resamples: int, seed: int):
@@ -270,7 +267,7 @@ def _bootstrap(counts: np.ndarray, n_resamples: int, seed: int):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
         ws = np.empty(n_resamples)
         for i in range(n_resamples):
-            ws[i] = basis_visibilities(rng.poisson(rough)).sum()
+            ws[i] = np.abs(basis_correlations(rng.poisson(rough))[0]).sum()
         mean = ws.mean()
         variance += ws.var(ddof=1)
     return mean, float(np.sqrt(variance)), closed
@@ -411,7 +408,7 @@ def _seen_witness(rho: np.ndarray, frames: np.ndarray) -> np.ndarray:
     probs = _block_probabilities(_cut_blocks(seen, *kl.T)) / (
         norms[:, 0, ..., :, None] * norms[:, 1, ..., None, :]
     ).reshape(n, len(kl), len(BASES), 4)
-    V = basis_visibilities(probs)
+    V = np.abs(basis_correlations(probs)[0])
     return _ordered_sum(V[..., 0] + V[..., 1] + V[..., 2])
 
 

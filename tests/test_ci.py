@@ -230,12 +230,14 @@ def test_paper_pipeline_keeps_its_bytes(tmp_path, monkeypatch):
 
 def test_expectation_pipeline_keeps_its_bytes(tmp_path, monkeypatch):
     # the same command lines on exact expected counts, so the CSV writer's
-    # fractional counts are pinned as well as its whole ones; the counts and
-    # report digests were taken before the CSV writer used one row template
-    # per pair, the trajectory digest as in the test above
+    # fractional counts are pinned as well as its whole ones; the counts
+    # digest was taken before the CSV writer used one row template per pair,
+    # the trajectory digest as in the test above, and the report digest when
+    # the closed-form variance became (1 - V^2) / N of basis_correlations,
+    # which moved sigma from 0.017916827686016063 to ...067 and nothing else
     assert _paper_pipeline_digests(tmp_path, monkeypatch, "--expectation") == {
         "counts.csv": "f9d66e017f856d8acb65a4bd86bffd835d4578fabbe3797730877a260bce0cbe",
-        "report.json": "0c419e15fc7af214d811298490c843d03eecc27f20943dc00c600a8cb909cd95",
+        "report.json": "57851da6d1c213b87ab1be1cdaba38286f93569b1c7a6b30e764fff0ad134a24",
         "trajectory.json": "56aca7b9189a5a6f825be650c8c62a899c8dd5686a1a9c90876d301975cd2a1a",
     }
 

@@ -689,6 +689,29 @@ def test_simulate_flux_too_large_to_sample_is_config_error(tmp_path, capsys):
     assert exit_code([*argv, "--expectation"]) == 0
 
 
+def test_simulate_mean_count_above_the_cap_is_config_error(tmp_path, capsys):
+    state, counts = tmp_path / "state.json", tmp_path / "c.csv"
+    save_state(correlated_pure([1, 0], generic_mode_set(2)), state)
+    assert exit_code(["simulate", "--state-file", str(state), "--flux", "1e308",
+                      "--expectation", "--output", str(counts)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: flux 1e+308 gives a mean count of 1e+308, above 4.49423e+307")
+    assert not counts.exists()
+
+
+def test_count_above_the_cap_exits_3(tmp_path, capsys):
+    # it was read; two counts of 1e308 in one basis sum to inf
+    rows = [f"0,0,0,1,{b},{o},{'1e308' if (b, o) == ('y', 'mp') else 5}"
+            for b in "xyz" for o in ("pp", "pm", "mp", "mm")]
+    counts = tmp_path / "counts.csv"
+    counts.write_text("\n".join(["na,la,nb,lb,basis,outcome,count", *rows, ""]))
+    assert exit_code(["certify", "--input", str(counts),
+                      "--output", str(tmp_path / "report.json")]) == 3
+    assert capsys.readouterr().err == (
+        f"error: malformed dataset file {counts}: count 1e+308 at (0, 1, 'y', 'mp') "
+        f"must be >= 0 and <= 4.49423e+307\n")
+
+
 def test_resampling_counts_too_large_is_capacity_error(tmp_path, capsys):
     # equal counts in every outcome put the pair far from closed form
     rows = [f"0,0,0,1,{b},{o},100000000000000000000" for b in "xyz"

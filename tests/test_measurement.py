@@ -422,7 +422,7 @@ def test_bad_count_rows_rejected(tmp_path, fmt, case):
         _bad_count_rows(case, payload["counts"])
         path.write_text(json.dumps(payload))
         read = lambda: read_counts_json(path)
-    match = {"nan": "finite", "inf": "finite", "huge": "finite|malformed",
+    match = {"nan": "<= 4.49423e", "inf": "<= 4.49423e", "huge": "<= 4.49423e|malformed",
              "negative_mode": "mode"}
     with pytest.raises(IngestionError, match=match.get(case, "duplicate")):
         read()
@@ -571,8 +571,26 @@ def test_dataset_refuses_negative_and_infinite_counts(count):
     tensor[pair_index(2, 3, 4), BASES.index("z"), OUTCOMES.index("mm")] = -1.0
     with pytest.raises(IngestionError, match=(
             rf"^dataset has count {count!r} for pair \(n=0,l=1\)/\(n=0,l=2\), "
-            rf"basis x, outcome pm; counts must be finite and >= 0$")):
+            rf"basis x, outcome pm; counts must be >= 0 and <= 4.49423e\+307$")):
         CoincidenceDataset(ds.mode_set, ds.flux, tensor, expectation=True)
+
+
+@pytest.mark.parametrize("counts", [{"pp": 1.7e308, "mp": 1e308},
+                                    {"pp": 1e308, "mm": 1e308}], ids=["V-0", "V-nan"])
+def test_dataset_refuses_counts_whose_sums_overflow(counts):
+    # both were accepted: the x visibility of the first read 0, where the
+    # counts say 0.26, and of the second NaN, a "missing pair"
+    tensor = np.ones((1, 3, 4))
+    for outcome, count in counts.items():
+        tensor[0, BASES.index("x"), OUTCOMES.index(outcome)] = count
+    with pytest.raises(IngestionError, match="^" + re.escape(
+            f"dataset has count {counts['pp']!r} for pair (n=0,l=0)/(n=0,l=1), "
+            f"basis x, outcome pp; counts must be >= 0 and <= 4.49423e+307") + "$"):
+        CoincidenceDataset(generic_mode_set(2), 1.0, tensor)
+    # four counts at the cap sum to a finite total
+    ds = CoincidenceDataset(generic_mode_set(2), 1.0,
+                            np.full((1, 3, 4), measurement._COUNT_MAX))
+    assert (table_from_dataset(ds).V == 0.0).all()
 
 
 @pytest.mark.parametrize("flux", [np.nan, np.inf, -1.0, 0.0, True])
@@ -664,7 +682,8 @@ def writer_dataset(case):
     if case == "one pair":
         return simulate_counts(bell(), 1e4, seed=2)
     if case.startswith("edge values"):  # negative l; sampled or expectation
-        values = [-0.0, 5e-324, 0.1, 3.0, 2.0 ** 63, 2.0 ** 64 + 2.0 ** 12, 1.5e308, 0.0]
+        values = [-0.0, 5e-324, 0.1, 3.0, 2.0 ** 63, 2.0 ** 64 + 2.0 ** 12,
+                  measurement._COUNT_MAX, 0.0]
         tensor = np.resize(values, (3, 3, 4))
         modes = ModeSet((ModeIndex(0, -3), ModeIndex(0, 2), ModeIndex(1, -1)))
         return CoincidenceDataset(modes, 2.5, tensor, case.endswith("expectation"))
@@ -738,7 +757,7 @@ def test_bad_row_past_first_chunk_rejected(tmp_path, fmt, case):
             payload["counts"].append({**last, "count": 5})
         path.write_text(json.dumps(payload))
         read = lambda: read_counts_json(path)
-    with pytest.raises(IngestionError, match="finite" if case == "nan" else "duplicate"):
+    with pytest.raises(IngestionError, match="<= 4.49423e" if case == "nan" else "duplicate"):
         read()
 
 
@@ -804,8 +823,8 @@ class _RefRows:
         D = mode_set.D
         tensor = np.full((D * (D - 1) // 2, 3, 4), np.nan)
         flat = (pair_index(k, l, D) * 3 + bi) * 4 + oi
-        if not (np.isfinite(counts) & (counts >= 0)).all():
-            raise IngestionError("count must be finite and >= 0")
+        if not ((counts >= 0) & (counts <= np.finfo(float).max / 4)).all():
+            raise IngestionError("count must be >= 0 and <= max float / 4")
         if len(np.unique(flat)) < len(flat):
             raise IngestionError("duplicate count")
         tensor.reshape(-1)[flat] = counts
@@ -963,7 +982,7 @@ _BAD_ROW_KINDS = {
                         "mode ModeIndex(n=4, l=4) not in the declared mode set"),
     "self_pair": ("0,0,0,0,x,pp,5", "row pairs mode ModeIndex(n=0, l=0) with itself"),
     "negative_count": ("0,0,0,1,x,pp,-2",
-                       "count -2.0 at (0, 1, 'x', 'pp') must be finite and >= 0"),
+                       "count -2.0 at (0, 1, 'x', 'pp') must be >= 0 and <= 4.49423e+307"),
     "duplicate": ("0,0,0,1,x,mm,7", "duplicate count at (0, 1, 'x', 'mm')"),
 }
 

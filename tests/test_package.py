@@ -83,6 +83,34 @@ def test_only_errors_holds_the_json_value_rule():
     assert {name: lines for name, lines in sets.items() if lines} == {}
 
 
+def _outcome(node):
+    """The last index of a subscript [..., i] with a constant i, or None."""
+    index = getattr(node, "slice", None)
+    if (isinstance(node, ast.Subscript) and isinstance(index, ast.Tuple)
+            and len(index.elts) == 2 and isinstance(index.elts[0], ast.Constant)
+            and index.elts[0].value is Ellipsis and isinstance(index.elts[1], ast.Constant)):
+        return index.elts[1].value
+    return None
+
+
+def _pp_mm_sums(path: Path) -> list:
+    """Lines of a module that add a [..., 0] subscript to a [..., 3] one,
+    the pp + mm sum of a count array: per-basis sums of its own."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and {_outcome(node.left), _outcome(node.right)} == {0, 3}]
+
+
+def test_only_measurement_sums_the_outcomes():
+    # measurement.basis_correlations is the one kernel of the per-basis
+    # correlations and totals; the closed form and the tables read it
+    package = Path(dimwitness.__file__).parent
+    assert _pp_mm_sums(package / "measurement.py")
+    sums = {path.name: _pp_mm_sums(path)
+            for path in sorted(package.glob("*.py")) if path.name != "measurement.py"}
+    assert {name: lines for name, lines in sums.items() if lines} == {}
+
+
 def _ingestion_handlers(path: Path) -> list:
     """(function, line) of each except handler of a module that raises
     IngestionError: a boundary of its own for bad input files."""

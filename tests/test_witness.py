@@ -14,14 +14,14 @@ from dimwitness import (ConfigError, IngestionError, IntegrityError,
                         simulate_counts, spdc_profile, table_from_dataset,
                         table_from_state, witness_correlated, witness_sum)
 from dimwitness.measurement import (_EIGVECS, BASES, OUTCOMES, CoincidenceDataset,
-                                    basis_visibilities, outcome_probabilities,
+                                    basis_correlations, outcome_probabilities,
                                     pair_index)
 from dimwitness.modes import ModeSet
 from dimwitness.oracle import brute_force_sv_witness, schmidt_rank
 from dimwitness.cli import main
 from dimwitness.states import (CorrelatedState, GeneralTwoPhotonState, perturb_state,
                                save_state)
-from dimwitness.witness import (_CHUNK_BYTES, _LEAK_FRACTION, _frames,
+from dimwitness.witness import (_CHUNK_BYTES, _LEAK_FRACTION, _closed_form, _frames,
                                 witness_with_perturbed_projectors)
 from helpers import complex_state, example_state, traced_peak
 
@@ -223,6 +223,19 @@ def test_incomplete_table_rejected():
         VisibilityTable(table.mode_set, V[:5])
 
 
+def ref_visibilities(counts):
+    """The visibilities |c_pp + c_mm - c_pm - c_mp| / total per basis of
+    counts shaped (..., 3, 4), as the package computed them before it read
+    them as |E| of basis_correlations; 0 where a basis or the subspace's z
+    basis has no counts."""
+    counts = np.asarray(counts)
+    tot = counts[..., 0] + counts[..., 1] + counts[..., 2] + counts[..., 3]
+    num = np.abs(counts[..., 0] + counts[..., 3] - counts[..., 1] - counts[..., 2])
+    V = np.divide(num, tot, out=np.zeros(num.shape), where=tot > 0)
+    V[tot[..., BASES.index("z")] == 0] = 0.0
+    return V
+
+
 def adversarial_counts(rng, n):
     """(n, 3, 4) non-negative float64 counts: each count zero, subnormal or
     of magnitude 1e-300 to 1e300, and in a third of the bases A = pp + mm
@@ -243,7 +256,8 @@ def test_visibilities_of_counts_lie_in_0_1(seed):
     # the reason no table the package builds is refused (see VisibilityTable)
     counts = adversarial_counts(np.random.default_rng(seed), 50_000)
     assert (counts >= 0).all() and np.isfinite(counts).all()
-    V = basis_visibilities(counts)
+    V = np.abs(basis_correlations(counts)[0])
+    assert np.array_equal(V, ref_visibilities(counts))  # the same bytes as before
     assert ((V >= 0) & (V <= 1)).all()
     assert (V == 1).any() and ((V > 0) & (V < 1)).any()
     D = 10
@@ -258,9 +272,22 @@ def test_tables_of_random_general_states_are_built(D):
         A = (rng.standard_normal((D * D, rank))
              + 1j * rng.standard_normal((D * D, rank)))
         rho = A @ A.conj().T
-        table = table_from_state(GeneralTwoPhotonState(rho / np.trace(rho).real,
-                                                       generic_mode_set(D)))
+        state = GeneralTwoPhotonState(rho / np.trace(rho).real, generic_mode_set(D))
+        table = table_from_state(state)
         assert ((table.V >= 0) & (table.V <= 1)).all()
+        assert np.array_equal(table.V, ref_visibilities(outcome_probabilities(state)))
+
+
+def test_correlations_are_plus_1_in_z_on_live_pairs_of_correlated_states():
+    # inside the class no z count is anti-correlated; pair (1, 2) has no z
+    # counts, so every basis of it has E = 0
+    st = correlated_pure([0.8, 0.0, 0.0, 0.3], generic_mode_set(4))
+    for counts in (outcome_probabilities(st),
+                   simulate_counts(st, 1e6, expectation=True).tensor):
+        E, N = basis_correlations(counts)
+        live = N[:, BASES.index("z")] > 0
+        assert np.flatnonzero(~live).tolist() == [pair_index(1, 2, 4)]
+        assert (E[live, BASES.index("z")] == 1.0).all() and (E[~live] == 0.0).all()
 
 
 # --- confidence intervals ----------------------------------------------------
@@ -272,7 +299,7 @@ def ref_bootstrap(ds, n_resamples, seed):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     ws = np.empty(n_resamples)
     for i in range(n_resamples):
-        ws[i] = basis_visibilities(rng.poisson(counts)).sum()
+        ws[i] = ref_visibilities(rng.poisson(counts)).sum()
     return float(ws.mean()), float(ws.std(ddof=1))
 
 
@@ -350,7 +377,7 @@ def test_monte_carlo_empty_z_pair_contributes_nothing(monkeypatch):
     tensor = tensor.copy()
     tensor[p] = np.nan
     rest = np.delete(tensor, p, axis=0)
-    assert only_z_empty[0] == basis_visibilities(rest).sum()
+    assert only_z_empty[0] == ref_visibilities(rest).sum()
 
 
 def test_monte_carlo_all_smooth_builds_no_generator(monkeypatch):
@@ -358,6 +385,81 @@ def test_monte_carlo_all_smooth_builds_no_generator(monkeypatch):
     forbid_generators(monkeypatch)
     _, sigma = monte_carlo_ci(ds, 200, seed=1)
     assert sigma > 0
+
+
+def ref_closed_form(counts):
+    """The closed-form mask and per-pair variance as the package computed
+    them from its own sums: per basis A = pp + mm, B = pm + mp and
+    N = A + B, smooth where |A - B| >= 5 sqrt(N), variance 4 A B / N^3."""
+    A = counts[..., 0] + counts[..., 3]
+    B = counts[..., 1] + counts[..., 2]
+    N = A + B
+    z_live = N[:, BASES.index("z")] > 0
+    closed = ~z_live | (np.abs(A - B) >= 5.0 * np.sqrt(N)).all(axis=1)
+    var = np.divide(4.0 * A * B, N ** 3, out=np.zeros(N.shape), where=N > 0)
+    return closed, np.where(z_live, var.sum(axis=1), 0.0)
+
+
+def boundary_counts(m, below):
+    """One pair per m whose x basis has N = m^2 and |A - B| = 5 m, on the
+    closed-form boundary, or 5 m - 2 below it; its y and z bases are
+    smooth."""
+    m = np.asarray(m, dtype=float)
+    d = 5 * m - 2 * below
+    counts = np.zeros((len(m), 3, 4))
+    counts[:, 0, 0] = (m * m + d) / 2
+    counts[:, 0, 1] = (m * m - d) / 2
+    counts[:, 1:, 0] = 100.0
+    return counts
+
+
+def noisy_general_dataset(D, flux, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((D * D, D * D)) + 1j * rng.standard_normal((D * D, D * D))
+    rho = A @ A.conj().T
+    st = GeneralTwoPhotonState(rho / np.trace(rho).real, generic_mode_set(D))
+    return simulate_counts(st, flux, seed=seed)
+
+
+@pytest.mark.parametrize("make_counts", [
+    lambda: simulate_counts(example_state(), 1e6, seed=5).tensor,
+    lambda: simulate_counts(example_state(), 1e3, seed=5).tensor,
+    lambda: scan_like_dataset().tensor,
+    lambda: all_rough_dataset().tensor,
+    lambda: noisy_general_dataset(4, 1e4, 1).tensor,
+    lambda: noisy_general_dataset(8, 1e5, 2).tensor,
+    lambda: boundary_counts(np.arange(5, 200_001), below=False),
+    lambda: boundary_counts(np.arange(5, 200_001), below=True),
+], ids=["all-smooth", "mixed", "scan-D8", "all-rough", "general-D4", "general-D8",
+        "boundary", "below-boundary"])
+def test_closed_form_keeps_its_mask_and_variance(make_counts):
+    # the closed form reads V and N of basis_correlations: its mask is the
+    # |A - B| >= 5 sqrt(N) rule, exact boundaries included, and its
+    # variance (1 - V^2) / N is 4 A B / N^3
+    counts = make_counts()
+    closed, var = _closed_form(counts)
+    ref_closed, ref_var = ref_closed_form(counts)
+    assert np.array_equal(closed, ref_closed)
+    assert np.isfinite(ref_var).all()
+    np.testing.assert_allclose(var, ref_var, rtol=1e-12, atol=0)
+
+
+def test_boundary_counts_lie_on_the_boundary():
+    m = np.arange(5, 200_001)
+    assert ref_closed_form(boundary_counts(m, below=False))[0].all()
+    assert not ref_closed_form(boundary_counts(m, below=True))[0].any()
+
+
+def test_sigma_of_counts_near_1e110_is_the_delta_method_value():
+    # 4 A B / N^3 overflowed N^3 here, so sigma was 0.0 for noisy bases
+    rng = np.random.default_rng(6)
+    counts = 1e110 * rng.uniform(0.5, 1.5, (3, 3, 4))
+    ds = CoincidenceDataset(generic_mode_set(3), 1.0, counts)
+    sigma = build_report(table_from_dataset(ds), ds, 200, 1).sigma
+    scaled = counts * 1e-110
+    A, B = scaled[..., 0] + scaled[..., 3], scaled[..., 1] + scaled[..., 2]
+    ref = np.sqrt((4 * A * B / (A + B) ** 3).sum() * 1e-110)
+    assert sigma > 0 and abs(sigma / ref - 1) < 1e-12
 
 
 def test_monte_carlo_mean_near_observed():
@@ -762,6 +864,22 @@ def hole_states():
 
 
 HOLES = dict(hole_states())
+
+
+# the pairs that carry each hole's excess over its Schmidt rank
+HOLE_PAIRS = {"hole-1": [(0, 1), (0, 2), (1, 2)], "hole-2": [(1, 2), (1, 3), (2, 3)]}
+
+
+@pytest.mark.parametrize("path", ["state", "expectation-counts"])
+@pytest.mark.parametrize("hole", list(HOLES))
+def test_holes_are_anti_correlated_in_z_on_their_excess_pairs(hole, path):
+    # the sign that V = |E| drops: E_z = -1, a z leakage of 1
+    st = HOLES[hole]
+    counts = (outcome_probabilities(st) if path == "state" else
+              simulate_counts(st, 1e6, expectation=True).tensor)
+    E, _ = basis_correlations(counts)
+    rows = [pair_index(k, l, st.mode_set.D) for k, l in HOLE_PAIRS[hole]]
+    assert (E[rows, BASES.index("z")] == -1.0).all()
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
@@ -1210,7 +1328,7 @@ def ref_projector_witness(state, strength, rng):
                       gram[:, kl[:, :, None], kl[:, None, :]], _EIGVECS).real
     probs = outcome_probabilities(seen) / (
         norms[0][..., :, None] * norms[1][..., None, :]).reshape(-1, len(BASES), 4)
-    V = basis_visibilities(probs)
+    V = ref_visibilities(probs)
     return np.cumsum(V[:, 0] + V[:, 1] + V[:, 2])[-1]
 
 
