@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import math
 import sys
 from typing import TYPE_CHECKING
 
@@ -102,8 +101,6 @@ def _rate_amplitudes(path, modes: ModeSet) -> np.ndarray:
     with _reading("rate table", path), open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             mode, rate = (int(row["n"]), int(row["l"])), float(row["rate"])
-            if not math.isfinite(rate):
-                raise ValueError(f"rate {rate!r} of mode {mode} is not finite")
             if mode in rates:
                 raise ValueError(f"mode {mode} appears twice")
             rates[mode] = rate

@@ -5,6 +5,7 @@ raises the same errors the command line reports.
 """
 
 import csv
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -53,7 +54,8 @@ class CapacityError(DimWitnessError):
 
 
 class IntegrityError(DimWitnessError):
-    """Data that violates a hard mathematical cap, e.g. W above its global maximum."""
+    """Data outside the correlated class a verdict holds for; nothing raises it
+    yet, it is reserved for ROADMAP item 1's class-domain refusal (exit 5)."""
 
     exit_code = 5
 
@@ -105,16 +107,32 @@ def _reading(what: str, path):
         raise IngestionError(f"malformed {what} {path}: {exc}") from exc
 
 
-def _whole(count, what: str) -> int:
-    """A trial or resample count as an int: a Python or numpy integer, not a
-    bool (a float, even 3.0, is refused)."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise ConfigError(f"need a whole number of {what}, got {count!r}")
-    return int(count)
+def _whole(x, what: str, low=None, high=None) -> int:
+    """`x` as an int: a Python or numpy integer, not a bool (nor a float,
+    even 3.0), in [low, high]; a bound of None is open."""
+    if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+            or (low is not None and x < low) or (high is not None and x > high)):
+        span = ("" if low is None and high is None else f" >= {low}" if high is None
+                else f" <= {high}" if low is None else f" in [{low}, {high}]")
+        raise ConfigError(f"{what} must be a whole number{span}, got {x!r}")
+    return int(x)
 
 
-def _seed(seed) -> int:
-    """A random seed as an int: a whole number >= 0 (not None, a bool or a float)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"need a seed that is a whole number >= 0, got {seed!r}")
-    return int(seed)
+def _real(x, what: str, low=None, *, above: bool = False, finite: bool = True) -> float:
+    """`x` as a float: a Python or numpy int or float, not a bool, a string or
+    NaN, finite unless not `finite`, and >= low (> low when `above`)."""
+    number = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    value = float(x) if number else math.nan
+    if math.isnan(value) or (finite and math.isinf(value)) or (
+            low is not None and not (value > low if above else value >= low)):
+        span = "" if low is None else f" {'>' if above else '>='} {low}"
+        raise ConfigError(f"{what} must be a {'finite ' if finite else ''}number{span}, "
+                          f"got {x!r}")
+    return value
+
+
+def _flag(x, what: str) -> bool:
+    """`x` as a bool: a Python or numpy bool, not 0, 1 or a string."""
+    if not isinstance(x, (bool, np.bool_)):
+        raise ConfigError(f"{what} must be True or False, got {x!r}")
+    return bool(x)

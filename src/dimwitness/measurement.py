@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError, _json_array, _reading, _seed
+from .errors import ConfigError, IngestionError, _flag, _json_array, _reading, _real, _whole
 from .modes import ModeIndex, ModeSet
 
 __all__ = [
@@ -86,9 +86,9 @@ class CoincidenceDataset:
     ``tensor`` holds every count, shape (pairs, 3 bases, 4 outcomes), pairs
     (k, l), k < l, in row-major order (:func:`pair_index`); a dataset with a
     count missing (NaN) or outside [0, `_COUNT_MAX`] is refused, and the
-    tensor is made read-only once checked.  The flux must be positive and
-    finite, or 0 (derived from no counts) without pairs.  ``counts`` is a
-    read-only mapping of the same counts keyed by (k, l, basis, outcome).
+    tensor is made read-only once checked.  The flux (a float) must be positive
+    and finite, or 0 without pairs; ``expectation`` is a bool.  ``counts`` is
+    a read-only mapping of the same counts keyed by (k, l, basis, outcome).
     """
 
     mode_set: ModeSet
@@ -113,8 +113,8 @@ class CoincidenceDataset:
                 raise IngestionError(f"dataset is missing count for {cell}")
             raise IngestionError(f"dataset has count {count!r} for {cell}; "
                                  f"counts must be >= 0 and <= {_COUNT_MAX:.6g}")
-        if len(self.tensor) or self.flux != 0.0:  # no pairs, no counts: flux 0
-            _check_flux(self.flux)
+        self.flux = _real(self.flux, "flux", 0, above=len(self.tensor) > 0)
+        self.expectation = _flag(self.expectation, "expectation")
         self.tensor.setflags(write=False)  # complete stays complete
 
     @property
@@ -174,11 +174,6 @@ def _block_probabilities(blocks: np.ndarray) -> np.ndarray:
 _POISSON_MAX = float(np.iinfo("l").max - 10 * np.sqrt(np.iinfo("l").max))
 
 
-def _check_flux(flux) -> None:
-    if isinstance(flux, (bool, np.bool_)) or not flux > 0 or not math.isfinite(flux):
-        raise ConfigError(f"flux must be positive and finite, got {flux!r}")
-
-
 def simulate_counts(state, flux: float, seed: int | None = None,
                     expectation: bool = False,
                     share_populations: bool = False) -> CoincidenceDataset:
@@ -195,9 +190,11 @@ def simulate_counts(state, flux: float, seed: int | None = None,
     canonical count tensor, and one from ``SeedSequence((seed, 0))`` the
     D x D population counts.
     """
-    _check_flux(flux)
+    flux = _real(flux, "flux", 0, above=True)
+    expectation = _flag(expectation, "expectation")
+    share_populations = _flag(share_populations, "share_populations")
     if not expectation:
-        seed = _seed(seed)
+        seed = _whole(seed, "seed", 0)
     counts = means = outcome_probabilities(state)
     means *= flux
     top = means.max(initial=0.0)
@@ -227,7 +224,7 @@ def simulate_counts(state, flux: float, seed: int | None = None,
             pop = rng.poisson(pop).astype(float)
             counts[:, _BASIS_ID["z"]] = np.stack(
                 [pop[k, k], pop[k, l], pop[l, k], pop[l, l]], axis=-1)
-    return CoincidenceDataset(state.mode_set, float(flux), counts, expectation)
+    return CoincidenceDataset(state.mode_set, flux, counts, expectation)
 
 
 def basis_correlations(counts) -> tuple[np.ndarray, np.ndarray]:
@@ -497,7 +494,7 @@ def _csv_chunks(fh, path):
 def read_counts_csv(path, mode_set: ModeSet | None = None,
                     flux: float | None = None) -> CoincidenceDataset:
     if flux is not None:
-        _check_flux(flux)
+        flux = _real(flux, "flux", 0, above=True)
     with _reading("dataset file", path), open(path, newline="") as fh:
         line = fh.readline()  # a JSON count file is one line of megabytes
         header = next(csv.reader([line]))

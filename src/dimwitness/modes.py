@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigError, InvalidModeSetError, _json_array, _reading
+from .errors import InvalidModeSetError, _json_array, _reading, _whole
 
 __all__ = [
     "ModeIndex",
@@ -24,14 +24,14 @@ __all__ = [
 
 @dataclass(frozen=True, order=True)
 class ModeIndex:
-    """Quantum numbers (n, l) of a Laguerre-Gauss mode."""
+    """Quantum numbers (n, l) of a Laguerre-Gauss mode, held as ints."""
 
     n: int
     l: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ConfigError(f"radial quantum number must be >= 0, got n={self.n}")
+        object.__setattr__(self, "n", _whole(self.n, "radial quantum number n", 0))
+        object.__setattr__(self, "l", _whole(self.l, "azimuthal quantum number l"))
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,11 @@ class ModeSet:
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "ModeSet":
-        """The mode set of a JSON list of {n, l} entries of integers; a
-        malformed entry raises KeyError, TypeError or ValueError, and a
-        repeated mode InvalidModeSetError; file readers report both as bad input."""
+        """The mode set of a JSON list of {n, l} entries of integers; a bad
+        entry raises KeyError, TypeError, ValueError or ConfigError (n < 0),
+        a repeated mode InvalidModeSetError; file readers report each as bad input."""
         n, l = (_json_array(key, [entry[key] for entry in data], "integer").tolist()
                 for key in "nl")
-        if min(n, default=0) < 0:
-            raise ValueError(f"radial quantum number must be >= 0, got n={min(n)}")
         return cls(tuple(map(ModeIndex, n, l)))
 
     def save(self, path) -> None:
@@ -85,13 +83,12 @@ class ModeSet:
 
 def generic_mode_set(D: int) -> ModeSet:
     """Placeholder basis (0,0), (0,1), ... for purely abstract D-level work."""
-    return ModeSet(tuple(ModeIndex(0, l) for l in range(D)))
+    return ModeSet(tuple(ModeIndex(0, l) for l in range(_whole(D, "D", 0))))
 
 
 def enumerate_modes(l_max: int = 0, n_max: int = 0) -> ModeSet:
     """All modes with |l| <= l_max and n <= n_max, sorted by n then l."""
-    if l_max < 0 or n_max < 0:
-        raise ConfigError("l_max and n_max must be >= 0")
+    l_max, n_max = _whole(l_max, "l_max", 0), _whole(n_max, "n_max", 0)
     modes = [ModeIndex(n, l)
              for n in range(n_max + 1)
              for l in range(-l_max, l_max + 1)]

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidStateError
+from .errors import InvalidStateError, _whole
 from .measurement import BASES, pairs
 from .states import CorrelatedState, _check_cap, _cut_blocks, _embed
 from .modes import generic_mode_set
@@ -158,7 +158,8 @@ def random_rank_d_search(D: int, d: int, iters: int,
     """Max brute-force summed-visibility W over `iters` random rank <= d
     correlated mixtures (one _random_mixtures stack, with the law of
     random_correlated_mixture), scored chunk by chunk from their density matrices."""
-    _check_cap(D)
+    _check_cap(D := _whole(D, "D", 1))
+    d, iters = _whole(d, "d", 1, D), _whole(iters, "iters", 1)
     coeffs = _random_mixtures(D, d, iters, rng)
     m = max(1, _CHUNK_BYTES // (16 * D**4))
     best = -np.inf

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (CapacityError, ConfigError, IngestionError, InvalidStateError,
-                     _json_array, _reading)
+                     _json_array, _reading, _real, _whole)
 from .modes import ModeSet, generic_mode_set
 
 __all__ = [
@@ -219,8 +219,7 @@ def max_witness_state(D_or_modes, d: int) -> CorrelatedState:
     """
     mode_set = D_or_modes if isinstance(D_or_modes, ModeSet) else generic_mode_set(D_or_modes)
     D = mode_set.D
-    if not 1 <= d <= D:
-        raise ConfigError(f"need 1 <= d <= D, got d={d}, D={D}")
+    d = _whole(d, "d", 1, D)
     c = np.full((D, D), (d - 1) / (D * max(D - 1, 1)), dtype=complex)  # D = 1: d = 1
     np.fill_diagonal(c, 1.0 / D)
     return CorrelatedState(c, mode_set)
@@ -248,9 +247,8 @@ def spdc_profile(mode_set: ModeSet, lambda_l: float = 1.0,
     """Smooth two-parameter amplitude profile a_{n,l} ~ exp(-|l|/(2 lambda_l)
     - n/(2 lambda_n)), normalized.  Infinite decay constants give the uniform
     (maximally entangled) profile."""
-    if not (lambda_l > 0 and lambda_n > 0):
-        raise ConfigError(f"profile decay constants must be positive, got "
-                          f"{lambda_l!r} and {lambda_n!r}")
+    lambda_l = _real(lambda_l, "decay constant lambda_l", 0, above=True, finite=False)
+    lambda_n = _real(lambda_n, "decay constant lambda_n", 0, above=True, finite=False)
     a = np.array([math.exp(-abs(m.l) / (2.0 * lambda_l) - m.n / (2.0 * lambda_n))
                   for m in mode_set.modes])
     return a / np.linalg.norm(a)
@@ -258,28 +256,18 @@ def spdc_profile(mode_set: ModeSet, lambda_l: float = 1.0,
 
 def amplitudes_from_rates(mode_set: ModeSet, rates: dict) -> np.ndarray:
     """Amplitudes a_k ~ sqrt(rate_k) from a per-mode coincidence-rate table
-    keyed by (n, l)."""
-    a = np.empty(mode_set.D)
-    for k, m in enumerate(mode_set.modes):
-        key = (m.n, m.l)
-        if key not in rates:
+    keyed by (n, l); every rate of the table must be finite and >= 0."""
+    for (n, l), rate in rates.items():
+        if not 0 <= float(rate) < math.inf:  # NaN fails too
+            raise IngestionError(f"rate {float(rate)!r} of mode (n={n}, l={l}) must "
+                                 f"be finite and >= 0")
+    for m in mode_set.modes:
+        if (m.n, m.l) not in rates:
             raise IngestionError(f"rate table is missing mode (n={m.n}, l={m.l})")
-        rate = float(rates[key])
-        if rate < 0:
-            raise IngestionError(f"negative rate for mode (n={m.n}, l={m.l})")
-        a[k] = math.sqrt(rate)
+    a = np.sqrt([float(rates[m.n, m.l]) for m in mode_set.modes])
     if not np.any(a > 0):
         raise InvalidStateError("rate table is identically zero")
     return a / np.linalg.norm(a)
-
-
-def _check_strength(strength) -> float:
-    """A perturbation strength as a float; it must be finite and >= 0."""
-    s = float(strength)
-    if not (math.isfinite(s) and s >= 0):
-        raise ConfigError(f"perturbation strength must be finite and >= 0, "
-                          f"got {strength!r}")
-    return s
 
 
 def _perturb(rho: np.ndarray, strength: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -320,7 +308,7 @@ def perturb_state(state, strength: float,
     perturbation as any other strength does.  The state may be a
     CorrelatedState or a GeneralTwoPhotonState.
     """
-    s = _check_strength(strength)
+    s = _real(strength, "perturbation strength", 0)
     base = state.embed()
     m = state.D ** 2 - state.D
     re, im = rng.standard_normal((2, 1, m, m))

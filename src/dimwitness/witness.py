@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, IngestionError, _seed, _whole
+from .errors import CapacityError, ConfigError, IngestionError, _real, _whole
 from .measurement import (_EIGVECS, _POISSON_MAX, BASES, CoincidenceDataset,
                           _block_probabilities, basis_correlations,
                           outcome_probabilities, pair_index, pairs)
@@ -70,10 +70,9 @@ class VisibilityTable:
         """Table of the modes `indices` alone, renumbered in sorted order;
         they must be distinct mode indices in [0, D)."""
         D = self.mode_set.D
-        idx = sorted(indices)
-        if len(set(idx)) != len(idx) or any(not 0 <= k < D for k in idx):
-            raise ConfigError(f"mode subset {idx} must hold distinct indices "
-                              f"in [0, {D})")
+        idx = sorted(_whole(k, "mode index", 0, D - 1) for k in indices)
+        if len(set(idx)) != len(idx):
+            raise ConfigError(f"mode subset {idx} must hold distinct indices")
         a, b = pairs(len(idx))
         k = np.array(idx, dtype=np.intp)
         return VisibilityTable(self.mode_set.subset(idx),
@@ -156,13 +155,15 @@ def witness_correlated(coeffs: np.ndarray):
 
 
 def bound(D, d):
-    """Witness threshold for rank-d states: 3 D(D-1)/2 - D(D-d); works
-    elementwise on integer arrays, and gives an int for scalars."""
-    ok = (1 <= d) & (d <= D)
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        raise ConfigError(f"need 1 <= d <= D, got d={d}, D={D}")
-    t = 3 * D * (D - 1) // 2 - D * (D - d)
-    return t if isinstance(t, np.ndarray) else int(t)
+    """Witness threshold for rank-d states, 1 <= d <= D: 3 D(D-1)/2 - D(D-d);
+    works elementwise on integer arrays, and gives an int for scalars."""
+    if not (isinstance(D, np.ndarray) or isinstance(d, np.ndarray)):
+        D = _whole(D, "D", 1)
+        d = _whole(d, "d", 1, D)
+    elif not ({np.asarray(D).dtype.kind, np.asarray(d).dtype.kind} <= {"i", "u"}
+              and ((1 <= d) & (d <= D)).all()):
+        raise ConfigError(f"need integer arrays with 1 <= d <= D, got d={d}, D={D}")
+    return 3 * D * (D - 1) // 2 - D * (D - d)
 
 
 # W sums n = D(D-1)/2 pairs, and rounding alone moves a sum of n terms by up
@@ -184,9 +185,11 @@ def certified_dimension(W, D):
     d = c + 1.  A guess of c from bound(D, 1) is moved by comparing W with
     the bounds on either side of it until it is c.
     """
+    W = W if isinstance(W, np.ndarray) else _real(W, "W")
+    D = D if isinstance(D, np.ndarray) else _whole(D, "D", 2)
     W, D = np.asarray(W, dtype=float), np.asarray(D)
-    if (D < 2).any() or not np.isfinite(W).all():
-        raise ConfigError("need finite W and D >= 2")
+    if D.dtype.kind not in "iu" or (D < 2).any() or not np.isfinite(W).all():
+        raise ConfigError("need finite W and integer D >= 2")
     tau = _TAU_PER_PAIR * (D * (D - 1) // 2) * np.abs(W)
     first, top = bound(D, 1), D - 1
     c = np.minimum(np.maximum(np.ceil((W - tau - first) / D), 0), top)
@@ -234,18 +237,18 @@ def monte_carlo_ci(dataset: CoincidenceDataset, n_resamples: int,
                    seed: int) -> tuple[float, float]:
     """Poisson parametric bootstrap of W; returns (mean, standard deviation).
 
-    W is a sum of independent per-pair terms, so its variance is the sum of
-    theirs.  Pairs whose visibilities are all far from 0 (see
-    :func:`_closed_form`) add their observed visibilities to the mean and
-    their delta-method variance to the variance.  Only the other pairs are
-    resampled, every count as Poisson(observed count), the resamples in turn
-    from the one stream SeedSequence((seed, 2)); with no closed-form pair it
-    is the plain bootstrap of W.
+    W is taken as a sum of independent per-pair terms, so its variance is the
+    sum of theirs; ``share_populations`` counts break that, and sigma then
+    understates the spread of W (16-20% at p = 0.6, ROADMAP item 11).  Pairs
+    whose visibilities are all far from 0 (see :func:`_closed_form`) add
+    their observed visibilities to the mean and their delta-method variance
+    to the variance.  Only the other pairs are resampled, every count as
+    Poisson(observed count), the resamples in turn from the one stream
+    SeedSequence((seed, 2)); with no closed-form pair it is the plain
+    bootstrap of W.
     """
-    n_resamples = _whole(n_resamples, "resamples")
-    if n_resamples < 2:
-        raise ConfigError("need at least 2 resamples")
-    rough_mean, sigma, closed = _bootstrap(dataset.tensor, n_resamples, _seed(seed))
+    n_resamples = _whole(n_resamples, "the number of resamples", 2)
+    rough_mean, sigma, closed = _bootstrap(dataset.tensor, n_resamples, seed)
     E, _ = basis_correlations(dataset.tensor[closed])
     return float(np.abs(E).sum() + rough_mean), sigma
 
@@ -255,6 +258,7 @@ def _bootstrap(counts: np.ndarray, n_resamples: int, seed: int):
     closed-form pairs' mean: returns the resampled pairs' mean W (0 when no
     pair is resampled), the standard deviation of W and the mask of the
     closed-form pairs."""
+    seed = _whole(seed, "seed", 0)
     closed, var = _closed_form(counts)
     variance = var[closed].sum()
     rough = counts[~closed]
@@ -420,8 +424,7 @@ def witness_with_perturbed_projectors(state, strength: float,
     Each photon gets one perturbed frame F for the whole run (see
     :func:`_frames`); the state is scored by :func:`_seen_witness`.
     """
-    from .states import _check_strength
-    s = _check_strength(strength)
+    s = _real(strength, "perturbation strength", 0)
     return float(_score_trials("projector", state.embed().rho, np.array([s]), rng)[0])
 
 
@@ -490,14 +493,11 @@ def robustness_study(state, kind: str, n_trials: int,
     `_CHUNK_BYTES` of density matrices.
     """
     from .oracle import _sv_witness
-    from .states import _check_strength
     if kind not in ("state", "projector", "both"):
         raise ConfigError(f"unknown robustness kind {kind!r}")
-    n_trials = _whole(n_trials, "trials")
-    if n_trials < 1:
-        raise ConfigError(f"need a whole number of trials >= 1, got {n_trials!r}")
-    seed = _seed(seed)
-    _check_strength(strength_max)
+    n_trials = _whole(n_trials, "the number of trials", 1)
+    seed = _whole(seed, "seed", 0)
+    strength_max = _real(strength_max, "perturbation strength", 0)
     base = state.embed().rho
     baseline = float(_sv_witness(base[None])[0])
     strengths = np.linspace(0.0, strength_max, n_trials)
@@ -551,9 +551,9 @@ def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = No
     step, the full mode set.  `n_resamples` is 0 (no confidence interval) or
     at least 2.
     """
-    n_resamples = _whole(n_resamples, "resamples")
-    if n_resamples != 0 and n_resamples < 2:
-        raise ConfigError(f"need 0 or at least 2 resamples, got {n_resamples}")
+    n_resamples = _whole(n_resamples, "the number of resamples", 0)
+    if n_resamples == 1:
+        raise ConfigError("need 0 or at least 2 resamples, got 1")
     trajectory = greedy_subset(table).trajectory
     D, certified_d, W = trajectory[0]
     report = WitnessReport(
@@ -565,7 +565,7 @@ def build_report(table: VisibilityTable, dataset: CoincidenceDataset | None = No
     if n_resamples:
         if dataset is None:
             raise ConfigError("confidence intervals require the counts dataset")
-        _, sigma, closed = _bootstrap(dataset.tensor, n_resamples, _seed(seed))
+        _, sigma, closed = _bootstrap(dataset.tensor, n_resamples, seed)
         report.sigma = sigma
         report.n_resamples = n_resamples
         pairs, closed = D * (D - 1) // 2, int(closed.sum())

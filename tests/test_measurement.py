@@ -598,21 +598,32 @@ def test_dataset_refuses_bad_flux(tmp_path, flux):
     # each was accepted, and write_counts_json wrote a file that
     # read_counts_json refused
     ds = simulate_counts(example_state(), 1e5, seed=4)
-    message = re.escape(f"flux must be positive and finite, got {flux!r}")
+    message = re.escape(f"flux must be a finite number > 0, got {flux!r}")
     with pytest.raises(ConfigError, match=message):
         CoincidenceDataset(ds.mode_set, flux, ds.tensor)
     if flux != 0.0:  # without pairs, 0 is the flux derived from no counts
+        message = re.escape(f"flux must be a finite number >= 0, got {flux!r}")
         with pytest.raises(ConfigError, match=message):
             CoincidenceDataset(generic_mode_set(1), flux, np.zeros((0, 3, 4)))
 
 
 @pytest.mark.parametrize("D, flux", [(4, 1e5), (4, 5e-324), (4, 1.7976931348623157e308),
-                                     (4, 7), (1, 0.0), (0, 0.0)])
-@pytest.mark.parametrize("expectation", [False, True])
+                                     (4, 7), (1, 0.0), (0, 0.0), (4, np.int64(7)),
+                                     (4, np.float32(0.1))])
+@pytest.mark.parametrize("expectation", [False, True, np.True_, "no"])
 def test_json_round_trip_of_every_dataset_that_is_built(tmp_path, D, flux, expectation):
-    ds = CoincidenceDataset(generic_mode_set(D), flux,
-                            np.arange(D * (D - 1) // 2 * 12.0).reshape(-1, 3, 4),
-                            expectation)
+    # numpy scalars are held as plain numbers, which json writes; a flag that
+    # is no bool is refused, as the reader would refuse it
+    def build():
+        return CoincidenceDataset(generic_mode_set(D), flux,
+                                  np.arange(D * (D - 1) // 2 * 12.0).reshape(-1, 3, 4),
+                                  expectation)
+    if expectation == "no":
+        with pytest.raises(ConfigError, match="expectation must be True or False"):
+            build()
+        return
+    ds = build()
+    assert (type(ds.flux), type(ds.expectation)) == (float, bool)
     write_counts_json(ds, tmp_path / "counts.json")
     back = read_counts_json(tmp_path / "counts.json")
     assert (back.mode_set, back.flux, back.expectation) == (ds.mode_set, flux, expectation)
@@ -976,7 +987,8 @@ def test_undeclared_mode_before_a_bad_token_is_named(tmp_path, fmt):
 # one bad row of each kind, in the order of the checks, and its error
 _BAD_ROW_KINDS = {
     "negative_mode": ("-1,0,0,1,x,pp,5",
-                      "bad mode: radial quantum number must be >= 0, got n=-1"),
+                      "bad mode: radial quantum number n must be a whole number "
+                      ">= 0, got -1"),
     "bad_basis": ("0,0,0,1,w,pp,5", "unknown basis/outcome 'w'/'pp'"),
     "undeclared_mode": ("0,0,4,4,x,pp,5",
                         "mode ModeIndex(n=4, l=4) not in the declared mode set"),
@@ -1089,7 +1101,7 @@ def test_json_reader_refuses_bad_file_flux(tmp_path, flux):
     payload = json.loads(path.read_text())
     payload["flux"] = flux
     path.write_text(json.dumps(payload))
-    with pytest.raises(IngestionError, match="flux must be positive and finite"):
+    with pytest.raises(IngestionError, match="flux must be a finite number > 0"):
         read_counts_json(path)
 
 

@@ -79,6 +79,7 @@ def test_mode_file_numbers_take_all_of_int64():
 
 
 def test_mode_file_radial_numbers_must_not_be_negative():
-    # a ValueError, which every reader reports as bad input
-    with pytest.raises(ValueError, match="radial quantum number must be >= 0"):
+    # ModeIndex's ConfigError, which every reader reports as bad input (exit 3)
+    with pytest.raises(ConfigError, match="radial quantum number n must be a whole "
+                                          "number >= 0, got -1"):
         ModeSet.from_json([{"n": 0, "l": 0}, {"n": -1, "l": 0}])

@@ -2,9 +2,16 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dimwitness
+from dimwitness import (ConfigError, ModeIndex, ModeSet, bound, certified_dimension,
+                        enumerate_modes, generic_mode_set, max_witness_state,
+                        random_rank_d_search, robustness_study, simulate_counts,
+                        spdc_profile, table_from_state, write_counts_json)
+from dimwitness.witness import witness_with_perturbed_projectors
+from helpers import EXAMPLE_MODES, example_state
 
 MODULES = ["errors", "modes", "states", "measurement", "witness", "oracle"]
 
@@ -81,6 +88,78 @@ def test_only_errors_holds_the_json_value_rule():
     sets = {path.name: _json_type_sets(path)
             for path in sorted(package.glob("*.py")) if path.name != "errors.py"}
     assert {name: lines for name, lines in sets.items() if lines} == {}
+
+
+# every scalar argument goes through errors._whole, errors._real or
+# errors._flag; each of these was accepted, or failed with no package error
+SILENT_SCALARS = {
+    "bound-fractional-d": lambda: bound(4, 2.5),
+    "bound-bool-d": lambda: bound(4, True),
+    "certified-string-W": lambda: certified_dimension("20", 4),
+    "max-witness-fractional-d": lambda: max_witness_state(4, 2.5),
+    "projectors-string-strength": lambda: witness_with_perturbed_projectors(
+        example_state(), "0.1", np.random.default_rng(0)),
+    "projectors-bool-strength": lambda: witness_with_perturbed_projectors(
+        example_state(), True, np.random.default_rng(0)),
+    "robustness-string-strength": lambda: robustness_study(example_state(), "both", 2,
+                                                           "0.1", 0),
+    "robustness-bool-strength": lambda: robustness_study(example_state(), "both", 2,
+                                                         True, 0),
+    "profile-bool-decay": lambda: spdc_profile(EXAMPLE_MODES, True, True),
+    "enumerate-bool-l-max": lambda: enumerate_modes(True, 0),
+    "enumerate-fractional-l-max": lambda: enumerate_modes(1.5, 0),
+    "subset-bools": lambda: table_from_state(example_state()).subset([False, True]),
+    "subset-floats": lambda: table_from_state(example_state()).subset([0.0, 2.0]),
+    "mode-fractional-n": lambda: ModeIndex(0.5, 1),
+    "mode-bool-n": lambda: ModeIndex(True, 1),
+    "generic-negative-D": lambda: generic_mode_set(-2),
+    "simulate-string-expectation": lambda: simulate_counts(example_state(), 10.0,
+                                                           expectation="no"),
+    "simulate-string-share": lambda: simulate_counts(example_state(), 10.0, seed=1,
+                                                     share_populations="no"),
+    "search-d-0": lambda: random_rank_d_search(4, 0, 10, np.random.default_rng(0)),
+    "search-d-above-D": lambda: random_rank_d_search(4, 5, 10, np.random.default_rng(0)),
+    "search-no-iters": lambda: random_rank_d_search(4, 2, 0, np.random.default_rng(0)),
+    "search-fractional-iters": lambda: random_rank_d_search(4, 2, 2.5,
+                                                            np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("call", list(SILENT_SCALARS))
+def test_scalar_arguments_that_break_their_rule_are_refused(call):
+    with pytest.raises(ConfigError):
+        SILENT_SCALARS[call]()
+
+
+def test_numpy_integer_modes_are_held_as_ints(tmp_path):
+    mode = ModeIndex(np.int64(1), np.int32(-2))
+    assert (type(mode.n), type(mode.l)) == (int, int)
+    modes = ModeSet((ModeIndex(np.int64(0), np.int64(0)), mode))
+    modes.save(tmp_path / "modes.json")
+    assert ModeSet.load(tmp_path / "modes.json") == modes
+    st = max_witness_state(modes, 2)
+    write_counts_json(simulate_counts(st, 1e3, seed=1), tmp_path / "counts.json")
+
+
+NUMBER_TYPES = {"bool", "int", "float", "integer", "floating", "bool_"}
+
+
+def _number_type_checks(path: Path) -> list:
+    """Lines of the isinstance calls of a module that test for a number or
+    bool type: a scalar rule of its own."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2 and _names(node.args[1]) & NUMBER_TYPES]
+
+
+def test_only_errors_holds_the_scalar_rules():
+    # errors._whole, errors._real and errors._flag are the one rule each for
+    # whole-number, real and on/off arguments
+    package = Path(dimwitness.__file__).parent
+    assert _number_type_checks(package / "errors.py")
+    checks = {path.name: _number_type_checks(path)
+              for path in sorted(package.glob("*.py")) if path.name != "errors.py"}
+    assert {name: lines for name, lines in checks.items() if lines} == {}
 
 
 def _outcome(node):

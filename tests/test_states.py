@@ -110,8 +110,8 @@ def test_constructors_validate():
                                  generic_mode_set(2)), "sum to 0.5"),
     (lambda: state_from_elements([DecompositionElement((2,), 1.0, [1.0])],
                                  generic_mode_set(2)), "outside the mode set"),
-    (lambda: max_witness_state(3, 0), "need 1 <= d <= D"),
-    (lambda: max_witness_state(3, 4), "need 1 <= d <= D"),
+    (lambda: max_witness_state(3, 0), r"d must be a whole number in \[1, 3\], got 0"),
+    (lambda: max_witness_state(3, 4), r"d must be a whole number in \[1, 3\], got 4"),
     (lambda: save_state({}, os.devnull), "cannot serialize object of type dict"),
 ], ids=["amplitude-length", "element-lengths", "element-weight", "element-norm",
         "weights-sum", "element-support", "d-0", "d-above-D", "save-no-state"])
@@ -241,7 +241,7 @@ def test_perturbed_state_is_valid(strength):
 @pytest.mark.parametrize("strength", [-0.2, np.nan, np.inf])
 def test_perturb_refuses_a_bad_strength(strength):
     # a non-finite strength used to end in a LinAlgError from eigh
-    with pytest.raises(ConfigError, match="strength must be finite and >= 0"):
+    with pytest.raises(ConfigError, match="strength must be a finite number >= 0"):
         perturb_state(example_state(), strength, np.random.default_rng(0))
 
 

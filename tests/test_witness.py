@@ -158,6 +158,11 @@ def test_bound_works_elementwise():
     assert bound(186, np.arange(98, 101)).tolist() == [35247, 35433, 35619]
     with pytest.raises(ConfigError):
         bound(D, d + (D == 7))
+    for bad in (D.astype(float), D > 3):  # arrays of D must hold integers
+        with pytest.raises(ConfigError, match="integer arrays"):
+            bound(bad, 1)
+        with pytest.raises(ConfigError, match="integer D"):
+            certified_dimension(np.full(len(D), 5.0), bad)
 
 
 @pytest.mark.parametrize("D", range(2, 41))
@@ -190,6 +195,14 @@ def test_example_restricted_witness():
     W = witness_sum(table.subset([1, 2, 3]))
     assert abs(W - 6.12) < 0.005
     assert certified_dimension(W, 3) == 3
+    assert table.subset([np.int64(3), 1, 2]).mode_set == table.subset([1, 2, 3]).mode_set
+
+
+@pytest.mark.parametrize("idx, match", [([1, 1], "distinct"), ([0, 4], r"\[0, 3\], got 4"),
+                                        ([-1, 2], r"\[0, 3\], got -1")])
+def test_subset_refuses_repeated_or_outside_indices(idx, match):
+    with pytest.raises(ConfigError, match=match):
+        table_from_state(example_state()).subset(idx)
 
 
 def test_witness_correlated_matches_table_path():
@@ -642,7 +655,7 @@ def test_robustness_input_checks():
 
 @pytest.mark.parametrize("n_trials", [2.5, 3.0, "3", True, None])
 def test_robustness_refuses_a_non_integer_trial_count(n_trials):
-    with pytest.raises(ConfigError, match="whole number of trials"):
+    with pytest.raises(ConfigError, match="number of trials must be a whole number"):
         robustness_study(example_state(), "both", n_trials, 0.1, seed=0)
 
 
@@ -654,7 +667,7 @@ def test_robustness_takes_a_numpy_integer_trial_count():
 @pytest.mark.parametrize("kind", ["state", "projector", "both"])
 @pytest.mark.parametrize("strength_max", [-0.5, np.nan, np.inf])
 def test_robustness_refuses_a_bad_strength_max(kind, strength_max):
-    with pytest.raises(ConfigError, match="strength must be finite and >= 0"):
+    with pytest.raises(ConfigError, match="strength must be a finite number >= 0"):
         robustness_study(example_state(), kind, 3, strength_max, seed=0)
 
 
@@ -662,7 +675,7 @@ def test_robustness_refuses_a_bad_strength_max(kind, strength_max):
 def test_perturbed_projectors_refuse_a_bad_strength(strength):
     # a negative strength used to give phase-only frames (W = 9.741) and a
     # non-finite one W = 0.0
-    with pytest.raises(ConfigError, match="strength must be finite and >= 0"):
+    with pytest.raises(ConfigError, match="strength must be a finite number >= 0"):
         witness_with_perturbed_projectors(example_state(), strength,
                                           np.random.default_rng(0))
 
@@ -824,7 +837,7 @@ def test_seed_must_be_a_whole_number_of_at_least_0(entry, seed):
     # None, negative and float seeds ended in numpy's TypeError or ValueError,
     # True sampled as seed 1, and with every pair in closed form monte_carlo_ci
     # took None
-    with pytest.raises(ConfigError, match="seed that is a whole number >= 0"):
+    with pytest.raises(ConfigError, match="seed must be a whole number >= 0"):
         SEEDED_ENTRY_POINTS[entry](seed)
 
 
