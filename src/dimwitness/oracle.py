@@ -150,6 +150,8 @@ def random_correlated_mixture(D: int, d: int,
                               rng: np.random.Generator) -> CorrelatedState:
     """Random mixture of 1 to 4 rank <= d correlated pure states with
     non-negative real amplitudes (random supports, Dirichlet weights)."""
+    _check_cap(D := _whole(D, "D", 1))
+    d = _whole(d, "d", 1, D)
     return CorrelatedState(_random_mixtures(D, d, 1, rng)[0], generic_mode_set(D))
 
 

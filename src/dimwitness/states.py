@@ -173,8 +173,10 @@ class DecompositionElement:
         object.__setattr__(self, "amplitudes", amps)
         if len(self.support) != amps.size:
             raise InvalidStateError("support and amplitude lengths differ")
-        if not (0.0 <= self.weight <= 1.0 + 1e-12):
-            raise InvalidStateError(f"weight {self.weight} outside [0,1]")
+        weight = _real(self.weight, "weight", 0)
+        if weight > 1.0 + 1e-12:
+            raise InvalidStateError(f"weight {weight} outside [0,1]")
+        object.__setattr__(self, "weight", weight)
         if abs(np.sum(amps**2) - 1.0) > 1e-9:
             raise InvalidStateError("element amplitudes are not normalized")
 

@@ -3,15 +3,19 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import dimwitness
 from dimwitness import measurement
 from dimwitness.cli import cli, main
 from dimwitness.modes import ModeSet, enumerate_modes
@@ -49,7 +53,8 @@ def test_workflow_installs_the_pyproject_test_extra():
 
 def test_workflow_runs_the_installed_console_script():
     # the tests call cli.main directly, so only this step sees a broken entry
-    # point of the installed package
+    # point of the installed package; reading back the robustness file covers
+    # that entry point's exit path
     steps = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text()
                            )["jobs"]["tests"]["steps"]
     names = [step.get("name") for step in steps]
@@ -59,7 +64,9 @@ def test_workflow_runs_the_installed_console_script():
         "dimwitness --version",
         "dimwitness verify --d-max 3",
         "dimwitness robustness --amplitudes 0.5,0.07,0.01,0.01 --kind both "
-        "--trials 1000 --strength-max 0.2 --seed 7 --output /tmp/r.json"]
+        "--trials 1000 --strength-max 0.2 --seed 7 --output /tmp/r.json",
+        "python -c \"import json, sys; "
+        "sys.exit(len(json.load(open('/tmp/r.json'))['trials']) != 1000)\""]
     assert re.search(r'^\[project\.scripts\]\ndimwitness = "dimwitness\.cli:main"$',
                      (ROOT / "pyproject.toml").read_text(), re.M)
 
@@ -193,26 +200,34 @@ def test_readme_names_exist():
     assert missing == []
 
 
-def _simulate_paper_counts(tmp_path, monkeypatch, output, *simulate_flags):
-    """Run the paper_D186 simulate command line at D = 30 in `tmp_path`."""
+def _simulate_paper_counts(tmp_path, monkeypatch, output, *simulate_flags, run=main):
+    """Run the paper_D186 simulate command line at D = 30 in `tmp_path`, through
+    `run` (by default cli.main in this process)."""
     grid = enumerate_modes(11, 13)
     chosen = sorted(grid.modes, key=lambda m: (2 * m.n + abs(m.l), m.n, m.l))
     ModeSet(tuple(chosen[:30])).save(tmp_path / "modes.json")
     monkeypatch.chdir(tmp_path)
-    main(["simulate", "--mode-file", "modes.json", "--flux", "1e6", "--profile",
-          "exponential", "--lambda-l", "8", "--lambda-n", "4", *simulate_flags,
-          "--output", output])
+    run(["simulate", "--mode-file", "modes.json", "--flux", "1e6", "--profile",
+         "exponential", "--lambda-l", "8", "--lambda-n", "4", *simulate_flags,
+         "--output", output])
 
 
-def _paper_pipeline_digests(tmp_path, monkeypatch, *simulate_flags):
+def _paper_pipeline_digests(tmp_path, monkeypatch, *simulate_flags, run=main):
     """sha256 of the files of the paper_D186 command lines at D = 30."""
-    _simulate_paper_counts(tmp_path, monkeypatch, "counts.csv", *simulate_flags)
+    _simulate_paper_counts(tmp_path, monkeypatch, "counts.csv", *simulate_flags, run=run)
     common = ["--mode-file", "modes.json", "--flux", "1e6"]
-    main(["certify", "--input", "counts.csv", *common, "--resamples", "200",
-          "--seed", "7", "--output", "report.json"])
-    main(["optimize", "--input", "counts.csv", *common, "--output", "trajectory.json"])
+    run(["certify", "--input", "counts.csv", *common, "--resamples", "200",
+         "--seed", "7", "--output", "report.json"])
+    run(["optimize", "--input", "counts.csv", *common, "--output", "trajectory.json"])
     return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("counts.csv", "report.json", "trajectory.json")}
+
+
+_PAPER_PIPELINE_PINS = {
+    "counts.csv": "13bdcf5fde144a35abdde88d8b2c175ee04bf3820b52db257dccca5174d59ad5",
+    "report.json": "123216b571c204c68127e4703d8c66c6475dd4618a0877abd12649e8834b6baf",
+    "trajectory.json": "004a0135358e4bf588a78d7a026d354e4aecb63e106305e7e91ae31edbf9e867",
+}
 
 
 def test_paper_pipeline_keeps_its_bytes(tmp_path, monkeypatch):
@@ -221,11 +236,46 @@ def test_paper_pipeline_keeps_its_bytes(tmp_path, monkeypatch):
     # seeded output fails here; the trajectory digest was taken when the
     # greedy began to sum the W of its later steps as one reverse cumulative
     # sum, which moved the last digits of those W and nothing else
-    assert _paper_pipeline_digests(tmp_path, monkeypatch, "--seed", "7") == {
-        "counts.csv": "13bdcf5fde144a35abdde88d8b2c175ee04bf3820b52db257dccca5174d59ad5",
-        "report.json": "123216b571c204c68127e4703d8c66c6475dd4618a0877abd12649e8834b6baf",
-        "trajectory.json": "004a0135358e4bf588a78d7a026d354e4aecb63e106305e7e91ae31edbf9e867",
-    }
+    assert _paper_pipeline_digests(tmp_path, monkeypatch, "--seed", "7") == \
+        _PAPER_PIPELINE_PINS
+
+
+# a fresh interpreter imports the package from the source tree these tests run
+_SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(dimwitness.__file__).resolve().parents[1])}
+
+
+def test_paper_pipeline_keeps_its_bytes_in_fresh_processes(tmp_path, monkeypatch):
+    # each command as its own `python -m dimwitness.cli` process, so its outputs
+    # pass through the exit path that main() sets up: the shutdown collection
+    # is skipped, and no byte of a file or of stdout may depend on it
+    stdout = []
+
+    def run(argv):
+        proc = subprocess.run([sys.executable, "-m", "dimwitness.cli", *argv],
+                              capture_output=True, text=True, env=_SRC_ENV, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        stdout.append(proc.stdout)
+
+    digests = _paper_pipeline_digests(tmp_path, monkeypatch, "--seed", "7", run=run)
+    assert digests == _PAPER_PIPELINE_PINS
+    assert stdout == ["wrote 5220 counts for D=30 to counts.csv\n",
+                      "W = 1293.51 (D = 30), certified d = 30\n",
+                      "best subset size 30, certified d = 30\n"]
+
+
+def test_main_leaves_one_exit_hook(tmp_path):
+    # a hook registered before main() runs after main()'s, so it sees the freeze
+    code = ("import atexit, gc\n"
+            "from dimwitness.cli import main\n"
+            "atexit.register(lambda: print('frozen at exit', gc.get_freeze_count() > 0))\n"
+            "before = atexit._ncallbacks()\n"
+            "for _ in range(3):\n    main(['verify', '--d-max', '2'])\n"
+            "print('exit hooks added', atexit._ncallbacks() - before)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=_SRC_ENV, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-3:] == [
+        "all checks passed", "exit hooks added 1", "frozen at exit True"]
 
 
 def test_expectation_pipeline_keeps_its_bytes(tmp_path, monkeypatch):

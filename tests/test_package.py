@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import dimwitness
-from dimwitness import (ConfigError, ModeIndex, ModeSet, bound, certified_dimension,
-                        enumerate_modes, generic_mode_set, max_witness_state,
+from dimwitness import (ConfigError, DecompositionElement, ModeIndex, ModeSet, bound,
+                        certified_dimension, enumerate_modes, generic_mode_set,
+                        max_witness_state, random_correlated_mixture,
                         random_rank_d_search, robustness_study, simulate_counts,
                         spdc_profile, table_from_state, write_counts_json)
 from dimwitness.witness import witness_with_perturbed_projectors
@@ -122,6 +123,11 @@ SILENT_SCALARS = {
     "search-no-iters": lambda: random_rank_d_search(4, 2, 0, np.random.default_rng(0)),
     "search-fractional-iters": lambda: random_rank_d_search(4, 2, 2.5,
                                                             np.random.default_rng(0)),
+    "mixture-d-0": lambda: random_correlated_mixture(4, 0, np.random.default_rng(0)),
+    "mixture-d-above-D": lambda: random_correlated_mixture(4, 7, np.random.default_rng(0)),
+    "mixture-bool-d": lambda: random_correlated_mixture(4, True, np.random.default_rng(0)),
+    "element-bool-weight": lambda: DecompositionElement((0,), True, [1.0]),
+    "element-string-weight": lambda: DecompositionElement((0,), "0.5", [1.0]),
 }
 
 
