@@ -265,6 +265,9 @@ _TOKEN_KEY = np.dtype({"names": ["key"], "formats": ["<u8"],
                        "offsets": [_ROW.fields["basis"][1]],
                        "itemsize": _ROW.itemsize})
 _TOKEN_BYTES = np.uint64((1 << 48) - 1)
+# A view of a `_ROW` array: its four mode numbers as one (4,) field.
+_MODE_NUMBERS = np.dtype({"names": ["modes"], "formats": [(np.int64, 4)],
+                          "offsets": [0], "itemsize": _ROW.itemsize})
 _TOKEN_PAIRS = sorted(
     (int.from_bytes(b.encode().ljust(3, b"\0") + o.encode().ljust(3, b"\0"), "little"),
      _BASIS_ID[b] * len(OUTCOMES) + _OUTCOME_ID[o]) for b, o in product(BASES, OUTCOMES))
@@ -357,10 +360,13 @@ def _compact(rows: np.ndarray) -> tuple:
     (na, la) side, -1 for an unknown token pair, and its count.  Last, the
     (basis, outcome) bytes of the first row with an unknown token pair, or
     None."""
-    columns = [rows[name] for name in CSV_HEADER[:4]]
-    head = np.ones(len(rows), dtype=bool)
-    head[1:] = np.any([c[1:] != c[:-1] for c in columns], axis=0)
-    starts = np.flatnonzero(head)
+    na, la, nb, lb = (rows[name] for name in CSV_HEADER[:4])
+    # the rows where a run starts, then the end of the chunk
+    edge = np.ones(len(rows) + 1, dtype=bool)
+    edge[1:-1] = ((na[1:] != na[:-1]) | (la[1:] != la[:-1])
+                  | (nb[1:] != nb[:-1]) | (lb[1:] != lb[:-1]))
+    bounds = np.flatnonzero(edge)
+    starts = bounds[:-1]
     # each row's token pair, looked up in one pass among the valid ones
     key = rows.view(_TOKEN_KEY)["key"] & _TOKEN_BYTES
     token = np.searchsorted(_KEYS, key)
@@ -370,8 +376,8 @@ def _compact(rows: np.ndarray) -> tuple:
     if settings.min(initial=0) < 0:
         i = int(np.argmax(settings < 0))
         unknown = rows["basis"][i], rows["outcome"][i]
-    return (np.stack([c[starts] for c in columns], axis=-1),
-            np.diff(starts, append=len(rows)), settings, rows["count"].copy(), unknown)
+    return (rows.view(_MODE_NUMBERS)["modes"][starts], bounds[1:] - starts, settings,
+            rows["count"].copy(), unknown)
 
 
 def _dataset(chunks, mode_set: ModeSet | None, flux: float | None,
@@ -380,73 +386,46 @@ def _dataset(chunks, mode_set: ModeSet | None, flux: float | None,
     each is reduced by `_compact` as it comes.  Without `mode_set` it is
     every mode seen, sorted by (n, l); without `flux` it is the total
     z-basis count, which must be positive unless there are no rows.  The
-    first bad row in row order is named, with the first check it fails:
-    mode number, basis/outcome token, undeclared mode, self pair, count
-    value, then repeated cell."""
+    rows are accepted on checks over all of them at once; if one fails,
+    `_refuse` names the first bad row."""
     parts = [_compact(rows) for rows in chunks]
     *columns, unknowns = zip(*parts)
     runs, lengths, settings, counts = map(np.concatenate, columns)
     unknown = next((u for u in unknowns if u is not None), None)
     del parts, columns  # the chunks' copies
-    # the modes are coded once per run: one code per (n, l) cell of either
-    # column, from the ranks of the mode numbers; codes sort in (n, l) order
-    na, la, nb, lb = runs.T
-    numbers, rank = np.unique(np.concatenate([na, nb, la, lb]), return_inverse=True)
-    codes, ids = np.unique(rank[:2 * len(runs)] * len(numbers)
-                           + rank[2 * len(runs):], return_inverse=True)
-    n, lq = numbers[codes // len(numbers)], numbers[codes % len(numbers)]
-    modes = list(map(_mode, n.tolist(), lq.tolist()))
-    refused = np.array([isinstance(m, ConfigError) for m in modes], dtype=bool)
-    ia, ib = ids[:len(runs)], ids[len(runs):]
+    # the modes are coded once per run: the runs' first modes, then their
+    # second ones, sorted by (n, l) in one sort; a code is a mode's rank
+    # among the distinct modes
+    n, lq = runs[:, 0::2].T.reshape(-1), runs[:, 1::2].T.reshape(-1)
+    order = np.lexsort((lq, n))
+    n, lq = n[order], lq[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (n[1:] != n[:-1]) | (lq[1:] != lq[:-1])
+    ids = np.empty(len(order), dtype=np.intp)
+    ids[order] = np.cumsum(new) - 1
+    n, lq = n[new].tolist(), lq[new].tolist()
     if mode_set is None:
-        mode_set = ModeSet(tuple(m for m, r in zip(modes, refused) if not r))
+        modes = map(_mode, n, lq)
+        mode_set = ModeSet(tuple(m for m in modes if not isinstance(m, ConfigError)))
     D = mode_set.D
-    index = {m: i for i, m in enumerate(mode_set.modes)}
-    remap = np.array([index.get(m, -1) for m in modes], dtype=np.intp)
-    k, l = remap[ia], remap[ib]
-    # per run, the first mode check it fails: 1 a refused mode number, 3 a
-    # mode not in the set, 4 a self pair (2 is the row's token check)
-    run_check = np.select([refused[ia] | refused[ib], (k < 0) | (l < 0), k == l],
-                          [1, 3, 4])
-    # a (b, a) row holds the (a, b) count with the photons swapped
+    # a refused or undeclared mode is in no mode set: it maps to -1
+    index = {(m.n, m.l): i for i, m in enumerate(mode_set.modes)}
+    remap = np.array([index.get(mode, -1) for mode in zip(n, lq)], dtype=np.intp)
+    k, l = remap[ids[:len(runs)]], remap[ids[len(runs):]]
+    # a (b, a) row holds the (a, b) count with the photons swapped; an
+    # unknown token's -1 indexes a setting too
     per_pair = len(BASES) * len(OUTCOMES)
-    swap = k > l
-    run_cell = pair_index(np.where(swap, l, k), np.where(swap, k, l), D) * per_pair
-    # an unknown token's -1 indexes a setting too; its row is not ok
-    flat = np.repeat(run_cell, lengths)
-    flat += _SETTINGS[np.where(np.repeat(swap, lengths), settings + per_pair, settings)]
-    count_ok = _counts_ok(counts)
-    ok = np.repeat(run_check == 0, lengths) & (settings >= 0) & count_ok
+    flat = np.repeat(pair_index(np.minimum(k, l), np.maximum(k, l), D) * per_pair, lengths)
+    flat += _SETTINGS[np.where(np.repeat(k > l, lengths), settings + per_pair, settings)]
     tensor = np.full((D * (D - 1) // 2, len(BASES), len(OUTCOMES)), np.nan)
     cells = tensor.reshape(-1)
-    filled = np.count_nonzero(ok)
-    if filled == len(counts):  # else a row is refused below
+    accepted = (unknown is None and remap.min(initial=0) >= 0 and (k != l).all()
+                and _counts_ok(counts).all())
+    if accepted:
         cells[flat] = counts
     # every count is a number, so a repeated cell leaves fewer filled cells
-    if filled < len(counts) or np.count_nonzero(~np.isnan(cells)) < filled:
-        # only the first row of each cell among the rows that pass passes
-        good = np.flatnonzero(ok)
-        failed = np.ones(len(counts), dtype=bool)
-        failed[good[np.unique(flat[good], return_index=True)[1]]] = False
-        i = int(np.argmax(failed))
-        r = int(np.searchsorted(np.cumsum(lengths), i, side="right"))
-        a, b = modes[ia[r]], modes[ib[r]]
-        if run_check[r] == 1:
-            exc = modes[min(c for c in (ia[r], ib[r]) if refused[c])]
-            raise IngestionError(f"bad mode: {exc}") from exc
-        if settings[i] < 0:  # so this is the first unknown token's row
-            raise IngestionError("unknown basis/outcome {!r}/{!r}".format(
-                *(t.decode("latin-1") for t in unknown)))
-        if run_check[r] == 3:
-            raise IngestionError(f"mode {a if k[r] < 0 else b!r} not in the declared "
-                                 f"mode set")
-        if run_check[r] == 4:
-            raise IngestionError(f"row pairs mode {a!r} with itself")
-        cell = next(_keys(D, flat[i:i + 1]))
-        if not count_ok[i]:
-            raise IngestionError(f"count {float(counts[i])!r} at {cell} must be "
-                                 f">= 0 and <= {_COUNT_MAX:.6g}")
-        raise IngestionError(f"duplicate count at {cell}")
+    if not accepted or np.count_nonzero(np.isnan(cells)) > len(cells) - len(counts):
+        _refuse(n, lq, ids, k, l, lengths, settings, counts, flat, unknown, D)
     if flux is None:  # left to right in row order; np.sum adds pairwise
         z = counts[settings // len(OUTCOMES) == _BASIS_ID["z"]]
         flux = float(np.cumsum(z)[-1]) if z.size else 0.0
@@ -454,6 +433,45 @@ def _dataset(chunks, mode_set: ModeSet | None, flux: float | None,
             raise IngestionError("the z-basis counts sum to 0, so no flux can be "
                                  "derived from them; give the flux")
     return CoincidenceDataset(mode_set, flux, tensor, expectation)
+
+
+def _refuse(n, lq, ids, k, l, lengths, settings, counts, flat, unknown, D):
+    """Raise the error of the first bad row of rows `_dataset` refused (its
+    arguments are `_dataset`'s), with the first check the row fails: mode
+    number, basis/outcome token, undeclared mode, self pair, count value,
+    then repeated cell."""
+    modes = list(map(_mode, n, lq))
+    refused = np.array([isinstance(m, ConfigError) for m in modes], dtype=bool)
+    ia, ib = ids[:len(k)], ids[len(k):]
+    # per run, the first mode check it fails: 1 a refused mode number, 3 a
+    # mode not in the set, 4 a self pair (2 is the row's token check)
+    run_check = np.select([refused[ia] | refused[ib], (k < 0) | (l < 0), k == l],
+                          [1, 3, 4])
+    count_ok = _counts_ok(counts)
+    ok = np.repeat(run_check == 0, lengths) & (settings >= 0) & count_ok
+    # only the first row of each cell among the rows that pass passes
+    good = np.flatnonzero(ok)
+    failed = np.ones(len(counts), dtype=bool)
+    failed[good[np.unique(flat[good], return_index=True)[1]]] = False
+    i = int(np.argmax(failed))
+    r = int(np.searchsorted(np.cumsum(lengths), i, side="right"))
+    a, b = modes[ia[r]], modes[ib[r]]
+    if run_check[r] == 1:
+        exc = modes[min(c for c in (ia[r], ib[r]) if refused[c])]
+        raise IngestionError(f"bad mode: {exc}") from exc
+    if settings[i] < 0:  # so this is the first unknown token's row
+        raise IngestionError("unknown basis/outcome {!r}/{!r}".format(
+            *(t.decode("latin-1") for t in unknown)))
+    if run_check[r] == 3:
+        raise IngestionError(f"mode {a if k[r] < 0 else b!r} not in the declared "
+                             f"mode set")
+    if run_check[r] == 4:
+        raise IngestionError(f"row pairs mode {a!r} with itself")
+    cell = next(_keys(D, flat[i:i + 1]))
+    if not count_ok[i]:
+        raise IngestionError(f"count {float(counts[i])!r} at {cell} must be "
+                             f">= 0 and <= {_COUNT_MAX:.6g}")
+    raise IngestionError(f"duplicate count at {cell}")
 
 
 # data rows per np.loadtxt call of read_counts_csv; a chunk's `_ROW` records

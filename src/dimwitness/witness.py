@@ -329,20 +329,21 @@ def greedy_subset(table: VisibilityTable) -> GreedyResult:
     k, l = pairs(D)
     upper = S[k, l]
     W0 = _ordered_sum(upper)
-    active = np.arange(D)
-    rs = S.sum(axis=1)  # the surviving modes' summed visibilities
+    # each mode's summed visibility against the surviving modes; a removed
+    # mode keeps its place with the sum +inf, so it is never the weakest
+    rs = S.sum(axis=1)
     tie = _TIE_ULPS * D ** 2 * np.finfo(float).eps * S.max()
     leave = np.full(D, D - 2)  # the last step of each mode; two stay to the end
     for step in range(D - 2):
-        tied = np.flatnonzero(rs <= rs.min() + tie)
-        i = tied[0]
+        tied = (rs <= rs.min() + tie).nonzero()[0]
+        weakest = tied[0]
         if len(tied) > 1:
-            i = tied[np.argmin(_row_means(S[np.ix_(active[tied], active)], tied))]
-        weakest = active[i]
+            alive = (rs < np.inf).nonzero()[0]
+            weakest = tied[np.argmin(_row_means(S[np.ix_(tied, alive)],
+                                                np.searchsorted(alive, tied)))]
         leave[weakest] = step
-        keep = active != weakest
-        active, rs = active[keep], rs[keep]
-        rs -= S[weakest][active]
+        rs[weakest] = np.inf
+        rs -= S[weakest]
     W = np.cumsum(np.bincount(np.minimum(leave[k], leave[l]), weights=upper,
                               minlength=D - 1)[::-1])[::-1]
     W[0] = W0

@@ -51,6 +51,21 @@ def test_workflow_installs_the_pyproject_test_extra():
     assert re.search(r"^\[project\.optional-dependencies\]\ntest = \[", pyproject, re.M)
 
 
+# A D = 6 pipeline through the installed script: count files read with a
+# declared mode set (--mode-file) and without one, and a report read back.
+D6_PIPELINE = [
+    "python -c \"from dimwitness.modes import enumerate_modes; "
+    "enumerate_modes(1, 1).save('/tmp/m6.json')\"",
+    "dimwitness simulate --mode-file /tmp/m6.json --profile exponential --seed 7 "
+    "--output /tmp/c6.csv",
+    "dimwitness certify --input /tmp/c6.csv --mode-file /tmp/m6.json --resamples 20 "
+    "--seed 7 --output /tmp/r6.json",
+    "dimwitness certify --input /tmp/c6.csv --resamples 20 --seed 7 --output /tmp/r6u.json",
+    "dimwitness optimize --input /tmp/c6.csv --mode-file /tmp/m6.json --output /tmp/o6.json",
+    "dimwitness report --input /tmp/r6.json --trajectory-csv /tmp/t6.csv",
+]
+
+
 def test_workflow_runs_the_installed_console_script():
     # the tests call cli.main directly, so only this step sees a broken entry
     # point of the installed package; reading back the robustness file covers
@@ -66,9 +81,27 @@ def test_workflow_runs_the_installed_console_script():
         "dimwitness robustness --amplitudes 0.5,0.07,0.01,0.01 --kind both "
         "--trials 1000 --strength-max 0.2 --seed 7 --output /tmp/r.json",
         "python -c \"import json, sys; "
-        "sys.exit(len(json.load(open('/tmp/r.json'))['trials']) != 1000)\""]
+        "sys.exit(len(json.load(open('/tmp/r.json'))['trials']) != 1000)\"",
+        *D6_PIPELINE]
     assert re.search(r'^\[project\.scripts\]\ndimwitness = "dimwitness\.cli:main"$',
                      (ROOT / "pyproject.toml").read_text(), re.M)
+
+
+def test_workflow_d6_pipeline_runs(tmp_path, monkeypatch):
+    # the workflow's D = 6 commands, run in this process, exit 0 and write
+    # their files
+    monkeypatch.chdir(tmp_path)
+    for line in D6_PIPELINE:
+        argv = shlex.split(line.replace("/tmp/", ""))
+        if argv[0] == "python":
+            exec(argv[2], {})
+            continue
+        try:
+            main(argv[1:])
+        except SystemExit as exc:
+            raise AssertionError(f"{line} exited {exc.code}") from exc
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "m6.json", "c6.csv", "r6.json", "r6u.json", "o6.json", "t6.csv"}
 
 
 def test_xfails_are_strict_by_default(pytestconfig):

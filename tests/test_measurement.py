@@ -17,7 +17,7 @@ from dimwitness import (ConfigError, IngestionError, brute_force_witness,
 from dimwitness.measurement import (_EIGVECS, _U, BASES, CSV_HEADER, OUTCOMES,
                                     CoincidenceDataset, _count_str,
                                     outcome_probabilities, pair_index, pairs)
-from dimwitness.modes import ModeIndex, ModeSet
+from dimwitness.modes import ModeIndex, ModeSet, enumerate_modes
 from dimwitness.oracle import _DOUBLE, _PAULI2
 from dimwitness.states import (CorrelatedState, GeneralTwoPhotonState,
                                max_witness_state, perturb_state)
@@ -907,6 +907,29 @@ def test_csv_reader_equals_reference_reader(tmp_path, layout, declared, expectat
     assert np.array_equal(new.tensor, ds.tensor)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("order", ["paper", "reversed"])
+def test_reader_maps_modes_to_an_unsorted_declared_set(tmp_path, order, fmt):
+    # the 15 modes with n, |l| <= 2 in paper_D186's (2n + |l|, n, l) order,
+    # or in reverse (n, l) order: each count lands at its declared positions
+    modes = enumerate_modes(2, 2).modes
+    mode_set = ModeSet(tuple(sorted(modes, key=lambda m: (2 * m.n + abs(m.l), m.n, m.l))
+                             if order == "paper" else sorted(modes, reverse=True)))
+    rng = np.random.default_rng(5)
+    st = correlated_pure(rng.standard_normal(15) + 1j * rng.standard_normal(15), mode_set)
+    ds = simulate_counts(st, 1e5, seed=6)
+    write_counts_csv(ds, tmp_path / "counts.csv")
+    ref = ref_read_csv(tmp_path / "counts.csv", mode_set=mode_set, flux=1e5)
+    if fmt == "csv":
+        new = read_counts_csv(tmp_path / "counts.csv", mode_set=mode_set, flux=1e5)
+    else:
+        write_counts_json(ds, tmp_path / "counts.json")
+        new = read_counts_json(tmp_path / "counts.json")
+    assert new.mode_set == ref.mode_set == mode_set
+    assert np.array_equal(new.tensor, ref.tensor)
+    assert np.array_equal(new.tensor, ds.tensor)
+
+
 MALFORMED_BODIES = {
     "short_row": "0,0,0,1,x,pp",
     "long_row": "0,0,0,1,x,pp,5,7",
@@ -931,7 +954,64 @@ MALFORMED_BODIES = {
     "ppm": "0,0,0,1,x,ppm,5",
     "xyz": "0,0,0,1,xyz,pp,5",
     "ppmm": "0,0,0,1,x,ppmm,5",
+    # two faults in one row: the first check it fails names it
+    "bad_mode_bad_basis": "-1,0,0,1,w,pp,5",
+    "undeclared_bad_basis": "0,0,4,4,w,pp,5",
+    "undeclared_self_pair": "4,4,4,4,x,pp,5",
+    "self_pair_negative_count": "0,0,0,0,x,pp,-2",
+    "negative_count_duplicate": "0,0,0,1,x,mm,-7",
 }
+
+
+# The error of each body after the row "0,0,0,1,x,mm,5", declared or not:
+# numpy's loadtxt refuses the row ("malformed CSV row in <path>: ...") or
+# the dataset checks do ("malformed dataset file <path>: ...").
+_COLUMNS = "the dtype passed requires 7 columns but {} were found at row 2; " \
+           "use `usecols` to select a subset and avoid this error"
+_CONVERT = "could not convert string {!r} to {} at row 1, column {}."
+_COUNT_RANGE = "count {} at (0, 1, 'x', 'pp') must be >= 0 and <= 4.49423e+307"
+MALFORMED_MESSAGES = {
+    "short_row": ("row", _COLUMNS.format(6)),
+    "long_row": ("row", _COLUMNS.format(8)),
+    "self_pair": ("file", "row pairs mode ModeIndex(n=0, l=0) with itself"),
+    "negative_mode": ("file", "bad mode: radial quantum number n must be a whole "
+                              "number >= 0, got -1"),
+    "fractional_mode": ("row", _CONVERT.format("1.5", "int64", 2)),
+    "letter_mode": ("row", _CONVERT.format("a", "int64", 2)),
+    "undeclared_mode": ("file", "mode ModeIndex(n=4, l=4) not in the declared mode set"),
+    "bad_basis": ("file", "unknown basis/outcome 'w'/'pp'"),
+    "empty_basis": ("file", "unknown basis/outcome ''/'pp'"),
+    "bad_outcome": ("file", "unknown basis/outcome 'x'/'p'"),
+    "letter_count": ("row", _CONVERT.format("abc", "float64", 7)),
+    "empty_count": ("row", _CONVERT.format("", "float64", 7)),
+    "nan_count": ("file", _COUNT_RANGE.format("nan")),
+    "negative_count": ("file", _COUNT_RANGE.format("-2.0")),
+    "duplicate": ("file", "duplicate count at (0, 1, 'x', 'mm')"),
+    "swapped_duplicate": ("file", "duplicate count at (0, 1, 'x', 'mm')"),
+    "whitespace_line": ("row", _COLUMNS.format(1)),
+    "quoted_comma": ("file", "unknown basis/outcome 'x'/'p,p'"),
+    "non_ascii": ("file", "unknown basis/outcome 'x'/'pé'"),
+    "non_latin1": ("row", _CONVERT.format("p€", "|S3", 6)),
+    "ppm": ("file", "unknown basis/outcome 'x'/'ppm'"),
+    "xyz": ("file", "unknown basis/outcome 'xyz'/'pp'"),
+    "ppmm": ("file", "unknown basis/outcome 'x'/'ppm'"),
+    "bad_mode_bad_basis": ("file", "bad mode: radial quantum number n must be a whole "
+                                   "number >= 0, got -1"),
+    "undeclared_bad_basis": ("file", "unknown basis/outcome 'w'/'pp'"),
+    "undeclared_self_pair": ("file", "mode ModeIndex(n=4, l=4) not in the declared "
+                                     "mode set"),
+    "self_pair_negative_count": ("file", "row pairs mode ModeIndex(n=0, l=0) with itself"),
+    "negative_count_duplicate": ("file", "count -7.0 at (0, 1, 'x', 'mm') must be >= 0 "
+                                         "and <= 4.49423e+307"),
+}
+# where the mode set is not declared, every mode is in it
+_UNDECLARED_MESSAGES = {
+    "undeclared_self_pair": "row pairs mode ModeIndex(n=4, l=4) with itself",
+}
+
+
+def test_every_malformed_body_has_its_message():
+    assert set(MALFORMED_MESSAGES) == set(MALFORMED_BODIES)
 
 
 @pytest.mark.parametrize("case, declared", [
@@ -942,9 +1022,15 @@ def test_malformed_csv_same_error_as_reference(tmp_path, case, declared):
     path.write_text(_csv_text(["0,0,0,1,x,mm,5".split(","),
                                [MALFORMED_BODIES[case]]]), encoding="utf-8")
     given = {"mode_set": generic_mode_set(2), "flux": 1e5} if declared else {}
-    for read in (read_counts_csv, ref_read_csv):
-        with pytest.raises(IngestionError):
-            read(path, **given)
+    with pytest.raises(IngestionError):
+        ref_read_csv(path, **given)
+    with pytest.raises(IngestionError) as info:
+        read_counts_csv(path, **given)
+    where, message = MALFORMED_MESSAGES[case]
+    if not declared:
+        message = _UNDECLARED_MESSAGES.get(case, message)
+    assert str(info.value) == (f"malformed CSV row in {path}: {message}" if where == "row"
+                               else _in_file(path, message))
 
 
 # a bad token, an undeclared mode, then another bad token

@@ -15,7 +15,7 @@ from dimwitness import (ConfigError, IngestionError, IntegrityError,
                         table_from_state, witness_correlated, witness_sum)
 from dimwitness.measurement import (_EIGVECS, BASES, OUTCOMES, CoincidenceDataset,
                                     basis_correlations, outcome_probabilities,
-                                    pair_index)
+                                    pair_index, pairs)
 from dimwitness.modes import ModeSet
 from dimwitness.oracle import brute_force_sv_witness, schmidt_rank
 from dimwitness.cli import main
@@ -1149,6 +1149,37 @@ def test_greedy_on_tied_tables_equals_reference_loop(kind):
     assert any(np.count_nonzero(m == m.min()) > 1 for m in means)
     if kind == "equal":  # a tie drops the first of the tied modes
         assert step_subsets(res.order) == [list(range(i, 12)) for i in range(11)]
+
+
+def edge_table(kind):
+    """A table at an end of the greedy's bookkeeping: D = 2 (no step),
+    D = 3 (one step), all V zero (every running sum tied at each step), or
+    D = 6 with mode m's pairs all zero (kind "zero_row_<m>")."""
+    rng = np.random.default_rng(37)
+    if kind in ("D2", "D3"):
+        return random_table(int(kind[1]), rng)
+    if kind == "all_zero":
+        return VisibilityTable(generic_mode_set(6), np.zeros((15, 3)))
+    m = int(kind.rsplit("_", 1)[1])
+    k, l = pairs(6)
+    V = random_table(6, rng).V
+    V[(k == m) | (l == m)] = 0.0
+    return VisibilityTable(generic_mode_set(6), V)
+
+
+@pytest.mark.parametrize("kind", ["D2", "D3", "all_zero", "zero_row_0", "zero_row_3",
+                                  "zero_row_5"])
+def test_greedy_at_its_ends_equals_reference_loop(kind):
+    table = edge_table(kind)
+    res = greedy_subset(table)
+    assert greedy_result(res) == ref_greedy(table)
+    assert_step_witness_near_subset_sums(table, res)
+    D = table.mode_set.D
+    assert len(res.trajectory) == D - 1
+    if kind == "all_zero":  # each step drops the first of the tied modes
+        assert res.order.tolist() == list(range(6))
+    elif kind.startswith("zero_row"):  # the mode that sees nothing goes first
+        assert res.order[0] == int(kind[-1])
 
 
 def previous_row_means(S):
