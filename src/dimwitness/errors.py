@@ -69,13 +69,12 @@ _JSON_KINDS = {"integer": ({int}, "an integer", np.int64),
                "string": ({str}, "a JSON string", np.str_)}
 
 
-def _json_array(name: str, values, kind: str, dtype=None) -> np.ndarray:
-    """The values json.load gave for the field `name` as one array of `dtype`
-    (by default the numpy type of `kind`); the first that is not of that kind,
-    or that `dtype` cannot hold, raises ValueError.  A whole column is tested as one
-    set of types, with no Python loop over its values."""
-    types, phrase, default = _JSON_KINDS[kind]
-    dtype = default if dtype is None else dtype
+def _json_array(name: str, values, kind: str) -> np.ndarray:
+    """The values json.load gave for the field `name` as one array of the
+    numpy type of `kind`; the first that is not of that kind, or that the type
+    cannot hold, raises ValueError.  A whole column is tested as one set of
+    types, with no Python loop over its values."""
+    types, phrase, dtype = _JSON_KINDS[kind]
     if set(map(type, values)) <= types:
         try:
             return np.array(values, dtype=dtype)
@@ -89,6 +88,17 @@ def _json_array(name: str, values, kind: str, dtype=None) -> np.ndarray:
         except OverflowError:
             raise ValueError(f"{name} {value!r:.100} is not {phrase} that "
                              f"{np.dtype(dtype)} holds") from None
+
+
+def _json_numbers(name: str, data, shape: tuple) -> np.ndarray:
+    """The nested lists json.load gave for the field `name` as one float64
+    array of `shape`, each value a number by `_json_array`; other nesting
+    raises ValueError.  An array without elements is nested down to its first
+    empty axis only (json.dumps writes `[]` for shape (0, 3, 4))."""
+    nested = np.array(data, dtype=object)
+    if nested.shape != (shape[:shape.index(0) + 1] if 0 in shape else shape):
+        raise ValueError(f"{name} is not nested lists of shape {shape}")
+    return _json_array(name, nested.ravel().tolist(), "number").reshape(shape)
 
 
 @contextmanager

@@ -20,12 +20,12 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product, repeat
-from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError, _flag, _json_array, _reading, _real, _whole
+from .errors import (ConfigError, IngestionError, _flag, _json_array, _json_numbers, _reading,
+                     _real, _whole)
 from .modes import ModeIndex, ModeSet
 
 __all__ = [
@@ -104,10 +104,7 @@ class CoincidenceDataset:
                                  f"expected {shape}")
         bad = np.flatnonzero(~_counts_ok(self.tensor))
         if bad.size:  # a missing (NaN) count is bad too
-            k, l, basis, outcome = next(_keys(D, bad[:1]))
-            ma, mb = self.mode_set[k], self.mode_set[l]
-            cell = (f"pair (n={ma.n},l={ma.l})/(n={mb.n},l={mb.l}), "
-                    f"basis {basis}, outcome {outcome}")
+            cell = _cell(self.mode_set, bad[0])
             count = float(self.tensor.flat[bad[0]])
             if math.isnan(count):
                 raise IngestionError(f"dataset is missing count for {cell}")
@@ -144,6 +141,15 @@ def _keys(D: int, flat: np.ndarray):
     k, l = pairs(D)
     return zip(k[pair].tolist(), l[pair].tolist(), map(BASES.__getitem__, basis.tolist()),
                map(OUTCOMES.__getitem__, outcome.tolist()))
+
+
+def _cell(mode_set: ModeSet, flat: int) -> str:
+    """The cell at flat position `flat` of a count tensor of `mode_set`,
+    named by its two modes, its basis and its outcome."""
+    k, l, basis, outcome = next(_keys(mode_set.D, np.array([flat])))
+    ma, mb = mode_set[k], mode_set[l]
+    return (f"pair (n={ma.n},l={ma.l})/(n={mb.n},l={mb.l}), basis {basis}, "
+            f"outcome {outcome}")
 
 
 # pairs per block of outcome_probabilities and of the Poisson draw: a
@@ -247,12 +253,15 @@ def basis_correlations(counts) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # Dataset files.  CSV header: na,la,nb,lb,basis,outcome,count -- modes of the
-# two pair members, basis in {x,y,z}, outcome in {pp,pm,mp,mm}.  The JSON
-# mirror carries the same keys plus the mode set and flux metadata.
+# two pair members, basis in {x,y,z}, outcome in {pp,pm,mp,mm}; rows in any
+# order, a pair written from either side.  A JSON count file holds the
+# dataset's own fields: "counts", the count tensor as nested lists ([pp, pm,
+# mp, mm] per basis x, y, z per pair, pairs in row-major order), then
+# "expectation", "flux" and "modes".
 
 CSV_HEADER = ["na", "la", "nb", "lb", "basis", "outcome", "count"]
 
-# One count row as both readers parse it.  Tokens are kept as bytes (str
+# One count row as the CSV reader parses it.  Tokens are kept as bytes (str
 # fields cost four times the memory); three bytes hold every valid token plus
 # one, so an over-long token stays invalid when it is cut to the field width.
 _ROW = np.dtype([(name, np.int64) for name in CSV_HEADER[:4]]
@@ -283,16 +292,19 @@ def _count_str(c) -> str:
     return str(int(c)) if float(c).is_integer() else repr(float(c))
 
 
-def _count_values(values: np.ndarray, as_int: np.ndarray) -> list:
-    """The values as Python numbers: int where `as_int`, float elsewhere."""
+def _count_values(values: np.ndarray, ints: bool = True) -> list:
+    """The values, flattened, as Python numbers: the whole ones as int where
+    `ints`, every other one as float."""
+    values = values.reshape(-1)
+    as_int = (values == np.floor(values)) & ints
     small = as_int & (np.abs(values) < 2.0 ** 63)  # whole numbers int64 holds
     if small.all():
         return values.astype(np.int64).tolist()
     out = values.tolist()
     big = as_int & ~small
-    for where, ints in ((small, values[small].astype(np.int64).tolist()),
-                        (big, map(int, values[big].tolist()))):
-        for i, value in zip(np.flatnonzero(where).tolist(), ints):
+    for where, whole in ((small, values[small].astype(np.int64).tolist()),
+                         (big, map(int, values[big].tolist()))):
+        for i, value in zip(np.flatnonzero(where).tolist(), whole):
             out[i] = value
     return out
 
@@ -301,47 +313,27 @@ def _count_values(values: np.ndarray, as_int: np.ndarray) -> list:
 # the pair's "na,la,nb,lb," and a count.  The line ends are the bytes
 # csv.writer gives, and no field needs quoting.
 _PAIR_ROWS = "".join(f"%s{b},{o},%s\r\n" for b in BASES for o in OUTCOMES)
-# The pair's 12 count objects as json.dumps(..., sort_keys=True) writes them,
-# each with its separator; an object's two %s take a count, then the pair's
-# '"la": …, "lb": …, "na": …, "nb": …'.
-_PAIR_OBJECTS = "".join(f'{{"basis": "{b}", "count": %s, %s, "outcome": "{o}"}}, '
-                        for b in BASES for o in OUTCOMES)
+# One pair's counts as json.dumps writes them, a %s per count.
+_PAIR_COUNTS = "[%s]" % ", ".join(["[%s]" % ", ".join(["%s"] * len(OUTCOMES))] * len(BASES))
 
-# pairs per block that _fill formats with one %
+# pairs per block that a writer formats with one %
 _WRITE_PAIRS = 1024
 
 
-def _fill(fh, dataset: CoincidenceDataset, rows: str, pair: tuple, ints: bool,
-          count_first: bool = False, cut: int = 0) -> None:
-    """Write `rows` filled for every pair of `dataset`, `_WRITE_PAIRS` pairs
-    per %: a row takes its pair's label and its count, as an int where `ints`
-    and the count is whole (with `count_first`, the count comes first).  The
-    label of the pair (a, b) joins the pieces of `pair`, each formatted with
-    the n and l of mode a (first, third, ... piece) or b (the others); each
-    piece is formatted once per mode.  The last `cut` characters are left
-    out."""
-    pieces = [np.array([piece.format(n=m.n, l=m.l) for m in dataset.mode_set.modes],
-                       dtype=object) for piece in pair]
-    k, l = pairs(dataset.mode_set.D)
-    for s in _slices(len(k), _WRITE_PAIRS):
-        ends = (k[s], l[s])
-        labels = list(map("".join, zip(*(strings[ends[i % 2]].tolist()
-                                         for i, strings in enumerate(pieces)))))
-        values = dataset.tensor[s].reshape(-1)
-        fields = [None] * (2 * len(values))
-        fields[count_first::2] = chain.from_iterable(
-            map(repeat, labels, repeat(len(BASES) * len(OUTCOMES))))
-        fields[not count_first::2] = _count_values(values, (values == np.floor(values))
-                                                   & ints)
-        text = rows * len(labels) % tuple(fields)
-        fh.write(text if s.stop < len(k) else text[:len(text) - cut])
-
-
 def write_counts_csv(dataset: CoincidenceDataset, path) -> None:
+    """Every count as a row, `_count_str` of its value, pairs in row-major
+    order, `_WRITE_PAIRS` pairs per write."""
+    label = np.array([f"{m.n},{m.l}," for m in dataset.mode_set.modes], dtype=object)
+    k, l = pairs(dataset.mode_set.D)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
-        # _count_str of every value: whole numbers as ints
-        _fill(fh, dataset, _PAIR_ROWS, ("{n},{l},", "{n},{l},"), ints=True)
+        for s in _slices(len(k), _WRITE_PAIRS):
+            labels = (label[k[s]] + label[l[s]]).tolist()
+            fields = [None] * (2 * len(BASES) * len(OUTCOMES) * len(labels))
+            fields[0::2] = chain.from_iterable(
+                map(repeat, labels, repeat(len(BASES) * len(OUTCOMES))))
+            fields[1::2] = _count_values(dataset.tensor[s])
+            fh.write(_PAIR_ROWS * len(labels) % tuple(fields))
 
 
 def _mode(n: int, l: int):
@@ -380,8 +372,7 @@ def _compact(rows: np.ndarray) -> tuple:
             rows["count"].copy(), unknown)
 
 
-def _dataset(chunks, mode_set: ModeSet | None, flux: float | None,
-             expectation: bool = False) -> CoincidenceDataset:
+def _dataset(chunks, mode_set: ModeSet | None, flux: float | None) -> CoincidenceDataset:
     """The dataset of count rows given as `_ROW` arrays, chunk by chunk;
     each is reduced by `_compact` as it comes.  Without `mode_set` it is
     every mode seen, sorted by (n, l); without `flux` it is the total
@@ -425,17 +416,17 @@ def _dataset(chunks, mode_set: ModeSet | None, flux: float | None,
         cells[flat] = counts
     # every count is a number, so a repeated cell leaves fewer filled cells
     if not accepted or np.count_nonzero(np.isnan(cells)) > len(cells) - len(counts):
-        _refuse(n, lq, ids, k, l, lengths, settings, counts, flat, unknown, D)
+        _refuse(n, lq, ids, k, l, lengths, settings, counts, flat, unknown, mode_set)
     if flux is None:  # left to right in row order; np.sum adds pairwise
         z = counts[settings // len(OUTCOMES) == _BASIS_ID["z"]]
         flux = float(np.cumsum(z)[-1]) if z.size else 0.0
         if len(counts) and not flux > 0:
             raise IngestionError("the z-basis counts sum to 0, so no flux can be "
                                  "derived from them; give the flux")
-    return CoincidenceDataset(mode_set, flux, tensor, expectation)
+    return CoincidenceDataset(mode_set, flux, tensor)
 
 
-def _refuse(n, lq, ids, k, l, lengths, settings, counts, flat, unknown, D):
+def _refuse(n, lq, ids, k, l, lengths, settings, counts, flat, unknown, mode_set):
     """Raise the error of the first bad row of rows `_dataset` refused (its
     arguments are `_dataset`'s), with the first check the row fails: mode
     number, basis/outcome token, undeclared mode, self pair, count value,
@@ -467,11 +458,11 @@ def _refuse(n, lq, ids, k, l, lengths, settings, counts, flat, unknown, D):
                              f"mode set")
     if run_check[r] == 4:
         raise IngestionError(f"row pairs mode {a!r} with itself")
-    cell = next(_keys(D, flat[i:i + 1]))
+    cell = _cell(mode_set, flat[i])
     if not count_ok[i]:
-        raise IngestionError(f"count {float(counts[i])!r} at {cell} must be "
+        raise IngestionError(f"count {float(counts[i])!r} for {cell}; counts must be "
                              f">= 0 and <= {_COUNT_MAX:.6g}")
-    raise IngestionError(f"duplicate count at {cell}")
+    raise IngestionError(f"duplicate count for {cell}")
 
 
 # data rows per np.loadtxt call of read_counts_csv; a chunk's `_ROW` records
@@ -523,14 +514,17 @@ def read_counts_csv(path, mode_set: ModeSet | None = None,
 
 
 def write_counts_json(dataset: CoincidenceDataset, path) -> None:
+    """The bytes of json.dumps(payload, sort_keys=True) and a newline, the
+    counts written `_WRITE_PAIRS` pairs at a time: sampled whole counts as
+    ints, expectation counts as floats."""
     rest = json.dumps({"modes": dataset.mode_set.to_json(), "flux": dataset.flux,
                        "expectation": dataset.expectation}, sort_keys=True)
-    with open(path, "w") as fh:  # "counts" sorts first; the last separator is cut
+    with open(path, "w") as fh:  # "counts" sorts first
         fh.write('{"counts": [')
-        # sampled counts are written as ints, expectation values as floats
-        _fill(fh, dataset, _PAIR_OBJECTS,
-              ('"la": {l}, ', '"lb": {l}, ', '"na": {n}, ', '"nb": {n}'),
-              ints=not dataset.expectation, count_first=True, cut=2)
+        for s in _slices(len(dataset.tensor), _WRITE_PAIRS):
+            block = dataset.tensor[s]
+            fh.write(", " * (s.start > 0) + ", ".join([_PAIR_COUNTS] * len(block))
+                     % tuple(_count_values(block, ints=not dataset.expectation)))
         fh.write("], " + rest[1:] + "\n")
 
 
@@ -541,9 +535,7 @@ def read_counts_json(path) -> CoincidenceDataset:
         flux = _json_array("flux", [payload["flux"]], "number").item()
         expectation = _json_array("expectation", [payload.get("expectation", False)],
                                   "boolean").item()
-        entries = list(map(itemgetter(*CSV_HEADER), payload["counts"]))
-        rows = np.empty(len(entries), dtype=_ROW)
-        kinds = ["integer"] * 4 + ["string"] * 2 + ["number"]
-        for name, cells, kind in zip(CSV_HEADER, zip(*entries), kinds):
-            rows[name] = _json_array(name, cells, kind, _ROW[name])
-        return _dataset([rows], mode_set, flux, expectation)
+        D = mode_set.D
+        tensor = _json_numbers("counts", payload["counts"],
+                               (D * (D - 1) // 2, len(BASES), len(OUTCOMES)))
+        return CoincidenceDataset(mode_set, flux, tensor, expectation)

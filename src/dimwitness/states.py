@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (CapacityError, ConfigError, IngestionError, InvalidStateError,
-                     _json_array, _reading, _real, _whole)
+                     _json_numbers, _reading, _real, _whole)
 from .modes import ModeSet, generic_mode_set
 
 __all__ = [
@@ -327,13 +327,10 @@ def perturb_state(state, strength: float,
 def _matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
-def _matrix_from_json(data) -> np.ndarray:
-    parts = np.array(data, dtype=object)
-    if parts.shape[2:] != (2,):
-        raise ValueError("matrix is not a list of rows of [re, im] pairs")
+def _matrix_from_json(data, n: int) -> np.ndarray:
+    """An n x n matrix written as rows of [re, im] pairs."""
     # a float64 pair [re, im] seen as one complex128 is complex(re, im)
-    return _json_array("matrix", parts.ravel().tolist(), "number").view(
-        np.complex128).reshape(parts.shape[:2])
+    return _json_numbers("matrix", data, (n, n, 2)).view(np.complex128).reshape(n, n)
 
 
 def save_state(state, path) -> None:
@@ -356,12 +353,12 @@ def load_state(path):
     with _reading("state file", path), open(path) as fh:
         payload = json.load(fh)
         mode_set = ModeSet.from_json(payload["modes"])
-        tag = payload["representation"]
-        mat = _matrix_from_json(payload["matrix"])
+        tag, D = payload["representation"], mode_set.D
         if tag == "correlated":
-            state = CorrelatedState(mat, mode_set)
+            state = CorrelatedState(_matrix_from_json(payload["matrix"], D), mode_set)
         elif tag == "general":
-            state = GeneralTwoPhotonState(mat, mode_set)
+            state = GeneralTwoPhotonState(_matrix_from_json(payload["matrix"], D * D),
+                                          mode_set)
         else:
             raise ValueError(f"unknown state representation {tag!r:.100}")
         state.validate()

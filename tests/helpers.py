@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 
 from dimwitness import oracle
+from dimwitness.measurement import CSV_HEADER
 from dimwitness.modes import ModeIndex, ModeSet, generic_mode_set
 from dimwitness.states import correlated_pure
 
@@ -42,3 +43,13 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
+
+
+def row_layout_payload(dataset) -> dict:
+    """A dataset in the JSON layout of earlier releases: one object per count,
+    keyed like the CSV header."""
+    modes = dataset.mode_set
+    rows = [dict(zip(CSV_HEADER, [modes[k].n, modes[k].l, modes[l].n, modes[l].l, b, o, c]))
+            for (k, l, b, o), c in dataset.counts.items()]
+    return {"counts": rows, "expectation": dataset.expectation, "flux": dataset.flux,
+            "modes": dataset.mode_set.to_json()}

@@ -51,8 +51,9 @@ def test_workflow_installs_the_pyproject_test_extra():
     assert re.search(r"^\[project\.optional-dependencies\]\ntest = \[", pyproject, re.M)
 
 
-# A D = 6 pipeline through the installed script: count files read with a
-# declared mode set (--mode-file) and without one, and a report read back.
+# A D = 6 pipeline through the installed script: CSV count files read with a
+# declared mode set (--mode-file) and without one, a report read back, and a
+# JSON count file written and read back.
 D6_PIPELINE = [
     "python -c \"from dimwitness.modes import enumerate_modes; "
     "enumerate_modes(1, 1).save('/tmp/m6.json')\"",
@@ -63,6 +64,11 @@ D6_PIPELINE = [
     "dimwitness certify --input /tmp/c6.csv --resamples 20 --seed 7 --output /tmp/r6u.json",
     "dimwitness optimize --input /tmp/c6.csv --mode-file /tmp/m6.json --output /tmp/o6.json",
     "dimwitness report --input /tmp/r6.json --trajectory-csv /tmp/t6.csv",
+    "dimwitness simulate --mode-file /tmp/m6.json --profile exponential --seed 7 "
+    "--output /tmp/c6.json",
+    "dimwitness certify --input /tmp/c6.json --resamples 20 --seed 7 "
+    "--output /tmp/r6j.json",
+    "dimwitness optimize --input /tmp/c6.json --output /tmp/o6j.json",
 ]
 
 
@@ -101,7 +107,8 @@ def test_workflow_d6_pipeline_runs(tmp_path, monkeypatch):
         except SystemExit as exc:
             raise AssertionError(f"{line} exited {exc.code}") from exc
     assert {p.name for p in tmp_path.iterdir()} == {
-        "m6.json", "c6.csv", "r6.json", "r6u.json", "o6.json", "t6.csv"}
+        "m6.json", "c6.csv", "r6.json", "r6u.json", "o6.json", "t6.csv",
+        "c6.json", "r6j.json", "o6j.json"}
 
 
 def test_xfails_are_strict_by_default(pytestconfig):
@@ -325,16 +332,17 @@ def test_expectation_pipeline_keeps_its_bytes(tmp_path, monkeypatch):
     }
 
 
+# Taken when the "counts" of a JSON count file became the nested count tensor
+# (one object per count before: e05d1ac8…e823 seeded, 72e38448…a4a9
+# expectation), and checked then against json.dumps of the whole payload.
 _JSON_PINS = [
-    (("--seed", "7"), "e05d1ac862e00750d81bc5b7fa4a1d8d4d08ce46ed93d43ef79951083898e823"),
-    (("--expectation",), "72e3844871da2db4f8214a92174607438c31dc34e43d912d8799e547b6f7a4a9"),
+    (("--seed", "7"), "8571f2973be52d8aecb5f669d2421e154c57839afd8ee3478cf547761aa9301c"),
+    (("--expectation",), "b7d8d4f307b641dfa92315591f3e055a0c54107c37e61429132af68e74c896a7"),
 ]
 
 
 @pytest.mark.parametrize("flags, digest", _JSON_PINS)
 def test_json_count_files_keep_their_bytes(tmp_path, monkeypatch, flags, digest):
-    # the digests were taken before the JSON writer filled one template of
-    # a pair's count objects instead of calling json.dumps on every count
     _simulate_paper_counts(tmp_path, monkeypatch, "counts.json", *flags)
     assert hashlib.sha256((tmp_path / "counts.json").read_bytes()).hexdigest() == digest
 

@@ -16,11 +16,11 @@ from dimwitness.errors import (CapacityError, ConfigError, IngestionError,
                                IntegrityError)
 from dimwitness.modes import generic_mode_set
 from dimwitness.oracle import brute_force_sv_witness, brute_force_witness
-from dimwitness.measurement import simulate_counts, write_counts_json
+from dimwitness.measurement import read_counts_json, simulate_counts, write_counts_json
 from dimwitness.states import (correlated_pure, load_state, max_witness_state,
                                perturb_state, save_state)
 from dimwitness.witness import robustness_study
-from helpers import EXAMPLE_MODES
+from helpers import EXAMPLE_MODES, row_layout_payload
 
 EXAMPLE_AMPS = "0.5,0.07,0.01,0.01"
 
@@ -84,7 +84,7 @@ def test_simulate_json_format(runner, tmp_path):
     out, _ = simulate_example(runner, tmp_path, "counts.json")
     payload = json.loads(out.read_text())
     assert payload["flux"] == 1e6
-    assert len(payload["counts"]) == 72
+    assert np.shape(payload["counts"]) == (6, 3, 4)
 
 
 def test_simulate_missing_state_is_config_error(tmp_path):
@@ -552,7 +552,8 @@ def test_repeated_count_row_names_the_file(runner, tmp_path, monkeypatch, capsys
     capsys.readouterr()
     assert exit_code(["certify", "--input", name, "--output", "out.json"]) == 3
     assert capsys.readouterr().err == (f"error: malformed dataset file {name}: "
-                                       f"duplicate count at (0, 1, 'x', 'pp')\n")
+                                       f"duplicate count for pair (n=0,l=0)/(n=1,l=-1), "
+                                       f"basis x, outcome pp\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "robustness"])
@@ -708,8 +709,9 @@ def test_count_above_the_cap_exits_3(tmp_path, capsys):
     assert exit_code(["certify", "--input", str(counts),
                       "--output", str(tmp_path / "report.json")]) == 3
     assert capsys.readouterr().err == (
-        f"error: malformed dataset file {counts}: count 1e+308 at (0, 1, 'y', 'mp') "
-        f"must be >= 0 and <= 4.49423e+307\n")
+        f"error: malformed dataset file {counts}: count 1e+308 for pair "
+        f"(n=0,l=0)/(n=0,l=1), basis y, outcome mp; counts must be >= 0 and <= "
+        f"4.49423e+307\n")
 
 
 def test_resampling_counts_too_large_is_capacity_error(tmp_path, capsys):
@@ -827,8 +829,8 @@ def test_csv_bad_flux_is_config_error(runner, tmp_path, command, flux):
 def test_json_counts_with_non_integer_mode_is_ingestion_error(runner, tmp_path, value):
     counts, _ = simulate_example(runner, tmp_path, name="counts.json")
     payload = json.loads(counts.read_text())
-    assert payload["counts"][0]["nb"] == 1  # int(value) is the same mode
-    payload["counts"][0]["nb"] = value
+    assert payload["modes"][1]["n"] == 1  # int(value) is the same mode
+    payload["modes"][1]["n"] = value
     counts.write_text(json.dumps(payload))
     assert exit_code(["certify", "--input", str(counts),
                       "--output", str(tmp_path / "out.json")]) == 3
@@ -980,11 +982,25 @@ def test_file_name_decides_the_count_format(runner, tmp_path):
                           "--output", str(tmp_path / f"{command}.json")]) == 0
 
 
+@pytest.mark.parametrize("command", ["certify", "optimize"])
+def test_row_layout_json_count_file_exits_3(runner, tmp_path, capsys, command):
+    # the layout of earlier releases, one object per count
+    counts, _ = simulate_example(runner, tmp_path, "counts.json")
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(row_layout_payload(read_counts_json(counts)), sort_keys=True))
+    capsys.readouterr()
+    assert exit_code([command, "--input", str(old),
+                      "--output", str(tmp_path / "out.json")]) == 3
+    assert capsys.readouterr().err == (f"error: malformed dataset file {old}: counts is "
+                                       f"not nested lists of shape (6, 3, 4)\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_csv_named_json_count_file_gives_a_short_error(runner, tmp_path, capsys):
     counts, _ = simulate_example(runner, tmp_path, "counts.json")
     misnamed = tmp_path / "counts.csv"
     misnamed.write_bytes(counts.read_bytes())
-    assert misnamed.stat().st_size > 5000
+    assert misnamed.stat().st_size > 400   # one line longer than the error
     assert exit_code(["certify", "--input", str(misnamed),
                       "--output", str(tmp_path / "out.json")]) == 3
     err = capsys.readouterr().err

@@ -21,7 +21,8 @@ from dimwitness.modes import ModeIndex, ModeSet, enumerate_modes
 from dimwitness.oracle import _DOUBLE, _PAULI2
 from dimwitness.states import (CorrelatedState, GeneralTwoPhotonState,
                                max_witness_state, perturb_state)
-from helpers import EXAMPLE_AMPS, EXAMPLE_MODES, example_state, f_total, traced_peak
+from helpers import (EXAMPLE_AMPS, EXAMPLE_MODES, example_state, f_total,
+                     row_layout_payload, traced_peak)
 
 
 def bell():
@@ -382,13 +383,17 @@ def test_deterministic_csv_bytes(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+_BAD_COUNTS = {"nan": float("nan"), "inf": float("inf"),
+               "huge": 10**400}  # beyond the float range
+# the error of a JSON count file of 4 modes whose counts are nested otherwise
+_SHAPE_6 = r"counts is not nested lists of shape \(6, 3, 4\)"
+
+
 def _bad_count_rows(case, rows):
     """Corrupt a list of count rows (dicts keyed like the CSV header)."""
     first = dict(rows[0])
-    if case in ("nan", "inf"):
-        rows[0]["count"] = float(case)
-    elif case == "huge":  # beyond the float range
-        rows[0]["count"] = 10**400
+    if case in _BAD_COUNTS:
+        rows[0]["count"] = _BAD_COUNTS[case]
     elif case == "duplicate":
         rows.append(first)
     elif case == "negative_mode":
@@ -419,12 +424,22 @@ def test_bad_count_rows_rejected(tmp_path, fmt, case):
     else:
         write_counts_json(ds, path)
         payload = json.loads(path.read_text())
-        _bad_count_rows(case, payload["counts"])
+        if case == "negative_mode":
+            payload["modes"][0]["n"] = -1
+        elif case in _BAD_COUNTS:
+            payload["counts"][0][0][0] = _BAD_COUNTS[case]
+        else:  # a JSON file gives a count twice only as a pair too many
+            first = payload["counts"][0]
+            payload["counts"].append(first if case == "duplicate" else
+                                     [[pp, mp, pm, mm] for pp, pm, mp, mm in first])
         path.write_text(json.dumps(payload))
         read = lambda: read_counts_json(path)
-    match = {"nan": "<= 4.49423e", "inf": "<= 4.49423e", "huge": "<= 4.49423e|malformed",
-             "negative_mode": "mode"}
-    with pytest.raises(IngestionError, match=match.get(case, "duplicate")):
+    # NaN marks a missing count in a dataset
+    match = {"nan": "<= 4.49423e" if fmt == "csv" else "missing count",
+             "inf": "<= 4.49423e", "huge": "<= 4.49423e|malformed",
+             "negative_mode": "radial quantum number n"}
+    duplicate = "duplicate" if fmt == "csv" else _SHAPE_6
+    with pytest.raises(IngestionError, match=match.get(case, duplicate)):
         read()
 
 
@@ -639,14 +654,15 @@ def test_file_missing_a_row_refused_when_read(tmp_path, fmt):
         write_counts_csv(ds, path)
         _rewrite_rows(path, lambda rows: [r for r in rows if r[:6] != gone])
         read = lambda: read_counts_csv(path)
-    else:
+        message = _MISSING_Y_MP
+    else:  # a JSON file's count tensor with one count left out is ragged
         write_counts_json(ds, path)
         payload = json.loads(path.read_text())
-        payload["counts"] = [c for c in payload["counts"]
-                             if list(map(str, itemgetter(*CSV_HEADER[:6])(c))) != gone]
+        del payload["counts"][pair_index(1, 2, 4)][BASES.index("y")][OUTCOMES.index("mp")]
         path.write_text(json.dumps(payload))
         read = lambda: read_counts_json(path)
-    with pytest.raises(IngestionError, match=_in_file(path, _MISSING_Y_MP)):
+        message = f"^{_SHAPE_6}$"
+    with pytest.raises(IngestionError, match=_in_file(path, message)):
         read()
 
 
@@ -659,22 +675,23 @@ def test_writers_match_previous_bytes(tmp_path, expectation):
     ref_write_csv(ds, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     write_counts_json(ds, tmp_path / "c.json")
-    counts = [e["count"] for e in json.loads((tmp_path / "c.json").read_text())["counts"]]
-    assert all(type(c) is (float if expectation else int) for c in counts)
+    counts = json.loads((tmp_path / "c.json").read_text())["counts"]
+    assert all(type(c) is (float if expectation else int)
+               for pair in counts for basis in pair for c in basis)
     assert read_counts_json(tmp_path / "c.json").counts == ds.counts
 
 
 def ref_write_json(dataset, path):
     """The JSON writer as json.dumps(payload, sort_keys=True) and a newline,
-    row by row: sampled whole counts as ints, every other count as a float."""
-    entries = []
-    for (k, l, basis, oc), c in dataset.counts.items():
-        ma, mb = dataset.mode_set[k], dataset.mode_set[l]
-        whole = float(c).is_integer() and not dataset.expectation
-        entries.append(dict(zip(CSV_HEADER, [ma.n, ma.l, mb.n, mb.l, basis, oc,
-                                             int(c) if whole else float(c)])))
+    count by count: sampled whole counts as ints, every other count as a
+    float."""
+    def number(c):
+        return int(c) if c.is_integer() and not dataset.expectation else c
+
+    counts = [[[number(c) for c in basis] for basis in pair]
+              for pair in dataset.tensor.tolist()]
     payload = {"modes": dataset.mode_set.to_json(), "flux": dataset.flux,
-               "expectation": dataset.expectation, "counts": entries}
+               "expectation": dataset.expectation, "counts": counts}
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")
@@ -749,7 +766,6 @@ def test_bad_row_past_first_chunk_rejected(tmp_path, fmt, case):
     ds = simulate_counts(st, 1e5, seed=4)
     assert len(ds.counts) > 1024
     path = tmp_path / f"counts.{fmt}"
-    last = {"na": 0, "la": 14, "nb": 0, "lb": 15, "basis": "z", "outcome": "mm"}
     if fmt == "csv":
         write_counts_csv(ds, path)
         text = path.read_text()
@@ -759,16 +775,20 @@ def test_bad_row_past_first_chunk_rejected(tmp_path, fmt, case):
             text += "0,14,0,15,z,mm,5\r\n"
         path.write_text(text)
         read = lambda: read_counts_csv(path)
-    else:
+        match = "<= 4.49423e" if case == "nan" else "duplicate"
+    else:  # the last count, or the last pair again
         write_counts_json(ds, path)
         payload = json.loads(path.read_text())
         if case == "nan":
-            payload["counts"][-1]["count"] = float("nan")
+            payload["counts"][-1][-1][-1] = float("nan")
+            match = ("missing count for pair \\(n=0,l=14\\)/\\(n=0,l=15\\), basis z, "
+                     "outcome mm")
         else:
-            payload["counts"].append({**last, "count": 5})
+            payload["counts"].append(payload["counts"][-1])
+            match = "not nested lists of shape"
         path.write_text(json.dumps(payload))
         read = lambda: read_counts_json(path)
-    with pytest.raises(IngestionError, match="<= 4.49423e" if case == "nan" else "duplicate"):
+    with pytest.raises(IngestionError, match=match):
         read()
 
 
@@ -969,7 +989,9 @@ MALFORMED_BODIES = {
 _COLUMNS = "the dtype passed requires 7 columns but {} were found at row 2; " \
            "use `usecols` to select a subset and avoid this error"
 _CONVERT = "could not convert string {!r} to {} at row 1, column {}."
-_COUNT_RANGE = "count {} at (0, 1, 'x', 'pp') must be >= 0 and <= 4.49423e+307"
+# a cell is named by its modes, as the dataset names it
+_PAIR_01 = "pair (n=0,l=0)/(n=0,l=1), basis x, outcome "
+_COUNT_RANGE = "count {} for " + _PAIR_01 + "pp; counts must be >= 0 and <= 4.49423e+307"
 MALFORMED_MESSAGES = {
     "short_row": ("row", _COLUMNS.format(6)),
     "long_row": ("row", _COLUMNS.format(8)),
@@ -986,8 +1008,8 @@ MALFORMED_MESSAGES = {
     "empty_count": ("row", _CONVERT.format("", "float64", 7)),
     "nan_count": ("file", _COUNT_RANGE.format("nan")),
     "negative_count": ("file", _COUNT_RANGE.format("-2.0")),
-    "duplicate": ("file", "duplicate count at (0, 1, 'x', 'mm')"),
-    "swapped_duplicate": ("file", "duplicate count at (0, 1, 'x', 'mm')"),
+    "duplicate": ("file", "duplicate count for " + _PAIR_01 + "mm"),
+    "swapped_duplicate": ("file", "duplicate count for " + _PAIR_01 + "mm"),
     "whitespace_line": ("row", _COLUMNS.format(1)),
     "quoted_comma": ("file", "unknown basis/outcome 'x'/'p,p'"),
     "non_ascii": ("file", "unknown basis/outcome 'x'/'pé'"),
@@ -1001,8 +1023,8 @@ MALFORMED_MESSAGES = {
     "undeclared_self_pair": ("file", "mode ModeIndex(n=4, l=4) not in the declared "
                                      "mode set"),
     "self_pair_negative_count": ("file", "row pairs mode ModeIndex(n=0, l=0) with itself"),
-    "negative_count_duplicate": ("file", "count -7.0 at (0, 1, 'x', 'mm') must be >= 0 "
-                                         "and <= 4.49423e+307"),
+    "negative_count_duplicate": ("file", "count -7.0 for " + _PAIR_01 + "mm; counts must "
+                                         "be >= 0 and <= 4.49423e+307"),
 }
 # where the mode set is not declared, every mode is in it
 _UNDECLARED_MESSAGES = {
@@ -1038,35 +1060,50 @@ _TWO_BAD_ROWS = ["0,0,0,1,x,mm,5", "0,0,0,1,w,pp,5", "0,0,4,4,x,pp,5", "0,0,0,1,
 
 
 def _two_mode_reader(path, rows):
-    """A reader of a CSV or JSON file of count rows given as CSV lines, with
-    the mode set (0, 0), (0, 1) and the flux declared."""
-    rows = [row.split(",") for row in rows]
-    if path.suffix == ".csv":
-        path.write_text(_csv_text(rows))
-        return lambda: read_counts_csv(path, mode_set=generic_mode_set(2), flux=1e5)
-    entries = [dict(zip(CSV_HEADER, [*map(int, r[:4]), r[4], r[5], int(r[6])]))
-               for r in rows]
-    path.write_text(json.dumps({"modes": generic_mode_set(2).to_json(),
-                                "flux": 1e5, "counts": entries}))
+    """A reader of a CSV file of the count rows given as lines, with the mode
+    set (0, 0), (0, 1) and the flux declared."""
+    path.write_text(_csv_text([row.split(",") for row in rows]))
+    return lambda: read_counts_csv(path, mode_set=generic_mode_set(2), flux=1e5)
+
+
+def _two_mode_json(path, cells):
+    """A reader of a JSON count file of the modes (0, 0), (0, 1), every count
+    5 but those given for (basis, outcome) cells."""
+    counts = np.full((1, 3, 4), 5).tolist()
+    for (basis, outcome), value in cells.items():
+        counts[0][basis][outcome] = value
+    path.write_text(json.dumps({"counts": counts, "flux": 1e5,
+                                "modes": generic_mode_set(2).to_json()}))
     return lambda: read_counts_json(path)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_first_bad_row_in_file_order_is_named(tmp_path, fmt):
     path = tmp_path / f"counts.{fmt}"
-    read = _two_mode_reader(path, _TWO_BAD_ROWS)
-    with pytest.raises(IngestionError,
-                       match=_in_file(path, "^unknown basis/outcome 'w'/'pp'$")):
+    if fmt == "csv":
+        read = _two_mode_reader(path, _TWO_BAD_ROWS)
+        message = "unknown basis/outcome 'w'/'pp'"
+    else:  # a string count, then a bool, then another string
+        read = _two_mode_json(path, {(0, 1): "w", (1, 0): True, (2, 3): "p"})
+        message = "counts 'w' is not a JSON number"
+    with pytest.raises(IngestionError, match=_in_file(path, f"^{re.escape(message)}$")):
         read()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_undeclared_mode_before_a_bad_token_is_named(tmp_path, fmt):
-    # the undeclared mode is checked after the tokens, but its row comes first
+    # the undeclared mode is checked after the tokens, but its row comes
+    # first; in a JSON file, a count beyond float64 is checked after the
+    # kinds of all counts, but comes before a bool
     path = tmp_path / f"counts.{fmt}"
-    read = _two_mode_reader(path, ["0,0,4,4,x,pp,5", "0,0,0,1,x,pp,5", "0,0,0,1,w,pp,5"])
-    with pytest.raises(IngestionError, match=_in_file(
-            path, r"^mode ModeIndex\(n=4, l=4\) not in the declared mode set$")):
+    if fmt == "csv":
+        read = _two_mode_reader(path, ["0,0,4,4,x,pp,5", "0,0,0,1,x,pp,5",
+                                       "0,0,0,1,w,pp,5"])
+        message = r"^mode ModeIndex\(n=4, l=4\) not in the declared mode set$"
+    else:
+        read = _two_mode_json(path, {(0, 2): 10 ** 400, (1, 1): True})
+        message = r"^counts 10{99} is not a JSON number that float64 holds$"  # cut at 100
+    with pytest.raises(IngestionError, match=_in_file(path, message)):
         read()
 
 
@@ -1079,9 +1116,8 @@ _BAD_ROW_KINDS = {
     "undeclared_mode": ("0,0,4,4,x,pp,5",
                         "mode ModeIndex(n=4, l=4) not in the declared mode set"),
     "self_pair": ("0,0,0,0,x,pp,5", "row pairs mode ModeIndex(n=0, l=0) with itself"),
-    "negative_count": ("0,0,0,1,x,pp,-2",
-                       "count -2.0 at (0, 1, 'x', 'pp') must be >= 0 and <= 4.49423e+307"),
-    "duplicate": ("0,0,0,1,x,mm,7", "duplicate count at (0, 1, 'x', 'mm')"),
+    "negative_count": ("0,0,0,1,x,pp,-2", _COUNT_RANGE.format("-2.0")),
+    "duplicate": ("0,0,0,1,x,mm,7", "duplicate count for " + _PAIR_01 + "mm"),
 }
 
 
@@ -1161,22 +1197,28 @@ def test_json_reader_refuses_non_integer_mode_numbers(tmp_path, value):
     path = tmp_path / "counts.json"
     write_counts_json(simulate_counts(example_state(), 1e5, seed=4), path)
     payload = json.loads(path.read_text())
-    assert payload["counts"][5]["nb"] == 1  # int(value) is the same mode
-    payload["counts"][5]["nb"] = value
+    assert payload["modes"][1]["n"] == 1  # int(value) is the same mode
+    payload["modes"][1]["n"] = value
     path.write_text(json.dumps(payload))
-    with pytest.raises(IngestionError, match="nb"):
+    with pytest.raises(IngestionError, match=f"n {value!r} is not an integer"):
         read_counts_json(path)
 
 
 @pytest.mark.parametrize("value", ["x", "xé", None, True])
 @pytest.mark.parametrize("column", ["basis", "count"])
 def test_json_reader_refuses_wrong_value_types(tmp_path, column, value):
+    # a basis's entry is the list of its four counts
     path = tmp_path / "counts.json"
     write_counts_json(simulate_counts(example_state(), 1e5, seed=4), path)
     payload = json.loads(path.read_text())
-    payload["counts"][5][column] = value
+    if column == "basis":
+        payload["counts"][5][1] = value
+        message = _SHAPE_6
+    else:
+        payload["counts"][5][1][2] = value
+        message = re.escape(f"counts {value!r} is not a JSON number")
     path.write_text(json.dumps(payload))
-    with pytest.raises(IngestionError):
+    with pytest.raises(IngestionError, match=message):
         read_counts_json(path)
 
 
@@ -1237,6 +1279,90 @@ def test_truncated_json_count_file_is_ingestion_error(tmp_path):
     path.write_text(path.read_text()[:100])
     with pytest.raises(IngestionError, match="malformed dataset file"):
         read_counts_json(path)
+
+
+def test_row_layout_json_file_is_refused(tmp_path):
+    ds = simulate_counts(example_state(), 1e5, seed=4)
+    payload = row_layout_payload(ds)
+    assert payload["counts"][1] == {"na": 0, "la": 0, "nb": 1, "lb": -1, "basis": "x",
+                                    "outcome": "pm", "count": ds.tensor[0, 0, 1]}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(payload, sort_keys=True))
+    with pytest.raises(IngestionError, match=_in_file(path, f"^{_SHAPE_6}$")):
+        read_counts_json(path)
+
+
+def _set(path: tuple, value):
+    """An edit of a payload's count tensor that sets the entry at `path`."""
+    def edit(counts):
+        *outer, last = path
+        for i in outer:
+            counts = counts[i]
+        counts[last] = value
+    return edit
+
+
+# each edit of the example dataset's (6, 3, 4) count lists, and its error
+_BAD_TENSORS = {
+    "ragged basis": (lambda c: c[2][1].pop(), _SHAPE_6),
+    "ragged pair": (lambda c: c[2].pop(), _SHAPE_6),
+    "long basis": (lambda c: c[2][1].append(5), _SHAPE_6),
+    "extra pair": (lambda c: c.append(c[0]), _SHAPE_6),
+    "missing pair": (lambda c: c.pop(), _SHAPE_6),
+    "deeper count": (_set((2, 1, 0), [5]), r"counts \[5\] is not a JSON number"),
+    "flat": (lambda c: c.__setitem__(slice(None), np.ravel(c).tolist()), _SHAPE_6),
+    "true": (_set((2, 1, 0), True), "counts True is not a JSON number"),
+    "string": (_set((2, 1, 0), "5"), "counts '5' is not a JSON number"),
+    "null": (_set((2, 1, 0), None), "counts None is not a JSON number"),
+    "nan": (_set((2, 1, 0), float("nan")),
+            r"dataset is missing count for pair \(n=0,l=0\)/\(n=3,l=-3\), basis y, "
+            r"outcome pp"),
+    "negative": (_set((2, 1, 0), -1), r"dataset has count -1.0 for pair "
+                                      r"\(n=0,l=0\)/\(n=3,l=-3\), basis y, outcome pp"),
+    "beyond float64": (_set((2, 1, 0), 10 ** 400),
+                       "counts 1000.* is not a JSON number that float64 holds"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_TENSORS))
+def test_json_reader_refuses_a_bad_count_tensor(tmp_path, case):
+    path = tmp_path / "counts.json"
+    write_counts_json(simulate_counts(example_state(), 1e5, seed=4), path)
+    payload = json.loads(path.read_text())
+    edit, message = _BAD_TENSORS[case]
+    edit(payload["counts"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(IngestionError, match=_in_file(path, f"^{message}")):
+        read_counts_json(path)
+
+
+@pytest.mark.parametrize("D", [0, 1])
+def test_json_count_file_without_pairs_round_trips(tmp_path, D):
+    ds = CoincidenceDataset(generic_mode_set(D), 0.0, np.zeros((0, 3, 4)))
+    write_counts_json(ds, tmp_path / "counts.json")
+    assert json.loads((tmp_path / "counts.json").read_text())["counts"] == []
+    back = read_counts_json(tmp_path / "counts.json")
+    assert back.tensor.shape == (0, 3, 4)
+    assert (back.mode_set, back.flux, back.expectation) == (ds.mode_set, 0.0, False)
+    # a pair's worth of empty lists is no empty tensor
+    (tmp_path / "counts.json").write_text(json.dumps(
+        {"counts": [[]], "flux": 0.0, "modes": generic_mode_set(D).to_json()}))
+    with pytest.raises(IngestionError, match=r"not nested lists of shape \(0, 3, 4\)"):
+        read_counts_json(tmp_path / "counts.json")
+
+
+def test_bad_count_named_by_its_modes_in_an_undeclared_set(tmp_path):
+    # the cell was named by its positions among the (n, l)-sorted modes
+    # seen, as (0, 2, 'x', 'mm')
+    rows = [f"0,{l},1,0,{b},{o},5" for l in (-1, 1) for b in BASES for o in OUTCOMES]
+    rows[3] = "0,-1,1,0,x,mm,-2"
+    path = tmp_path / "counts.csv"
+    path.write_text(_csv_text([row.split(",") for row in rows]))
+    with pytest.raises(IngestionError) as info:
+        read_counts_csv(path)
+    assert str(info.value) == _in_file(
+        path, "count -2.0 for pair (n=0,l=-1)/(n=1,l=0), basis x, outcome mm; counts "
+              "must be >= 0 and <= 4.49423e+307")
 
 
 # --- blocks and chunks ----------------------------------------------------------
@@ -1349,7 +1475,7 @@ def test_blank_lines_at_chunk_boundaries(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("case, message", [
     # the first copy in chunk 0, the second in the last chunk
-    ("duplicate", "duplicate count at (0, 1, 'x', 'pp')"),
+    ("duplicate", "duplicate count for " + _PAIR_01 + "pp"),
     # the first bad token in a later chunk, another one after it
     ("later token", "unknown basis/outcome 'w'/'pp'"),
 ])
@@ -1401,3 +1527,9 @@ def test_count_path_memory_stays_near_the_tensor(tmp_path, monkeypatch):
     read = traced_peak(lambda: read_counts_csv(path))
     assert simulate < 3 * tensor and write < tensor and read < 7 * tensor, \
         (simulate / tensor, write / tensor, read / tensor)
+    # a JSON read holds the parsed file: 72 times the tensor with one object
+    # per count, about 9 times with the nested count tensor
+    path = tmp_path / "counts.json"
+    write = traced_peak(lambda: write_counts_json(out["ds"], path))
+    read = traced_peak(lambda: read_counts_json(path))
+    assert write < tensor and read < 12 * tensor, (write / tensor, read / tensor)
