@@ -104,12 +104,11 @@ class CoincidenceDataset:
                                  f"expected {shape}")
         bad = np.flatnonzero(~_counts_ok(self.tensor))
         if bad.size:  # a missing (NaN) count is bad too
-            cell = _cell(self.mode_set, bad[0])
             count = float(self.tensor.flat[bad[0]])
             if math.isnan(count):
-                raise IngestionError(f"dataset is missing count for {cell}")
-            raise IngestionError(f"dataset has count {count!r} for {cell}; "
-                                 f"counts must be >= 0 and <= {_COUNT_MAX:.6g}")
+                raise IngestionError(f"dataset is missing count for "
+                                     f"{_cell(self.mode_set, bad[0])}")
+            raise IngestionError(f"dataset has {_bad_count(self.mode_set, bad[0], count)}")
         self.flux = _real(self.flux, "flux", 0, above=len(self.tensor) > 0)
         self.expectation = _flag(self.expectation, "expectation")
         self.tensor.setflags(write=False)  # complete stays complete
@@ -150,6 +149,12 @@ def _cell(mode_set: ModeSet, flat: int) -> str:
     ma, mb = mode_set[k], mode_set[l]
     return (f"pair (n={ma.n},l={ma.l})/(n={mb.n},l={mb.l}), basis {basis}, "
             f"outcome {outcome}")
+
+
+def _bad_count(mode_set: ModeSet, flat: int, count) -> str:
+    """Why `count`, at flat position `flat` of a count tensor, is refused."""
+    return (f"count {float(count)!r} for {_cell(mode_set, flat)}; counts must be "
+            f">= 0 and <= {_COUNT_MAX:.6g}")
 
 
 # pairs per block of outcome_probabilities and of the Poisson draw: a
@@ -274,9 +279,6 @@ _TOKEN_KEY = np.dtype({"names": ["key"], "formats": ["<u8"],
                        "offsets": [_ROW.fields["basis"][1]],
                        "itemsize": _ROW.itemsize})
 _TOKEN_BYTES = np.uint64((1 << 48) - 1)
-# A view of a `_ROW` array: its four mode numbers as one (4,) field.
-_MODE_NUMBERS = np.dtype({"names": ["modes"], "formats": [(np.int64, 4)],
-                          "offsets": [0], "itemsize": _ROW.itemsize})
 _TOKEN_PAIRS = sorted(
     (int.from_bytes(b.encode().ljust(3, b"\0") + o.encode().ljust(3, b"\0"), "little"),
      _BASIS_ID[b] * len(OUTCOMES) + _OUTCOME_ID[o]) for b, o in product(BASES, OUTCOMES))
@@ -347,7 +349,7 @@ def _mode(n: int, l: int):
 def _compact(rows: np.ndarray) -> tuple:
     """A chunk of count rows, a `_ROW` array, reduced to what `_dataset`
     needs.  Per run of rows of one pair (a file lists a pair's 12 counts
-    together): its mode numbers (na, la, nb, lb), shape (runs, 4), and its
+    together): its mode numbers na, la, nb and lb, one array each, and its
     length.  Per row: its setting index basis * 4 + outcome as read from the
     (na, la) side, -1 for an unknown token pair, and its count.  Last, the
     (basis, outcome) bytes of the first row with an unknown token pair, or
@@ -368,8 +370,8 @@ def _compact(rows: np.ndarray) -> tuple:
     if settings.min(initial=0) < 0:
         i = int(np.argmax(settings < 0))
         unknown = rows["basis"][i], rows["outcome"][i]
-    return (rows.view(_MODE_NUMBERS)["modes"][starts], bounds[1:] - starts, settings,
-            rows["count"].copy(), unknown)
+    return (na[starts], la[starts], nb[starts], lb[starts], bounds[1:] - starts,
+            settings, rows["count"].copy(), unknown)
 
 
 def _dataset(chunks, mode_set: ModeSet | None, flux: float | None) -> CoincidenceDataset:
@@ -377,32 +379,34 @@ def _dataset(chunks, mode_set: ModeSet | None, flux: float | None) -> Coincidenc
     each is reduced by `_compact` as it comes.  Without `mode_set` it is
     every mode seen, sorted by (n, l); without `flux` it is the total
     z-basis count, which must be positive unless there are no rows.  The
-    rows are accepted on checks over all of them at once; if one fails,
-    `_refuse` names the first bad row."""
+    rows are accepted on checks over all of them at once; only if one fails
+    is the first bad row named, with the first check it fails."""
     parts = [_compact(rows) for rows in chunks]
     *columns, unknowns = zip(*parts)
-    runs, lengths, settings, counts = map(np.concatenate, columns)
-    unknown = next((u for u in unknowns if u is not None), None)
-    del parts, columns  # the chunks' copies
     # the modes are coded once per run: the runs' first modes, then their
     # second ones, sorted by (n, l) in one sort; a code is a mode's rank
     # among the distinct modes
-    n, lq = runs[:, 0::2].T.reshape(-1), runs[:, 1::2].T.reshape(-1)
+    n, lq = np.concatenate(columns[0] + columns[2]), np.concatenate(columns[1] + columns[3])
+    lengths, settings, counts = map(np.concatenate, columns[4:])
+    unknown = next((u for u in unknowns if u is not None), None)
+    del parts, columns  # the chunks' copies
     order = np.lexsort((lq, n))
     n, lq = n[order], lq[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (n[1:] != n[:-1]) | (lq[1:] != lq[:-1])
     ids = np.empty(len(order), dtype=np.intp)
     ids[order] = np.cumsum(new) - 1
+    ia, ib = ids[:len(lengths)], ids[len(lengths):]
     n, lq = n[new].tolist(), lq[new].tolist()
+    modes = None  # each mode or its ConfigError; for a declared set, only to name a bad row
     if mode_set is None:
-        modes = map(_mode, n, lq)
+        modes = list(map(_mode, n, lq))
         mode_set = ModeSet(tuple(m for m in modes if not isinstance(m, ConfigError)))
     D = mode_set.D
     # a refused or undeclared mode is in no mode set: it maps to -1
     index = {(m.n, m.l): i for i, m in enumerate(mode_set.modes)}
     remap = np.array([index.get(mode, -1) for mode in zip(n, lq)], dtype=np.intp)
-    k, l = remap[ids[:len(runs)]], remap[ids[len(runs):]]
+    k, l = remap[ia], remap[ib]
     # a (b, a) row holds the (a, b) count with the photons swapped; an
     # unknown token's -1 indexes a setting too
     per_pair = len(BASES) * len(OUTCOMES)
@@ -416,7 +420,34 @@ def _dataset(chunks, mode_set: ModeSet | None, flux: float | None) -> Coincidenc
         cells[flat] = counts
     # every count is a number, so a repeated cell leaves fewer filled cells
     if not accepted or np.count_nonzero(np.isnan(cells)) > len(cells) - len(counts):
-        _refuse(n, lq, ids, k, l, lengths, settings, counts, flat, unknown, mode_set)
+        if modes is None:
+            modes = list(map(_mode, n, lq))
+        refused = np.array([isinstance(m, ConfigError) for m in modes], dtype=bool)
+        # per run, the first mode check it fails: 1 a refused mode number, 3
+        # a mode not in the set, 4 a self pair (2 is the row's token check)
+        run_check = np.select([refused[ia] | refused[ib], (k < 0) | (l < 0), k == l],
+                              [1, 3, 4])
+        ok = np.repeat(run_check == 0, lengths) & (settings >= 0) & _counts_ok(counts)
+        # only the first row of each cell among the rows that pass passes
+        good = np.flatnonzero(ok)
+        failed = np.ones(len(counts), dtype=bool)
+        failed[good[np.unique(flat[good], return_index=True)[1]]] = False
+        i = int(np.argmax(failed))
+        r = int(np.searchsorted(np.cumsum(lengths), i, side="right"))
+        if run_check[r] == 1:
+            exc = modes[min(c for c in (ia[r], ib[r]) if refused[c])]
+            raise IngestionError(f"bad mode: {exc}") from exc
+        if settings[i] < 0:  # so this is the first unknown token's row
+            raise IngestionError("unknown basis/outcome {!r}/{!r}".format(
+                *(t.decode("latin-1") for t in unknown)))
+        if run_check[r] == 3:
+            raise IngestionError(f"mode {modes[ia[r] if k[r] < 0 else ib[r]]!r} not in "
+                                 f"the declared mode set")
+        if run_check[r] == 4:
+            raise IngestionError(f"row pairs mode {modes[ia[r]]!r} with itself")
+        if not _counts_ok(counts[i]):
+            raise IngestionError(_bad_count(mode_set, flat[i], counts[i]))
+        raise IngestionError(f"duplicate count for {_cell(mode_set, flat[i])}")
     if flux is None:  # left to right in row order; np.sum adds pairwise
         z = counts[settings // len(OUTCOMES) == _BASIS_ID["z"]]
         flux = float(np.cumsum(z)[-1]) if z.size else 0.0
@@ -424,45 +455,6 @@ def _dataset(chunks, mode_set: ModeSet | None, flux: float | None) -> Coincidenc
             raise IngestionError("the z-basis counts sum to 0, so no flux can be "
                                  "derived from them; give the flux")
     return CoincidenceDataset(mode_set, flux, tensor)
-
-
-def _refuse(n, lq, ids, k, l, lengths, settings, counts, flat, unknown, mode_set):
-    """Raise the error of the first bad row of rows `_dataset` refused (its
-    arguments are `_dataset`'s), with the first check the row fails: mode
-    number, basis/outcome token, undeclared mode, self pair, count value,
-    then repeated cell."""
-    modes = list(map(_mode, n, lq))
-    refused = np.array([isinstance(m, ConfigError) for m in modes], dtype=bool)
-    ia, ib = ids[:len(k)], ids[len(k):]
-    # per run, the first mode check it fails: 1 a refused mode number, 3 a
-    # mode not in the set, 4 a self pair (2 is the row's token check)
-    run_check = np.select([refused[ia] | refused[ib], (k < 0) | (l < 0), k == l],
-                          [1, 3, 4])
-    count_ok = _counts_ok(counts)
-    ok = np.repeat(run_check == 0, lengths) & (settings >= 0) & count_ok
-    # only the first row of each cell among the rows that pass passes
-    good = np.flatnonzero(ok)
-    failed = np.ones(len(counts), dtype=bool)
-    failed[good[np.unique(flat[good], return_index=True)[1]]] = False
-    i = int(np.argmax(failed))
-    r = int(np.searchsorted(np.cumsum(lengths), i, side="right"))
-    a, b = modes[ia[r]], modes[ib[r]]
-    if run_check[r] == 1:
-        exc = modes[min(c for c in (ia[r], ib[r]) if refused[c])]
-        raise IngestionError(f"bad mode: {exc}") from exc
-    if settings[i] < 0:  # so this is the first unknown token's row
-        raise IngestionError("unknown basis/outcome {!r}/{!r}".format(
-            *(t.decode("latin-1") for t in unknown)))
-    if run_check[r] == 3:
-        raise IngestionError(f"mode {a if k[r] < 0 else b!r} not in the declared "
-                             f"mode set")
-    if run_check[r] == 4:
-        raise IngestionError(f"row pairs mode {a!r} with itself")
-    cell = _cell(mode_set, flat[i])
-    if not count_ok[i]:
-        raise IngestionError(f"count {float(counts[i])!r} for {cell}; counts must be "
-                             f">= 0 and <= {_COUNT_MAX:.6g}")
-    raise IngestionError(f"duplicate count for {cell}")
 
 
 # data rows per np.loadtxt call of read_counts_csv; a chunk's `_ROW` records
@@ -538,4 +530,8 @@ def read_counts_json(path) -> CoincidenceDataset:
         D = mode_set.D
         tensor = _json_numbers("counts", payload["counts"],
                                (D * (D - 1) // 2, len(BASES), len(OUTCOMES)))
+        # a NaN in a file is a bad count, as in a CSV file, not a missing one
+        bad = np.flatnonzero(~_counts_ok(tensor))
+        if bad.size and np.isnan(tensor.flat[bad[0]]):
+            raise IngestionError(_bad_count(mode_set, bad[0], tensor.flat[bad[0]]))
         return CoincidenceDataset(mode_set, flux, tensor, expectation)

@@ -182,8 +182,8 @@ def certified_dimension(W, D):
 
     The bounds bound(D, 1), ..., bound(D, D-1) rise by D per dimension, and
     W - bound falls as the bound rises, so W clears the first c of them and
-    d = c + 1.  A guess of c from bound(D, 1) is moved by comparing W with
-    the bounds on either side of it until it is c.
+    d = c + 1.  A guess of c from bound(D, 1) is moved at most one step up
+    and one down, by comparing W with the bound on either side of it.
     """
     W = W if isinstance(W, np.ndarray) else _real(W, "W")
     D = D if isinstance(D, np.ndarray) else _whole(D, "D", 2)
@@ -193,13 +193,12 @@ def certified_dimension(W, D):
     tau = _TAU_PER_PAIR * (D * (D - 1) // 2) * np.abs(W)
     first, top = bound(D, 1), D - 1
     c = np.minimum(np.maximum(np.ceil((W - tau - first) / D), 0), top)
-    while True:
-        up = (c < top) & (W - (first + D * c) > tau)
-        down = (c > 0) & ~(W - (first + D * (c - 1)) > tau)
-        if not (up.any() or down.any()):
-            d = (c + 1).astype(np.int64)
-            return int(d) if d.ndim == 0 else d
-        c = c + up - down
+    # one step each way reaches c: where the guess is not clipped its rounding
+    # error is far below the spacing D, and a clipped guess is c or next to it
+    c = c + ((c < top) & (W - (first + D * c) > tau))
+    c = c - ((c > 0) & ~(W - (first + D * (c - 1)) > tau))
+    d = (c + 1).astype(np.int64)
+    return int(d) if d.ndim == 0 else d
 
 
 # A basis is smooth when its visibility sits this many Poisson standard

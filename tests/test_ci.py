@@ -71,6 +71,15 @@ D6_PIPELINE = [
     "dimwitness optimize --input /tmp/c6.json --output /tmp/o6j.json",
 ]
 
+# A refused input through the installed script: the D = 6 CSV counts less
+# their last row exit 3, checked so that the step's `bash -e` does not stop
+# at the nonzero status.
+D6_REFUSED = [
+    "sed '$d' /tmp/c6.csv > /tmp/c6cut.csv",
+    "code=0; dimwitness certify --input /tmp/c6cut.csv --mode-file /tmp/m6.json "
+    "--output /tmp/r6cut.json || code=$?; test \"$code\" -eq 3",
+]
+
 
 def test_workflow_runs_the_installed_console_script():
     # the tests call cli.main directly, so only this step sees a broken entry
@@ -88,9 +97,20 @@ def test_workflow_runs_the_installed_console_script():
         "--trials 1000 --strength-max 0.2 --seed 7 --output /tmp/r.json",
         "python -c \"import json, sys; "
         "sys.exit(len(json.load(open('/tmp/r.json'))['trials']) != 1000)\"",
-        *D6_PIPELINE]
+        *D6_PIPELINE, *D6_REFUSED]
     assert re.search(r'^\[project\.scripts\]\ndimwitness = "dimwitness\.cli:main"$',
                      (ROOT / "pyproject.toml").read_text(), re.M)
+
+
+def _run_in_process(line):
+    """Run a workflow command line in this process, its /tmp/ files in the
+    working directory: a `python -c` line by exec, a dimwitness line through
+    cli.main."""
+    argv = shlex.split(line.replace("/tmp/", ""))
+    if argv[0] == "python":
+        exec(argv[2], {})
+    else:
+        main(argv[1:])
 
 
 def test_workflow_d6_pipeline_runs(tmp_path, monkeypatch):
@@ -98,17 +118,29 @@ def test_workflow_d6_pipeline_runs(tmp_path, monkeypatch):
     # their files
     monkeypatch.chdir(tmp_path)
     for line in D6_PIPELINE:
-        argv = shlex.split(line.replace("/tmp/", ""))
-        if argv[0] == "python":
-            exec(argv[2], {})
-            continue
         try:
-            main(argv[1:])
+            _run_in_process(line)
         except SystemExit as exc:
             raise AssertionError(f"{line} exited {exc.code}") from exc
     assert {p.name for p in tmp_path.iterdir()} == {
         "m6.json", "c6.csv", "r6.json", "r6u.json", "o6.json", "t6.csv",
         "c6.json", "r6j.json", "o6j.json"}
+
+
+def test_workflow_refused_input_exits_3(tmp_path, monkeypatch):
+    # the workflow's refused-input lines, run in this process: the counts
+    # less their last row exit 3 and leave no report
+    monkeypatch.chdir(tmp_path)
+    for line in D6_PIPELINE[:2]:  # the mode file and the counts
+        _run_in_process(line)
+    sed, status = D6_REFUSED
+    assert shlex.split(sed.replace("/tmp/", "")) == ["sed", "$d", "c6.csv", ">", "c6cut.csv"]
+    lines = (tmp_path / "c6.csv").read_bytes().splitlines(keepends=True)
+    (tmp_path / "c6cut.csv").write_bytes(b"".join(lines[:-1]))
+    with pytest.raises(SystemExit) as exc:
+        _run_in_process(status.split("; ")[1].split(" || ")[0])
+    assert exc.value.code == 3
+    assert not (tmp_path / "r6cut.json").exists()
 
 
 def test_xfails_are_strict_by_default(pytestconfig):

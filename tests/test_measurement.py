@@ -434,8 +434,8 @@ def test_bad_count_rows_rejected(tmp_path, fmt, case):
                                      [[pp, mp, pm, mm] for pp, pm, mp, mm in first])
         path.write_text(json.dumps(payload))
         read = lambda: read_counts_json(path)
-    # NaN marks a missing count in a dataset
-    match = {"nan": "<= 4.49423e" if fmt == "csv" else "missing count",
+    # a NaN in a file is a bad count in either format
+    match = {"nan": ": count nan for pair .*; counts must be >= 0 and <= 4.49423e",
              "inf": "<= 4.49423e", "huge": "<= 4.49423e|malformed",
              "negative_mode": "radial quantum number n"}
     duplicate = "duplicate" if fmt == "csv" else _SHAPE_6
@@ -781,8 +781,8 @@ def test_bad_row_past_first_chunk_rejected(tmp_path, fmt, case):
         payload = json.loads(path.read_text())
         if case == "nan":
             payload["counts"][-1][-1][-1] = float("nan")
-            match = ("missing count for pair \\(n=0,l=14\\)/\\(n=0,l=15\\), basis z, "
-                     "outcome mm")
+            match = ("count nan for pair \\(n=0,l=14\\)/\\(n=0,l=15\\), basis z, "
+                     "outcome mm; counts must be >= 0")
         else:
             payload["counts"].append(payload["counts"][-1])
             match = "not nested lists of shape"
@@ -948,6 +948,22 @@ def test_reader_maps_modes_to_an_unsorted_declared_set(tmp_path, order, fmt):
     assert new.mode_set == ref.mode_set == mode_set
     assert np.array_equal(new.tensor, ref.tensor)
     assert np.array_equal(new.tensor, ds.tensor)
+
+
+def test_csv_read_with_a_declared_mode_set_builds_no_mode_index(tmp_path, monkeypatch):
+    # a declared set is looked up by (n, l); a mode is built only to name a
+    # bad row, or to make the set of an undeclared read
+    ds = simulate_counts(example_state(), 1e5, seed=4)
+    write_counts_csv(ds, tmp_path / "counts.csv")
+
+    def no_mode(n, l):
+        raise AssertionError(f"built the mode (n={n}, l={l})")
+
+    monkeypatch.setattr(measurement, "_mode", no_mode)
+    back = read_counts_csv(tmp_path / "counts.csv", mode_set=ds.mode_set)
+    assert np.array_equal(back.tensor, ds.tensor)
+    with pytest.raises(AssertionError, match="built the mode"):
+        read_counts_csv(tmp_path / "counts.csv")
 
 
 MALFORMED_BODIES = {
@@ -1315,8 +1331,8 @@ _BAD_TENSORS = {
     "string": (_set((2, 1, 0), "5"), "counts '5' is not a JSON number"),
     "null": (_set((2, 1, 0), None), "counts None is not a JSON number"),
     "nan": (_set((2, 1, 0), float("nan")),
-            r"dataset is missing count for pair \(n=0,l=0\)/\(n=3,l=-3\), basis y, "
-            r"outcome pp"),
+            r"count nan for pair \(n=0,l=0\)/\(n=3,l=-3\), basis y, outcome pp; "
+            r"counts must be >= 0 and <= 4.49423e\+307$"),
     "negative": (_set((2, 1, 0), -1), r"dataset has count -1.0 for pair "
                                       r"\(n=0,l=0\)/\(n=3,l=-3\), basis y, outcome pp"),
     "beyond float64": (_set((2, 1, 0), 10 ** 400),
